@@ -13,6 +13,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .bounds import (  # noqa: F401  (c_theta and the kta_* formulas are also public here)
+    STAT_KTA,
+    BoundInputs,
+    c_theta,
+    kta_bound_spectral,
+    kta_bound_theta,
+    kta_spectral_denominator,
+    theorem_values,
+    theorems_for,
+    validate_epsilons,
+)
 from .errors import ConfigError, DataError, DegeneracyError
 from .kernels import GramMatrix
 from .spectral import eig_sym, gap_tolerance, principal_submatrix
@@ -83,73 +94,6 @@ def middle_spectrum_norm(eigenvalues: np.ndarray) -> float:
     return float(np.sqrt(np.sum(lam[1:-1] ** 2)))
 
 
-def c_theta(a_kn: float, theta: float, n: int, frob: float, m: int | None = None) -> float:
-    """Per-replacement constant C(theta) = |A| theta^{-1} (m - (m-1) theta + (2n-1)/||K||_F).
-
-    `m` defaults to n (recorded by callers in metadata).
-    """
-    if not 0.0 < theta <= 1.0:
-        raise DegeneracyError(f"theta must lie in (0, 1] for C(theta), got {theta}")
-    if frob <= 0.0:
-        raise DataError("C(theta) undefined for the zero matrix")
-    m = n if m is None else m
-    return abs(a_kn) / theta * (m - (m - 1) * theta + (2.0 * n - 1.0) / frob)
-
-
-def kta_bound_theta(
-    eps: float, *, a_kn: float, theta: float, n: int, frob: float, m: int | None = None
-) -> float:
-    """Alignment bound via C(theta):  2 exp(-2 eps^2 (n-1)^2 / (n C(theta)^2))."""
-    c = c_theta(a_kn, theta, n, frob, m)
-    if c <= 0.0:
-        raise DegeneracyError("C(theta) is zero; the theta-based bound is vacuous")
-    return 2.0 * math.exp(-2.0 * eps * eps * (n - 1.0) ** 2 / (n * c * c))
-
-
-def kta_spectral_denominator(
-    *, a_kn: float, n: int, l_mid: float, frob: float | None = None, ratio: float | None = None
-) -> float:
-    """D = A(K) |1/(n-1) - ||K||_F / L| + (2 + 1/(n-1)) / L.
-
-    Pass `ratio` to use an approximation of ||K||_F / L (e.g. lambda_1/lambda_2)
-    instead of the exact Frobenius ratio.
-    """
-    if l_mid <= 0.0:
-        raise DegeneracyError(
-            "middle-spectrum norm L is zero (needs at least two nonzero interior eigenvalues)"
-        )
-    if ratio is None:
-        if frob is None:
-            raise ConfigError("need either frob or ratio")
-        ratio = frob / l_mid
-    return a_kn * abs(1.0 / (n - 1.0) - ratio) + (2.0 + 1.0 / (n - 1.0)) / l_mid
-
-
-def kta_bound_spectral(
-    eps: float,
-    *,
-    a_kn: float,
-    n: int,
-    l_mid: float,
-    frob: float | None = None,
-    ratio: float | None = None,
-    variant: str = "printed",
-) -> float:
-    """Alignment bound from the kernel spectrum.
-
-    variant="printed" is 2 exp(-2 eps^2 / D) as stated; variant="bdiff" is the
-    bounded-difference-consistent form 2 exp(-2 eps^2 / (n D^2)).
-    """
-    if variant not in ("printed", "bdiff"):
-        raise ConfigError(f"variant must be 'printed' or 'bdiff', got {variant!r}")
-    d = kta_spectral_denominator(a_kn=a_kn, n=n, l_mid=l_mid, frob=frob, ratio=ratio)
-    if d <= 0.0:
-        raise DegeneracyError("spectral alignment denominator D is zero; bound is vacuous")
-    if variant == "printed":
-        return 2.0 * math.exp(-2.0 * eps * eps / d)
-    return 2.0 * math.exp(-2.0 * eps * eps / (n * d * d))
-
-
 @dataclass(frozen=True)
 class AlignmentReport:
     """All alignment statistics plus per-epsilon bound values."""
@@ -177,9 +121,7 @@ def alignment_report(
     m: int | None = None,
 ) -> AlignmentReport:
     """Compute A(K), theta, L, and all alignment bounds over an epsilon grid."""
-    epsilons = tuple(float(e) for e in epsilons)
-    if not epsilons or any(e <= 0 for e in epsilons):
-        raise ConfigError("epsilons must be positive")
+    epsilons = validate_epsilons(epsilons)
     n = g.n
     a_kn = kta(g, y)
     lam = eig_sym(g).eigenvalues
@@ -189,29 +131,22 @@ def alignment_report(
     lam2 = float(lam[1])
     ratio_approx = float(lam[0]) / lam2 if abs(lam2) > 0 else math.inf
     m_val = n if m is None else m
-    bounds: dict[str, list[float]] = {}
-    skipped: dict[str, str] = {}
+    missing: dict[str, str] = {}
     try:
         theta = theta_statistic(g, mode=theta_mode)
         c = c_theta(a_kn, theta, n, frob, m_val)
-        bounds["kta_theta"] = [
-            kta_bound_theta(e, a_kn=a_kn, theta=theta, n=n, frob=frob, m=m_val) for e in epsilons
-        ]
     except (DegeneracyError, DataError) as exc:
-        theta = math.nan
-        c = math.nan
-        skipped["kta_theta"] = str(exc)
-    for label, kwargs in (
-        ("kta_spectral", {"frob": frob, "variant": "printed"}),
-        ("kta_spectral_approx", {"ratio": ratio_approx, "variant": "printed"}),
-        ("kta_spectral_bdiff", {"frob": frob, "variant": "bdiff"}),
-    ):
+        theta = c = math.nan
+        missing["theta"] = str(exc)
+    x = BoundInputs(n=n, theta=None if missing else theta, a_kn=a_kn, frob=frob, l_mid=l_mid,
+                    ratio=ratio_approx, m=m_val, missing=missing)
+    bounds: dict[str, list[float]] = {}
+    skipped: dict[str, str] = {}
+    for theorem in theorems_for(STAT_KTA):
         try:
-            bounds[label] = [
-                kta_bound_spectral(e, a_kn=a_kn, n=n, l_mid=l_mid, **kwargs) for e in epsilons
-            ]
-        except DegeneracyError as exc:
-            skipped[label] = str(exc)
+            bounds[theorem] = theorem_values(theorem, x, np.asarray(epsilons)).tolist()
+        except (DegeneracyError, DataError) as exc:
+            skipped[theorem] = str(exc)
     return AlignmentReport(
         a_kn=a_kn,
         l_mid=l_mid,

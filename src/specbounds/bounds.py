@@ -1,75 +1,132 @@
 """Closed-form concentration bounds over precomputed spectral statistics.
 
-Every function is a pure formula: same inputs, bit-identical outputs.  Raw
+Every bound has the shape pref * exp(off - f(eps)).  Each formula is a pure
+function that takes a scalar epsilon or an ndarray grid: the exponent is
+computed in one fixed operation order and math.exp is applied per point, so
+a grid value is bit-identical to the scalar call at that epsilon.  Raw
 values may exceed 1 (vacuous); report assembly keeps the raw value and flags
 it instead of hiding it.
 
-Theorem ids used in reports:
+THEOREMS is the one table of theorem ids; this list mirrors it.  M is the
+whitened radius, lip the kernel's Lipschitz constant, gap_1p the covariance
+gap, R_i the resolvent sum at eigen-order i.
 
-  diag_uniform          2 exp(-2 n eps^2 / diag_sup^2)
-  theta_top             2 exp(-2 eps^2 / (theta^2 lambda_1^2))
-  adjacent_gap          exp(-2 n eps^2 / gap_{i,i+1}^2)
-  topk_gap / tail_gap   exp(-2 n eps^2 / range_gap^2)
-  covgap_distance       exp(-n^2 eps^2 / (18 M^4 lip^2 gap_1p^2))
-  covgap_inner          exp(-n^2 eps^2 / (4  M^4 lip^2 gap_1p^2))
-  covgap_second_order   exp(-n^2 eps^2 / gamma^2), gamma from the second-order
-                        eigenvalue expansion (printed and alt variants)
-  eigvec_pointwise      exp(-eps^2 / (18 M^4 lip^2 R_i^2 gap_1p^2))
-  eigvec_uniform        2 exp(2n - c eps^2), 1/c = 18 M^4 lip^2 R_i^2 gap_1p^2
+  id                       statistic    inputs              raw value
+  diag_uniform             eigenvalue   diag_sup_sq         2 exp(-2 n eps^2 / diag_sup^2)
+  theta_top                eigenvalue   spectrum, theta     2 exp(-2 eps^2 / (theta^2 lambda_1^2))
+  adjacent_gap             eigenvalue   spectrum            exp(-2 n eps^2 / gap_{i,i+1}^2)
+  covgap_distance          eigenvalue   cov, lip            exp(-n^2 eps^2 / (18 M^4 lip^2 gap_1p^2))
+  covgap_inner             eigenvalue   cov, lip            exp(-n^2 eps^2 / (4  M^4 lip^2 gap_1p^2))
+  covgap_second_order      eigenvalue   spectrum, cov, lip  exp(-n^2 eps^2 / gamma^2), gamma with the
+                                                            squared-gap crowding sum (as printed)
+  covgap_second_order_alt  eigenvalue   spectrum, cov, lip  the same with the unsquared resolvent sum
+  topk_gap                 topk_sum     spectrum            exp(-2 n eps^2 / (lambda_1 - lambda_{k+1})^2)
+  tail_gap                 tail_sum     spectrum            exp(-2 n eps^2 / (lambda_k - lambda_n)^2)
+  eigvec_pointwise         eigenvector  spectrum, cov, lip  exp(-eps^2 / (18 M^4 lip^2 R_i^2 gap_1p^2))
+  eigvec_uniform           eigenvector  spectrum, cov, lip  2 exp(2n - c eps^2), 1/c = 18 M^4 lip^2 R_i^2 gap_1p^2
+  kta_theta                kta          a_kn, theta, frob   2 exp(-2 eps^2 (n-1)^2 / (n C(theta)^2))
+  kta_spectral             kta          a_kn, l_mid, frob   2 exp(-2 eps^2 / D)
+  kta_spectral_approx      kta          a_kn, l_mid, ratio  the same, ||K||_F / L approximated by lambda_1 / lambda_2
+  kta_spectral_bdiff       kta          a_kn, l_mid, frob   2 exp(-2 eps^2 / (n D^2))
+
+Preconditions raise DegeneracyError (the theorem is skipped, or the trial
+excluded from that bound's mean):
+
+  adjacent_gap             i < n, distinct eigenvalues at i and gap_{i,i+1} above tolerance
+  topk_gap, tail_gap       range gap above tolerance
+  covgap_*                 gap_1p above tolerance (not isotropic); second order also needs
+                           distinct eigenvalues at i and gamma > 0
+  eigvec_*                 distinct eigenvalues at i and gap_1p above tolerance
+  kta_theta                theta in (0, 1] and C(theta) > 0
+  kta_spectral*            L > 0 and D > 0
+
+An exponent that overflows (eigvec_uniform for n >= 355) gives raw = inf.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
+
+import numpy as np
 
 from .dataset import CovarianceStats
-from .errors import ConfigError, DegenerateGapError
-from .spectral import GapProfile, Spectrum, gap_tolerance, gaps, range_gap_tail, range_gap_top
+from .errors import ConfigError, DataError, DegeneracyError, DegenerateGapError
+from .kernels import DISTANCE, INNER
+from .spectral import GapProfile, Spectrum, gap_tolerance, gaps_from_eigenvalues, range_gap_tail, range_gap_top
 
 DEGENERATE_GAP_MESSAGE = "theorem assumes distinct eigenvalues"
 
 
-def _check_eps(eps: float) -> float:
-    eps = float(eps)
-    if eps < 0:
-        raise ConfigError(f"epsilon must be >= 0, got {eps}")
+def validate_epsilons(epsilons) -> tuple[float, ...]:
+    """The epsilon grid as floats: non-empty, finite, positive and strictly ascending."""
+    eps = tuple(float(e) for e in epsilons)
+    if not eps:
+        raise ConfigError("epsilon grid is empty")
+    bad = [e for e in eps if not (math.isfinite(e) and e > 0)]
+    if bad:
+        raise ConfigError(f"epsilons must be finite and positive, got {bad[0]}")
+    if any(b <= a for a, b in zip(eps, eps[1:])):
+        raise ConfigError("epsilons must be strictly ascending")
     return eps
 
 
-def bound_trace_uniform(n: int, diag_sup_sq: float, eps: float) -> float:
+def _check_eps(eps):
+    """A scalar epsilon as a float, a grid as a float array; negatives raise."""
+    arr = np.asarray(eps, dtype=np.float64)
+    if np.any(arr < 0):
+        raise ConfigError(f"epsilon must be >= 0, got {float(arr.min())}")
+    return float(arr) if arr.ndim == 0 else arr
+
+
+def _exp(x):
+    """math.exp per point (np.exp differs from it in the last ulp on some
+    inputs); an overflowing exponent gives inf."""
+    if isinstance(x, np.ndarray):
+        try:
+            return np.array(list(map(math.exp, x.tolist())))
+        except OverflowError:
+            return np.array([_exp(v) for v in x.tolist()])
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
+
+
+def bound_trace_uniform(n: int, diag_sup_sq: float, eps):
     """Uniform bound from the supremum of the kernel diagonal (R^2)."""
     eps = _check_eps(eps)
     if diag_sup_sq <= 0:
         raise ConfigError(f"diagonal supremum must be positive, got {diag_sup_sq}")
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
-    return 2.0 * math.exp(-2.0 * n * eps * eps / (diag_sup_sq * diag_sup_sq))
+    return 2.0 * _exp(-2.0 * n * eps * eps / (diag_sup_sq * diag_sup_sq))
 
 
-def bound_theta(theta: float, lambda_1: float, eps: float) -> float:
+def bound_theta(theta: float, lambda_1: float, eps):
     """Bound from the top eigenvalue and the shrinkage statistic theta."""
     eps = _check_eps(eps)
     if not 0.0 < theta <= 1.0:
         raise ConfigError(f"theta must lie in (0, 1], got {theta}")
     if lambda_1 <= 0:
         raise ConfigError(f"lambda_1 must be positive, got {lambda_1}")
-    return 2.0 * math.exp(-2.0 * eps * eps / (theta * theta * lambda_1 * lambda_1))
+    return 2.0 * _exp(-2.0 * eps * eps / (theta * theta * lambda_1 * lambda_1))
 
 
-def bound_gap(n: int, gap_profile: GapProfile, eps: float) -> float:
+def bound_gap(n: int, gap_profile: GapProfile, eps):
     """Per-eigenvalue bound from the adjacent spectral gap."""
     eps = _check_eps(eps)
     gap = gap_profile.gap_next
     if gap_profile.degenerate or gap <= gap_tolerance(gap_profile.lambda_i):
         raise DegenerateGapError(DEGENERATE_GAP_MESSAGE)
-    return math.exp(-2.0 * n * eps * eps / (gap * gap))
+    return _exp(-2.0 * n * eps * eps / (gap * gap))
 
 
-def _range_gap_bound(n: int, g: float, eps: float, lambda_1: float) -> float:
+def _range_gap_bound(n: int, g: float, eps, lambda_1: float):
     if g <= gap_tolerance(lambda_1):
         raise DegenerateGapError(DEGENERATE_GAP_MESSAGE)
-    return math.exp(-2.0 * n * eps * eps / (g * g))
+    return _exp(-2.0 * n * eps * eps / (g * g))
 
 
 def _lambda_1(spectrum) -> float:
@@ -77,7 +134,7 @@ def _lambda_1(spectrum) -> float:
     return float(lam[0])
 
 
-def bound_topk_sum(n: int, spectrum, k: int, eps: float) -> float:
+def bound_topk_sum(n: int, spectrum, k: int, eps):
     """Bound for the sum of the top k eigenvalues, via lambda_1 - lambda_{k+1}.
 
     `spectrum` may be a Spectrum or a descending eigenvalue array.
@@ -86,7 +143,7 @@ def bound_topk_sum(n: int, spectrum, k: int, eps: float) -> float:
     return _range_gap_bound(n, range_gap_top(spectrum, k), eps, _lambda_1(spectrum))
 
 
-def bound_tail_sum(n: int, spectrum, k: int, eps: float) -> float:
+def bound_tail_sum(n: int, spectrum, k: int, eps):
     """Bound for the sum of eigenvalues k..n, via lambda_k - lambda_n."""
     eps = _check_eps(eps)
     return _range_gap_bound(n, range_gap_tail(spectrum, k), eps, _lambda_1(spectrum))
@@ -120,7 +177,7 @@ def error_norm_bound(kind: str, cov: CovarianceStats, lip: float, n: int) -> Err
     return ErrorNormBounds(printed=printed, conservative=conservative, kind=kind)
 
 
-def _covgap_bound(n: int, cov: CovarianceStats, lip: float, eps: float, denom_factor: float) -> float:
+def _covgap_bound(n: int, cov: CovarianceStats, lip: float, eps, denom_factor: float):
     if cov.gap_1p <= gap_tolerance(cov.lambda_1):
         raise DegenerateGapError(
             "covariance eigenvalue gap lambda_1 - lambda_p is degenerate "
@@ -128,15 +185,15 @@ def _covgap_bound(n: int, cov: CovarianceStats, lip: float, eps: float, denom_fa
         )
     m4 = cov.whitened_radius**4
     denom = denom_factor * m4 * lip * lip * cov.gap_1p**2
-    return math.exp(-float(n) * n * eps * eps / denom)
+    return _exp(-float(n) * n * eps * eps / denom)
 
 
-def bound_distance(n: int, cov: CovarianceStats, lip: float, eps: float) -> float:
+def bound_distance(n: int, cov: CovarianceStats, lip: float, eps):
     """Covariance-gap bound for distance kernels."""
     return _covgap_bound(n, cov, lip, _check_eps(eps), 18.0)
 
 
-def bound_inner(n: int, cov: CovarianceStats, lip: float, eps: float) -> float:
+def bound_inner(n: int, cov: CovarianceStats, lip: float, eps):
     """Covariance-gap bound for smooth inner-product kernels."""
     return _covgap_bound(n, cov, lip, _check_eps(eps), 4.0)
 
@@ -170,9 +227,9 @@ def bound_second_order(
     cov: CovarianceStats,
     lip: float,
     gap_profile: GapProfile,
-    eps: float,
+    eps,
     variant: str = "printed",
-) -> float:
+):
     """Second-order refinement exp(-n^2 eps^2 / gamma^2)."""
     eps = _check_eps(eps)
     gamma = second_order_gamma(n, cov, lip, gap_profile, variant)
@@ -180,7 +237,7 @@ def bound_second_order(
         raise DegenerateGapError(
             "second-order denominator gamma is zero (degenerate covariance gap); bound is vacuous"
         )
-    return math.exp(-float(n) * n * eps * eps / (gamma * gamma))
+    return _exp(-float(n) * n * eps * eps / (gamma * gamma))
 
 
 def _eigvec_inverse_c(cov: CovarianceStats, lip: float, gap_profile: GapProfile) -> float:
@@ -195,29 +252,225 @@ def _eigvec_inverse_c(cov: CovarianceStats, lip: float, gap_profile: GapProfile)
     return 18.0 * m4 * lip * lip * gap_profile.resolvent_sum**2 * cov.gap_1p**2
 
 
-def bound_eigvec_pointwise(
-    cov: CovarianceStats, lip: float, gap_profile: GapProfile, eps: float
-) -> float:
+def bound_eigvec_pointwise(cov: CovarianceStats, lip: float, gap_profile: GapProfile, eps):
     """Pointwise eigenvector bound along any unit direction (direction-free)."""
     eps = _check_eps(eps)
-    return math.exp(-eps * eps / _eigvec_inverse_c(cov, lip, gap_profile))
+    return _exp(-eps * eps / _eigvec_inverse_c(cov, lip, gap_profile))
 
 
-def bound_eigvec_uniform(
-    n: int, cov: CovarianceStats, lip: float, gap_profile: GapProfile, eps: float
-) -> float:
-    """Uniform (norm-level) eigenvector bound; raw value can far exceed 1."""
+def bound_eigvec_uniform(n: int, cov: CovarianceStats, lip: float, gap_profile: GapProfile, eps):
+    """Uniform (norm-level) eigenvector bound; raw value can far exceed 1,
+    and is inf where the exponent overflows."""
     eps = _check_eps(eps)
     c = 1.0 / _eigvec_inverse_c(cov, lip, gap_profile)
-    return 2.0 * math.exp(2.0 * n - c * eps * eps)
+    return 2.0 * _exp(2.0 * n - c * eps * eps)
 
 
-# --- report assembly ---------------------------------------------------------
+def c_theta(a_kn: float, theta: float, n: int, frob: float, m: int | None = None) -> float:
+    """Per-replacement constant C(theta) = |A| theta^{-1} (m - (m-1) theta + (2n-1)/||K||_F).
+
+    `m` defaults to n (recorded by callers in metadata).
+    """
+    if not 0.0 < theta <= 1.0:
+        raise DegeneracyError(f"theta must lie in (0, 1] for C(theta), got {theta}")
+    if frob <= 0.0:
+        raise DataError("C(theta) undefined for the zero matrix")
+    m = n if m is None else m
+    return abs(a_kn) / theta * (m - (m - 1) * theta + (2.0 * n - 1.0) / frob)
+
+
+def kta_bound_theta(eps, *, a_kn: float, theta: float, n: int, frob: float, m: int | None = None):
+    """Alignment bound via C(theta):  2 exp(-2 eps^2 (n-1)^2 / (n C(theta)^2))."""
+    c = c_theta(a_kn, theta, n, frob, m)
+    if c <= 0.0:
+        raise DegeneracyError("C(theta) is zero; the theta-based bound is vacuous")
+    return 2.0 * _exp(-2.0 * eps * eps * (n - 1.0) ** 2 / (n * c * c))
+
+
+def kta_spectral_denominator(
+    *, a_kn: float, n: int, l_mid: float, frob: float | None = None, ratio: float | None = None
+) -> float:
+    """D = A(K) |1/(n-1) - ||K||_F / L| + (2 + 1/(n-1)) / L.
+
+    Pass `ratio` to use an approximation of ||K||_F / L (e.g. lambda_1/lambda_2)
+    instead of the exact Frobenius ratio.
+    """
+    if l_mid <= 0.0:
+        raise DegeneracyError(
+            "middle-spectrum norm L is zero (needs at least two nonzero interior eigenvalues)"
+        )
+    if ratio is None:
+        if frob is None:
+            raise ConfigError("need either frob or ratio")
+        ratio = frob / l_mid
+    return a_kn * abs(1.0 / (n - 1.0) - ratio) + (2.0 + 1.0 / (n - 1.0)) / l_mid
+
+
+def kta_bound_spectral(
+    eps,
+    *,
+    a_kn: float,
+    n: int,
+    l_mid: float,
+    frob: float | None = None,
+    ratio: float | None = None,
+    variant: str = "printed",
+):
+    """Alignment bound from the kernel spectrum.
+
+    variant="printed" is 2 exp(-2 eps^2 / D) as stated; variant="bdiff" is the
+    bounded-difference-consistent form 2 exp(-2 eps^2 / (n D^2)).
+    """
+    if variant not in ("printed", "bdiff"):
+        raise ConfigError(f"variant must be 'printed' or 'bdiff', got {variant!r}")
+    d = kta_spectral_denominator(a_kn=a_kn, n=n, l_mid=l_mid, frob=frob, ratio=ratio)
+    if d <= 0.0:
+        raise DegeneracyError("spectral alignment denominator D is zero; bound is vacuous")
+    if variant == "printed":
+        return 2.0 * _exp(-2.0 * eps * eps / d)
+    return 2.0 * _exp(-2.0 * eps * eps / (n * d * d))
+
+
+# --- the theorem registry ----------------------------------------------------
 
 STAT_EIGENVALUE = "eigenvalue"
 STAT_TOPK = "topk_sum"
 STAT_TAIL = "tail_sum"
 STAT_EIGVEC = "eigenvector"
+STAT_KTA = "kta"
+
+
+@dataclass(frozen=True, eq=False)
+class BoundInputs:
+    """Everything a theorem may read.  A theorem applies when each input it
+    needs is not None; `missing` maps an input that could not be computed to
+    the reason, which a theorem needing it reports.
+
+    `spectrum` is the descending eigenvalue array the spectral inputs come
+    from; `index` is the eigen-order i, or k for the top/tail sums.
+    """
+
+    n: int
+    index: int | None = None
+    spectrum: np.ndarray | None = None
+    cov: CovarianceStats | None = None
+    lip: float | None = None
+    diag_sup_sq: float | None = None
+    theta: float | None = None
+    theta_estimated: bool = False
+    a_kn: float | None = None
+    frob: float | None = None
+    l_mid: float | None = None
+    ratio: float | None = None
+    m: int | None = None
+    missing: dict = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class Theorem:
+    """One registry entry.  `rhs(x, eps)` is the raw bound at a scalar or
+    over an array of epsilons and raises DegeneracyError when the theorem's
+    precondition fails; `describe(x)` is the metadata `evaluate_bounds`
+    echoes; `kernel` restricts the theorem to one kernel kind."""
+
+    statistic: str
+    needs: tuple[str, ...]
+    rhs: Callable
+    describe: Callable | None = None
+    kernel: str | None = None
+    flags: tuple[str, ...] = ()
+
+
+_SPEC_COV = ("spectrum", "cov", "lip")
+_KTA_FROB = ("a_kn", "l_mid", "frob")
+
+
+def _profile(x: BoundInputs) -> GapProfile:
+    return gaps_from_eigenvalues(x.spectrum, x.index)
+
+
+def _gap_metadata(x: BoundInputs) -> dict:
+    p = _profile(x)
+    gap_next = None if x.index == x.n else p.gap_next
+    return {"gap_next": gap_next, "resolvent_sum": p.resolvent_sum, "inv_gap_sq_sum": p.inv_gap_sq_sum}
+
+
+def _second_order(variant: str) -> Theorem:
+    return Theorem(
+        STAT_EIGENVALUE, _SPEC_COV,
+        lambda x, e: bound_second_order(x.n, x.cov, x.lip, _profile(x), e, variant),
+        lambda x: {f"gamma_{variant}": second_order_gamma(x.n, x.cov, x.lip, _profile(x), variant)},
+    )
+
+
+def _eigvec_metadata(x: BoundInputs) -> dict:
+    return {"eigvec_c": 1.0 / _eigvec_inverse_c(x.cov, x.lip, _profile(x)), "eigvec_exponent_offset": 2 * x.n}
+
+
+# Entries look the bound_* functions up by name when they run, so a wrapper
+# installed from outside sees every call, and pass their arguments by position.
+# Registry order is the order of report rows and of skipped theorems.
+THEOREMS: dict[str, Theorem] = {
+    "diag_uniform": Theorem(STAT_EIGENVALUE, ("diag_sup_sq",),
+                            lambda x, e: bound_trace_uniform(x.n, x.diag_sup_sq, e)),
+    "theta_top": Theorem(STAT_EIGENVALUE, ("spectrum", "theta"),
+                         lambda x, e: bound_theta(x.theta, float(x.spectrum[0]), e),
+                         lambda x: {"theta": x.theta, "theta_estimated": x.theta_estimated}),
+    "adjacent_gap": Theorem(STAT_EIGENVALUE, ("spectrum",),
+                            lambda x, e: bound_gap(x.n, _profile(x), e), _gap_metadata),
+    "covgap_distance": Theorem(STAT_EIGENVALUE, ("cov", "lip"),
+                               lambda x, e: bound_distance(x.n, x.cov, x.lip, e), kernel=DISTANCE),
+    "covgap_inner": Theorem(STAT_EIGENVALUE, ("cov", "lip"),
+                            lambda x, e: bound_inner(x.n, x.cov, x.lip, e), kernel=INNER),
+    "covgap_second_order": _second_order("printed"),
+    "covgap_second_order_alt": _second_order("alt"),
+    "topk_gap": Theorem(STAT_TOPK, ("spectrum",),
+                        lambda x, e: bound_topk_sum(x.n, x.spectrum, x.index, e),
+                        lambda x: {"range_gap": range_gap_top(x.spectrum, x.index)}),
+    "tail_gap": Theorem(STAT_TAIL, ("spectrum",),
+                        lambda x, e: bound_tail_sum(x.n, x.spectrum, x.index, e),
+                        lambda x: {"range_gap": range_gap_tail(x.spectrum, x.index)}),
+    "eigvec_pointwise": Theorem(STAT_EIGVEC, _SPEC_COV,
+                                lambda x, e: bound_eigvec_pointwise(x.cov, x.lip, _profile(x), e),
+                                lambda x: {"resolvent_sum": _profile(x).resolvent_sum},
+                                flags=("direction_free",)),
+    "eigvec_uniform": Theorem(STAT_EIGVEC, _SPEC_COV,
+                              lambda x, e: bound_eigvec_uniform(x.n, x.cov, x.lip, _profile(x), e),
+                              _eigvec_metadata),
+    "kta_theta": Theorem(STAT_KTA, ("a_kn", "theta", "frob"),
+                         lambda x, e: kta_bound_theta(e, a_kn=x.a_kn, theta=x.theta, n=x.n, frob=x.frob,
+                                                      m=x.m)),
+    "kta_spectral": Theorem(STAT_KTA, _KTA_FROB,
+                            lambda x, e: kta_bound_spectral(e, a_kn=x.a_kn, n=x.n, l_mid=x.l_mid, frob=x.frob)),
+    "kta_spectral_approx": Theorem(STAT_KTA, ("a_kn", "l_mid", "ratio"),
+                                   lambda x, e: kta_bound_spectral(e, a_kn=x.a_kn, n=x.n, l_mid=x.l_mid,
+                                                                   ratio=x.ratio)),
+    "kta_spectral_bdiff": Theorem(STAT_KTA, _KTA_FROB,
+                                  lambda x, e: kta_bound_spectral(e, a_kn=x.a_kn, n=x.n, l_mid=x.l_mid,
+                                                                  frob=x.frob, variant="bdiff")),
+}
+
+
+def theorems_for(statistic: str) -> list[str]:
+    """Theorem ids that bound `statistic`, in registry order."""
+    return [name for name, t in THEOREMS.items() if t.statistic == statistic]
+
+
+def theorem_values(theorem: str, x: BoundInputs, eps):
+    """Raw value(s) of `theorem` at `eps` from one formula call; raises
+    DegeneracyError when an input it needs is missing (with the recorded
+    reason) or its precondition fails."""
+    t = THEOREMS[theorem]
+    for name in t.needs:
+        if getattr(x, name) is None:
+            raise DegeneracyError(x.missing.get(name, f"{theorem} needs {name}"))
+    return t.rhs(x, eps)
+
+
+# --- report assembly ---------------------------------------------------------
+
+# statistics `evaluate_bounds` serves, with the inputs each one requires
+_QUERY_NEEDS = {STAT_EIGENVALUE: (), STAT_TOPK: ("spectrum",), STAT_TAIL: ("spectrum",), STAT_EIGVEC: _SPEC_COV}
 
 
 @dataclass(frozen=True)
@@ -241,12 +494,7 @@ class BoundQuery:
     theta_estimated: bool = False
 
     def __post_init__(self):
-        eps = tuple(float(e) for e in self.epsilons)
-        if not eps or any(e <= 0 for e in eps):
-            raise ConfigError("epsilons must be positive")
-        if any(b <= a for a, b in zip(eps, eps[1:])):
-            raise ConfigError("epsilons must be strictly ascending")
-        object.__setattr__(self, "epsilons", eps)
+        object.__setattr__(self, "epsilons", validate_epsilons(self.epsilons))
 
 
 @dataclass(frozen=True)
@@ -267,124 +515,51 @@ class BoundReport:
     metadata: dict = field(default_factory=dict)
 
 
-def _emit(rows, statistic, index, theorem, epsilons, fn, flags=()):
-    for eps in epsilons:
-        raw = fn(eps)
-        rows.append(
-            BoundRow(
-                statistic=statistic,
-                index=index,
-                epsilon=eps,
-                theorem=theorem,
-                raw=raw,
-                value=min(raw, 1.0),
-                vacuous=raw >= 1.0,
-                flags=tuple(flags),
-            )
-        )
-
-
 def evaluate_bounds(query: BoundQuery) -> BoundReport:
-    """Evaluate every theorem applicable to the query; skipped theorems are
-    recorded in metadata with the precondition that failed."""
-    rows: list[BoundRow] = []
-    skipped: dict[str, str] = {}
-    meta: dict = {
-        "statistic": query.statistic,
-        "index": query.index,
-        "n": query.n,
-        "epsilons": list(query.epsilons),
-    }
-    if query.cov is not None:
-        meta.update(
-            {
-                "whitened_radius": query.cov.whitened_radius,
-                "cov_lambda_1": query.cov.lambda_1,
-                "cov_lambda_p": query.cov.lambda_p,
-                "cov_gap_1p": query.cov.gap_1p,
-                "centered": query.cov.centered,
-            }
-        )
+    """Evaluate every theorem of the query's statistic whose inputs the query
+    carries (for its kernel kind); skipped theorems are recorded in metadata
+    with the precondition that failed."""
+    if query.statistic not in _QUERY_NEEDS:
+        raise ConfigError(f"unknown statistic {query.statistic!r}")
+    spectrum = None if query.spectrum is None else query.spectrum.eigenvalues
+    x = BoundInputs(n=query.n, index=query.index, spectrum=spectrum, cov=query.cov, lip=query.lip,
+                    diag_sup_sq=query.diag_sup_sq, theta=query.theta, theta_estimated=query.theta_estimated)
+    absent = [name for name in _QUERY_NEEDS[query.statistic] if getattr(x, name) is None]
+    if absent:
+        raise ConfigError(f"{query.statistic} bounds need {', '.join(absent)}")
+    meta: dict = {"statistic": query.statistic, "index": query.index, "n": query.n,
+                  "epsilons": list(query.epsilons)}
+    cov = query.cov
+    if cov is not None:
+        meta.update(whitened_radius=cov.whitened_radius, cov_lambda_1=cov.lambda_1,
+                    cov_lambda_p=cov.lambda_p, cov_gap_1p=cov.gap_1p, centered=cov.centered)
     if query.lip is not None:
         meta["lipschitz"] = query.lip
     if query.diag_sup_sq is not None:
         meta["diag_sup_sq"] = query.diag_sup_sq
 
-    def attempt(theorem: str, fn, flags=()):
+    kernel = INNER if query.kernel_kind == INNER else DISTANCE
+    rows: list[BoundRow] = []
+    skipped: dict[str, str] = {}
+    for theorem in theorems_for(query.statistic):
+        t = THEOREMS[theorem]
+        if t.kernel not in (None, kernel) or any(getattr(x, name) is None for name in t.needs):
+            continue
+        if t.describe is not None:
+            try:
+                meta.update(t.describe(x))
+            except DegeneracyError:
+                pass
         try:
-            _emit(rows, query.statistic, query.index, theorem, query.epsilons, fn, flags)
-        except DegenerateGapError as exc:
+            raws = theorem_values(theorem, x, np.asarray(query.epsilons)).tolist()
+        except DegeneracyError as exc:
             skipped[theorem] = str(exc)
-
-    covgap = bound_inner if query.kernel_kind == "inner" else bound_distance
-    covgap_id = "covgap_inner" if query.kernel_kind == "inner" else "covgap_distance"
-
-    if query.statistic == STAT_EIGENVALUE:
-        if query.diag_sup_sq is not None:
-            attempt("diag_uniform", lambda e: bound_trace_uniform(query.n, query.diag_sup_sq, e))
-        if query.theta is not None and query.spectrum is not None:
-            lam1 = float(query.spectrum.eigenvalues[0])
-            meta["theta"] = query.theta
-            meta["theta_estimated"] = query.theta_estimated
-            flags = ("estimated_theta",) if query.theta_estimated else ()
-            attempt("theta_top", lambda e: bound_theta(query.theta, lam1, e), flags)
-        if query.spectrum is not None:
-            profile = gaps(query.spectrum, query.index)
-            meta["gap_next"] = None if query.index == query.n else profile.gap_next
-            meta["resolvent_sum"] = profile.resolvent_sum
-            meta["inv_gap_sq_sum"] = profile.inv_gap_sq_sum
-            if query.index < query.n:
-                attempt("adjacent_gap", lambda e: bound_gap(query.n, profile, e))
-            else:
-                skipped["adjacent_gap"] = "gap to the next eigenvalue undefined at i = n"
-            if query.cov is not None and query.lip is not None:
-                attempt(covgap_id, lambda e: covgap(query.n, query.cov, query.lip, e))
-                for variant, label in (("printed", "covgap_second_order"), ("alt", "covgap_second_order_alt")):
-                    try:
-                        gamma = second_order_gamma(query.n, query.cov, query.lip, profile, variant)
-                        meta[f"gamma_{variant}"] = gamma
-                    except DegenerateGapError as exc:
-                        skipped[label] = str(exc)
-                        continue
-                    attempt(
-                        label,
-                        lambda e, v=variant: bound_second_order(
-                            query.n, query.cov, query.lip, profile, e, v
-                        ),
-                    )
-        elif query.cov is not None and query.lip is not None:
-            attempt(covgap_id, lambda e: covgap(query.n, query.cov, query.lip, e))
-    elif query.statistic in (STAT_TOPK, STAT_TAIL):
-        if query.spectrum is None:
-            raise ConfigError(f"{query.statistic} bounds need a spectrum")
-        if query.statistic == STAT_TOPK:
-            meta["range_gap"] = range_gap_top(query.spectrum, query.index)
-            attempt("topk_gap", lambda e: bound_topk_sum(query.n, query.spectrum, query.index, e))
-        else:
-            meta["range_gap"] = range_gap_tail(query.spectrum, query.index)
-            attempt("tail_gap", lambda e: bound_tail_sum(query.n, query.spectrum, query.index, e))
-    elif query.statistic == STAT_EIGVEC:
-        if query.spectrum is None or query.cov is None or query.lip is None:
-            raise ConfigError("eigenvector bounds need spectrum, covariance stats, and a Lipschitz constant")
-        profile = gaps(query.spectrum, query.index)
-        meta["resolvent_sum"] = profile.resolvent_sum
-        try:
-            meta["eigvec_c"] = 1.0 / _eigvec_inverse_c(query.cov, query.lip, profile)
-            meta["eigvec_exponent_offset"] = 2 * query.n
-        except DegenerateGapError:
-            pass
-        attempt(
-            "eigvec_pointwise",
-            lambda e: bound_eigvec_pointwise(query.cov, query.lip, profile, e),
-            flags=("direction_free",),
+            continue
+        flags = t.flags + (("estimated_theta",) if "theta" in t.needs and x.theta_estimated else ())
+        rows.extend(
+            BoundRow(query.statistic, query.index, e, theorem, raw, min(raw, 1.0), raw >= 1.0, flags)
+            for e, raw in zip(query.epsilons, raws)
         )
-        attempt(
-            "eigvec_uniform",
-            lambda e: bound_eigvec_uniform(query.n, query.cov, query.lip, profile, e),
-        )
-    else:
-        raise ConfigError(f"unknown statistic {query.statistic!r}")
-
     if skipped:
         meta["skipped_theorems"] = skipped
     return BoundReport(rows=tuple(rows), metadata=meta)

@@ -115,11 +115,7 @@ def _parse_eps(text: str | None) -> tuple[float, ...]:
         eps = tuple(float(tok) for tok in text.split(","))
     except ValueError as exc:
         raise ConfigError(f"cannot parse epsilon list {text!r}: {exc}") from exc
-    if not eps or any(e <= 0 for e in eps):
-        raise ConfigError("epsilons must be positive")
-    if any(b <= a for a, b in zip(eps, eps[1:])):
-        raise ConfigError("epsilons must be strictly ascending")
-    return eps
+    return bnd.validate_epsilons(eps)
 
 
 def _parse_indices(text: str) -> tuple[int, ...]:
@@ -218,8 +214,8 @@ def _cmd_bounds(args) -> int:
     for statistic, index in stats:
         if statistic == bnd.STAT_EIGVEC and (cov is None or lip is None):
             reason = meta.get("covariance_skipped", "covariance statistics unavailable")
-            skipped[f"{statistic}:{index}:eigvec_pointwise"] = reason
-            skipped[f"{statistic}:{index}:eigvec_uniform"] = reason
+            for theorem in bnd.theorems_for(statistic):
+                skipped[f"{statistic}:{index}:{theorem}"] = reason
             continue
         query = bnd.BoundQuery(
             statistic=statistic,

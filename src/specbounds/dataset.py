@@ -7,6 +7,7 @@ bound downstream.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -93,6 +94,48 @@ def _parse_line(text: str, lineno: int) -> list[float]:
     return values
 
 
+def _read_lines(path: str) -> list[str]:
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return fh.read().splitlines()
+    except OSError as exc:
+        raise DataError(f"cannot read {path}: {exc}") from exc
+
+
+def _numeric_rows(
+    lines: list[str],
+    start: int = 0,
+    width: int | None = None,
+    mismatch: str = "expected {width} fields, got {got} (ragged row)",
+) -> Iterator[tuple[int, list[float]]]:
+    """Yield (1-based line number, values) for each non-blank line from lines[start].
+
+    Every row must have `width` fields (by default the first row's count);
+    a row that does not raises ParseError with `mismatch`.
+    """
+    for lineno, raw in enumerate(lines[start:], start=start + 1):
+        if not raw.strip():
+            continue
+        values = _parse_line(raw, lineno)
+        if width is None:
+            width = len(values)
+        elif len(values) != width:
+            raise ParseError(f"line {lineno}: " + mismatch.format(width=width, got=len(values)))
+        yield lineno, values
+
+
+def _sample_set(path: str, rows: list[list[float]]) -> SampleSet:
+    if len(rows) < 2:
+        raise DataError(f"{path}: need at least 2 samples, got n = {len(rows)} (n < 2)")
+    return SampleSet(rows=np.array(rows, dtype=np.float64), provenance=str(path))
+
+
+def _label(value: float, lineno: int) -> float:
+    if value not in (-1.0, 1.0):
+        raise ParseError(f"line {lineno}: label must be -1 or +1, got {value!r}")
+    return value
+
+
 def load_csv(path: str, header: bool = False) -> SampleSet:
     """Load samples from a comma- or whitespace-separated text file.
 
@@ -100,47 +143,14 @@ def load_csv(path: str, header: bool = False) -> SampleSet:
     naming the offending (1-based) line on ragged rows or bad tokens, and
     DataError when fewer than two samples remain.
     """
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    start = 1 if header else 0
-    rows = []
-    width = None
-    for offset, raw in enumerate(lines[start:], start=start + 1):
-        if not raw.strip():
-            continue
-        values = _parse_line(raw, offset)
-        if width is None:
-            width = len(values)
-        elif len(values) != width:
-            raise ParseError(
-                f"line {offset}: expected {width} fields, got {len(values)} (ragged row)"
-            )
-        rows.append(values)
-    if len(rows) < 2:
-        raise DataError(f"{path}: need at least 2 samples, got n = {len(rows)} (n < 2)")
-    return SampleSet(rows=np.array(rows, dtype=np.float64), provenance=str(path))
+    rows = _numeric_rows(_read_lines(path), start=1 if header else 0)
+    return _sample_set(path, [values for _, values in rows])
 
 
 def load_labels(path: str) -> np.ndarray:
     """Load a one-column file of +/-1 labels."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
-    labels = []
-    for lineno, raw in enumerate(lines, start=1):
-        if not raw.strip():
-            continue
-        values = _parse_line(raw, lineno)
-        if len(values) != 1:
-            raise ParseError(f"line {lineno}: expected a single label, got {len(values)}")
-        if values[0] not in (-1.0, 1.0):
-            raise ParseError(f"line {lineno}: label must be -1 or +1, got {values[0]!r}")
-        labels.append(values[0])
+    rows = _numeric_rows(_read_lines(path), width=1, mismatch="expected a single label, got {got}")
+    labels = [_label(values[0], lineno) for lineno, values in rows]
     if not labels:
         raise DataError(f"{path}: no labels found")
     return np.array(labels, dtype=np.float64)
@@ -148,36 +158,19 @@ def load_labels(path: str) -> np.ndarray:
 
 def load_csv_with_labels(path: str, label_col: str) -> tuple[SampleSet, np.ndarray]:
     """Load a headered CSV whose column `label_col` carries +/-1 labels."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}") from exc
+    lines = _read_lines(path)
     if not lines:
         raise DataError(f"{path}: empty file")
     header = [tok.strip() for tok in (lines[0].split(",") if "," in lines[0] else lines[0].split())]
     if label_col not in header:
         raise DataError(f"{path}: no column named {label_col!r} in header {header}")
     col = header.index(label_col)
-    rows, labels = [], []
-    width = len(header)
-    for offset, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
-        values = _parse_line(raw, offset)
-        if len(values) != width:
-            raise ParseError(
-                f"line {offset}: expected {width} fields, got {len(values)} (ragged row)"
-            )
-        y = values.pop(col)
-        if y not in (-1.0, 1.0):
-            raise ParseError(f"line {offset}: label must be -1 or +1, got {y!r}")
-        labels.append(y)
+    labels = []
+    rows = []
+    for lineno, values in _numeric_rows(lines, start=1, width=len(header)):
+        labels.append(_label(values.pop(col), lineno))
         rows.append(values)
-    if len(rows) < 2:
-        raise DataError(f"{path}: need at least 2 samples, got n = {len(rows)} (n < 2)")
-    samples = SampleSet(rows=np.array(rows, dtype=np.float64), provenance=str(path))
-    return samples, np.array(labels, dtype=np.float64)
+    return _sample_set(path, rows), np.array(labels, dtype=np.float64)
 
 
 def gen_gaussian(n: int, p: int, seed: int) -> SampleSet:

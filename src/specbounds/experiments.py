@@ -19,12 +19,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from scipy import stats as sps
 
 from . import bounds as bnd
-from .alignment import kta, kta_bound_spectral, kta_bound_theta, middle_spectrum_norm, theta_statistic
+from .alignment import kta, middle_spectrum_norm, theta_statistic
 from .dataset import SampleSet, covariance_stats, whitened_norm
-from .errors import ConfigError, DegenerateGapError, SpecBoundsError
+from .errors import ConfigError, SpecBoundsError
 from .kernels import (
     DISTANCE,
     ONE_OVER_N,
@@ -99,7 +98,7 @@ class ExperimentConfig:
     bounds: tuple[str, ...] = ("adjacent_gap",)
 
     def __post_init__(self):
-        object.__setattr__(self, "epsilons", tuple(float(e) for e in self.epsilons))
+        object.__setattr__(self, "epsilons", bnd.validate_epsilons(self.epsilons))
         object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
         object.__setattr__(self, "statistics", tuple(self.statistics))
         object.__setattr__(self, "bounds", tuple(self.bounds))
@@ -110,11 +109,6 @@ class ExperimentConfig:
             raise ConfigError(f"unknown generator {self.generator!r}")
         if self.scaling not in (RAW, ONE_OVER_N):
             raise ConfigError(f"scaling must be {RAW!r} or {ONE_OVER_N!r}")
-        eps = self.epsilons
-        if not eps or any(e <= 0 for e in eps):
-            raise ConfigError("epsilons must be positive")
-        if any(b <= a for a, b in zip(eps, eps[1:])):
-            raise ConfigError("epsilons must be strictly ascending")
         if not self.indices or any(not 1 <= i <= self.n for i in self.indices):
             raise ConfigError(f"indices must lie in 1..{self.n}")
         for s in self.statistics:
@@ -205,32 +199,20 @@ def five_number_summary(values: np.ndarray) -> tuple[float, ...]:
     return tuple(float(v) for v in q)
 
 
-def _stat_keys(cfg: ExperimentConfig) -> list[tuple[str, int | None]]:
-    keys: list[tuple[str, int | None]] = []
-    for stat in cfg.statistics:
-        if stat == "kta":
-            keys.append(("kta", None))
-        else:
-            keys.extend((stat, i) for i in cfg.indices)
-    return keys
+def _keys(cfg: ExperimentConfig) -> tuple[list, list]:
+    """Statistic keys (statistic, index) and bound keys (theorem, statistic,
+    index) in output order; a bound covers every index of its statistic."""
 
+    def expand(stat: str) -> list[tuple[str, int | None]]:
+        return [(stat, None)] if stat == "kta" else [(stat, i) for i in cfg.indices]
 
-def _bound_keys(cfg: ExperimentConfig) -> list[tuple[str, str, int | None]]:
-    keys: list[tuple[str, str, int | None]] = []
+    stat_keys = [key for stat in cfg.statistics for key in expand(stat)]
+    bound_keys = []
     for theorem in cfg.bounds:
-        if theorem in ("kta_theta", "kta_spectral"):
-            if "kta" in cfg.statistics:
-                keys.append((theorem, "kta", None))
-            continue
-        if theorem == "topk_gap":
-            keys.extend((theorem, "topk_sum", i) for i in cfg.indices if "topk_sum" in cfg.statistics)
-            continue
-        if theorem == "tail_gap":
-            keys.extend((theorem, "tail_sum", i) for i in cfg.indices if "tail_sum" in cfg.statistics)
-            continue
-        if "eigenvalue" in cfg.statistics:
-            keys.extend((theorem, "eigenvalue", i) for i in cfg.indices)
-    return keys
+        stat = bnd.THEOREMS[theorem].statistic
+        if stat in cfg.statistics:
+            bound_keys += [(theorem, *key) for key in expand(stat)]
+    return stat_keys, bound_keys
 
 
 def _concentration_trial(args: tuple[dict, int]) -> dict:
@@ -244,11 +226,10 @@ def _concentration_trial(args: tuple[dict, int]) -> dict:
     g_raw = gram(samples, spec, RAW)
     lam = np.sort(np.linalg.eigvalsh(g_raw.entries))[::-1]
     lam_stat = lam / cfg.n if cfg.scaling == ONE_OVER_N else lam.copy()
-    eps = np.asarray(cfg.epsilons)
+    stat_keys, bound_keys = _keys(cfg)
 
     stats: dict[tuple[str, int | None], float] = {}
-    labels = None
-    for stat, idx in _stat_keys(cfg):
+    for stat, idx in stat_keys:
         if stat == "eigenvalue":
             stats[(stat, idx)] = float(lam_stat[idx - 1])
         elif stat == "topk_sum":
@@ -259,71 +240,37 @@ def _concentration_trial(args: tuple[dict, int]) -> dict:
             labels = rng.choice([-1.0, 1.0], size=cfg.n)
             stats[(stat, None)] = kta(g_raw, labels)
 
-    needs_cov = any(b.startswith("covgap") for b in cfg.bounds)
-    cov = None
-    lip = None
-    if needs_cov:
-        try:
-            cov = covariance_stats(samples)
-            lip = lipschitz(spec, samples)
-        except SpecBoundsError:
-            cov = None
+    # compute only the inputs the requested theorems read; one that fails
+    # excludes this trial from those theorems, never aborts the run
+    needs = {name for theorem, _, _ in bound_keys for name in bnd.THEOREMS[theorem].needs}
+    computations = {
+        "diag_sup_sq": lambda: diag_sup(samples, spec),
+        "theta": lambda: theta_statistic(g_raw),
+        "cov": lambda: covariance_stats(samples),
+        "lip": lambda: lipschitz(spec, samples),
+        "frob": lambda: float(np.linalg.norm(g_raw.entries, ord="fro")),
+        "l_mid": lambda: middle_spectrum_norm(lam),
+    }
+    inputs: dict = {}
+    missing: dict[str, str] = {}
+    for name, compute in computations.items():
+        if name in needs:
+            try:
+                inputs[name] = compute()
+            except SpecBoundsError as exc:
+                missing[name] = "singular sample covariance" if name in ("cov", "lip") else str(exc)
+    x = bnd.BoundInputs(n=cfg.n, spectrum=lam, a_kn=stats.get(("kta", None)), missing=missing, **inputs)
 
+    eps = np.asarray(cfg.epsilons)
     rhs: dict[tuple[str, str, int | None], np.ndarray | None] = {}
     flagged: dict[tuple[str, str, int | None], str] = {}
-
-    def put(key, fn):
+    for key in bound_keys:
+        theorem, _, idx = key
         try:
-            rhs[key] = np.array([fn(float(e)) for e in eps])
+            rhs[key] = bnd.theorem_values(theorem, replace(x, index=idx), eps)
         except SpecBoundsError as exc:
             rhs[key] = None
             flagged[key] = str(exc)
-
-    theta_value = None
-    for key in _bound_keys(cfg):
-        theorem, stat, idx = key
-        try:
-            if theorem == "diag_uniform":
-                r2 = diag_sup(samples, spec)
-                put(key, lambda e, _r2=r2: bnd.bound_trace_uniform(cfg.n, _r2, e))
-            elif theorem == "theta_top":
-                if theta_value is None:
-                    theta_value = theta_statistic(g_raw)
-                put(key, lambda e: bnd.bound_theta(theta_value, float(lam[0]), e))
-            elif theorem == "adjacent_gap":
-                profile = gaps_from_eigenvalues(lam, idx)
-                put(key, lambda e, _p=profile: bnd.bound_gap(cfg.n, _p, e))
-            elif theorem == "topk_gap":
-                put(key, lambda e, _i=idx: bnd.bound_topk_sum(cfg.n, lam, _i, e))
-            elif theorem == "tail_gap":
-                put(key, lambda e, _i=idx: bnd.bound_tail_sum(cfg.n, lam, _i, e))
-            elif theorem in ("covgap_distance", "covgap_inner"):
-                if cov is None:
-                    raise DegenerateGapError("singular sample covariance")
-                fn = bnd.bound_distance if theorem == "covgap_distance" else bnd.bound_inner
-                put(key, lambda e, _f=fn: _f(cfg.n, cov, lip, e))
-            elif theorem in ("covgap_second_order", "covgap_second_order_alt"):
-                if cov is None:
-                    raise DegenerateGapError("singular sample covariance")
-                variant = "printed" if theorem == "covgap_second_order" else "alt"
-                profile = gaps_from_eigenvalues(lam, idx)
-                put(key, lambda e, _p=profile, _v=variant: bnd.bound_second_order(cfg.n, cov, lip, _p, e, _v))
-            elif theorem == "kta_theta":
-                if theta_value is None:
-                    theta_value = theta_statistic(g_raw)
-                frob = float(np.linalg.norm(g_raw.entries, ord="fro"))
-                a_kn = stats[("kta", None)]
-                put(key, lambda e: kta_bound_theta(e, a_kn=a_kn, theta=theta_value, n=cfg.n, frob=frob))
-            elif theorem == "kta_spectral":
-                frob = float(np.linalg.norm(g_raw.entries, ord="fro"))
-                a_kn = stats[("kta", None)]
-                l_mid = middle_spectrum_norm(lam)
-                put(key, lambda e: kta_bound_spectral(e, a_kn=a_kn, n=cfg.n, l_mid=l_mid, frob=frob))
-        except SpecBoundsError as exc:
-            # degenerate bound inputs flag the trial, never abort the run
-            rhs[key] = None
-            flagged[key] = str(exc)
-
     return {"stats": stats, "rhs": rhs, "flagged": flagged}
 
 
@@ -357,7 +304,8 @@ def run_concentration(
     eps = np.asarray(cfg.epsilons)
     t_count = cfg.trials
     series = []
-    for key in _stat_keys(cfg):
+    stat_keys, bound_keys = _keys(cfg)
+    for key in stat_keys:
         values = np.array([p["stats"][key] for p in payloads])
         mean = float(np.mean(values))
         se = float(np.std(values, ddof=1) / np.sqrt(t_count))
@@ -380,7 +328,7 @@ def run_concentration(
         )
 
     bound_series = []
-    for key in _bound_keys(cfg):
+    for key in bound_keys:
         rows = [p["rhs"].get(key) for p in payloads]
         kept = np.array([r for r in rows if r is not None])
         excluded = sum(1 for r in rows if r is None)
@@ -421,6 +369,23 @@ class BoxplotResult:
     spearman_gap_iqr: float
 
 
+def _average_ranks(values) -> np.ndarray:
+    """1-based ranks, tied values sharing the mean of the ranks they span."""
+    a = np.asarray(values, dtype=np.float64)
+    below = np.sum(a[:, None] > a[None, :], axis=1)
+    ties = np.sum(a[:, None] == a[None, :], axis=1)
+    return below + 0.5 * (ties + 1)
+
+
+def spearman(a, b) -> float:
+    """Spearman rank correlation: the Pearson correlation of average ranks,
+    NaN when either input is constant."""
+    ra, rb = _average_ranks(a), _average_ranks(b)
+    if np.all(ra == ra[0]) or np.all(rb == rb[0]):
+        return float("nan")
+    return float(np.corrcoef(np.column_stack((ra, rb)), rowvar=False)[1, 0])
+
+
 def _boxplot_trial(args: tuple[dict, int]) -> np.ndarray:
     cfg_dict, trial_seed = args
     cfg = ExperimentConfig.from_dict(cfg_dict)
@@ -452,7 +417,7 @@ def boxplot_stats(cfg: ExperimentConfig, workers: int = 1) -> BoxplotResult:
             mean_gaps.append(float("nan"))
     finite = [k for k, gp in enumerate(mean_gaps) if np.isfinite(gp)]
     if len(finite) >= 2:
-        rho = float(sps.spearmanr([mean_gaps[k] for k in finite], [iqrs[k] for k in finite]).statistic)
+        rho = spearman([mean_gaps[k] for k in finite], [iqrs[k] for k in finite])
     else:
         rho = float("nan")
     return BoxplotResult(
@@ -608,19 +573,15 @@ def run_oracles(
     """
     if min(interlacing_matrices, perturbation_trials) < 100 or expansion_trials < 1:
         raise ConfigError("oracle trial counts must be >= 100 (expansion >= 1)")
-    rows: list[OracleRow] = []
 
     seeds = [subseed(cfg.seed, 1_000_000 + t) for t in range(interlacing_matrices)]
     results = _map_trials(_interlacing_trial, seeds, workers)
-    violations = sum(v for v, _ in results)
-    rows.append(
-        OracleRow(
-            name="interlacing",
-            trials=interlacing_matrices,
-            violations=violations,
-            skipped=0,
-            max_violation=max(0.0, max(w for _, w in results)),
-        )
+    interlacing = OracleRow(
+        name="interlacing",
+        trials=interlacing_matrices,
+        violations=sum(v for v, _ in results),
+        skipped=0,
+        max_violation=max(0.0, max(w for _, w in results)),
     )
 
     args = [
@@ -628,41 +589,34 @@ def run_oracles(
         for t in range(perturbation_trials)
     ]
     payloads = _map_trials(_perturbation_trial, args, workers)
-    for name in (
-        "eigenvalue_stability",
-        "perturbation_norm_printed",
-        "perturbation_norm_conservative",
-        "second_order_eigenvalue",
-        "perturbation_norm_inner",
-    ):
-        lhs_rhs = [p[name] for p in payloads]
-        kept = [x for x in lhs_rhs if x is not None]
-        excess = [lhs - rhs for lhs, rhs in kept]
-        rows.append(
-            OracleRow(
-                name=name,
-                trials=len(kept),
-                violations=sum(1 for e in excess if e > 0),
-                skipped=len(lhs_rhs) - len(kept),
-                max_violation=max(0.0, max(excess)) if excess else 0.0,
-            )
-        )
 
     args = [
         (cfg.to_dict(), subseed(cfg.seed, 3_000_000 + t), index, zero_perturbation)
         for t in range(expansion_trials)
     ]
     residuals = _map_trials(_expansion_trial, args, workers)
-    kept = [r for r in residuals if r is not None]
-    excess = [lhs - rhs for lhs, rhs in kept]
-    rows.insert(
-        5,
-        OracleRow(
-            name="eigvec_expansion_residual",
+
+    def tally(name: str, lhs_rhs: list) -> OracleRow:
+        kept = [x for x in lhs_rhs if x is not None]
+        excess = [lhs - rhs for lhs, rhs in kept]
+        return OracleRow(
+            name=name,
             trials=len(kept),
             violations=sum(1 for e in excess if e > 0),
-            skipped=len(residuals) - len(kept),
+            skipped=len(lhs_rhs) - len(kept),
             max_violation=max(0.0, max(excess)) if excess else 0.0,
-        ),
-    )
+        )
+
+    def perturbation(name: str) -> OracleRow:
+        return tally(name, [p[name] for p in payloads])
+
+    rows = [
+        interlacing,
+        perturbation("eigenvalue_stability"),
+        perturbation("perturbation_norm_printed"),
+        perturbation("perturbation_norm_conservative"),
+        perturbation("second_order_eigenvalue"),
+        tally("eigvec_expansion_residual", residuals),
+        perturbation("perturbation_norm_inner"),
+    ]
     return OracleTable(config=cfg, rows=tuple(rows))

@@ -231,3 +231,12 @@ def test_alignment_report_gaussian_kernel_has_theta():
     assert 0.0 <= report.theta <= 1.0
     assert "kta_theta" in report.bounds
     assert np.isfinite(report.c_theta)
+
+
+def test_alignment_report_validates_epsilon_grid():
+    s = gen_gaussian(12, 2, 64)
+    g = gram(s, linear(), RAW)
+    y = np.random.default_rng(65).choice([-1.0, 1.0], size=12)
+    for grid in ((0.5, 0.1), (0.1, float("nan")), (float("inf"),), (), (0.0, 0.1)):
+        with pytest.raises(ConfigError):
+            alignment_report(g, y, epsilons=grid)

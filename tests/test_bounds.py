@@ -346,3 +346,33 @@ def test_bound_query_validation():
         BoundQuery(statistic="eigenvalue", index=1, epsilons=(0.2, 0.1), n=3)
     with pytest.raises(ConfigError):
         BoundQuery(statistic="eigenvalue", index=1, epsilons=(0.0, 0.1), n=3)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_bound_query_rejects_non_finite_epsilons(bad):
+    with pytest.raises(ConfigError, match="finite"):
+        BoundQuery(statistic="eigenvalue", index=1, epsilons=(0.1, bad), n=3)
+
+
+def test_eigvec_uniform_overflow_is_vacuous():
+    # 2n = 800 exceeds the largest exponent math.exp accepts (about 709.8)
+    cov = _cov(1.5, 0.5, 1.0)
+    profile = GapProfile(
+        index=1, n=400, lambda_i=1.0, _gap_next=0.5,
+        resolvent_sum=1.0 / math.sqrt(18.0), inv_gap_sq_sum=0.1, degenerate=False,
+    )
+    assert bound_eigvec_uniform(400, cov, 1.0, profile, 1e-4) == math.inf
+    grid = bound_eigvec_uniform(400, cov, 1.0, profile, np.array([1e-4, 40.0]))
+    assert grid[0] == math.inf and np.isfinite(grid[1])
+
+    s = gen_gaussian(400, 2, 79)
+    spec_k = gaussian(1.0)
+    report = evaluate_bounds(BoundQuery(
+        statistic="eigenvector", index=1, epsilons=(1e-4,), n=s.n,
+        spectrum=eig_sym(gram(s, spec_k, ONE_OVER_N)), cov=covariance_stats(s),
+        lip=lipschitz(spec_k), kernel_kind="distance",
+    ))
+    row = [r for r in report.rows if r.theorem == "eigvec_uniform"][0]
+    assert row.raw == math.inf
+    assert row.value == 1.0
+    assert row.vacuous

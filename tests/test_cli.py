@@ -122,6 +122,20 @@ def test_bounds_config_errors_exit_2(tmp_path):
                    "--out", str(tmp_path / "o")) == 2
 
 
+@pytest.mark.parametrize("eps", ["nan", "0.1,inf", "inf"])
+def test_non_finite_epsilons_exit_2(tmp_path, eps):
+    data = _write_fixture(tmp_path)
+    labels = tmp_path / "y.csv"
+    labels.write_text("1\n-1\n1\n-1\n")
+    out = tmp_path / "o"
+    assert run_cli("bounds", "--data", data, "--eps", eps, "--out", str(out)) == 2
+    assert run_cli("align", "--data", data, "--labels", str(labels), "--eps", eps,
+                   "--out", str(out)) == 2
+    assert run_cli("simulate", "--n", "10", "--p", "2", "--trials", "3", "--seed", "1",
+                   "--eps", eps, "--no-svg", "--out", str(out)) == 2
+    assert not (out / "report.csv").exists()
+
+
 def test_simulate_preset_config_values(tmp_path):
     out = tmp_path / "sim"
     assert run_cli("simulate", "--preset", "example1-fig2-top", "--seed", "7",

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from specbounds.experiments import (
     five_number_summary,
     run_concentration,
     run_oracles,
+    spearman,
     splitmix64,
     subseed,
 )
@@ -57,6 +60,9 @@ def test_config_validation():
         _cfg(trials=1)
     with pytest.raises(ConfigError):
         _cfg(epsilons=(0.5, 0.1))
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ConfigError, match="finite"):
+            _cfg(epsilons=(0.1, bad))
     with pytest.raises(ConfigError):
         _cfg(indices=(0,))
     with pytest.raises(ConfigError):
@@ -211,11 +217,34 @@ def test_boxplot_stats_and_spearman():
 
 
 def test_spearman_of_monotone_pairing_is_one():
-    from scipy import stats as sps
-
     x = np.array([0.1, 0.2, 0.5, 0.9, 2.0])
     y = np.exp(x)  # strictly monotone map
-    assert float(sps.spearmanr(x, y).statistic) == pytest.approx(1.0)
+    assert spearman(x, y) == pytest.approx(1.0)
+
+
+def test_spearman_matches_scipy_exactly():
+    # scipy is the reference (test dependency only): same average ranks,
+    # same correlation of the ranks, bit for bit, with and without ties
+    from scipy import stats as sps
+
+    rng = np.random.default_rng(90)
+    for trial in range(300):
+        size = int(rng.integers(2, 30))
+        if trial % 2:
+            a = rng.integers(0, 4, size).astype(float)
+            b = rng.integers(0, 3, size).astype(float)
+        else:
+            a, b = rng.standard_normal(size), rng.standard_normal(size)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # constant input: scipy warns and returns NaN
+            want = float(sps.spearmanr(a, b).statistic)
+        got = spearman(a, b)
+        assert got == want or (np.isnan(got) and np.isnan(want)), (a, b)
+
+
+def test_spearman_of_constant_input_is_nan():
+    assert np.isnan(spearman([1.0, 1.0, 1.0], [0.1, 0.5, 0.2]))
+    assert np.isnan(spearman([0.1, 0.5, 0.2], [2.0, 2.0, 2.0]))
 
 
 def test_run_oracles_zero_perturbation_smoke():

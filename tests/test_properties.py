@@ -1,0 +1,113 @@
+"""Property tests of the theorem registry on random valid inputs."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from specbounds import bounds
+from specbounds.bounds import THEOREMS, BoundInputs
+from specbounds.dataset import CovarianceStats
+
+# raw value at eps = 0: the prefactor times exp(offset)
+PREF = {
+    "diag_uniform": 2.0,
+    "theta_top": 2.0,
+    "adjacent_gap": 1.0,
+    "covgap_distance": 1.0,
+    "covgap_inner": 1.0,
+    "covgap_second_order": 1.0,
+    "covgap_second_order_alt": 1.0,
+    "topk_gap": 1.0,
+    "tail_gap": 1.0,
+    "eigvec_pointwise": 1.0,
+    "eigvec_uniform": lambda n: 2.0 * math.exp(2.0 * n) if n < 355 else math.inf,
+    "kta_theta": 2.0,
+    "kta_spectral": 2.0,
+    "kta_spectral_approx": 2.0,
+    "kta_spectral_bdiff": 2.0,
+}
+
+BOUND_FUNCTIONS = (
+    "bound_trace_uniform", "bound_theta", "bound_gap", "bound_topk_sum", "bound_tail_sum",
+    "bound_distance", "bound_inner", "bound_second_order", "bound_eigvec_pointwise",
+    "bound_eigvec_uniform",
+)
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def inputs(draw):
+    """Inputs under which every theorem's precondition holds."""
+    steps = draw(st.lists(_floats(0.01, 3.0), min_size=3, max_size=8))
+    spectrum = np.cumsum(steps)[::-1].copy()
+    lam_p = draw(_floats(0.05, 2.0))
+    eigs = np.array([lam_p + draw(_floats(0.01, 3.0)), lam_p])
+    cov = CovarianceStats(
+        sigma=np.diag(eigs),
+        eigs_sigma=eigs,
+        gap_1p=float(eigs[0] - eigs[1]),
+        whitened_radius=draw(_floats(0.5, 3.0)),
+        centered=False,
+    )
+    return BoundInputs(
+        n=draw(st.integers(3, 400)),
+        index=draw(st.integers(1, len(steps) - 1)),
+        spectrum=spectrum,
+        cov=cov,
+        lip=draw(_floats(0.1, 2.0)),
+        diag_sup_sq=draw(_floats(0.1, 4.0)),
+        theta=draw(_floats(0.01, 1.0)),
+        a_kn=draw(_floats(0.05, 1.0)),
+        frob=draw(_floats(0.5, 50.0)),
+        l_mid=draw(_floats(0.1, 20.0)),
+        ratio=draw(_floats(0.5, 20.0)),
+    )
+
+
+GRIDS = st.lists(_floats(0.0, 5.0), min_size=1, max_size=12).map(sorted)
+
+
+def test_every_theorem_has_a_prefactor():
+    assert set(PREF) == set(THEOREMS)
+
+
+@pytest.mark.parametrize("theorem", list(THEOREMS))
+@settings(max_examples=60, deadline=None)
+@given(x=inputs(), eps=GRIDS)
+def test_grid_matches_pointwise_and_is_monotone(theorem, x, eps):
+    grid = bounds.theorem_values(theorem, x, np.array(eps))
+    pointwise = [bounds.theorem_values(theorem, x, e) for e in eps]
+    # exact equality: a vectorised np.exp or a reordered exponent breaks it
+    assert grid.tolist() == pointwise
+    assert all(b <= a for a, b in zip(pointwise, pointwise[1:]))
+    pref = PREF[theorem]
+    assert bounds.theorem_values(theorem, x, 0.0) == (pref(x.n) if callable(pref) else pref)
+
+
+def test_registry_calls_bound_functions_by_name_and_position(monkeypatch):
+    # wrappers that accept positional arguments only, installed after import:
+    # every bound_* call must go through them, once per theorem and grid
+    calls = []
+
+    def positional_only(name, fn):
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        return wrapper
+
+    for name in BOUND_FUNCTIONS:
+        monkeypatch.setattr(bounds, name, positional_only(name, getattr(bounds, name)))
+    eigs = np.array([2.0, 0.5])
+    cov = CovarianceStats(sigma=np.diag(eigs), eigs_sigma=eigs, gap_1p=1.5,
+                          whitened_radius=1.2, centered=False)
+    x = BoundInputs(n=50, index=2, spectrum=np.array([3.0, 2.0, 1.5, 0.2]), cov=cov, lip=0.5,
+                    diag_sup_sq=1.0, theta=0.4, a_kn=0.3, frob=6.0, l_mid=2.0, ratio=2.5)
+    for theorem in THEOREMS:
+        bounds.theorem_values(theorem, x, np.array([0.1, 0.2, 0.3]))
+    assert sorted(calls) == sorted(BOUND_FUNCTIONS + ("bound_second_order",))

@@ -26,7 +26,10 @@ from .bounds import (  # noqa: F401  (c_theta and the kta_* formulas are also pu
 )
 from .errors import ConfigError, DataError, DegeneracyError
 from .kernels import GramMatrix
-from .spectral import eig_sym, gap_tolerance, principal_submatrix
+from .spectral import Spectrum, eig_sym, gap_tolerance
+
+# c in theta_statistic's rounding bound on the secular function
+_SECULAR_ROUNDING = 8.0
 
 
 def validate_labels(y: np.ndarray, n: int) -> np.ndarray:
@@ -48,20 +51,41 @@ def kta(g: GramMatrix, y: np.ndarray) -> float:
     return float(y @ g.entries @ y) / (g.n * frob)
 
 
-def theta_statistic(g: GramMatrix, mode: str = "drop") -> float:
+def theta_statistic(g: GramMatrix, mode: str = "drop", spectrum: Spectrum | None = None) -> float:
     """Shrinkage statistic  1 - max_s min_i lambda_i(K^s) / lambda_i(K).
 
     mode="drop" removes row/column s (dimension n-1); mode="zero" zeroes it
     instead, which only appends a zero eigenvalue for PSD matrices.  The min
     runs over i = 1..n-1.  Raises when any of the first n-1 eigenvalues of K
-    is too close to zero for the ratios to be meaningful.
+    is too close to zero for the ratios to be meaningful.  Pass `spectrum`
+    only if it is `eig_sym(g)` of this very matrix; it is computed otherwise.
+
+    Only deletions that might attain the max are solved.  With
+    K = U diag(lambda) U^T, the eigenvalues mu of K^s are the roots of the
+    secular function f_s(x) = sum_j U_sj^2 / (lambda_j - x), which increases
+    on each interval (lambda_{i+1}, lambda_i) and has mu_i as its one root
+    there, so f_s(x) > 0 proves mu_i(K^s) < x.  Whenever the running max
+    `best` rises, each deletion not yet solved is tested at
+    x_i = best * lambda_i - tol for every i whose x_i is positive and lies at
+    least tol inside its interval; it is skipped when some f_s(x_i) exceeds
+    the rounding bound c n eps sum_j (U_sj^2 + |U_sj|) / |lambda_j - x_i|
+    (c = _SECULAR_ROUNDING).  tol = gap_tolerance(lambda_1) is far above the
+    backward error of the eigensolvers, so a skipped deletion's computed
+    ratio lies strictly below `best`.  In zero mode the extra zero eigenvalue
+    cannot lift the i-th largest above x_i > 0, so the same test holds.
+    A deletion that is not skipped runs the same `eigvalsh` call on the same
+    matrix as the exhaustive loop, and the max over those is the max over
+    all s: the result is bit-identical to solving every deletion, which
+    remains the worst case.
     """
     if mode not in ("drop", "zero"):
         raise ConfigError(f"theta mode must be 'drop' or 'zero', got {mode!r}")
     n = g.n
     if n < 3:
         raise DataError(f"theta needs n >= 3, got n = {n}")
-    lam = eig_sym(g).eigenvalues
+    if spectrum is None:
+        spectrum = eig_sym(g)
+    lam = spectrum.eigenvalues
     tol = gap_tolerance(float(lam[0]))
     small = [i + 1 for i in range(n - 1) if lam[i] <= tol]
     if small:
@@ -70,19 +94,34 @@ def theta_statistic(g: GramMatrix, mode: str = "drop") -> float:
             f"{tol:.3e} of zero"
         )
     denom = lam[: n - 1]
+    u = spectrum.eigenvectors
+    weight = u * u
+    slack = _SECULAR_ROUNDING * n * np.finfo(np.float64).eps * (weight + np.abs(u))
+    a = g.entries
+    unsolved = np.ones(n, dtype=bool)
     best = -math.inf
-    for s in range(1, n + 1):
+    for s in range(n):
+        if not unsolved[s]:
+            continue
+        unsolved[s] = False
         if mode == "drop":
-            sub = principal_submatrix(g, s).entries
-            sub_lam = np.sort(np.linalg.eigvalsh(sub))[::-1]
+            keep = np.arange(n) != s
+            sub_lam = np.linalg.eigvalsh(a[np.ix_(keep, keep)])[::-1]
         else:
-            zeroed = g.entries.copy()
-            zeroed[s - 1, :] = 0.0
-            zeroed[:, s - 1] = 0.0
-            sub_lam = np.sort(np.linalg.eigvalsh(zeroed))[::-1][: n - 1]
-        ratio = float(np.min(sub_lam[: n - 1] / denom))
+            zeroed = a.copy()
+            zeroed[s, :] = 0.0
+            zeroed[:, s] = 0.0
+            sub_lam = np.linalg.eigvalsh(zeroed)[::-1][: n - 1]
+        ratio = float(np.min(sub_lam / denom))
         if ratio > best:
             best = ratio
+            x = best * denom - tol
+            inside = (x > 0.0) & (x >= lam[1:] + tol) & (x <= denom - tol)
+            rest = np.flatnonzero(unsolved)
+            if inside.any() and rest.size:
+                r = 1.0 / (lam[:, None] - x[inside])
+                below = weight[rest] @ r > slack[rest] @ np.abs(r)
+                unsolved[rest[below.any(axis=1)]] = False
     return 1.0 - best
 
 
@@ -124,7 +163,8 @@ def alignment_report(
     epsilons = validate_epsilons(epsilons)
     n = g.n
     a_kn = kta(g, y)
-    lam = eig_sym(g).eigenvalues
+    spectrum = eig_sym(g)
+    lam = spectrum.eigenvalues
     frob = float(np.linalg.norm(g.entries, ord="fro"))
     l_mid = middle_spectrum_norm(lam)
     ratio = frob / l_mid if l_mid > 0 else math.inf
@@ -133,7 +173,7 @@ def alignment_report(
     m_val = n if m is None else m
     missing: dict[str, str] = {}
     try:
-        theta = theta_statistic(g, mode=theta_mode)
+        theta = theta_statistic(g, mode=theta_mode, spectrum=spectrum)
         c = c_theta(a_kn, theta, n, frob, m_val)
     except (DegeneracyError, DataError) as exc:
         theta = c = math.nan

@@ -195,15 +195,15 @@ def _cmd_bounds(args) -> int:
         meta["covariance_skipped"] = str(exc)
     r2 = diag_sup(samples, spec)
     meta["diag_sup_sq"] = r2
+    theta, estimated = None, False
     if args.theta is not None:
-        theta, estimated = args.theta, False
+        theta = args.theta
         if not 0.0 < theta <= 1.0:
             raise ConfigError(f"--theta must lie in (0, 1], got {theta}")
-    else:
+    elif any("theta" in bnd.THEOREMS[t].needs for stat, _ in stats for t in bnd.theorems_for(stat)):
         try:
-            theta, estimated = theta_statistic(g), True
+            theta, estimated = theta_statistic(g, spectrum=spectrum), True
         except (DegeneracyError, DataError) as exc:
-            theta, estimated = None, False
             meta["theta_skipped"] = str(exc)
     if theta is not None and theta <= 0.0:
         meta["theta_skipped"] = "estimated theta is 0; the theta bound is undefined"

@@ -5,7 +5,11 @@ import sys
 import numpy as np
 import pytest
 
+from specbounds import cli
 from specbounds.cli import main
+from specbounds.dataset import load_csv
+from specbounds.kernels import ONE_OVER_N, gaussian, gram
+from test_properties import theta_brute_force
 
 RANK1_ROWS = 8
 
@@ -102,6 +106,32 @@ def test_bounds_singular_covariance_exit_4(tmp_path, capsys):
     meta = json.loads((tmp_path / "o2" / "metadata.json").read_text())
     assert "covariance_skipped" in meta
     assert any("eigvec" in k for k in meta["skipped_theorems"])
+
+
+def test_bounds_estimates_theta_only_when_a_theorem_reads_it(tmp_path, monkeypatch):
+    rng = np.random.default_rng(83)
+    data = tmp_path / "g.csv"
+    rows = rng.standard_normal((40, 3))
+    data.write_text("".join(",".join(repr(float(v)) for v in r) + "\n" for r in rows))
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return theta(*args, **kwargs)
+
+    theta = cli.theta_statistic
+    monkeypatch.setattr(cli, "theta_statistic", counting)
+    out = tmp_path / "topk"
+    assert run_cli("bounds", "--data", str(data), "--stat", "topk:2", "--allow-degenerate",
+                   "--out", str(out)) == 0
+    assert calls == []
+    assert "theta_skipped" not in json.loads((out / "metadata.json").read_text())
+    out = tmp_path / "eig"
+    assert run_cli("bounds", "--data", str(data), "--stat", "eig:1", "--out", str(out)) == 0
+    assert len(calls) == 1
+    reported = json.loads((out / "metadata.json").read_text())["statistics"]["eigenvalue:1"]
+    expected = theta_brute_force(gram(load_csv(str(data)), gaussian(1.0), ONE_OVER_N))
+    assert reported["theta"] == expected and reported["theta_estimated"] is True
 
 
 def test_bounds_data_errors_exit_3(tmp_path):

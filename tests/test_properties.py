@@ -1,4 +1,5 @@
-"""Property tests of the theorem registry on random valid inputs."""
+"""Property tests of the theorem registry on random valid inputs, and of the
+theta statistic against the exhaustive leave-one-out loop."""
 
 import math
 
@@ -8,8 +9,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specbounds import bounds
+from specbounds.alignment import theta_statistic
 from specbounds.bounds import THEOREMS, BoundInputs
-from specbounds.dataset import CovarianceStats
+from specbounds.dataset import CovarianceStats, SampleSet
+from specbounds.errors import ConfigError, DataError, DegeneracyError
+from specbounds.kernels import ONE_OVER_N, RAW, GramMatrix, gaussian, gram, linear, polynomial
+from specbounds.spectral import eig_sym, gap_tolerance, principal_submatrix
 
 # raw value at eps = 0: the prefactor times exp(offset)
 PREF = {
@@ -111,3 +116,99 @@ def test_registry_calls_bound_functions_by_name_and_position(monkeypatch):
     for theorem in THEOREMS:
         bounds.theorem_values(theorem, x, np.array([0.1, 0.2, 0.3]))
     assert sorted(calls) == sorted(BOUND_FUNCTIONS + ("bound_second_order",))
+
+
+# --- theta against the exhaustive loop ----------------------------------------
+
+
+def theta_brute_force(g: GramMatrix, mode: str = "drop") -> float:
+    """Reference theta: one eigensolve for every deletion s."""
+    if mode not in ("drop", "zero"):
+        raise ConfigError(f"theta mode must be 'drop' or 'zero', got {mode!r}")
+    n = g.n
+    if n < 3:
+        raise DataError(f"theta needs n >= 3, got n = {n}")
+    lam = eig_sym(g).eigenvalues
+    tol = gap_tolerance(float(lam[0]))
+    small = [i + 1 for i in range(n - 1) if lam[i] <= tol]
+    if small:
+        raise DegeneracyError(
+            f"theta undefined: eigenvalues at orders {small} are within tolerance "
+            f"{tol:.3e} of zero"
+        )
+    denom = lam[: n - 1]
+    best = -math.inf
+    for s in range(1, n + 1):
+        if mode == "drop":
+            sub = principal_submatrix(g, s).entries
+            sub_lam = np.sort(np.linalg.eigvalsh(sub))[::-1]
+        else:
+            zeroed = g.entries.copy()
+            zeroed[s - 1, :] = 0.0
+            zeroed[:, s - 1] = 0.0
+            sub_lam = np.sort(np.linalg.eigvalsh(zeroed))[::-1][: n - 1]
+        ratio = float(np.min(sub_lam[: n - 1] / denom))
+        if ratio > best:
+            best = ratio
+    return 1.0 - best
+
+
+def _outcome(theta, g, mode):
+    try:
+        return theta(g, mode=mode)
+    except (DataError, DegeneracyError) as exc:
+        return type(exc), str(exc)
+
+
+KERNELS = {"gaussian": gaussian(1.0), "gaussian_narrow": gaussian(0.3), "linear": linear(),
+           "polynomial": polynomial(2, 1.0)}
+
+
+@st.composite
+def theta_grams(draw):
+    """Gram matrices of random samples with duplicated or near-duplicate rows,
+    or symmetric indefinite matrices, at either scaling."""
+    n = draw(st.integers(3, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scaling = draw(st.sampled_from((RAW, ONE_OVER_N)))
+    kind = draw(st.sampled_from((*KERNELS, "indefinite", "one_negative")))
+    if kind == "indefinite":
+        a = rng.standard_normal((n, n))
+        return GramMatrix(entries=(a + a.T) / 2, scaling=scaling)
+    if kind == "one_negative":
+        # only lambda_n < 0, so theta is defined and some ratios are negative
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        lam = np.concatenate([rng.uniform(0.05, 3.0, n - 1), [-rng.uniform(0.01, 2.0)]])
+        a = (q * lam) @ q.T
+        return GramMatrix(entries=np.triu(a) + np.triu(a, 1).T, scaling=scaling)
+    rows = rng.standard_normal((n, draw(st.integers(1, 5))))
+    copies = draw(st.integers(0, n - 1))
+    if copies:
+        src = rng.integers(0, n, size=copies)
+        dst = rng.integers(0, n, size=copies)
+        jitter = draw(st.sampled_from((0.0, 1e-9, 1e-6)))
+        rows[dst] = rows[src] + jitter * rng.standard_normal((copies, rows.shape[1]))
+    return gram(SampleSet(rows=rows, provenance="hypothesis"), KERNELS[kind], scaling)
+
+
+@settings(max_examples=150, deadline=None)
+@given(g=theta_grams(), mode=st.sampled_from(("drop", "zero")))
+def test_theta_equals_exhaustive_loop(g, mode):
+    # exact equality: skipped deletions must never include the maximiser
+    assert _outcome(theta_statistic, g, mode) == _outcome(theta_brute_force, g, mode)
+
+
+def test_theta_solves_few_deletions(monkeypatch):
+    rng = np.random.default_rng(57)
+    g = gram(SampleSet(rows=rng.standard_normal((200, 5)), provenance="seeded"), gaussian(1.0), RAW)
+    expected = theta_brute_force(g)
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a):
+        calls.append(a.shape)
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    assert theta_statistic(g) == expected
+    assert 1 <= len(calls) <= 20

@@ -184,7 +184,7 @@ def alignment_report(
     skipped: dict[str, str] = {}
     for theorem in theorems_for(STAT_KTA):
         try:
-            bounds[theorem] = theorem_values(theorem, x, np.asarray(epsilons)).tolist()
+            bounds[theorem] = theorem_values(theorem, x, None, np.asarray(epsilons)).tolist()
         except (DegeneracyError, DataError) as exc:
             skipped[theorem] = str(exc)
     return AlignmentReport(

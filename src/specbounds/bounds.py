@@ -342,16 +342,16 @@ STAT_KTA = "kta"
 
 @dataclass(frozen=True, eq=False)
 class BoundInputs:
-    """Everything a theorem may read.  A theorem applies when each input it
-    needs is not None; `missing` maps an input that could not be computed to
-    the reason, which a theorem needing it reports.
+    """Everything a theorem may read except the eigen-order, which callers
+    pass alongside, so one instance serves every order.  A theorem applies
+    when each input it needs is not None; `missing` maps an input that could
+    not be computed to the reason, which a theorem needing it reports.
 
     `spectrum` is the descending eigenvalue array the spectral inputs come
-    from; `index` is the eigen-order i, or k for the top/tail sums.
+    from.
     """
 
     n: int
-    index: int | None = None
     spectrum: np.ndarray | None = None
     cov: CovarianceStats | None = None
     lip: float | None = None
@@ -368,10 +368,12 @@ class BoundInputs:
 
 @dataclass(frozen=True)
 class Theorem:
-    """One registry entry.  `rhs(x, eps)` is the raw bound at a scalar or
-    over an array of epsilons and raises DegeneracyError when the theorem's
-    precondition fails; `describe(x)` is the metadata `evaluate_bounds`
-    echoes; `kernel` restricts the theorem to one kernel kind."""
+    """One registry entry.  `rhs(x, i, eps)` is the raw bound for inputs x
+    at eigen-order i (k for the top/tail sums; None for alignment) at a
+    scalar or over an array of epsilons, and raises DegeneracyError when the
+    theorem's precondition fails; `describe(x, i)` is the metadata
+    `evaluate_bounds` echoes; `kernel` restricts the theorem to one kernel
+    kind."""
 
     statistic: str
     needs: tuple[str, ...]
@@ -385,26 +387,26 @@ _SPEC_COV = ("spectrum", "cov", "lip")
 _KTA_FROB = ("a_kn", "l_mid", "frob")
 
 
-def _profile(x: BoundInputs) -> GapProfile:
-    return gaps_from_eigenvalues(x.spectrum, x.index)
+def _profile(x: BoundInputs, i: int) -> GapProfile:
+    return gaps_from_eigenvalues(x.spectrum, i)
 
 
-def _gap_metadata(x: BoundInputs) -> dict:
-    p = _profile(x)
-    gap_next = None if x.index == x.n else p.gap_next
+def _gap_metadata(x: BoundInputs, i: int) -> dict:
+    p = _profile(x, i)
+    gap_next = None if i == x.n else p.gap_next
     return {"gap_next": gap_next, "resolvent_sum": p.resolvent_sum, "inv_gap_sq_sum": p.inv_gap_sq_sum}
 
 
 def _second_order(variant: str) -> Theorem:
     return Theorem(
         STAT_EIGENVALUE, _SPEC_COV,
-        lambda x, e: bound_second_order(x.n, x.cov, x.lip, _profile(x), e, variant),
-        lambda x: {f"gamma_{variant}": second_order_gamma(x.n, x.cov, x.lip, _profile(x), variant)},
+        lambda x, i, e: bound_second_order(x.n, x.cov, x.lip, _profile(x, i), e, variant),
+        lambda x, i: {f"gamma_{variant}": second_order_gamma(x.n, x.cov, x.lip, _profile(x, i), variant)},
     )
 
 
-def _eigvec_metadata(x: BoundInputs) -> dict:
-    return {"eigvec_c": 1.0 / _eigvec_inverse_c(x.cov, x.lip, _profile(x)), "eigvec_exponent_offset": 2 * x.n}
+def _eigvec_metadata(x: BoundInputs, i: int) -> dict:
+    return {"eigvec_c": 1.0 / _eigvec_inverse_c(x.cov, x.lip, _profile(x, i)), "eigvec_exponent_offset": 2 * x.n}
 
 
 # Entries look the bound_* functions up by name when they run, so a wrapper
@@ -412,42 +414,42 @@ def _eigvec_metadata(x: BoundInputs) -> dict:
 # Registry order is the order of report rows and of skipped theorems.
 THEOREMS: dict[str, Theorem] = {
     "diag_uniform": Theorem(STAT_EIGENVALUE, ("diag_sup_sq",),
-                            lambda x, e: bound_trace_uniform(x.n, x.diag_sup_sq, e)),
+                            lambda x, i, e: bound_trace_uniform(x.n, x.diag_sup_sq, e)),
     "theta_top": Theorem(STAT_EIGENVALUE, ("spectrum", "theta"),
-                         lambda x, e: bound_theta(x.theta, float(x.spectrum[0]), e),
-                         lambda x: {"theta": x.theta, "theta_estimated": x.theta_estimated}),
+                         lambda x, i, e: bound_theta(x.theta, float(x.spectrum[0]), e),
+                         lambda x, i: {"theta": x.theta, "theta_estimated": x.theta_estimated}),
     "adjacent_gap": Theorem(STAT_EIGENVALUE, ("spectrum",),
-                            lambda x, e: bound_gap(x.n, _profile(x), e), _gap_metadata),
+                            lambda x, i, e: bound_gap(x.n, _profile(x, i), e), _gap_metadata),
     "covgap_distance": Theorem(STAT_EIGENVALUE, ("cov", "lip"),
-                               lambda x, e: bound_distance(x.n, x.cov, x.lip, e), kernel=DISTANCE),
+                               lambda x, i, e: bound_distance(x.n, x.cov, x.lip, e), kernel=DISTANCE),
     "covgap_inner": Theorem(STAT_EIGENVALUE, ("cov", "lip"),
-                            lambda x, e: bound_inner(x.n, x.cov, x.lip, e), kernel=INNER),
+                            lambda x, i, e: bound_inner(x.n, x.cov, x.lip, e), kernel=INNER),
     "covgap_second_order": _second_order("printed"),
     "covgap_second_order_alt": _second_order("alt"),
     "topk_gap": Theorem(STAT_TOPK, ("spectrum",),
-                        lambda x, e: bound_topk_sum(x.n, x.spectrum, x.index, e),
-                        lambda x: {"range_gap": range_gap_top(x.spectrum, x.index)}),
+                        lambda x, i, e: bound_topk_sum(x.n, x.spectrum, i, e),
+                        lambda x, i: {"range_gap": range_gap_top(x.spectrum, i)}),
     "tail_gap": Theorem(STAT_TAIL, ("spectrum",),
-                        lambda x, e: bound_tail_sum(x.n, x.spectrum, x.index, e),
-                        lambda x: {"range_gap": range_gap_tail(x.spectrum, x.index)}),
+                        lambda x, i, e: bound_tail_sum(x.n, x.spectrum, i, e),
+                        lambda x, i: {"range_gap": range_gap_tail(x.spectrum, i)}),
     "eigvec_pointwise": Theorem(STAT_EIGVEC, _SPEC_COV,
-                                lambda x, e: bound_eigvec_pointwise(x.cov, x.lip, _profile(x), e),
-                                lambda x: {"resolvent_sum": _profile(x).resolvent_sum},
+                                lambda x, i, e: bound_eigvec_pointwise(x.cov, x.lip, _profile(x, i), e),
+                                lambda x, i: {"resolvent_sum": _profile(x, i).resolvent_sum},
                                 flags=("direction_free",)),
     "eigvec_uniform": Theorem(STAT_EIGVEC, _SPEC_COV,
-                              lambda x, e: bound_eigvec_uniform(x.n, x.cov, x.lip, _profile(x), e),
+                              lambda x, i, e: bound_eigvec_uniform(x.n, x.cov, x.lip, _profile(x, i), e),
                               _eigvec_metadata),
     "kta_theta": Theorem(STAT_KTA, ("a_kn", "theta", "frob"),
-                         lambda x, e: kta_bound_theta(e, a_kn=x.a_kn, theta=x.theta, n=x.n, frob=x.frob,
-                                                      m=x.m)),
+                         lambda x, i, e: kta_bound_theta(e, a_kn=x.a_kn, theta=x.theta, n=x.n, frob=x.frob,
+                                                         m=x.m)),
     "kta_spectral": Theorem(STAT_KTA, _KTA_FROB,
-                            lambda x, e: kta_bound_spectral(e, a_kn=x.a_kn, n=x.n, l_mid=x.l_mid, frob=x.frob)),
+                            lambda x, i, e: kta_bound_spectral(e, a_kn=x.a_kn, n=x.n, l_mid=x.l_mid, frob=x.frob)),
     "kta_spectral_approx": Theorem(STAT_KTA, ("a_kn", "l_mid", "ratio"),
-                                   lambda x, e: kta_bound_spectral(e, a_kn=x.a_kn, n=x.n, l_mid=x.l_mid,
-                                                                   ratio=x.ratio)),
+                                   lambda x, i, e: kta_bound_spectral(e, a_kn=x.a_kn, n=x.n, l_mid=x.l_mid,
+                                                                      ratio=x.ratio)),
     "kta_spectral_bdiff": Theorem(STAT_KTA, _KTA_FROB,
-                                  lambda x, e: kta_bound_spectral(e, a_kn=x.a_kn, n=x.n, l_mid=x.l_mid,
-                                                                  frob=x.frob, variant="bdiff")),
+                                  lambda x, i, e: kta_bound_spectral(e, a_kn=x.a_kn, n=x.n, l_mid=x.l_mid,
+                                                                     frob=x.frob, variant="bdiff")),
 }
 
 
@@ -456,15 +458,15 @@ def theorems_for(statistic: str) -> list[str]:
     return [name for name, t in THEOREMS.items() if t.statistic == statistic]
 
 
-def theorem_values(theorem: str, x: BoundInputs, eps):
-    """Raw value(s) of `theorem` at `eps` from one formula call; raises
-    DegeneracyError when an input it needs is missing (with the recorded
-    reason) or its precondition fails."""
+def theorem_values(theorem: str, x: BoundInputs, i: int | None, eps):
+    """Raw value(s) of `theorem` at eigen-order `i` and `eps` from one
+    formula call; raises DegeneracyError when an input it needs is missing
+    (with the recorded reason) or its precondition fails."""
     t = THEOREMS[theorem]
     for name in t.needs:
         if getattr(x, name) is None:
             raise DegeneracyError(x.missing.get(name, f"{theorem} needs {name}"))
-    return t.rhs(x, eps)
+    return t.rhs(x, i, eps)
 
 
 # --- report assembly ---------------------------------------------------------
@@ -522,7 +524,7 @@ def evaluate_bounds(query: BoundQuery) -> BoundReport:
     if query.statistic not in _QUERY_NEEDS:
         raise ConfigError(f"unknown statistic {query.statistic!r}")
     spectrum = None if query.spectrum is None else query.spectrum.eigenvalues
-    x = BoundInputs(n=query.n, index=query.index, spectrum=spectrum, cov=query.cov, lip=query.lip,
+    x = BoundInputs(n=query.n, spectrum=spectrum, cov=query.cov, lip=query.lip,
                     diag_sup_sq=query.diag_sup_sq, theta=query.theta, theta_estimated=query.theta_estimated)
     absent = [name for name in _QUERY_NEEDS[query.statistic] if getattr(x, name) is None]
     if absent:
@@ -547,11 +549,11 @@ def evaluate_bounds(query: BoundQuery) -> BoundReport:
             continue
         if t.describe is not None:
             try:
-                meta.update(t.describe(x))
+                meta.update(t.describe(x, query.index))
             except DegeneracyError:
                 pass
         try:
-            raws = theorem_values(theorem, x, np.asarray(query.epsilons)).tolist()
+            raws = theorem_values(theorem, x, query.index, np.asarray(query.epsilons)).tolist()
         except DegeneracyError as exc:
             skipped[theorem] = str(exc)
             continue

@@ -177,9 +177,7 @@ def _cmd_bounds(args) -> int:
     try:
         cov = covariance_stats(samples, centered=args.centered)
         lip = lipschitz(spec, samples)
-        norms = bnd.error_norm_bound(
-            "distance" if spec.kind == "distance" else "inner", cov, lip, samples.n
-        )
+        norms = bnd.error_norm_bound(spec.kind, cov, lip, samples.n)
         meta.update(
             {
                 "whitened_radius": cov.whitened_radius,

@@ -10,7 +10,11 @@ change of lambda_i(G)/n is gap_raw/n, so the exponent is 2 n eps^2 /
 gap_raw^2), and reports label the convention.
 
 Per-trial RNG: subseed = splitmix64(master seed, trial index), so results are
-identical for any worker count or scheduling order.
+identical for any worker count or scheduling order.  Every trial that samples
+data receives the ExperimentConfig itself (frozen and picklable) with its
+subseed and draws its kernel, generator and samples through `_draw`.  A concentration trial returns
+its statistic values and bound RHS arrays as lists in `_keys` order, None
+marking a trial excluded from a bound.
 """
 
 from __future__ import annotations
@@ -25,7 +29,6 @@ from .alignment import kta, middle_spectrum_norm, theta_statistic
 from .dataset import SampleSet, covariance_stats, whitened_norm
 from .errors import ConfigError, SpecBoundsError
 from .kernels import (
-    DISTANCE,
     ONE_OVER_N,
     RAW,
     GramMatrix,
@@ -114,10 +117,12 @@ class ExperimentConfig:
         for s in self.statistics:
             if s not in KNOWN_STATISTICS:
                 raise ConfigError(f"unknown statistic {s!r} (known: {KNOWN_STATISTICS})")
+        kind = kernel_from_config(self.kernel).kind  # validate eagerly
         for b in self.bounds:
             if b not in KNOWN_BOUNDS:
                 raise ConfigError(f"unknown bound {b!r} (known: {KNOWN_BOUNDS})")
-        kernel_from_config(self.kernel)  # validate eagerly
+            if bnd.THEOREMS[b].kernel not in (None, kind):
+                raise ConfigError(f"bound {b!r} applies to {bnd.THEOREMS[b].kernel} kernels, not {kind}")
 
     def kernel_spec(self) -> KernelSpec:
         return kernel_from_config(self.kernel)
@@ -215,30 +220,35 @@ def _keys(cfg: ExperimentConfig) -> tuple[list, list]:
     return stat_keys, bound_keys
 
 
-def _concentration_trial(args: tuple[dict, int]) -> dict:
-    """One seeded trial; returns statistic values and per-bound RHS arrays."""
-    cfg_dict, trial_seed = args
-    cfg = ExperimentConfig.from_dict(cfg_dict)
-    spec = cfg.kernel_spec()
+def _draw(cfg: ExperimentConfig, trial_seed: int):
+    """A trial's kernel, its generator, and n standard-normal samples in R^p."""
     rng = np.random.default_rng(trial_seed)
-    rows = rng.standard_normal((cfg.n, cfg.p))
-    samples = SampleSet(rows=rows, provenance=f"gaussian(seed={trial_seed})")
+    samples = SampleSet(rows=rng.standard_normal((cfg.n, cfg.p)), provenance=f"gaussian(seed={trial_seed})")
+    return cfg.kernel_spec(), rng, samples
+
+
+def _concentration_trial(args: tuple[ExperimentConfig, int]) -> tuple[list, list, list]:
+    """One seeded trial: statistic values, per-bound RHS arrays (None when
+    the trial is excluded) and exclusion reasons, in `_keys` order."""
+    cfg, trial_seed = args
+    spec, rng, samples = _draw(cfg, trial_seed)
     g_raw = gram(samples, spec, RAW)
-    lam = np.sort(np.linalg.eigvalsh(g_raw.entries))[::-1]
+    lam = np.linalg.eigvalsh(g_raw.entries)[::-1]
     lam_stat = lam / cfg.n if cfg.scaling == ONE_OVER_N else lam.copy()
     stat_keys, bound_keys = _keys(cfg)
 
-    stats: dict[tuple[str, int | None], float] = {}
-    for stat, idx in stat_keys:
+    stats: list[float] = []
+    a_kn = None
+    for stat, i in stat_keys:
         if stat == "eigenvalue":
-            stats[(stat, idx)] = float(lam_stat[idx - 1])
+            stats.append(float(lam_stat[i - 1]))
         elif stat == "topk_sum":
-            stats[(stat, idx)] = float(np.sum(lam_stat[:idx]))
+            stats.append(float(np.sum(lam_stat[:i])))
         elif stat == "tail_sum":
-            stats[(stat, idx)] = float(np.sum(lam_stat[idx - 1 :]))
-        elif stat == "kta":
-            labels = rng.choice([-1.0, 1.0], size=cfg.n)
-            stats[(stat, None)] = kta(g_raw, labels)
+            stats.append(float(np.sum(lam_stat[i - 1 :])))
+        else:
+            a_kn = kta(g_raw, rng.choice([-1.0, 1.0], size=cfg.n))
+            stats.append(a_kn)
 
     # compute only the inputs the requested theorems read; one that fails
     # excludes this trial from those theorems, never aborts the run
@@ -259,19 +269,19 @@ def _concentration_trial(args: tuple[dict, int]) -> dict:
                 inputs[name] = compute()
             except SpecBoundsError as exc:
                 missing[name] = "singular sample covariance" if name in ("cov", "lip") else str(exc)
-    x = bnd.BoundInputs(n=cfg.n, spectrum=lam, a_kn=stats.get(("kta", None)), missing=missing, **inputs)
+    x = bnd.BoundInputs(n=cfg.n, spectrum=lam, a_kn=a_kn, missing=missing, **inputs)
 
     eps = np.asarray(cfg.epsilons)
-    rhs: dict[tuple[str, str, int | None], np.ndarray | None] = {}
-    flagged: dict[tuple[str, str, int | None], str] = {}
-    for key in bound_keys:
-        theorem, _, idx = key
+    rhs: list[np.ndarray | None] = []
+    reasons: list[str] = []
+    for theorem, _, i in bound_keys:
         try:
-            rhs[key] = bnd.theorem_values(theorem, replace(x, index=idx), eps)
+            rhs.append(bnd.theorem_values(theorem, x, i, eps))
+            reasons.append("")
         except SpecBoundsError as exc:
-            rhs[key] = None
-            flagged[key] = str(exc)
-    return {"stats": stats, "rhs": rhs, "flagged": flagged}
+            rhs.append(None)
+            reasons.append(str(exc))
+    return stats, rhs, reasons
 
 
 def _map_trials(fn, args_list, workers: int):
@@ -299,14 +309,14 @@ def run_concentration(
         if len(subseeds) != cfg.trials:
             raise ConfigError(f"need {cfg.trials} subseeds, got {len(subseeds)}")
         seeds = tuple(int(s) for s in subseeds)
-    payloads = _map_trials(_concentration_trial, [(cfg.to_dict(), s) for s in seeds], workers)
+    payloads = _map_trials(_concentration_trial, [(cfg, s) for s in seeds], workers)
 
     eps = np.asarray(cfg.epsilons)
     t_count = cfg.trials
     series = []
     stat_keys, bound_keys = _keys(cfg)
-    for key in stat_keys:
-        values = np.array([p["stats"][key] for p in payloads])
+    for k, key in enumerate(stat_keys):
+        values = np.array([p[0][k] for p in payloads])
         mean = float(np.mean(values))
         se = float(np.std(values, ddof=1) / np.sqrt(t_count))
         deviations = np.abs(values - mean)
@@ -328,11 +338,11 @@ def run_concentration(
         )
 
     bound_series = []
-    for key in bound_keys:
-        rows = [p["rhs"].get(key) for p in payloads]
+    for k, key in enumerate(bound_keys):
+        rows = [p[1][k] for p in payloads]
         kept = np.array([r for r in rows if r is not None])
         excluded = sum(1 for r in rows if r is None)
-        reasons = [p["flagged"][key] for p in payloads if key in p["flagged"]]
+        reasons = [p[2][k] for p in payloads if p[1][k] is None]
         if kept.size:
             mean = kept.mean(axis=0)
             p10 = np.quantile(kept, 0.1, axis=0, method="linear")
@@ -386,13 +396,10 @@ def spearman(a, b) -> float:
     return float(np.corrcoef(np.column_stack((ra, rb)), rowvar=False)[1, 0])
 
 
-def _boxplot_trial(args: tuple[dict, int]) -> np.ndarray:
-    cfg_dict, trial_seed = args
-    cfg = ExperimentConfig.from_dict(cfg_dict)
-    spec = cfg.kernel_spec()
-    rng = np.random.default_rng(trial_seed)
-    samples = SampleSet(rows=rng.standard_normal((cfg.n, cfg.p)), provenance="boxplot-trial")
-    lam = np.sort(np.linalg.eigvalsh(gram(samples, spec, RAW).entries))[::-1]
+def _boxplot_trial(args: tuple[ExperimentConfig, int]) -> np.ndarray:
+    cfg, trial_seed = args
+    spec, _, samples = _draw(cfg, trial_seed)
+    lam = np.linalg.eigvalsh(gram(samples, spec, RAW).entries)[::-1]
     if cfg.scaling == ONE_OVER_N:
         lam = lam / cfg.n
     top = max(cfg.indices) + 1
@@ -403,7 +410,7 @@ def boxplot_stats(cfg: ExperimentConfig, workers: int = 1) -> BoxplotResult:
     """Boxplot statistics of the per-order eigenvalue statistic across trials."""
     seeds = tuple(subseed(cfg.seed, t) for t in range(cfg.trials))
     spectra = np.array(
-        _map_trials(_boxplot_trial, [(cfg.to_dict(), s) for s in seeds], workers)
+        _map_trials(_boxplot_trial, [(cfg, s) for s in seeds], workers)
     )
     fives, iqrs, mean_gaps = [], [], []
     for i in cfg.indices:
@@ -472,20 +479,25 @@ def _interlacing_trial(trial_seed: int) -> tuple[int, float]:
     return violations, worst
 
 
-def _perturbation_trial(args: tuple[dict, int, int, bool]) -> dict:
-    """One replace-one trial: eigenvalue stability and perturbation-norm checks."""
-    cfg_dict, trial_seed, index, zero_perturbation = args
-    cfg = ExperimentConfig.from_dict(cfg_dict)
-    spec = cfg.kernel_spec()
-    rng = np.random.default_rng(trial_seed)
-    samples = SampleSet(rows=rng.standard_normal((cfg.n, cfg.p)), provenance="oracle-trial")
+def _replace_one(cfg: ExperimentConfig, trial_seed: int, zero_perturbation: bool):
+    """A trial's samples with one drawn row replaced (by itself under
+    `zero_perturbation`): (kernel, samples, replace_at, replacement, pair),
+    the pair at 1/n scaling."""
+    spec, rng, samples = _draw(cfg, trial_seed)
     replacement = rng.standard_normal(cfg.p)
     replace_at = int(rng.integers(1, cfg.n + 1))
     if zero_perturbation:
         replacement = samples.rows[replace_at - 1].copy()
     pair = perturb_replace(samples, spec, replace_at, replacement, ONE_OVER_N)
-    lam = np.sort(np.linalg.eigvalsh(pair.original.entries))[::-1]
-    lam_pert = np.sort(np.linalg.eigvalsh(pair.perturbed.entries))[::-1]
+    return spec, samples, replace_at, replacement, pair
+
+
+def _perturbation_trial(args: tuple[ExperimentConfig, int, int, bool]) -> dict:
+    """One replace-one trial: eigenvalue stability and perturbation-norm checks."""
+    cfg, trial_seed, index, zero_perturbation = args
+    spec, samples, replace_at, replacement, pair = _replace_one(cfg, trial_seed, zero_perturbation)
+    lam = np.linalg.eigvalsh(pair.original.entries)[::-1]
+    lam_pert = np.linalg.eigvalsh(pair.perturbed.entries)[::-1]
     norm_e = pair.spectral_norm_e
 
     out: dict[str, tuple[float, float] | None] = {}
@@ -496,9 +508,7 @@ def _perturbation_trial(args: tuple[dict, int, int, bool]) -> dict:
     radius = max(cov.whitened_radius, whitened_norm(cov, replacement))
     cov = replace(cov, whitened_radius=radius)  # boundedness covers the replacement
     lip = lipschitz(spec, samples)
-    norms = bnd.error_norm_bound(
-        "distance" if spec.kind == DISTANCE else "inner", cov, lip, cfg.n
-    )
+    norms = bnd.error_norm_bound(spec.kind, cov, lip, cfg.n)
     out["perturbation_norm_printed"] = (norm_e, norms.printed)
     out["perturbation_norm_conservative"] = (norm_e, norms.conservative)
 
@@ -525,16 +535,8 @@ def _expansion_trial(args: tuple[dict, int, int, bool]) -> tuple[float, float] |
     then compares residuals at t and t/2: (r(t/2), 0.35 * r(t)), or None when
     the trial is degenerate.
     """
-    cfg_dict, trial_seed, index, zero_perturbation = args
-    cfg = ExperimentConfig.from_dict(cfg_dict)
-    spec = cfg.kernel_spec()
-    rng = np.random.default_rng(trial_seed)
-    samples = SampleSet(rows=rng.standard_normal((cfg.n, cfg.p)), provenance="expansion-trial")
-    replacement = rng.standard_normal(cfg.p)
-    replace_at = int(rng.integers(1, cfg.n + 1))
-    if zero_perturbation:
-        replacement = samples.rows[replace_at - 1].copy()
-    pair = perturb_replace(samples, spec, replace_at, replacement, ONE_OVER_N)
+    cfg, trial_seed, index, zero_perturbation = args
+    pair = _replace_one(cfg, trial_seed, zero_perturbation)[-1]
     base = eig_sym(pair.original)
     lam = base.eigenvalues
     others = np.abs(np.delete(lam - lam[index - 1], index - 1))
@@ -585,13 +587,13 @@ def run_oracles(
     )
 
     args = [
-        (cfg.to_dict(), subseed(cfg.seed, 2_000_000 + t), index, zero_perturbation)
+        (cfg, subseed(cfg.seed, 2_000_000 + t), index, zero_perturbation)
         for t in range(perturbation_trials)
     ]
     payloads = _map_trials(_perturbation_trial, args, workers)
 
     args = [
-        (cfg.to_dict(), subseed(cfg.seed, 3_000_000 + t), index, zero_perturbation)
+        (cfg, subseed(cfg.seed, 3_000_000 + t), index, zero_perturbation)
         for t in range(expansion_trials)
     ]
     residuals = _map_trials(_expansion_trial, args, workers)

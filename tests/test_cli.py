@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -235,6 +236,35 @@ def test_simulate_trials_smoke_fast(tmp_path):
 
 def test_simulate_needs_inputs():
     assert run_cli("simulate", "--out", "/tmp/unused-simulate-out") == 2
+
+
+@pytest.mark.parametrize("kernel,bound", [("gaussian:1.0", "covgap_inner"), ("linear", "covgap_distance")])
+def test_simulate_kernel_restricted_bound_exit_2(tmp_path, kernel, bound):
+    out = tmp_path / "o"
+    assert run_cli("simulate", "--n", "40", "--p", "3", "--trials", "20", "--seed", "1",
+                   "--kernel", kernel, "--bounds", bound, "--eps", "0.1,0.5", "--no-svg",
+                   "--out", str(out)) == 2
+    assert not (out / "summary.json").exists()
+
+
+def test_benchmark_tracer_sees_every_trial(tmp_path, monkeypatch):
+    # the benchmark's tracer patches module attributes by name; a renamed or
+    # bypassed hook shows up here as a missing count
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    from tracer import Tracer
+
+    tracer = Tracer()
+    tracer.install()
+    try:
+        assert tracer.call_cli(["simulate", "--n", "20", "--p", "3", "--trials", "5",
+                                "--bounds", "adjacent_gap,covgap_distance", "--no-svg",
+                                "--out", str(tmp_path / "o")]) == 0
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics()
+    assert metrics["experiments.trials"] == 5
+    assert metrics["spectral.eigvalsh.calls"] == 5
+    assert metrics["kernels.gram.calls"] == 5
 
 
 def test_align_rank1_fixture(tmp_path):

@@ -71,6 +71,11 @@ def test_config_validation():
         _cfg(bounds=("chernoff",))
     with pytest.raises(ConfigError):
         _cfg(kernel={"family": "rbf"})
+    # a kernel-restricted theorem needs its own kernel kind, as in evaluate_bounds
+    with pytest.raises(ConfigError, match="covgap_inner"):
+        _cfg(bounds=("covgap_inner",))
+    with pytest.raises(ConfigError, match="covgap_distance"):
+        _cfg(kernel={"family": "linear"}, bounds=("covgap_distance",))
 
 
 def test_identical_subseeds_zero_frequency():
@@ -117,16 +122,20 @@ def test_quantiles_match_sorted_reference():
 
 
 def test_run_concentration_determinism_and_workers():
-    cfg = _cfg()
-    a = run_concentration(cfg, workers=1)
-    b = run_concentration(cfg, workers=2)
-    assert a.subseeds == b.subseeds
-    for sa, sb in zip(a.series, b.series):
-        assert np.array_equal(sa.values, sb.values)
-        assert np.array_equal(sa.frequencies, sb.frequencies)
-    for ba, bb in zip(a.bound_series, b.bound_series):
-        assert np.array_equal(ba.mean, bb.mean)
-        assert np.array_equal(ba.p10, bb.p10)
+    # p = 1: gap_1p = 0, so every trial is excluded from covgap_distance
+    for cfg in (_cfg(), _cfg(p=1, bounds=("adjacent_gap", "covgap_distance"))):
+        a = run_concentration(cfg, workers=1)
+        b = run_concentration(cfg, workers=2)
+        assert a.subseeds == b.subseeds
+        for sa, sb in zip(a.series, b.series):
+            assert np.array_equal(sa.values, sb.values)
+            assert np.array_equal(sa.frequencies, sb.frequencies)
+        for ba, bb in zip(a.bound_series, b.bound_series):
+            assert np.array_equal(ba.mean, bb.mean, equal_nan=True)
+            assert np.array_equal(ba.p10, bb.p10, equal_nan=True)
+            assert (ba.excluded, ba.reason) == (bb.excluded, bb.reason)
+    assert a.bound_series[-1].excluded == cfg.trials
+    assert "isotropic covariance" in a.bound_series[-1].reason
 
 
 def test_bound_mean_nonincreasing_and_nonnegative():

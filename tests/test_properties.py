@@ -48,7 +48,7 @@ def _floats(lo, hi):
 
 @st.composite
 def inputs(draw):
-    """Inputs under which every theorem's precondition holds."""
+    """Inputs, and an eigen-order, under which every theorem's precondition holds."""
     steps = draw(st.lists(_floats(0.01, 3.0), min_size=3, max_size=8))
     spectrum = np.cumsum(steps)[::-1].copy()
     lam_p = draw(_floats(0.05, 2.0))
@@ -60,9 +60,8 @@ def inputs(draw):
         whitened_radius=draw(_floats(0.5, 3.0)),
         centered=False,
     )
-    return BoundInputs(
+    x = BoundInputs(
         n=draw(st.integers(3, 400)),
-        index=draw(st.integers(1, len(steps) - 1)),
         spectrum=spectrum,
         cov=cov,
         lip=draw(_floats(0.1, 2.0)),
@@ -73,6 +72,7 @@ def inputs(draw):
         l_mid=draw(_floats(0.1, 20.0)),
         ratio=draw(_floats(0.5, 20.0)),
     )
+    return x, draw(st.integers(1, len(steps) - 1))
 
 
 GRIDS = st.lists(_floats(0.0, 5.0), min_size=1, max_size=12).map(sorted)
@@ -84,15 +84,16 @@ def test_every_theorem_has_a_prefactor():
 
 @pytest.mark.parametrize("theorem", list(THEOREMS))
 @settings(max_examples=60, deadline=None)
-@given(x=inputs(), eps=GRIDS)
-def test_grid_matches_pointwise_and_is_monotone(theorem, x, eps):
-    grid = bounds.theorem_values(theorem, x, np.array(eps))
-    pointwise = [bounds.theorem_values(theorem, x, e) for e in eps]
+@given(xi=inputs(), eps=GRIDS)
+def test_grid_matches_pointwise_and_is_monotone(theorem, xi, eps):
+    x, i = xi
+    grid = bounds.theorem_values(theorem, x, i, np.array(eps))
+    pointwise = [bounds.theorem_values(theorem, x, i, e) for e in eps]
     # exact equality: a vectorised np.exp or a reordered exponent breaks it
     assert grid.tolist() == pointwise
     assert all(b <= a for a, b in zip(pointwise, pointwise[1:]))
     pref = PREF[theorem]
-    assert bounds.theorem_values(theorem, x, 0.0) == (pref(x.n) if callable(pref) else pref)
+    assert bounds.theorem_values(theorem, x, i, 0.0) == (pref(x.n) if callable(pref) else pref)
 
 
 def test_registry_calls_bound_functions_by_name_and_position(monkeypatch):
@@ -111,10 +112,10 @@ def test_registry_calls_bound_functions_by_name_and_position(monkeypatch):
     eigs = np.array([2.0, 0.5])
     cov = CovarianceStats(sigma=np.diag(eigs), eigs_sigma=eigs, gap_1p=1.5,
                           whitened_radius=1.2, centered=False)
-    x = BoundInputs(n=50, index=2, spectrum=np.array([3.0, 2.0, 1.5, 0.2]), cov=cov, lip=0.5,
+    x = BoundInputs(n=50, spectrum=np.array([3.0, 2.0, 1.5, 0.2]), cov=cov, lip=0.5,
                     diag_sup_sq=1.0, theta=0.4, a_kn=0.3, frob=6.0, l_mid=2.0, ratio=2.5)
     for theorem in THEOREMS:
-        bounds.theorem_values(theorem, x, np.array([0.1, 0.2, 0.3]))
+        bounds.theorem_values(theorem, x, 2, np.array([0.1, 0.2, 0.3]))
     assert sorted(calls) == sorted(BOUND_FUNCTIONS + ("bound_second_order",))
 
 

@@ -31,20 +31,17 @@ norms = sb.error_norm_bound("distance", cov, lip, n)
 print(f"replace-one perturbation norm bounds: printed={norms.printed:.4f}, "
       f"conservative={norms.conservative:.4f}")
 
-query = sb.BoundQuery(
-    statistic="eigenvalue",
-    index=1,
-    epsilons=(0.01, 0.05, 0.1, 0.25, 0.5),
+inputs = sb.BoundInputs(
     n=n,
-    spectrum=spectrum,
+    spectrum=spectrum.eigenvalues,
     cov=cov,
     lip=lip,
     diag_sup_sq=r2,
-    kernel_kind="distance",
+    kernel="distance",
     theta=theta,
     theta_estimated=True,
 )
-report = sb.evaluate_bounds(query)
+report = sb.evaluate_bounds(inputs, "eigenvalue", 1, (0.01, 0.05, 0.1, 0.25, 0.5))
 
 print("\ntheorem                    eps      raw value      flags")
 for row in report.rows:

@@ -16,7 +16,7 @@ from .alignment import (
     theta_statistic,
 )
 from .bounds import (
-    BoundQuery,
+    BoundInputs,
     BoundReport,
     BoundRow,
     ErrorNormBounds,

@@ -13,15 +13,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import bounds as bnd
 from .bounds import (  # noqa: F401  (c_theta and the kta_* formulas are also public here)
-    STAT_KTA,
-    BoundInputs,
     c_theta,
     kta_bound_spectral,
     kta_bound_theta,
     kta_spectral_denominator,
-    theorem_values,
-    theorems_for,
     validate_epsilons,
 )
 from .errors import ConfigError, DataError, DegeneracyError
@@ -178,15 +175,12 @@ def alignment_report(
     except (DegeneracyError, DataError) as exc:
         theta = c = math.nan
         missing["theta"] = str(exc)
-    x = BoundInputs(n=n, theta=None if missing else theta, a_kn=a_kn, frob=frob, l_mid=l_mid,
-                    ratio=ratio_approx, m=m_val, missing=missing)
+    x = bnd.BoundInputs(n=n, theta=None if missing else theta, a_kn=a_kn, frob=frob, l_mid=l_mid,
+                        ratio=ratio_approx, m=m_val, missing=missing)
+    report = bnd.evaluate_bounds(x, bnd.STAT_KTA, None, epsilons)
     bounds: dict[str, list[float]] = {}
-    skipped: dict[str, str] = {}
-    for theorem in theorems_for(STAT_KTA):
-        try:
-            bounds[theorem] = theorem_values(theorem, x, None, np.asarray(epsilons)).tolist()
-        except (DegeneracyError, DataError) as exc:
-            skipped[theorem] = str(exc)
+    for row in report.rows:
+        bounds.setdefault(row.theorem, []).append(row.raw)
     return AlignmentReport(
         a_kn=a_kn,
         l_mid=l_mid,
@@ -200,5 +194,5 @@ def alignment_report(
         scaling=g.scaling,
         epsilons=epsilons,
         bounds=bounds,
-        skipped=skipped,
+        skipped=report.skipped,
     )

@@ -343,12 +343,14 @@ STAT_KTA = "kta"
 @dataclass(frozen=True, eq=False)
 class BoundInputs:
     """Everything a theorem may read except the eigen-order, which callers
-    pass alongside, so one instance serves every order.  A theorem applies
-    when each input it needs is not None; `missing` maps an input that could
-    not be computed to the reason, which a theorem needing it reports.
+    pass alongside, so one instance serves every order.
 
     `spectrum` is the descending eigenvalue array the spectral inputs come
-    from.
+    from.  `kernel` is the kernel kind ("distance" or "inner"); None means
+    unknown, and then no kernel-restricted theorem applies.  A theorem
+    applies when each input it needs is not None; `missing` maps an input
+    that could not be computed to the reason, and a theorem needing that
+    input is reported as skipped with it instead of left out.
     """
 
     n: int
@@ -363,6 +365,7 @@ class BoundInputs:
     l_mid: float | None = None
     ratio: float | None = None
     m: int | None = None
+    kernel: str | None = None
     missing: dict = field(default_factory=dict)
 
 
@@ -471,38 +474,11 @@ def theorem_values(theorem: str, x: BoundInputs, i: int | None, eps):
 
 # --- report assembly ---------------------------------------------------------
 
-# statistics `evaluate_bounds` serves, with the inputs each one requires
-_QUERY_NEEDS = {STAT_EIGENVALUE: (), STAT_TOPK: ("spectrum",), STAT_TAIL: ("spectrum",), STAT_EIGVEC: _SPEC_COV}
-
-
-@dataclass(frozen=True)
-class BoundQuery:
-    """A request for every applicable bound of one statistic over an eps grid.
-
-    `index` is the eigen-order i for eigenvalue/eigenvector statistics and k
-    for the top/tail sums.  Optional inputs gate which theorems apply.
-    """
-
-    statistic: str
-    index: int
-    epsilons: tuple[float, ...]
-    n: int
-    spectrum: Spectrum | None = None
-    cov: CovarianceStats | None = None
-    lip: float | None = None
-    diag_sup_sq: float | None = None
-    kernel_kind: str | None = None              # "distance" or "inner"
-    theta: float | None = None
-    theta_estimated: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "epsilons", validate_epsilons(self.epsilons))
-
 
 @dataclass(frozen=True)
 class BoundRow:
     statistic: str
-    index: int
+    index: int | None
     epsilon: float
     theorem: str
     raw: float
@@ -513,55 +489,51 @@ class BoundRow:
 
 @dataclass(frozen=True)
 class BoundReport:
+    """Rows of every applicable theorem, in registry order.  `metadata` is
+    the union of their `describe` outputs; `skipped` maps an applicable
+    theorem that could not be evaluated to the reason."""
+
     rows: tuple[BoundRow, ...]
     metadata: dict = field(default_factory=dict)
+    skipped: dict = field(default_factory=dict)
 
 
-def evaluate_bounds(query: BoundQuery) -> BoundReport:
-    """Evaluate every theorem of the query's statistic whose inputs the query
-    carries (for its kernel kind); skipped theorems are recorded in metadata
-    with the precondition that failed."""
-    if query.statistic not in _QUERY_NEEDS:
-        raise ConfigError(f"unknown statistic {query.statistic!r}")
-    spectrum = None if query.spectrum is None else query.spectrum.eigenvalues
-    x = BoundInputs(n=query.n, spectrum=spectrum, cov=query.cov, lip=query.lip,
-                    diag_sup_sq=query.diag_sup_sq, theta=query.theta, theta_estimated=query.theta_estimated)
-    absent = [name for name in _QUERY_NEEDS[query.statistic] if getattr(x, name) is None]
-    if absent:
-        raise ConfigError(f"{query.statistic} bounds need {', '.join(absent)}")
-    meta: dict = {"statistic": query.statistic, "index": query.index, "n": query.n,
-                  "epsilons": list(query.epsilons)}
-    cov = query.cov
-    if cov is not None:
-        meta.update(whitened_radius=cov.whitened_radius, cov_lambda_1=cov.lambda_1,
-                    cov_lambda_p=cov.lambda_p, cov_gap_1p=cov.gap_1p, centered=cov.centered)
-    if query.lip is not None:
-        meta["lipschitz"] = query.lip
-    if query.diag_sup_sq is not None:
-        meta["diag_sup_sq"] = query.diag_sup_sq
+def evaluate_bounds(x: BoundInputs, statistic: str, index: int | None, epsilons) -> BoundReport:
+    """Evaluate every theorem of `statistic` at eigen-order `index` (k for
+    the top/tail sums, None for alignment) over the epsilon grid.
 
-    kernel = INNER if query.kernel_kind == INNER else DISTANCE
+    A theorem does not apply when it is restricted to a kernel kind other
+    than `x.kernel` (None: kind unknown, so no restricted theorem applies),
+    or when an input it needs is None with no reason in `x.missing`.  An
+    applicable theorem is skipped, with the reason, when an input it needs
+    is missing with a reason or its precondition fails.  Raises ConfigError
+    when no theorem applies and none was skipped.
+    """
+    epsilons = validate_epsilons(epsilons)
+    grid = np.asarray(epsilons)
     rows: list[BoundRow] = []
+    meta: dict = {}
     skipped: dict[str, str] = {}
-    for theorem in theorems_for(query.statistic):
+    for theorem in theorems_for(statistic):
         t = THEOREMS[theorem]
-        if t.kernel not in (None, kernel) or any(getattr(x, name) is None for name in t.needs):
+        absent = [name for name in t.needs if getattr(x, name) is None]
+        if t.kernel not in (None, x.kernel) or any(name not in x.missing for name in absent):
             continue
-        if t.describe is not None:
+        if t.describe is not None and not absent:
             try:
-                meta.update(t.describe(x, query.index))
+                meta.update(t.describe(x, index))
             except DegeneracyError:
                 pass
         try:
-            raws = theorem_values(theorem, x, query.index, np.asarray(query.epsilons)).tolist()
+            raws = theorem_values(theorem, x, index, grid).tolist()
         except DegeneracyError as exc:
             skipped[theorem] = str(exc)
             continue
         flags = t.flags + (("estimated_theta",) if "theta" in t.needs and x.theta_estimated else ())
         rows.extend(
-            BoundRow(query.statistic, query.index, e, theorem, raw, min(raw, 1.0), raw >= 1.0, flags)
-            for e, raw in zip(query.epsilons, raws)
+            BoundRow(statistic, index, e, theorem, raw, min(raw, 1.0), raw >= 1.0, flags)
+            for e, raw in zip(epsilons, raws)
         )
-    if skipped:
-        meta["skipped_theorems"] = skipped
-    return BoundReport(rows=tuple(rows), metadata=meta)
+    if not rows and not skipped:
+        raise ConfigError(f"no theorem for statistic {statistic!r} applies to these inputs")
+    return BoundReport(rows=tuple(rows), metadata=meta, skipped=skipped)

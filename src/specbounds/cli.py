@@ -172,8 +172,8 @@ def _cmd_bounds(args) -> int:
         "scaling": args.scaling,
         "epsilons": list(epsilons),
     }
-    cov = None
-    lip = None
+    cov = lip = None
+    missing: dict[str, str] = {}
     try:
         cov = covariance_stats(samples, centered=args.centered)
         lip = lipschitz(spec, samples)
@@ -191,6 +191,7 @@ def _cmd_bounds(args) -> int:
         )
     except DegeneracyError as exc:
         meta["covariance_skipped"] = str(exc)
+        missing = dict.fromkeys(("cov", "lip"), str(exc))
     r2 = diag_sup(samples, spec)
     meta["diag_sup_sq"] = r2
     theta, estimated = None, False
@@ -207,38 +208,16 @@ def _cmd_bounds(args) -> int:
         meta["theta_skipped"] = "estimated theta is 0; the theta bound is undefined"
         theta = None
 
+    x = bnd.BoundInputs(n=samples.n, spectrum=spectrum.eigenvalues, cov=cov, lip=lip, diag_sup_sq=r2,
+                        theta=theta, theta_estimated=estimated, kernel=spec.kind, missing=missing)
     rows = []
     skipped: dict[str, str] = {}
     for statistic, index in stats:
-        if statistic == bnd.STAT_EIGVEC and (cov is None or lip is None):
-            reason = meta.get("covariance_skipped", "covariance statistics unavailable")
-            for theorem in bnd.theorems_for(statistic):
-                skipped[f"{statistic}:{index}:{theorem}"] = reason
-            continue
-        query = bnd.BoundQuery(
-            statistic=statistic,
-            index=index,
-            epsilons=epsilons,
-            n=samples.n,
-            spectrum=spectrum,
-            cov=cov,
-            lip=lip,
-            diag_sup_sq=r2,
-            kernel_kind=spec.kind,
-            theta=theta,
-            theta_estimated=estimated,
-        )
-        report = bnd.evaluate_bounds(query)
+        report = bnd.evaluate_bounds(x, statistic, index, epsilons)
         rows.extend(report.rows)
-        for theorem, reason in report.metadata.get("skipped_theorems", {}).items():
+        for theorem, reason in report.skipped.items():
             skipped[f"{statistic}:{index}:{theorem}"] = reason
-        meta.setdefault("statistics", {})[f"{statistic}:{index}"] = {
-            k: v
-            for k, v in report.metadata.items()
-            if k in ("gap_next", "resolvent_sum", "inv_gap_sq_sum", "range_gap",
-                     "gamma_printed", "gamma_alt", "eigvec_c", "eigvec_exponent_offset",
-                     "theta", "theta_estimated")
-        }
+        meta.setdefault("statistics", {})[f"{statistic}:{index}"] = report.metadata
     if "covariance_skipped" in meta and not args.allow_degenerate:
         raise DegeneracyError(
             f"{meta['covariance_skipped']} (pass --allow-degenerate to keep going)"
@@ -276,10 +255,11 @@ def vars_config(args) -> dict:
 def preset_runs(name: str, seed: int, trials: int | None, epsilons) -> list[dict]:
     """Built-in experiment presets; returns [{label, mode, config}, ...]."""
     eps = list(epsilons if epsilons is not None else default_epsilons())
+    trials = 1000 if trials is None else trials
     kernel = {"family": "gaussian", "sigma": 1.0}
     if name == "example1-fig2-top":
         cfg = {
-            "generator": "gaussian", "n": 100, "p": 1, "trials": trials or 1000,
+            "generator": "gaussian", "n": 100, "p": 1, "trials": trials,
             "seed": seed, "kernel": kernel, "scaling": ONE_OVER_N, "epsilons": eps,
             "indices": [1, 2, 3], "statistics": ["eigenvalue"], "bounds": ["adjacent_gap"],
         }
@@ -288,7 +268,7 @@ def preset_runs(name: str, seed: int, trials: int | None, epsilons) -> list[dict
         runs = []
         for p in (2, 5):
             cfg = {
-                "generator": "gaussian", "n": 100, "p": p, "trials": trials or 1000,
+                "generator": "gaussian", "n": 100, "p": p, "trials": trials,
                 "seed": seed, "kernel": kernel, "scaling": ONE_OVER_N, "epsilons": eps,
                 "indices": [1, 2, 3], "statistics": ["eigenvalue"], "bounds": ["covgap_distance"],
             }
@@ -296,7 +276,7 @@ def preset_runs(name: str, seed: int, trials: int | None, epsilons) -> list[dict
         return runs
     if name == "fig1-boxplot":
         cfg = {
-            "generator": "gaussian", "n": 100, "p": 5, "trials": trials or 1000,
+            "generator": "gaussian", "n": 100, "p": 5, "trials": trials,
             "seed": seed, "kernel": kernel, "scaling": ONE_OVER_N, "epsilons": eps,
             "indices": list(range(1, 16)), "statistics": ["eigenvalue"], "bounds": [],
         }
@@ -305,7 +285,7 @@ def preset_runs(name: str, seed: int, trials: int | None, epsilons) -> list[dict
 
 
 def _runs_from_args(args, seed: int) -> list[dict]:
-    epsilons = _parse_eps(args.eps) if args.eps else None
+    epsilons = _parse_eps(args.eps)
     if args.preset:
         return preset_runs(args.preset, seed, args.trials, epsilons)
     if args.config:
@@ -321,7 +301,7 @@ def _runs_from_args(args, seed: int) -> list[dict]:
         for run in runs:
             run.setdefault("label", "")
             run.setdefault("mode", "concentration")
-            if args.trials:
+            if args.trials is not None:
                 run["config"]["trials"] = args.trials
             if args.seed is not None:
                 run["config"]["seed"] = seed
@@ -329,10 +309,11 @@ def _runs_from_args(args, seed: int) -> list[dict]:
     if args.n is None or args.p is None:
         raise ConfigError("simulate needs --preset, --config, or at least --n and --p")
     cfg = {
-        "generator": "gaussian", "n": args.n, "p": args.p, "trials": args.trials or 1000,
+        "generator": "gaussian", "n": args.n, "p": args.p,
+        "trials": 1000 if args.trials is None else args.trials,
         "seed": seed, "kernel": _kernel_dict(args.kernel),
         "scaling": args.scaling,
-        "epsilons": list(epsilons if epsilons is not None else default_epsilons()),
+        "epsilons": list(epsilons),
         "indices": list(_parse_indices(args.indices)),
         "statistics": args.statistics.split(","),
         "bounds": [b for b in args.bounds.split(",") if b] if args.bounds else ["adjacent_gap"],

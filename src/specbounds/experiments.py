@@ -106,6 +106,11 @@ class ExperimentConfig:
         object.__setattr__(self, "statistics", tuple(self.statistics))
         object.__setattr__(self, "bounds", tuple(self.bounds))
         object.__setattr__(self, "kernel", dict(self.kernel))
+        for name in ("statistics", "indices", "bounds"):
+            values = getattr(self, name)
+            repeated = [v for j, v in enumerate(values) if v in values[:j]]
+            if repeated:
+                raise ConfigError(f"{name} lists {repeated[0]!r} more than once")
         if self.trials < 2:
             raise ConfigError(f"need at least 2 trials, got {self.trials}")
         if self.generator != "gaussian":

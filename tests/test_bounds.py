@@ -1,11 +1,12 @@
 import math
+from dataclasses import replace
 
 import mpmath as mp
 import numpy as np
 import pytest
 
 from specbounds.bounds import (
-    BoundQuery,
+    BoundInputs,
     bound_distance,
     bound_eigvec_pointwise,
     bound_eigvec_uniform,
@@ -277,21 +278,17 @@ def test_evaluate_bounds_report():
     s = gen_gaussian(40, 3, 77)
     spec_k = gaussian(1.0)
     g = gram(s, spec_k, ONE_OVER_N)
-    spectrum = eig_sym(g)
     cov = covariance_stats(s)
-    query = BoundQuery(
-        statistic="eigenvalue",
-        index=1,
-        epsilons=(0.01, 0.05, 0.1, 0.5),
+    x = BoundInputs(
         n=s.n,
-        spectrum=spectrum,
+        spectrum=eig_sym(g).eigenvalues,
         cov=cov,
         lip=lipschitz(spec_k),
         diag_sup_sq=diag_sup(s, spec_k),
-        kernel_kind="distance",
+        kernel="distance",
         theta=0.4,
     )
-    report = evaluate_bounds(query)
+    report = evaluate_bounds(x, "eigenvalue", 1, (0.01, 0.05, 0.1, 0.5))
     theorems = {r.theorem for r in report.rows}
     assert {"diag_uniform", "theta_top", "adjacent_gap", "covgap_distance",
             "covgap_second_order", "covgap_second_order_alt"} <= theorems
@@ -303,55 +300,75 @@ def test_evaluate_bounds_report():
         for r in rows:
             assert r.value <= 1.0
             assert r.vacuous == (r.raw >= 1.0)
-    assert report.metadata["whitened_radius"] == cov.whitened_radius
     assert report.metadata["theta"] == 0.4
+
+    # a kernel-restricted theorem applies only to its own, known kernel kind
+    for kernel, expected in ((None, set()), ("inner", {"covgap_inner"}), ("distance", {"covgap_distance"})):
+        report = evaluate_bounds(replace(x, kernel=kernel), "eigenvalue", 1, (0.1,))
+        theorems = {r.theorem for r in report.rows}
+        assert theorems & {"covgap_distance", "covgap_inner"} == expected
+        assert "covgap_second_order" in theorems
+        assert not report.skipped
 
 
 def test_evaluate_bounds_eigvec_and_sums():
     s = gen_gaussian(30, 3, 78)
     spec_k = gaussian(1.0)
     g = gram(s, spec_k, ONE_OVER_N)
-    common = dict(
-        epsilons=(0.1, 0.4),
+    x = BoundInputs(
         n=s.n,
-        spectrum=eig_sym(g),
+        spectrum=eig_sym(g).eigenvalues,
         cov=covariance_stats(s),
         lip=lipschitz(spec_k),
-        kernel_kind="distance",
+        kernel="distance",
     )
-    report = evaluate_bounds(BoundQuery(statistic="eigenvector", index=1, **common))
+    eps = (0.1, 0.4)
+    report = evaluate_bounds(x, "eigenvector", 1, eps)
     assert {r.theorem for r in report.rows} == {"eigvec_pointwise", "eigvec_uniform"}
     assert any("direction_free" in r.flags for r in report.rows)
-    report = evaluate_bounds(BoundQuery(statistic="topk_sum", index=2, **common))
+    report = evaluate_bounds(x, "topk_sum", 2, eps)
     assert {r.theorem for r in report.rows} == {"topk_gap"}
-    report = evaluate_bounds(BoundQuery(statistic="tail_sum", index=2, **common))
+    report = evaluate_bounds(x, "tail_sum", 2, eps)
     assert {r.theorem for r in report.rows} == {"tail_gap"}
 
 
 def test_evaluate_bounds_degenerate_skip():
-    spectrum = Spectrum(eigenvalues=np.array([1.0, 1.0, 1.0]), eigenvectors=np.eye(3))
-    query = BoundQuery(
-        statistic="eigenvalue", index=1, epsilons=(0.1,), n=3,
-        spectrum=spectrum, diag_sup_sq=1.0,
-    )
-    report = evaluate_bounds(query)
-    assert "adjacent_gap" in report.metadata["skipped_theorems"]
+    x = BoundInputs(n=3, spectrum=np.array([1.0, 1.0, 1.0]), diag_sup_sq=1.0)
+    report = evaluate_bounds(x, "eigenvalue", 1, (0.1,))
+    assert "adjacent_gap" in report.skipped
     assert {r.theorem for r in report.rows} == {"diag_uniform"}
+    # an input missing with a reason skips the theorems that read it
+    x = BoundInputs(n=3, spectrum=np.array([3.0, 2.0, 1.0]), kernel="distance",
+                    missing={"cov": "singular covariance", "lip": "singular covariance"})
+    report = evaluate_bounds(x, "eigenvector", 1, (0.1,))
+    assert report.rows == ()
+    assert report.skipped == {"eigvec_pointwise": "singular covariance",
+                              "eigvec_uniform": "singular covariance"}
+
+
+def test_evaluate_bounds_no_applicable_theorem():
+    # eigenvector theorems need cov and lip, which are absent with no reason
+    x = BoundInputs(n=3, spectrum=np.array([3.0, 2.0, 1.0]), kernel="distance")
+    with pytest.raises(ConfigError, match="no theorem"):
+        evaluate_bounds(x, "eigenvector", 1, (0.1,))
+    with pytest.raises(ConfigError, match="no theorem"):
+        evaluate_bounds(x, "median", 1, (0.1,))
 
 
 def test_bound_query_validation():
+    x = BoundInputs(n=3, diag_sup_sq=1.0)
     with pytest.raises(ConfigError):
-        BoundQuery(statistic="eigenvalue", index=1, epsilons=(), n=3)
+        evaluate_bounds(x, "eigenvalue", 1, ())
     with pytest.raises(ConfigError):
-        BoundQuery(statistic="eigenvalue", index=1, epsilons=(0.2, 0.1), n=3)
+        evaluate_bounds(x, "eigenvalue", 1, (0.2, 0.1))
     with pytest.raises(ConfigError):
-        BoundQuery(statistic="eigenvalue", index=1, epsilons=(0.0, 0.1), n=3)
+        evaluate_bounds(x, "eigenvalue", 1, (0.0, 0.1))
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
 def test_bound_query_rejects_non_finite_epsilons(bad):
     with pytest.raises(ConfigError, match="finite"):
-        BoundQuery(statistic="eigenvalue", index=1, epsilons=(0.1, bad), n=3)
+        evaluate_bounds(BoundInputs(n=3, diag_sup_sq=1.0), "eigenvalue", 1, (0.1, bad))
 
 
 def test_eigvec_uniform_overflow_is_vacuous():
@@ -367,11 +384,10 @@ def test_eigvec_uniform_overflow_is_vacuous():
 
     s = gen_gaussian(400, 2, 79)
     spec_k = gaussian(1.0)
-    report = evaluate_bounds(BoundQuery(
-        statistic="eigenvector", index=1, epsilons=(1e-4,), n=s.n,
-        spectrum=eig_sym(gram(s, spec_k, ONE_OVER_N)), cov=covariance_stats(s),
-        lip=lipschitz(spec_k), kernel_kind="distance",
-    ))
+    report = evaluate_bounds(BoundInputs(
+        n=s.n, spectrum=eig_sym(gram(s, spec_k, ONE_OVER_N)).eigenvalues, cov=covariance_stats(s),
+        lip=lipschitz(spec_k), kernel="distance",
+    ), "eigenvector", 1, (1e-4,))
     row = [r for r in report.rows if r.theorem == "eigvec_uniform"][0]
     assert row.raw == math.inf
     assert row.value == 1.0

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -106,7 +107,13 @@ def test_bounds_singular_covariance_exit_4(tmp_path, capsys):
     assert code == 0
     meta = json.loads((tmp_path / "o2" / "metadata.json").read_text())
     assert "covariance_skipped" in meta
-    assert any("eigvec" in k for k in meta["skipped_theorems"])
+    skipped = meta["skipped_theorems"]
+    assert any("eigvec" in k for k in skipped)
+    # every theorem that reads the covariance is listed with its reason
+    for theorem in ("covgap_distance", "covgap_second_order", "covgap_second_order_alt"):
+        assert skipped[f"eigenvalue:1:{theorem}"] == meta["covariance_skipped"]
+    assert skipped["eigenvector:1:eigvec_pointwise"] == meta["covariance_skipped"]
+    assert "eigenvalue:1:covgap_inner" not in skipped
 
 
 def test_bounds_estimates_theta_only_when_a_theorem_reads_it(tmp_path, monkeypatch):
@@ -223,6 +230,9 @@ def test_simulate_emitted_config_reruns_identically(tmp_path):
                    "--out", str(second)) == 0
     assert (first / "results.csv").read_bytes() == (second / "results.csv").read_bytes()
     assert (first / "summary.json").read_bytes() == (second / "summary.json").read_bytes()
+    # an explicit --trials overrides the file's count, 0 included
+    assert run_cli("simulate", "--config", str(first / "config.json"), "--trials", "0",
+                   "--out", str(tmp_path / "r3")) == 2
 
 
 def test_simulate_trials_smoke_fast(tmp_path):
@@ -245,6 +255,21 @@ def test_simulate_kernel_restricted_bound_exit_2(tmp_path, kernel, bound):
                    "--kernel", kernel, "--bounds", bound, "--eps", "0.1,0.5", "--no-svg",
                    "--out", str(out)) == 2
     assert not (out / "summary.json").exists()
+
+
+@pytest.mark.parametrize("flags", [
+    ("--statistics", "kta,kta", "--indices", "1", "--bounds", "kta_spectral"),
+    ("--indices", "1,1"),
+    ("--bounds", "adjacent_gap,adjacent_gap"),
+    ("--trials", "0"),
+    ("--eps", ""),
+])
+def test_simulate_invalid_flags_exit_2(tmp_path, flags):
+    # a repeated entry, zero trials or an empty grid is an error, never a default
+    out = tmp_path / "o"
+    assert run_cli("simulate", "--n", "10", "--p", "2", "--trials", "5", "--seed", "1",
+                   "--no-svg", *flags, "--out", str(out)) == 2
+    assert not (out / "results.csv").exists()
 
 
 def test_benchmark_tracer_sees_every_trial(tmp_path, monkeypatch):
@@ -353,6 +378,17 @@ def test_module_entrypoint_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "0.1.0"
+
+
+def test_bound_report_demo_runs(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, str(root / "demos" / "bound_report_walkthrough.py")],
+        capture_output=True, text=True, cwd=tmp_path,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "adjacent_gap" in proc.stdout
 
 
 def test_generated_seed_printed(tmp_path, capsys):

@@ -76,6 +76,11 @@ def test_config_validation():
         _cfg(bounds=("covgap_inner",))
     with pytest.raises(ConfigError, match="covgap_distance"):
         _cfg(kernel={"family": "linear"}, bounds=("covgap_distance",))
+    # a repeated entry would run its trial work twice
+    for field_name, value in (("statistics", ("eigenvalue", "eigenvalue")), ("indices", (1, 1)),
+                              ("bounds", ("adjacent_gap", "adjacent_gap"))):
+        with pytest.raises(ConfigError, match=f"{field_name} lists"):
+            _cfg(**{field_name: value})
 
 
 def test_identical_subseeds_zero_frequency():

@@ -1,11 +1,17 @@
 """Closed-form concentration bounds over precomputed spectral statistics.
 
-Every bound has the shape pref * exp(off - f(eps)).  Each formula is a pure
-function that takes a scalar epsilon or an ndarray grid: the exponent is
-computed in one fixed operation order and math.exp is applied per point, so
-a grid value is bit-identical to the scalar call at that epsilon.  Raw
-values may exceed 1 (vacuous); report assembly keeps the raw value and flags
-it instead of hiding it.
+Every bound is evaluated in two phases.  `params(x, i)` checks the
+theorem's precondition on one sample's inputs and returns a short tuple of
+floats; `grid(params, eps)` turns them into the exponent, and the raw value
+is the theorem's prefactor times math.exp of it.  Most exponents are
+a eps^2 / b, computed as (a * eps) * eps / b.  The grid phase takes scalars,
+or (T, 1) parameter columns against a (1, E) epsilon row, so a Monte Carlo
+run evaluates each bound once over all its trials.  IEEE basic operations
+are correctly rounded and math.exp is applied per point (np.exp differs in
+the last ulp on some inputs), so every point has the bits of the scalar
+expression.  Raw values may exceed 1 (vacuous); report assembly keeps the
+raw value and flags it instead of hiding it.  The bound_* functions are the
+same two phases for one sample.
 
 THEOREMS is the one table of theorem ids; this list mirrors it.  M is the
 whitened radius, lip the kernel's Lipschitz constant, gap_1p the covariance
@@ -81,57 +87,88 @@ def _check_eps(eps):
 
 
 def _exp(x):
-    """math.exp per point (np.exp differs from it in the last ulp on some
-    inputs); an overflowing exponent gives inf."""
+    """math.exp per point of a scalar or an array of any shape; an
+    overflowing exponent gives inf."""
     if isinstance(x, np.ndarray):
+        flat = x.ravel().tolist()
         try:
-            return np.array(list(map(math.exp, x.tolist())))
+            values = np.fromiter(map(math.exp, flat), dtype=np.float64, count=len(flat))
         except OverflowError:
-            return np.array([_exp(v) for v in x.tolist()])
+            values = np.array([_exp(v) for v in flat])
+        return values.reshape(x.shape)
     try:
         return math.exp(x)
     except OverflowError:
         return math.inf
 
 
-def bound_trace_uniform(n: int, diag_sup_sq: float, eps):
-    """Uniform bound from the supremum of the kernel diagonal (R^2)."""
-    eps = _check_eps(eps)
+# --- exponents of the grid phase ---------------------------------------------
+
+
+def _quadratic(p, eps):
+    """a eps^2 / b from (a, b)."""
+    return p[0] * eps * eps / p[1]
+
+
+def _kta_theta_exponent(p, eps):
+    """-2 eps^2 m / b from (m, b)."""
+    return -2.0 * eps * eps * p[0] / p[1]
+
+
+def _offset_quadratic(p, eps):
+    """off - c eps^2 from (off, c)."""
+    return p[0] - p[1] * eps * eps
+
+
+# --- parameters of the first phase, and the one-sample bound_* functions ------
+
+
+def _trace_uniform_params(n: int, diag_sup_sq: float) -> tuple[float, float]:
     if diag_sup_sq <= 0:
         raise ConfigError(f"diagonal supremum must be positive, got {diag_sup_sq}")
     if n < 1:
         raise ConfigError(f"n must be >= 1, got {n}")
-    return 2.0 * _exp(-2.0 * n * eps * eps / (diag_sup_sq * diag_sup_sq))
+    return -2.0 * n, diag_sup_sq * diag_sup_sq
+
+
+def bound_trace_uniform(n: int, diag_sup_sq: float, eps):
+    """Uniform bound from the supremum of the kernel diagonal (R^2)."""
+    eps = _check_eps(eps)
+    return theorem_grid("diag_uniform", _trace_uniform_params(n, diag_sup_sq), eps)
+
+
+def _theta_params(theta: float, lambda_1: float) -> tuple[float, float]:
+    if not 0.0 < theta <= 1.0:
+        raise ConfigError(f"theta must lie in (0, 1], got {theta}")
+    if lambda_1 <= 0:
+        raise ConfigError(f"lambda_1 must be positive, got {lambda_1}")
+    return -2.0, theta * theta * lambda_1 * lambda_1
 
 
 def bound_theta(theta: float, lambda_1: float, eps):
     """Bound from the top eigenvalue and the shrinkage statistic theta."""
     eps = _check_eps(eps)
-    if not 0.0 < theta <= 1.0:
-        raise ConfigError(f"theta must lie in (0, 1], got {theta}")
-    if lambda_1 <= 0:
-        raise ConfigError(f"lambda_1 must be positive, got {lambda_1}")
-    return 2.0 * _exp(-2.0 * eps * eps / (theta * theta * lambda_1 * lambda_1))
+    return theorem_grid("theta_top", _theta_params(theta, lambda_1), eps)
+
+
+def _gap_params(n: int, gap_profile: GapProfile) -> tuple[float, float]:
+    gap = gap_profile.gap_next
+    if gap_profile.degenerate or gap <= gap_tolerance(gap_profile.lambda_i):
+        raise DegenerateGapError(DEGENERATE_GAP_MESSAGE)
+    return -2.0 * n, gap * gap
 
 
 def bound_gap(n: int, gap_profile: GapProfile, eps):
     """Per-eigenvalue bound from the adjacent spectral gap."""
     eps = _check_eps(eps)
-    gap = gap_profile.gap_next
-    if gap_profile.degenerate or gap <= gap_tolerance(gap_profile.lambda_i):
-        raise DegenerateGapError(DEGENERATE_GAP_MESSAGE)
-    return _exp(-2.0 * n * eps * eps / (gap * gap))
+    return theorem_grid("adjacent_gap", _gap_params(n, gap_profile), eps)
 
 
-def _range_gap_bound(n: int, g: float, eps, lambda_1: float):
-    if g <= gap_tolerance(lambda_1):
-        raise DegenerateGapError(DEGENERATE_GAP_MESSAGE)
-    return _exp(-2.0 * n * eps * eps / (g * g))
-
-
-def _lambda_1(spectrum) -> float:
+def _range_gap_params(n: int, g: float, spectrum) -> tuple[float, float]:
     lam = spectrum.eigenvalues if isinstance(spectrum, Spectrum) else spectrum
-    return float(lam[0])
+    if g <= gap_tolerance(float(lam[0])):
+        raise DegenerateGapError(DEGENERATE_GAP_MESSAGE)
+    return -2.0 * n, g * g
 
 
 def bound_topk_sum(n: int, spectrum, k: int, eps):
@@ -140,13 +177,13 @@ def bound_topk_sum(n: int, spectrum, k: int, eps):
     `spectrum` may be a Spectrum or a descending eigenvalue array.
     """
     eps = _check_eps(eps)
-    return _range_gap_bound(n, range_gap_top(spectrum, k), eps, _lambda_1(spectrum))
+    return theorem_grid("topk_gap", _range_gap_params(n, range_gap_top(spectrum, k), spectrum), eps)
 
 
 def bound_tail_sum(n: int, spectrum, k: int, eps):
     """Bound for the sum of eigenvalues k..n, via lambda_k - lambda_n."""
     eps = _check_eps(eps)
-    return _range_gap_bound(n, range_gap_tail(spectrum, k), eps, _lambda_1(spectrum))
+    return theorem_grid("tail_gap", _range_gap_params(n, range_gap_tail(spectrum, k), spectrum), eps)
 
 
 @dataclass(frozen=True)
@@ -177,25 +214,26 @@ def error_norm_bound(kind: str, cov: CovarianceStats, lip: float, n: int) -> Err
     return ErrorNormBounds(printed=printed, conservative=conservative, kind=kind)
 
 
-def _covgap_bound(n: int, cov: CovarianceStats, lip: float, eps, denom_factor: float):
+def _covgap_params(n: int, cov: CovarianceStats, lip: float, denom_factor: float) -> tuple[float, float]:
     if cov.gap_1p <= gap_tolerance(cov.lambda_1):
         raise DegenerateGapError(
             "covariance eigenvalue gap lambda_1 - lambda_p is degenerate "
             "(isotropic covariance); the printed bound is vacuous there"
         )
     m4 = cov.whitened_radius**4
-    denom = denom_factor * m4 * lip * lip * cov.gap_1p**2
-    return _exp(-float(n) * n * eps * eps / denom)
+    return -float(n) * n, denom_factor * m4 * lip * lip * cov.gap_1p**2
 
 
 def bound_distance(n: int, cov: CovarianceStats, lip: float, eps):
     """Covariance-gap bound for distance kernels."""
-    return _covgap_bound(n, cov, lip, _check_eps(eps), 18.0)
+    eps = _check_eps(eps)
+    return theorem_grid("covgap_distance", _covgap_params(n, cov, lip, 18.0), eps)
 
 
 def bound_inner(n: int, cov: CovarianceStats, lip: float, eps):
     """Covariance-gap bound for smooth inner-product kernels."""
-    return _covgap_bound(n, cov, lip, _check_eps(eps), 4.0)
+    eps = _check_eps(eps)
+    return theorem_grid("covgap_inner", _covgap_params(n, cov, lip, 4.0), eps)
 
 
 def second_order_gamma(
@@ -222,6 +260,16 @@ def second_order_gamma(
     return first + second
 
 
+def _second_order_params(n: int, cov: CovarianceStats, lip: float, gap_profile: GapProfile,
+                         variant: str) -> tuple[float, float]:
+    gamma = second_order_gamma(n, cov, lip, gap_profile, variant)
+    if gamma <= 0.0:
+        raise DegenerateGapError(
+            "second-order denominator gamma is zero (degenerate covariance gap); bound is vacuous"
+        )
+    return -float(n) * n, gamma * gamma
+
+
 def bound_second_order(
     n: int,
     cov: CovarianceStats,
@@ -232,12 +280,7 @@ def bound_second_order(
 ):
     """Second-order refinement exp(-n^2 eps^2 / gamma^2)."""
     eps = _check_eps(eps)
-    gamma = second_order_gamma(n, cov, lip, gap_profile, variant)
-    if gamma <= 0.0:
-        raise DegenerateGapError(
-            "second-order denominator gamma is zero (degenerate covariance gap); bound is vacuous"
-        )
-    return _exp(-float(n) * n * eps * eps / (gamma * gamma))
+    return theorem_grid("covgap_second_order", _second_order_params(n, cov, lip, gap_profile, variant), eps)
 
 
 def _eigvec_inverse_c(cov: CovarianceStats, lip: float, gap_profile: GapProfile) -> float:
@@ -252,18 +295,26 @@ def _eigvec_inverse_c(cov: CovarianceStats, lip: float, gap_profile: GapProfile)
     return 18.0 * m4 * lip * lip * gap_profile.resolvent_sum**2 * cov.gap_1p**2
 
 
+def _eigvec_pointwise_params(cov: CovarianceStats, lip: float, gap_profile: GapProfile) -> tuple[float, float]:
+    # -1.0 * eps is exactly -eps
+    return -1.0, _eigvec_inverse_c(cov, lip, gap_profile)
+
+
 def bound_eigvec_pointwise(cov: CovarianceStats, lip: float, gap_profile: GapProfile, eps):
     """Pointwise eigenvector bound along any unit direction (direction-free)."""
     eps = _check_eps(eps)
-    return _exp(-eps * eps / _eigvec_inverse_c(cov, lip, gap_profile))
+    return theorem_grid("eigvec_pointwise", _eigvec_pointwise_params(cov, lip, gap_profile), eps)
+
+
+def _eigvec_uniform_params(n: int, cov: CovarianceStats, lip: float, gap_profile: GapProfile) -> tuple[float, float]:
+    return 2.0 * n, 1.0 / _eigvec_inverse_c(cov, lip, gap_profile)
 
 
 def bound_eigvec_uniform(n: int, cov: CovarianceStats, lip: float, gap_profile: GapProfile, eps):
     """Uniform (norm-level) eigenvector bound; raw value can far exceed 1,
     and is inf where the exponent overflows."""
     eps = _check_eps(eps)
-    c = 1.0 / _eigvec_inverse_c(cov, lip, gap_profile)
-    return 2.0 * _exp(2.0 * n - c * eps * eps)
+    return theorem_grid("eigvec_uniform", _eigvec_uniform_params(n, cov, lip, gap_profile), eps)
 
 
 def c_theta(a_kn: float, theta: float, n: int, frob: float, m: int | None = None) -> float:
@@ -279,12 +330,16 @@ def c_theta(a_kn: float, theta: float, n: int, frob: float, m: int | None = None
     return abs(a_kn) / theta * (m - (m - 1) * theta + (2.0 * n - 1.0) / frob)
 
 
-def kta_bound_theta(eps, *, a_kn: float, theta: float, n: int, frob: float, m: int | None = None):
-    """Alignment bound via C(theta):  2 exp(-2 eps^2 (n-1)^2 / (n C(theta)^2))."""
+def _kta_theta_params(a_kn: float, theta: float, n: int, frob: float, m: int | None) -> tuple[float, float]:
     c = c_theta(a_kn, theta, n, frob, m)
     if c <= 0.0:
         raise DegeneracyError("C(theta) is zero; the theta-based bound is vacuous")
-    return 2.0 * _exp(-2.0 * eps * eps * (n - 1.0) ** 2 / (n * c * c))
+    return (n - 1.0) ** 2, n * c * c
+
+
+def kta_bound_theta(eps, *, a_kn: float, theta: float, n: int, frob: float, m: int | None = None):
+    """Alignment bound via C(theta):  2 exp(-2 eps^2 (n-1)^2 / (n C(theta)^2))."""
+    return theorem_grid("kta_theta", _kta_theta_params(a_kn, theta, n, frob, m), eps)
 
 
 def kta_spectral_denominator(
@@ -306,6 +361,16 @@ def kta_spectral_denominator(
     return a_kn * abs(1.0 / (n - 1.0) - ratio) + (2.0 + 1.0 / (n - 1.0)) / l_mid
 
 
+def _kta_spectral_params(a_kn: float, n: int, l_mid: float, frob: float | None, ratio: float | None,
+                         variant: str) -> tuple[float, float]:
+    if variant not in ("printed", "bdiff"):
+        raise ConfigError(f"variant must be 'printed' or 'bdiff', got {variant!r}")
+    d = kta_spectral_denominator(a_kn=a_kn, n=n, l_mid=l_mid, frob=frob, ratio=ratio)
+    if d <= 0.0:
+        raise DegeneracyError("spectral alignment denominator D is zero; bound is vacuous")
+    return -2.0, d if variant == "printed" else n * d * d
+
+
 def kta_bound_spectral(
     eps,
     *,
@@ -321,14 +386,7 @@ def kta_bound_spectral(
     variant="printed" is 2 exp(-2 eps^2 / D) as stated; variant="bdiff" is the
     bounded-difference-consistent form 2 exp(-2 eps^2 / (n D^2)).
     """
-    if variant not in ("printed", "bdiff"):
-        raise ConfigError(f"variant must be 'printed' or 'bdiff', got {variant!r}")
-    d = kta_spectral_denominator(a_kn=a_kn, n=n, l_mid=l_mid, frob=frob, ratio=ratio)
-    if d <= 0.0:
-        raise DegeneracyError("spectral alignment denominator D is zero; bound is vacuous")
-    if variant == "printed":
-        return 2.0 * _exp(-2.0 * eps * eps / d)
-    return 2.0 * _exp(-2.0 * eps * eps / (n * d * d))
+    return theorem_grid("kta_spectral", _kta_spectral_params(a_kn, n, l_mid, frob, ratio, variant), eps)
 
 
 # --- the theorem registry ----------------------------------------------------
@@ -350,7 +408,8 @@ class BoundInputs:
     unknown, and then no kernel-restricted theorem applies.  A theorem
     applies when each input it needs is not None; `missing` maps an input
     that could not be computed to the reason, and a theorem needing that
-    input is reported as skipped with it instead of left out.
+    input is reported as skipped with it instead of left out.  `profiles`
+    caches the gap profile of each eigen-order the theorems read.
     """
 
     n: int
@@ -367,20 +426,24 @@ class BoundInputs:
     m: int | None = None
     kernel: str | None = None
     missing: dict = field(default_factory=dict)
+    profiles: dict = field(default_factory=dict, init=False, repr=False)
 
 
 @dataclass(frozen=True)
 class Theorem:
-    """One registry entry.  `rhs(x, i, eps)` is the raw bound for inputs x
-    at eigen-order i (k for the top/tail sums; None for alignment) at a
-    scalar or over an array of epsilons, and raises DegeneracyError when the
-    theorem's precondition fails; `describe(x, i)` is the metadata
-    `evaluate_bounds` echoes; `kernel` restricts the theorem to one kernel
-    kind."""
+    """One registry entry, evaluated in two phases.  `params(x, i)` reads
+    inputs x at eigen-order i (k for the top/tail sums; None for alignment),
+    raises DegeneracyError when the theorem's precondition fails, and
+    returns a short tuple of floats.  `grid(params, eps)` is the exponent at
+    those parameters, and the raw bound is `prefactor` times its exp (see
+    `theorem_grid`).  `describe(x, i)` is the metadata `evaluate_bounds`
+    echoes; `kernel` restricts the theorem to one kernel kind."""
 
     statistic: str
     needs: tuple[str, ...]
-    rhs: Callable
+    params: Callable
+    grid: Callable = _quadratic
+    prefactor: float = 1.0
     describe: Callable | None = None
     kernel: str | None = None
     flags: tuple[str, ...] = ()
@@ -391,7 +454,11 @@ _KTA_FROB = ("a_kn", "l_mid", "frob")
 
 
 def _profile(x: BoundInputs, i: int) -> GapProfile:
-    return gaps_from_eigenvalues(x.spectrum, i)
+    """The gap profile at order i, computed once per inputs object."""
+    profile = x.profiles.get(i)
+    if profile is None:
+        profile = x.profiles[i] = gaps_from_eigenvalues(x.spectrum, i)
+    return profile
 
 
 def _gap_metadata(x: BoundInputs, i: int) -> dict:
@@ -403,8 +470,8 @@ def _gap_metadata(x: BoundInputs, i: int) -> dict:
 def _second_order(variant: str) -> Theorem:
     return Theorem(
         STAT_EIGENVALUE, _SPEC_COV,
-        lambda x, i, e: bound_second_order(x.n, x.cov, x.lip, _profile(x, i), e, variant),
-        lambda x, i: {f"gamma_{variant}": second_order_gamma(x.n, x.cov, x.lip, _profile(x, i), variant)},
+        lambda x, i: _second_order_params(x.n, x.cov, x.lip, _profile(x, i), variant),
+        describe=lambda x, i: {f"gamma_{variant}": second_order_gamma(x.n, x.cov, x.lip, _profile(x, i), variant)},
     )
 
 
@@ -412,47 +479,47 @@ def _eigvec_metadata(x: BoundInputs, i: int) -> dict:
     return {"eigvec_c": 1.0 / _eigvec_inverse_c(x.cov, x.lip, _profile(x, i)), "eigvec_exponent_offset": 2 * x.n}
 
 
-# Entries look the bound_* functions up by name when they run, so a wrapper
-# installed from outside sees every call, and pass their arguments by position.
 # Registry order is the order of report rows and of skipped theorems.
 THEOREMS: dict[str, Theorem] = {
     "diag_uniform": Theorem(STAT_EIGENVALUE, ("diag_sup_sq",),
-                            lambda x, i, e: bound_trace_uniform(x.n, x.diag_sup_sq, e)),
+                            lambda x, i: _trace_uniform_params(x.n, x.diag_sup_sq), prefactor=2.0),
     "theta_top": Theorem(STAT_EIGENVALUE, ("spectrum", "theta"),
-                         lambda x, i, e: bound_theta(x.theta, float(x.spectrum[0]), e),
-                         lambda x, i: {"theta": x.theta, "theta_estimated": x.theta_estimated}),
+                         lambda x, i: _theta_params(x.theta, float(x.spectrum[0])), prefactor=2.0,
+                         describe=lambda x, i: {"theta": x.theta, "theta_estimated": x.theta_estimated}),
     "adjacent_gap": Theorem(STAT_EIGENVALUE, ("spectrum",),
-                            lambda x, i, e: bound_gap(x.n, _profile(x, i), e), _gap_metadata),
+                            lambda x, i: _gap_params(x.n, _profile(x, i)), describe=_gap_metadata),
     "covgap_distance": Theorem(STAT_EIGENVALUE, ("cov", "lip"),
-                               lambda x, i, e: bound_distance(x.n, x.cov, x.lip, e), kernel=DISTANCE),
+                               lambda x, i: _covgap_params(x.n, x.cov, x.lip, 18.0), kernel=DISTANCE),
     "covgap_inner": Theorem(STAT_EIGENVALUE, ("cov", "lip"),
-                            lambda x, i, e: bound_inner(x.n, x.cov, x.lip, e), kernel=INNER),
+                            lambda x, i: _covgap_params(x.n, x.cov, x.lip, 4.0), kernel=INNER),
     "covgap_second_order": _second_order("printed"),
     "covgap_second_order_alt": _second_order("alt"),
     "topk_gap": Theorem(STAT_TOPK, ("spectrum",),
-                        lambda x, i, e: bound_topk_sum(x.n, x.spectrum, i, e),
-                        lambda x, i: {"range_gap": range_gap_top(x.spectrum, i)}),
+                        lambda x, i: _range_gap_params(x.n, range_gap_top(x.spectrum, i), x.spectrum),
+                        describe=lambda x, i: {"range_gap": range_gap_top(x.spectrum, i)}),
     "tail_gap": Theorem(STAT_TAIL, ("spectrum",),
-                        lambda x, i, e: bound_tail_sum(x.n, x.spectrum, i, e),
-                        lambda x, i: {"range_gap": range_gap_tail(x.spectrum, i)}),
+                        lambda x, i: _range_gap_params(x.n, range_gap_tail(x.spectrum, i), x.spectrum),
+                        describe=lambda x, i: {"range_gap": range_gap_tail(x.spectrum, i)}),
     "eigvec_pointwise": Theorem(STAT_EIGVEC, _SPEC_COV,
-                                lambda x, i, e: bound_eigvec_pointwise(x.cov, x.lip, _profile(x, i), e),
-                                lambda x, i: {"resolvent_sum": _profile(x, i).resolvent_sum},
+                                lambda x, i: _eigvec_pointwise_params(x.cov, x.lip, _profile(x, i)),
+                                describe=lambda x, i: {"resolvent_sum": _profile(x, i).resolvent_sum},
                                 flags=("direction_free",)),
     "eigvec_uniform": Theorem(STAT_EIGVEC, _SPEC_COV,
-                              lambda x, i, e: bound_eigvec_uniform(x.n, x.cov, x.lip, _profile(x, i), e),
-                              _eigvec_metadata),
+                              lambda x, i: _eigvec_uniform_params(x.n, x.cov, x.lip, _profile(x, i)),
+                              grid=_offset_quadratic, prefactor=2.0, describe=_eigvec_metadata),
     "kta_theta": Theorem(STAT_KTA, ("a_kn", "theta", "frob"),
-                         lambda x, i, e: kta_bound_theta(e, a_kn=x.a_kn, theta=x.theta, n=x.n, frob=x.frob,
-                                                         m=x.m)),
+                         lambda x, i: _kta_theta_params(x.a_kn, x.theta, x.n, x.frob, x.m),
+                         grid=_kta_theta_exponent, prefactor=2.0),
     "kta_spectral": Theorem(STAT_KTA, _KTA_FROB,
-                            lambda x, i, e: kta_bound_spectral(e, a_kn=x.a_kn, n=x.n, l_mid=x.l_mid, frob=x.frob)),
+                            lambda x, i: _kta_spectral_params(x.a_kn, x.n, x.l_mid, x.frob, None, "printed"),
+                            prefactor=2.0),
     "kta_spectral_approx": Theorem(STAT_KTA, ("a_kn", "l_mid", "ratio"),
-                                   lambda x, i, e: kta_bound_spectral(e, a_kn=x.a_kn, n=x.n, l_mid=x.l_mid,
-                                                                      ratio=x.ratio)),
+                                   lambda x, i: _kta_spectral_params(x.a_kn, x.n, x.l_mid, None, x.ratio,
+                                                                     "printed"),
+                                   prefactor=2.0),
     "kta_spectral_bdiff": Theorem(STAT_KTA, _KTA_FROB,
-                                  lambda x, i, e: kta_bound_spectral(e, a_kn=x.a_kn, n=x.n, l_mid=x.l_mid,
-                                                                     frob=x.frob, variant="bdiff")),
+                                  lambda x, i: _kta_spectral_params(x.a_kn, x.n, x.l_mid, x.frob, None, "bdiff"),
+                                  prefactor=2.0),
 }
 
 
@@ -461,15 +528,34 @@ def theorems_for(statistic: str) -> list[str]:
     return [name for name, t in THEOREMS.items() if t.statistic == statistic]
 
 
-def theorem_values(theorem: str, x: BoundInputs, i: int | None, eps):
-    """Raw value(s) of `theorem` at eigen-order `i` and `eps` from one
-    formula call; raises DegeneracyError when an input it needs is missing
-    (with the recorded reason) or its precondition fails."""
+def theorem_params(theorem: str, x: BoundInputs, i: int | None) -> tuple[float, ...]:
+    """Phase one: the parameters of `theorem` for inputs x at eigen-order i;
+    raises DegeneracyError when an input it needs is missing (with the
+    recorded reason) or its precondition fails."""
     t = THEOREMS[theorem]
     for name in t.needs:
         if getattr(x, name) is None:
             raise DegeneracyError(x.missing.get(name, f"{theorem} needs {name}"))
-    return t.rhs(x, i, eps)
+    return t.params(x, i)
+
+
+def theorem_grid(theorem: str, params, eps):
+    """Phase two: raw values prefactor * exp(grid(params, eps)).
+
+    `params` is one sample's tuple, with eps a scalar or a 1-D grid, or a
+    stack of T samples' parameters as (T, 1) columns (`params[j]`), with eps
+    a (1, E) row, giving a (T, E) array whose rows are the one-sample
+    values.  `eps` is used as given: callers validate it.
+    """
+    t = THEOREMS[theorem]
+    return t.prefactor * _exp(t.grid(params, eps))
+
+
+def theorem_values(theorem: str, x: BoundInputs, i: int | None, eps):
+    """Raw value(s) of `theorem` for one sample at eigen-order `i` and
+    `eps`, a scalar or a grid: both phases with a checked epsilon."""
+    eps = _check_eps(eps)
+    return theorem_grid(theorem, theorem_params(theorem, x, i), eps)
 
 
 # --- report assembly ---------------------------------------------------------
@@ -525,7 +611,7 @@ def evaluate_bounds(x: BoundInputs, statistic: str, index: int | None, epsilons)
             except DegeneracyError:
                 pass
         try:
-            raws = theorem_values(theorem, x, index, grid).tolist()
+            raws = theorem_grid(theorem, theorem_params(theorem, x, index), grid).tolist()
         except DegeneracyError as exc:
             skipped[theorem] = str(exc)
             continue

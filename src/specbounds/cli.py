@@ -225,8 +225,10 @@ def _cmd_bounds(args) -> int:
     if skipped:
         meta["skipped_theorems"] = skipped
         if not args.allow_degenerate:
-            key, reason = next(iter(skipped.items()))
-            raise DegeneracyError(f"{key}: {reason} (pass --allow-degenerate to keep going)")
+            listed = "; ".join(f"{key}: {reason}" for key, reason in skipped.items())
+            raise DegeneracyError(
+                f"{len(skipped)} theorem(s) skipped: {listed} (pass --allow-degenerate to keep going)"
+            )
 
     lines = ["statistic,index,epsilon,theorem,kind,value,stderr,flags"]
     for row in rows:
@@ -305,6 +307,8 @@ def _runs_from_args(args, seed: int) -> list[dict]:
                 run["config"]["trials"] = args.trials
             if args.seed is not None:
                 run["config"]["seed"] = seed
+            if args.eps is not None:
+                run["config"]["epsilons"] = list(epsilons)
         return runs
     if args.n is None or args.p is None:
         raise ConfigError("simulate needs --preset, --config, or at least --n and --p")

@@ -13,8 +13,11 @@ Per-trial RNG: subseed = splitmix64(master seed, trial index), so results are
 identical for any worker count or scheduling order.  Every trial that samples
 data receives the ExperimentConfig itself (frozen and picklable) with its
 subseed and draws its kernel, generator and samples through `_draw`.  A concentration trial returns
-its statistic values and bound RHS arrays as lists in `_keys` order, None
-marking a trial excluded from a bound.
+its statistic values and each bound's parameters (the first phase of
+`bounds.theorem_params`, a few floats) as lists in `_keys` order, None
+marking a trial excluded from a bound.  `run_concentration` stacks each
+bound's parameters over the kept trials and evaluates the bound once over
+the whole trials x epsilons grid.
 """
 
 from __future__ import annotations
@@ -232,15 +235,14 @@ def _draw(cfg: ExperimentConfig, trial_seed: int):
     return cfg.kernel_spec(), rng, samples
 
 
-def _concentration_trial(args: tuple[ExperimentConfig, int]) -> tuple[list, list, list]:
-    """One seeded trial: statistic values, per-bound RHS arrays (None when
-    the trial is excluded) and exclusion reasons, in `_keys` order."""
-    cfg, trial_seed = args
+def _trial_inputs(cfg: ExperimentConfig, trial_seed: int, keys: tuple[list, list]):
+    """One seeded trial's statistic values in `_keys` order and the
+    BoundInputs its bound keys read."""
+    stat_keys, bound_keys = keys
     spec, rng, samples = _draw(cfg, trial_seed)
     g_raw = gram(samples, spec, RAW)
     lam = np.linalg.eigvalsh(g_raw.entries)[::-1]
     lam_stat = lam / cfg.n if cfg.scaling == ONE_OVER_N else lam.copy()
-    stat_keys, bound_keys = _keys(cfg)
 
     stats: list[float] = []
     a_kn = None
@@ -248,9 +250,9 @@ def _concentration_trial(args: tuple[ExperimentConfig, int]) -> tuple[list, list
         if stat == "eigenvalue":
             stats.append(float(lam_stat[i - 1]))
         elif stat == "topk_sum":
-            stats.append(float(np.sum(lam_stat[:i])))
+            stats.append(float(lam_stat[:i].sum()))
         elif stat == "tail_sum":
-            stats.append(float(np.sum(lam_stat[i - 1 :])))
+            stats.append(float(lam_stat[i - 1 :].sum()))
         else:
             a_kn = kta(g_raw, rng.choice([-1.0, 1.0], size=cfg.n))
             stats.append(a_kn)
@@ -274,19 +276,25 @@ def _concentration_trial(args: tuple[ExperimentConfig, int]) -> tuple[list, list
                 inputs[name] = compute()
             except SpecBoundsError as exc:
                 missing[name] = "singular sample covariance" if name in ("cov", "lip") else str(exc)
-    x = bnd.BoundInputs(n=cfg.n, spectrum=lam, a_kn=a_kn, missing=missing, **inputs)
+    return stats, bnd.BoundInputs(n=cfg.n, spectrum=lam, a_kn=a_kn, missing=missing, **inputs)
 
-    eps = np.asarray(cfg.epsilons)
-    rhs: list[np.ndarray | None] = []
+
+def _concentration_trial(args: tuple[ExperimentConfig, tuple[list, list], int]) -> tuple[list, list, list]:
+    """One seeded trial: statistic values, each bound key's parameters
+    (None when the trial is excluded) and exclusion reasons, in the order
+    of `keys` (the run's `_keys`)."""
+    cfg, keys, trial_seed = args
+    stats, x = _trial_inputs(cfg, trial_seed, keys)
+    params: list[tuple | None] = []
     reasons: list[str] = []
-    for theorem, _, i in bound_keys:
+    for theorem, _, i in keys[1]:
         try:
-            rhs.append(bnd.theorem_values(theorem, x, i, eps))
+            params.append(bnd.theorem_params(theorem, x, i))
             reasons.append("")
         except SpecBoundsError as exc:
-            rhs.append(None)
+            params.append(None)
             reasons.append(str(exc))
-    return stats, rhs, reasons
+    return stats, params, reasons
 
 
 def _map_trials(fn, args_list, workers: int):
@@ -314,12 +322,13 @@ def run_concentration(
         if len(subseeds) != cfg.trials:
             raise ConfigError(f"need {cfg.trials} subseeds, got {len(subseeds)}")
         seeds = tuple(int(s) for s in subseeds)
-    payloads = _map_trials(_concentration_trial, [(cfg, s) for s in seeds], workers)
+    keys = _keys(cfg)
+    payloads = _map_trials(_concentration_trial, [(cfg, keys, s) for s in seeds], workers)
 
     eps = np.asarray(cfg.epsilons)
     t_count = cfg.trials
     series = []
-    stat_keys, bound_keys = _keys(cfg)
+    stat_keys, bound_keys = keys
     for k, key in enumerate(stat_keys):
         values = np.array([p[0][k] for p in payloads])
         mean = float(np.mean(values))
@@ -342,15 +351,17 @@ def run_concentration(
             )
         )
 
+    # each bound once over the (kept trials x epsilons) grid: parameters
+    # stacked as (T, 1) columns against the (1, E) epsilon row
     bound_series = []
     for k, key in enumerate(bound_keys):
-        rows = [p[1][k] for p in payloads]
-        kept = np.array([r for r in rows if r is not None])
-        excluded = sum(1 for r in rows if r is None)
+        kept = [p[1][k] for p in payloads if p[1][k] is not None]
         reasons = [p[2][k] for p in payloads if p[1][k] is None]
-        if kept.size:
-            mean = kept.mean(axis=0)
-            p10 = np.quantile(kept, 0.1, axis=0, method="linear")
+        excluded = len(reasons)
+        if kept:
+            raw = bnd.theorem_grid(key[0], np.array(kept).T[:, :, None], eps[None, :])
+            mean = raw.mean(axis=0)
+            p10 = np.quantile(raw, 0.1, axis=0, method="linear")
         else:
             mean = np.full(eps.shape, np.nan)
             p10 = np.full(eps.shape, np.nan)

@@ -151,14 +151,14 @@ def gaps_from_eigenvalues(eigenvalues: np.ndarray, i: int) -> GapProfile:
     if not 1 <= i <= n:
         raise DataError(f"eigen-order i must be in 1..{n}, got {i}")
     tol = gap_tolerance(float(lam[0]))
-    diffs = np.abs(lam[i - 1] - np.delete(lam, i - 1))
-    degenerate = bool(diffs.size) and bool(np.min(diffs) < tol)
+    diffs = np.abs(lam[i - 1] - np.concatenate((lam[: i - 1], lam[i:])))
+    degenerate = bool(diffs.size) and bool(diffs.min() < tol)
     if degenerate:
         resolvent = float("inf")
         inv_sq = float("inf")
     else:
-        resolvent = float(np.sum(1.0 / diffs)) if diffs.size else 0.0
-        inv_sq = float(np.sum(1.0 / diffs**2)) if diffs.size else 0.0
+        resolvent = float((1.0 / diffs).sum()) if diffs.size else 0.0
+        inv_sq = float((1.0 / diffs**2).sum()) if diffs.size else 0.0
     gap_next = float(lam[i - 1] - lam[i]) if i < n else None
     return GapProfile(
         index=i,

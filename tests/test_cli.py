@@ -114,6 +114,16 @@ def test_bounds_singular_covariance_exit_4(tmp_path, capsys):
         assert skipped[f"eigenvalue:1:{theorem}"] == meta["covariance_skipped"]
     assert skipped["eigenvector:1:eigvec_pointwise"] == meta["covariance_skipped"]
     assert "eigenvalue:1:covgap_inner" not in skipped
+    # with a regular covariance, exit 4 names every skipped theorem, not only the first
+    data = tmp_path / "tri.csv"
+    data.write_text("1,0\n0,2\n-1,-1\n")
+    code = run_cli("bounds", "--data", str(data), "--stat", "eig:3,tail:3", "--out", str(tmp_path / "o3"))
+    assert code == 4
+    err = capsys.readouterr().err
+    assert "2 theorem(s) skipped" in err
+    assert "eigenvalue:3:adjacent_gap: gap to the next eigenvalue is undefined" in err
+    assert "tail_sum:3:tail_gap: theorem assumes distinct eigenvalues" in err
+    assert not (tmp_path / "o3" / "report.csv").exists()
 
 
 def test_bounds_estimates_theta_only_when_a_theorem_reads_it(tmp_path, monkeypatch):
@@ -233,6 +243,11 @@ def test_simulate_emitted_config_reruns_identically(tmp_path):
     # an explicit --trials overrides the file's count, 0 included
     assert run_cli("simulate", "--config", str(first / "config.json"), "--trials", "0",
                    "--out", str(tmp_path / "r3")) == 2
+    # and an explicit --eps overrides the file's grid
+    assert run_cli("simulate", "--config", str(first / "config.json"), "--eps", "0.1,0.2",
+                   "--no-svg", "--out", str(tmp_path / "r4")) == 0
+    (run,) = json.loads((tmp_path / "r4" / "config.json").read_text())["runs"]
+    assert run["config"]["epsilons"] == [0.1, 0.2]
 
 
 def test_simulate_trials_smoke_fast(tmp_path):

@@ -3,9 +3,14 @@ import warnings
 import numpy as np
 import pytest
 
-from specbounds.errors import ConfigError
+from specbounds import bounds
+from specbounds.bounds import theorem_values
+from specbounds.errors import ConfigError, SpecBoundsError
 from specbounds.experiments import (
+    KNOWN_BOUNDS,
     ExperimentConfig,
+    _keys,
+    _trial_inputs,
     boxplot_stats,
     default_epsilons,
     five_number_summary,
@@ -141,6 +146,82 @@ def test_run_concentration_determinism_and_workers():
             assert (ba.excluded, ba.reason) == (bb.excluded, bb.reason)
     assert a.bound_series[-1].excluded == cfg.trials
     assert "isotropic covariance" in a.bound_series[-1].reason
+
+
+def per_trial_reference(cfg):
+    """Reference aggregation: every trial evaluates each bound on the full
+    grid with `theorem_values`, and the mean and p10 are taken over the kept
+    trials' arrays.  Rows (theorem, statistic, index, mean, p10, excluded,
+    first reason) in `_keys` order."""
+    keys = _keys(cfg)
+    eps = np.asarray(cfg.epsilons)
+    kept = {key: [] for key in keys[1]}
+    reasons = {key: [] for key in keys[1]}
+    for t in range(cfg.trials):
+        _, x = _trial_inputs(cfg, subseed(cfg.seed, t), keys)
+        for key in keys[1]:
+            try:
+                kept[key].append(theorem_values(key[0], x, key[2], eps))
+            except SpecBoundsError as exc:
+                reasons[key].append(str(exc))
+    rows = []
+    for key in keys[1]:
+        values = np.array(kept[key])
+        if values.size:
+            mean, p10 = values.mean(axis=0), np.quantile(values, 0.1, axis=0, method="linear")
+        else:
+            mean = p10 = np.full(eps.shape, np.nan)
+        rows.append((*key, mean, p10, len(reasons[key]), reasons[key][0] if reasons[key] else ""))
+    return rows
+
+
+REFERENCE_CONFIGS = {
+    "gaussian": dict(n=20, p=3, trials=12, indices=(1, 2, 20), statistics=("eigenvalue", "topk_sum", "tail_sum", "kta"),
+                     bounds=tuple(b for b in KNOWN_BOUNDS if b != "covgap_inner")),
+    # rank-3 Gram: the gaps at order 4 vanish, so those trials are excluded
+    "linear": dict(n=20, p=3, trials=12, indices=(1, 4), kernel={"family": "linear"},
+                   bounds=("adjacent_gap", "covgap_inner", "covgap_second_order")),
+    # p = 1: gap_1p = 0, so every trial is excluded from covgap_distance
+    "isotropic": dict(p=1, trials=10, bounds=("adjacent_gap", "covgap_distance")),
+}
+
+
+@pytest.mark.parametrize("name", list(REFERENCE_CONFIGS))
+def test_run_concentration_matches_per_trial_reference(name):
+    cfg = _cfg(**REFERENCE_CONFIGS[name])
+    result = run_concentration(cfg)
+    reference = per_trial_reference(cfg)
+    assert len(result.bound_series) == len(reference)
+    for b, (theorem, statistic, index, mean, p10, excluded, reason) in zip(result.bound_series, reference):
+        assert (b.theorem, b.statistic, b.index) == (theorem, statistic, index)
+        assert np.array_equal(b.mean, mean, equal_nan=True)
+        assert np.array_equal(b.p10, p10, equal_nan=True)
+        assert (b.excluded, b.reason) == (excluded, reason)
+    if name == "isotropic":
+        assert reference[-1][5] == cfg.trials and "isotropic covariance" in reference[-1][6]
+    else:
+        # both kept and excluded trials occur
+        assert any(row[5] == 0 for row in reference) and any(row[5] > 0 for row in reference)
+
+
+def test_reference_configs_cover_every_simulate_bound():
+    covered = {b for kw in REFERENCE_CONFIGS.values() for b in kw["bounds"]}
+    assert covered == set(KNOWN_BOUNDS)
+
+
+def test_gap_profiles_computed_once_per_trial_and_order(monkeypatch):
+    calls = []
+    original = bounds.gaps_from_eigenvalues
+
+    def counting(lam, i):
+        calls.append(i)
+        return original(lam, i)
+
+    monkeypatch.setattr(bounds, "gaps_from_eigenvalues", counting)
+    cfg = _cfg(trials=5, p=3, indices=(1, 2, 3),
+               bounds=("adjacent_gap", "covgap_second_order", "covgap_second_order_alt"))
+    run_concentration(cfg)
+    assert len(calls) == 5 * 3
 
 
 def test_bound_mean_nonincreasing_and_nonnegative():

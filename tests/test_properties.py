@@ -14,7 +14,7 @@ from specbounds.bounds import THEOREMS, BoundInputs
 from specbounds.dataset import CovarianceStats, SampleSet
 from specbounds.errors import ConfigError, DataError, DegeneracyError
 from specbounds.kernels import ONE_OVER_N, RAW, GramMatrix, gaussian, gram, linear, polynomial
-from specbounds.spectral import eig_sym, gap_tolerance, principal_submatrix
+from specbounds.spectral import eig_sym, gap_tolerance, gaps_from_eigenvalues, principal_submatrix
 
 # raw value at eps = 0: the prefactor times exp(offset)
 PREF = {
@@ -96,27 +96,112 @@ def test_grid_matches_pointwise_and_is_monotone(theorem, xi, eps):
     assert bounds.theorem_values(theorem, x, i, 0.0) == (pref(x.n) if callable(pref) else pref)
 
 
-def test_registry_calls_bound_functions_by_name_and_position(monkeypatch):
-    # wrappers that accept positional arguments only, installed after import:
-    # every bound_* call must go through them, once per theorem and grid
-    calls = []
+def _exp_or_inf(x):
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return math.inf
 
-    def positional_only(name, fn):
-        def wrapper(*args):
-            calls.append(name)
-            return fn(*args)
-        return wrapper
 
-    for name in BOUND_FUNCTIONS:
-        monkeypatch.setattr(bounds, name, positional_only(name, getattr(bounds, name)))
+def printed_formula(theorem, x, i, e):
+    """Each bound written out as one scalar expression, in the operation
+    order the outputs were produced with before the two-phase split."""
+    n, cov, lip = x.n, x.cov, x.lip
+    lam = x.spectrum
+    profile = gaps_from_eigenvalues(lam, i)
+    m4 = cov.whitened_radius**4
+    inv_c = 18.0 * m4 * lip * lip * profile.resolvent_sum**2 * cov.gap_1p**2
+    if theorem in ("covgap_second_order", "covgap_second_order_alt"):
+        gamma = bounds.second_order_gamma(n, cov, lip, profile, "printed" if theorem.endswith("order") else "alt")
+    if theorem.startswith("kta_spectral"):
+        d = bounds.kta_spectral_denominator(a_kn=x.a_kn, n=n, l_mid=x.l_mid,
+                                            **({"ratio": x.ratio} if theorem.endswith("approx") else {"frob": x.frob}))
+    g = {"adjacent_gap": profile.gap_next, "topk_gap": float(lam[0] - lam[i]),
+         "tail_gap": float(lam[i - 1] - lam[-1])}.get(theorem)
+    c = bounds.c_theta(x.a_kn, x.theta, n, x.frob, x.m)
+    return {
+        "diag_uniform": lambda: 2.0 * _exp_or_inf(-2.0 * n * e * e / (x.diag_sup_sq * x.diag_sup_sq)),
+        "theta_top": lambda: 2.0 * _exp_or_inf(-2.0 * e * e / (x.theta * x.theta * lam[0] * lam[0])),
+        "adjacent_gap": lambda: _exp_or_inf(-2.0 * n * e * e / (g * g)),
+        "topk_gap": lambda: _exp_or_inf(-2.0 * n * e * e / (g * g)),
+        "tail_gap": lambda: _exp_or_inf(-2.0 * n * e * e / (g * g)),
+        "covgap_distance": lambda: _exp_or_inf(-float(n) * n * e * e / (18.0 * m4 * lip * lip * cov.gap_1p**2)),
+        "covgap_inner": lambda: _exp_or_inf(-float(n) * n * e * e / (4.0 * m4 * lip * lip * cov.gap_1p**2)),
+        "covgap_second_order": lambda: _exp_or_inf(-float(n) * n * e * e / (gamma * gamma)),
+        "covgap_second_order_alt": lambda: _exp_or_inf(-float(n) * n * e * e / (gamma * gamma)),
+        "eigvec_pointwise": lambda: _exp_or_inf(-e * e / inv_c),
+        "eigvec_uniform": lambda: 2.0 * _exp_or_inf(2.0 * n - (1.0 / inv_c) * e * e),
+        "kta_theta": lambda: 2.0 * _exp_or_inf(-2.0 * e * e * (n - 1.0) ** 2 / (n * c * c)),
+        "kta_spectral": lambda: 2.0 * _exp_or_inf(-2.0 * e * e / d),
+        "kta_spectral_approx": lambda: 2.0 * _exp_or_inf(-2.0 * e * e / d),
+        "kta_spectral_bdiff": lambda: 2.0 * _exp_or_inf(-2.0 * e * e / (n * d * d)),
+    }[theorem]()
+
+
+@pytest.mark.parametrize("theorem", list(THEOREMS))
+@settings(max_examples=40, deadline=None)
+@given(xi=inputs(), eps=GRIDS)
+def test_registry_equals_printed_formula_bits(theorem, xi, eps):
+    # the split into params and grid keeps the exponent's operation order:
+    # a folded or reordered exponent changes the last bits of the outputs
+    x, i = xi
+    assert bounds.theorem_values(theorem, x, i, np.array(eps)).tolist() == [
+        printed_formula(theorem, x, i, e) for e in eps
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(xi=inputs(), eps=GRIDS)
+def test_bound_functions_equal_registry_phases(xi, eps):
+    # the one-sample bound_* functions, looked up by name and called by
+    # position as the benchmark tracer patches them, give the registry's
+    # two-phase values bit for bit
+    x, i = xi
+    grid = np.array(eps)
+    profile = gaps_from_eigenvalues(x.spectrum, i)
+    calls = {
+        "bound_trace_uniform": ("diag_uniform", (x.n, x.diag_sup_sq)),
+        "bound_theta": ("theta_top", (x.theta, float(x.spectrum[0]))),
+        "bound_gap": ("adjacent_gap", (x.n, profile)),
+        "bound_topk_sum": ("topk_gap", (x.n, x.spectrum, i)),
+        "bound_tail_sum": ("tail_gap", (x.n, x.spectrum, i)),
+        "bound_distance": ("covgap_distance", (x.n, x.cov, x.lip)),
+        "bound_inner": ("covgap_inner", (x.n, x.cov, x.lip)),
+        "bound_second_order": ("covgap_second_order", (x.n, x.cov, x.lip, profile)),
+        "bound_eigvec_pointwise": ("eigvec_pointwise", (x.cov, x.lip, profile)),
+        "bound_eigvec_uniform": ("eigvec_uniform", (x.n, x.cov, x.lip, profile)),
+    }
+    assert set(calls) == set(BOUND_FUNCTIONS)
+    for name, (theorem, args) in calls.items():
+        got = getattr(bounds, name)(*args, grid)
+        assert got.tolist() == bounds.theorem_values(theorem, x, i, grid).tolist(), name
+    alt = bounds.bound_second_order(x.n, x.cov, x.lip, profile, grid, "alt")
+    assert alt.tolist() == bounds.theorem_values("covgap_second_order_alt", x, i, grid).tolist()
+
+
+@pytest.mark.parametrize("theorem", list(THEOREMS))
+@settings(max_examples=25, deadline=None)
+@given(samples=st.lists(inputs(), min_size=1, max_size=6), eps=GRIDS)
+def test_stacked_grid_matches_per_sample_values(theorem, samples, eps):
+    # T samples' parameters as (T, 1) columns against a (1, E) epsilon row:
+    # row t equals sample t's own evaluation exactly, inf rows included
+    grid = np.array(eps)
+    columns = np.array([bounds.theorem_params(theorem, x, i) for x, i in samples]).T[:, :, None]
+    raw = bounds.theorem_grid(theorem, columns, grid[None, :])
+    assert raw.shape == (len(samples), len(eps))
+    for row, (x, i) in zip(raw.tolist(), samples):
+        assert row == bounds.theorem_values(theorem, x, i, grid).tolist()
+
+
+def test_eigvec_uniform_stack_keeps_overflow_rows():
     eigs = np.array([2.0, 0.5])
     cov = CovarianceStats(sigma=np.diag(eigs), eigs_sigma=eigs, gap_1p=1.5,
                           whitened_radius=1.2, centered=False)
-    x = BoundInputs(n=50, spectrum=np.array([3.0, 2.0, 1.5, 0.2]), cov=cov, lip=0.5,
-                    diag_sup_sq=1.0, theta=0.4, a_kn=0.3, frob=6.0, l_mid=2.0, ratio=2.5)
-    for theorem in THEOREMS:
-        bounds.theorem_values(theorem, x, 2, np.array([0.1, 0.2, 0.3]))
-    assert sorted(calls) == sorted(BOUND_FUNCTIONS + ("bound_second_order",))
+    spectrum = np.array([3.0, 2.0, 1.5, 0.2])
+    samples = [BoundInputs(n=n, spectrum=spectrum, cov=cov, lip=0.5) for n in (50, 400)]
+    columns = np.array([bounds.theorem_params("eigvec_uniform", x, 2) for x in samples]).T[:, :, None]
+    raw = bounds.theorem_grid("eigvec_uniform", columns, np.array([[0.1, 0.2]]))
+    assert np.all(np.isfinite(raw[0])) and np.all(np.isinf(raw[1]))
 
 
 # --- theta against the exhaustive loop ----------------------------------------

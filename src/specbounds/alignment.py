@@ -1,9 +1,8 @@
 """Kernel target-alignment, the leave-one-out shrinkage statistic theta, and
 both alignment concentration bounds.
 
-Alignment quantities follow the unscaled kernel-matrix convention; the
-alignment value itself is scale-invariant, and reports record the scaling of
-the matrix actually used.
+Alignment quantities, and so the bounds that read them, follow the raw
+kernel-matrix convention; the alignment value itself is scale-invariant.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from .bounds import (  # noqa: F401  (c_theta and the kta_* formulas are also pu
     validate_epsilons,
 )
 from .errors import ConfigError, DataError, DegeneracyError
-from .kernels import GramMatrix
+from .kernels import RAW, GramMatrix
 from .spectral import Spectrum, eig_sym, gap_tolerance
 
 # c in theta_statistic's rounding bound on the secular function
@@ -130,6 +129,12 @@ def middle_spectrum_norm(eigenvalues: np.ndarray) -> float:
     return float(np.sqrt(np.sum(lam[1:-1] ** 2)))
 
 
+def top_eigenvalue_ratio(eigenvalues: np.ndarray) -> float:
+    """lambda_1 / lambda_2 of a descending spectrum, inf when lambda_2 is 0."""
+    lam2 = float(eigenvalues[1])
+    return float(eigenvalues[0]) / lam2 if abs(lam2) > 0 else math.inf
+
+
 @dataclass(frozen=True)
 class AlignmentReport:
     """All alignment statistics plus per-epsilon bound values."""
@@ -143,7 +148,6 @@ class AlignmentReport:
     c_theta: float
     theta_mode: str
     m: int
-    scaling: str
     epsilons: tuple[float, ...]
     bounds: dict = field(default_factory=dict)   # theorem id -> list of raw values
     skipped: dict = field(default_factory=dict)  # theorem id -> reason
@@ -156,7 +160,10 @@ def alignment_report(
     theta_mode: str = "drop",
     m: int | None = None,
 ) -> AlignmentReport:
-    """Compute A(K), theta, L, and all alignment bounds over an epsilon grid."""
+    """Compute A(K), theta, L, and all alignment bounds over an epsilon grid
+    for a raw Gram matrix."""
+    if g.scaling != RAW:
+        raise ConfigError(f"alignment bounds read the raw Gram matrix, got scaling {g.scaling!r}")
     epsilons = validate_epsilons(epsilons)
     n = g.n
     a_kn = kta(g, y)
@@ -165,8 +172,7 @@ def alignment_report(
     frob = float(np.linalg.norm(g.entries, ord="fro"))
     l_mid = middle_spectrum_norm(lam)
     ratio = frob / l_mid if l_mid > 0 else math.inf
-    lam2 = float(lam[1])
-    ratio_approx = float(lam[0]) / lam2 if abs(lam2) > 0 else math.inf
+    ratio_approx = top_eigenvalue_ratio(lam)
     m_val = n if m is None else m
     missing: dict[str, str] = {}
     try:
@@ -191,7 +197,6 @@ def alignment_report(
         c_theta=c,
         theta_mode=theta_mode,
         m=m_val,
-        scaling=g.scaling,
         epsilons=epsilons,
         bounds=bounds,
         skipped=report.skipped,

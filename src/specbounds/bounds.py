@@ -1,5 +1,18 @@
 """Closed-form concentration bounds over precomputed spectral statistics.
 
+One spectrum scale throughout: every eigenvalue bound is for the statistic
+lambda_i(G)/n, and every spectral input (gaps, range gaps, lambda_1, L,
+||K||_F, the crowding sums of a GapProfile) is read from the raw Gram matrix
+G; `bounds`, `simulate` and `align` all build G raw.  A theorem that needs
+another scale converts inside its params phase:
+  - the gap theorems take the raw gaps as they are: a replace-one change
+    moves lambda_i(G)/n by at most gap_raw/n, so the bounded-difference
+    exponent is 2 n eps^2 / gap_raw^2;
+  - the second-order and eigenvector theorems combine the replace-one
+    perturbation-norm bound (`error_norm_bound`, a bound on the change of
+    G/n) with crowding sums, which must be those of lambda(G)/n: n^2 times
+    inv_gap_sq_sum and n times resolvent_sum of G.
+
 Every bound is evaluated in two phases.  `params(x, i)` checks the
 theorem's precondition on one sample's inputs and returns a short tuple of
 floats; `grid(params, eps)` turns them into the exponent, and the raw value
@@ -15,7 +28,7 @@ same two phases for one sample.
 
 THEOREMS is the one table of theorem ids; this list mirrors it.  M is the
 whitened radius, lip the kernel's Lipschitz constant, gap_1p the covariance
-gap, R_i the resolvent sum at eigen-order i.
+gap, R_i the resolvent sum of lambda(G)/n at eigen-order i (n R_i(G)).
 
   id                       statistic    inputs              raw value
   diag_uniform             eigenvalue   diag_sup_sq         2 exp(-2 n eps^2 / diag_sup^2)
@@ -247,7 +260,8 @@ def second_order_gamma(
 
     variant="printed" uses the squared-gap sum as printed; variant="alt" uses
     the unsquared resolvent sum, which is what the second-order eigenvalue
-    expansion itself produces.
+    expansion itself produces.  `gap_profile` is of the raw Gram spectrum;
+    both sums are rescaled to lambda(G)/n, the scale of the first term.
     """
     if variant not in ("printed", "alt"):
         raise ConfigError(f"variant must be 'printed' or 'alt', got {variant!r}")
@@ -255,7 +269,8 @@ def second_order_gamma(
         raise DegenerateGapError(DEGENERATE_GAP_MESSAGE)
     m2 = cov.whitened_radius**2
     first = 6.0 * m2 * lip * cov.gap_1p / math.sqrt(n)
-    crowding = gap_profile.inv_gap_sq_sum if variant == "printed" else gap_profile.resolvent_sum
+    m = gap_profile.n  # G is m x m
+    crowding = m * m * gap_profile.inv_gap_sq_sum if variant == "printed" else m * gap_profile.resolvent_sum
     second = 36.0 * m2 * m2 * lip * lip * (cov.gap_1p**2 / n) * crowding
     return first + second
 
@@ -292,7 +307,8 @@ def _eigvec_inverse_c(cov: CovarianceStats, lip: float, gap_profile: GapProfile)
             "the eigenvector bound is vacuous there"
         )
     m4 = cov.whitened_radius**4
-    return 18.0 * m4 * lip * lip * gap_profile.resolvent_sum**2 * cov.gap_1p**2
+    resolvent = gap_profile.n * gap_profile.resolvent_sum  # R_i of lambda(G)/n
+    return 18.0 * m4 * lip * lip * resolvent**2 * cov.gap_1p**2
 
 
 def _eigvec_pointwise_params(cov: CovarianceStats, lip: float, gap_profile: GapProfile) -> tuple[float, float]:
@@ -403,8 +419,9 @@ class BoundInputs:
     """Everything a theorem may read except the eigen-order, which callers
     pass alongside, so one instance serves every order.
 
-    `spectrum` is the descending eigenvalue array the spectral inputs come
-    from.  `kernel` is the kernel kind ("distance" or "inner"); None means
+    `spectrum` is the descending eigenvalue array of the raw Gram matrix
+    G; the bounds are for lambda_i(G)/n (see the module docstring).
+    `kernel` is the kernel kind ("distance" or "inner"); None means
     unknown, and then no kernel-restricted theorem applies.  A theorem
     applies when each input it needs is not None; `missing` maps an input
     that could not be computed to the reason, and a theorem needing that

@@ -44,7 +44,7 @@ from .experiments import (
     run_concentration,
     run_oracles,
 )
-from .kernels import ONE_OVER_N, RAW, diag_sup, gram, kernel_from_cli, lipschitz
+from .kernels import RAW, diag_sup, gram, kernel_from_cli, lipschitz
 from .spectral import eig_sym
 from .svgplot import LinePlot, render_boxplot
 
@@ -163,13 +163,12 @@ def _cmd_bounds(args) -> int:
     spec = kernel_from_cli(args.kernel)
     epsilons = _parse_eps(args.eps)
     stats = _parse_stats(args.stat)
-    g = gram(samples, spec, args.scaling)
+    g = gram(samples, spec, RAW)
     spectrum = eig_sym(g)
     meta: dict = {
         "n": samples.n,
         "p": samples.p,
         "kernel": spec.describe(),
-        "scaling": args.scaling,
         "epsilons": list(epsilons),
     }
     cov = lip = None
@@ -218,17 +217,14 @@ def _cmd_bounds(args) -> int:
         for theorem, reason in report.skipped.items():
             skipped[f"{statistic}:{index}:{theorem}"] = reason
         meta.setdefault("statistics", {})[f"{statistic}:{index}"] = report.metadata
-    if "covariance_skipped" in meta and not args.allow_degenerate:
-        raise DegeneracyError(
-            f"{meta['covariance_skipped']} (pass --allow-degenerate to keep going)"
-        )
     if skipped:
         meta["skipped_theorems"] = skipped
-        if not args.allow_degenerate:
-            listed = "; ".join(f"{key}: {reason}" for key, reason in skipped.items())
-            raise DegeneracyError(
-                f"{len(skipped)} theorem(s) skipped: {listed} (pass --allow-degenerate to keep going)"
-            )
+    _write_json(out / "metadata.json", meta)
+    if skipped and not args.allow_degenerate:
+        listed = "; ".join(f"{key}: {reason}" for key, reason in skipped.items())
+        raise DegeneracyError(
+            f"{len(skipped)} theorem(s) skipped: {listed} (pass --allow-degenerate to keep going)"
+        )
 
     lines = ["statistic,index,epsilon,theorem,kind,value,stderr,flags"]
     for row in rows:
@@ -240,7 +236,6 @@ def _cmd_bounds(args) -> int:
             )
         )
     _write(out / "report.csv", "\n".join(lines) + "\n")
-    _write_json(out / "metadata.json", meta)
     _manifest("bounds", out, None, vars_config(args), {"data": args.data}, ["report.csv", "metadata.json"])
     print(f"wrote {out / 'report.csv'}")
     return 0
@@ -262,7 +257,7 @@ def preset_runs(name: str, seed: int, trials: int | None, epsilons) -> list[dict
     if name == "example1-fig2-top":
         cfg = {
             "generator": "gaussian", "n": 100, "p": 1, "trials": trials,
-            "seed": seed, "kernel": kernel, "scaling": ONE_OVER_N, "epsilons": eps,
+            "seed": seed, "kernel": kernel, "epsilons": eps,
             "indices": [1, 2, 3], "statistics": ["eigenvalue"], "bounds": ["adjacent_gap"],
         }
         return [{"label": "", "mode": "concentration", "config": cfg}]
@@ -271,7 +266,7 @@ def preset_runs(name: str, seed: int, trials: int | None, epsilons) -> list[dict
         for p in (2, 5):
             cfg = {
                 "generator": "gaussian", "n": 100, "p": p, "trials": trials,
-                "seed": seed, "kernel": kernel, "scaling": ONE_OVER_N, "epsilons": eps,
+                "seed": seed, "kernel": kernel, "epsilons": eps,
                 "indices": [1, 2, 3], "statistics": ["eigenvalue"], "bounds": ["covgap_distance"],
             }
             runs.append({"label": f"p{p}", "mode": "concentration", "config": cfg})
@@ -279,7 +274,7 @@ def preset_runs(name: str, seed: int, trials: int | None, epsilons) -> list[dict
     if name == "fig1-boxplot":
         cfg = {
             "generator": "gaussian", "n": 100, "p": 5, "trials": trials,
-            "seed": seed, "kernel": kernel, "scaling": ONE_OVER_N, "epsilons": eps,
+            "seed": seed, "kernel": kernel, "epsilons": eps,
             "indices": list(range(1, 16)), "statistics": ["eigenvalue"], "bounds": [],
         }
         return [{"label": "", "mode": "boxplot", "config": cfg}]
@@ -316,7 +311,6 @@ def _runs_from_args(args, seed: int) -> list[dict]:
         "generator": "gaussian", "n": args.n, "p": args.p,
         "trials": 1000 if args.trials is None else args.trials,
         "seed": seed, "kernel": _kernel_dict(args.kernel),
-        "scaling": args.scaling,
         "epsilons": list(epsilons),
         "indices": list(_parse_indices(args.indices)),
         "statistics": args.statistics.split(","),
@@ -521,7 +515,7 @@ def _cmd_align(args) -> int:
         labels = load_labels(args.labels)
     spec = kernel_from_cli(args.kernel)
     epsilons = _parse_eps(args.eps)
-    g = gram(samples, spec, args.scaling)
+    g = gram(samples, spec, RAW)
     report = alignment_report(g, labels, epsilons, theta_mode=args.theta_mode)
 
     lines = ["statistic,index,epsilon,theorem,kind,value,stderr,flags"]
@@ -547,7 +541,6 @@ def _cmd_align(args) -> int:
         "n": samples.n,
         "p": samples.p,
         "kernel": spec.describe(),
-        "scaling": report.scaling,
         "theta_mode": report.theta_mode,
         "m": report.m,
         "a_kn": report.a_kn,
@@ -650,7 +643,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--header", action="store_true", help="skip the first line of --data")
     p.add_argument("--centered", action="store_true", help="mean-center before the covariance")
     p.add_argument("--kernel", default="gaussian:1.0", help="gaussian:SIGMA | linear | polynomial:D:C")
-    p.add_argument("--scaling", default=ONE_OVER_N, choices=(RAW, ONE_OVER_N))
     p.add_argument("--stat", default="eig:1", help="comma list of eig:i, topk:k, tail:k, eigvec:i")
     p.add_argument("--eps", default=None, help="comma list of epsilons (default: 40 log-spaced in [1e-4, 1])")
     p.add_argument("--theta", type=float, default=None, help="use this theta instead of estimating it")
@@ -666,7 +658,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--p", type=int, default=None)
     p.add_argument("--trials", type=int, default=None)
     p.add_argument("--kernel", default="gaussian:1.0")
-    p.add_argument("--scaling", default=ONE_OVER_N, choices=(RAW, ONE_OVER_N))
     p.add_argument("--indices", default="1,2,3", help="comma list, ranges allowed (1..15)")
     p.add_argument("--statistics", default="eigenvalue")
     p.add_argument("--bounds", default="adjacent_gap")
@@ -684,7 +675,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labels", default=None, help="one-column CSV of +/-1 labels")
     p.add_argument("--label-col", default=None, help="label column name inside --data (implies header)")
     p.add_argument("--kernel", default="gaussian:1.0")
-    p.add_argument("--scaling", default=RAW, choices=(RAW, ONE_OVER_N))
     p.add_argument("--eps", default=None)
     p.add_argument("--theta-mode", default="drop", choices=("drop", "zero"))
     p.add_argument("--out", default="specbounds_out")

@@ -3,11 +3,7 @@ eigenvalue boxplot statistics, and the brute-force oracle suite.
 
 Statistic convention: trials build the raw Gram matrix G and use
 lambda_i(G)/n, which equals the i-th eigenvalue of the 1/n-scaled kernel
-matrix.  Spectral bound inputs (gaps, range gaps, lambda_1) are taken from
-the raw spectrum of G: that pairing makes the per-eigenvalue bound exactly
-the bounded-difference inequality for the statistic (the per-replacement
-change of lambda_i(G)/n is gap_raw/n, so the exponent is 2 n eps^2 /
-gap_raw^2), and reports label the convention.
+matrix; bound inputs come from G as in every command (see `bounds`).
 
 Per-trial RNG: subseed = splitmix64(master seed, trial index), so results are
 identical for any worker count or scheduling order.  Every trial that samples
@@ -28,7 +24,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import bounds as bnd
-from .alignment import kta, middle_spectrum_norm, theta_statistic
+from .alignment import kta, middle_spectrum_norm, theta_statistic, top_eigenvalue_ratio
 from .dataset import SampleSet, covariance_stats, whitened_norm
 from .errors import ConfigError, SpecBoundsError
 from .kernels import (
@@ -54,19 +50,7 @@ from .spectral import (
 )
 
 KNOWN_STATISTICS = ("eigenvalue", "topk_sum", "tail_sum", "kta")
-KNOWN_BOUNDS = (
-    "diag_uniform",
-    "theta_top",
-    "adjacent_gap",
-    "topk_gap",
-    "tail_gap",
-    "covgap_distance",
-    "covgap_inner",
-    "covgap_second_order",
-    "covgap_second_order_alt",
-    "kta_theta",
-    "kta_spectral",
-)
+KNOWN_BOUNDS = tuple(name for name, t in bnd.THEOREMS.items() if t.statistic in KNOWN_STATISTICS)
 
 
 def splitmix64(state: int) -> int:
@@ -97,7 +81,6 @@ class ExperimentConfig:
     seed: int
     kernel: dict = field(default_factory=lambda: {"family": "gaussian", "sigma": 1.0})
     generator: str = "gaussian"
-    scaling: str = ONE_OVER_N
     epsilons: tuple[float, ...] = field(default_factory=default_epsilons)
     indices: tuple[int, ...] = (1, 2, 3)
     statistics: tuple[str, ...] = ("eigenvalue",)
@@ -118,8 +101,6 @@ class ExperimentConfig:
             raise ConfigError(f"need at least 2 trials, got {self.trials}")
         if self.generator != "gaussian":
             raise ConfigError(f"unknown generator {self.generator!r}")
-        if self.scaling not in (RAW, ONE_OVER_N):
-            raise ConfigError(f"scaling must be {RAW!r} or {ONE_OVER_N!r}")
         if not self.indices or any(not 1 <= i <= self.n for i in self.indices):
             raise ConfigError(f"indices must lie in 1..{self.n}")
         for s in self.statistics:
@@ -143,7 +124,6 @@ class ExperimentConfig:
             "trials": self.trials,
             "seed": self.seed,
             "kernel": dict(self.kernel),
-            "scaling": self.scaling,
             "epsilons": list(self.epsilons),
             "indices": list(self.indices),
             "statistics": list(self.statistics),
@@ -152,6 +132,11 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
+        # configs written before the statistic scale was fixed carry it
+        if obj.get("scaling", ONE_OVER_N) != ONE_OVER_N:
+            raise ConfigError(
+                f"scaling {obj['scaling']!r} is no longer supported: the statistic is lambda_i(G)/n"
+            )
         try:
             return cls(
                 n=int(obj["n"]),
@@ -160,7 +145,6 @@ class ExperimentConfig:
                 seed=int(obj["seed"]),
                 kernel=dict(obj.get("kernel", {"family": "gaussian", "sigma": 1.0})),
                 generator=obj.get("generator", "gaussian"),
-                scaling=obj.get("scaling", ONE_OVER_N),
                 epsilons=tuple(obj.get("epsilons", default_epsilons())),
                 indices=tuple(obj.get("indices", (1, 2, 3))),
                 statistics=tuple(obj.get("statistics", ("eigenvalue",))),
@@ -242,7 +226,7 @@ def _trial_inputs(cfg: ExperimentConfig, trial_seed: int, keys: tuple[list, list
     spec, rng, samples = _draw(cfg, trial_seed)
     g_raw = gram(samples, spec, RAW)
     lam = np.linalg.eigvalsh(g_raw.entries)[::-1]
-    lam_stat = lam / cfg.n if cfg.scaling == ONE_OVER_N else lam.copy()
+    lam_stat = lam / cfg.n
 
     stats: list[float] = []
     a_kn = None
@@ -267,6 +251,7 @@ def _trial_inputs(cfg: ExperimentConfig, trial_seed: int, keys: tuple[list, list
         "lip": lambda: lipschitz(spec, samples),
         "frob": lambda: float(np.linalg.norm(g_raw.entries, ord="fro")),
         "l_mid": lambda: middle_spectrum_norm(lam),
+        "ratio": lambda: top_eigenvalue_ratio(lam),
     }
     inputs: dict = {}
     missing: dict[str, str] = {}
@@ -415,9 +400,7 @@ def spearman(a, b) -> float:
 def _boxplot_trial(args: tuple[ExperimentConfig, int]) -> np.ndarray:
     cfg, trial_seed = args
     spec, _, samples = _draw(cfg, trial_seed)
-    lam = np.linalg.eigvalsh(gram(samples, spec, RAW).entries)[::-1]
-    if cfg.scaling == ONE_OVER_N:
-        lam = lam / cfg.n
+    lam = np.linalg.eigvalsh(gram(samples, spec, RAW).entries)[::-1] / cfg.n
     top = max(cfg.indices) + 1
     return lam[: min(top, cfg.n)]
 

@@ -175,7 +175,7 @@ def _pairwise_argument(x: np.ndarray, kind: str) -> np.ndarray:
     return t
 
 
-def gram(s: SampleSet, spec: KernelSpec, scaling: str = ONE_OVER_N) -> GramMatrix:
+def gram(s: SampleSet, spec: KernelSpec, scaling: str = RAW) -> GramMatrix:
     """Evaluate the kernel on all sample pairs.
 
     Exact symmetry is enforced by computing the upper triangle and mirroring.

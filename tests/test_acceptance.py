@@ -213,15 +213,18 @@ def test_criterion_8_closed_form_regression():
     second_cov = sb.CovarianceStats(sigma=np.diag([2.0, 0.5]),
                                     eigs_sigma=np.array([2.0, 0.5]),
                                     gap_1p=1.5, whitened_radius=1.0, centered=False)
+    # crowding sums of a raw 10 x 10 Gram spectrum; gamma reads 10^2 times
+    # inv_gap_sq_sum, the sum of lambda(G)/10
     second_profile = sb.GapProfile(index=1, n=10, lambda_i=1.0, _gap_next=0.5,
-                                   resolvent_sum=0.3, inv_gap_sq_sum=0.1 / 0.81,
+                                   resolvent_sum=0.03, inv_gap_sq_sum=0.1 / 81,
                                    degenerate=False)
     close("bound_second_order (gamma=1)",
           sb.bound_second_order(100, second_cov, 1.0, second_profile, 0.1),
           float(mp.exp(-100)))
 
+    # the resolvent sum of lambda(G)/10 is 10 * resolvent_sum = 1/sqrt(18)
     eigvec_profile = sb.GapProfile(index=1, n=10, lambda_i=1.0, _gap_next=0.5,
-                                   resolvent_sum=1.0 / math.sqrt(18.0),
+                                   resolvent_sum=0.1 / math.sqrt(18.0),
                                    inv_gap_sq_sum=0.1, degenerate=False)
     close("bound_eigvec_pointwise", sb.bound_eigvec_pointwise(unit_cov, 1.0, eigvec_profile, 1.0),
           float(mp.exp(-1)))

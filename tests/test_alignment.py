@@ -16,7 +16,7 @@ from specbounds.alignment import (
 )
 from specbounds.dataset import gen_gaussian
 from specbounds.errors import ConfigError, DataError, DegeneracyError
-from specbounds.kernels import RAW, GramMatrix, gram, linear
+from specbounds.kernels import ONE_OVER_N, RAW, GramMatrix, gram, linear
 from specbounds.spectral import eig_sym
 
 mp.mp.dps = 50
@@ -240,3 +240,10 @@ def test_alignment_report_validates_epsilon_grid():
     for grid in ((0.5, 0.1), (0.1, float("nan")), (float("inf"),), (), (0.0, 0.1)):
         with pytest.raises(ConfigError):
             alignment_report(g, y, epsilons=grid)
+
+
+def test_alignment_report_needs_raw_gram():
+    s = gen_gaussian(12, 2, 66)
+    y = np.random.default_rng(67).choice([-1.0, 1.0], size=12)
+    with pytest.raises(ConfigError, match="raw Gram"):
+        alignment_report(gram(s, linear(), ONE_OVER_N), y, epsilons=(0.5, 1.0))

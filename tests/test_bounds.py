@@ -23,7 +23,7 @@ from specbounds.bounds import (
 )
 from specbounds.dataset import CovarianceStats, covariance_stats, gen_gaussian
 from specbounds.errors import ConfigError, DegenerateGapError
-from specbounds.kernels import ONE_OVER_N, gaussian, gram, lipschitz, diag_sup
+from specbounds.kernels import RAW, gaussian, gram, lipschitz, diag_sup
 from specbounds.spectral import GapProfile, Spectrum, eig_sym, gaps_from_eigenvalues
 
 mp.mp.dps = 50
@@ -150,11 +150,13 @@ def test_distance_degenerate_gap():
 
 def test_second_order_gamma_fixture():
     # first term 0.9, second term 0.1 -> gamma = 1; the printed exponent is
-    # n^2 eps^2 / gamma^2 = 100 at (n=100, eps=0.1), giving exp(-100)
+    # n^2 eps^2 / gamma^2 = 100 at (n=100, eps=0.1), giving exp(-100).  The
+    # profile is of a raw 10 x 10 Gram spectrum: gamma reads 10^2 times its
+    # inv_gap_sq_sum, the sum of lambda(G)/10.
     cov = _cov(2.0, 0.5, 1.0)  # gap 1.5, M = 1
     profile = GapProfile(
         index=1, n=10, lambda_i=1.0, _gap_next=0.5,
-        resolvent_sum=0.3, inv_gap_sq_sum=0.1 / 0.81, degenerate=False,
+        resolvent_sum=0.03, inv_gap_sq_sum=0.1 / 81, degenerate=False,
     )
     gamma = second_order_gamma(100, cov, 1.0, profile)
     assert gamma == pytest.approx(1.0, rel=1e-12)
@@ -185,9 +187,10 @@ def test_second_order_gamma_monotone_in_crowding():
 
 def test_second_order_alt_variant_uses_resolvent():
     cov = _cov(2.0, 0.5, 1.0)
+    # crowding sums of lambda(G)/10: 10^2 * 0.0049 = 0.49 and 10 * 0.07 = 0.7
     profile = GapProfile(
         index=1, n=10, lambda_i=1.0, _gap_next=0.5,
-        resolvent_sum=0.7, inv_gap_sq_sum=0.49, degenerate=False,
+        resolvent_sum=0.07, inv_gap_sq_sum=0.0049, degenerate=False,
     )
     printed = second_order_gamma(100, cov, 1.0, profile, "printed")
     alt = second_order_gamma(100, cov, 1.0, profile, "alt")
@@ -200,9 +203,10 @@ def test_second_order_alt_variant_uses_resolvent():
 
 def test_eigvec_pointwise_fixture():
     cov = _cov(1.5, 0.5, 1.0)  # M = 1, gap = 1
+    # the resolvent sum of lambda(G)/10 is 10 * resolvent_sum = 1/sqrt(18)
     profile = GapProfile(
         index=1, n=10, lambda_i=1.0, _gap_next=0.5,
-        resolvent_sum=1.0 / math.sqrt(18.0), inv_gap_sq_sum=0.1, degenerate=False,
+        resolvent_sum=0.1 / math.sqrt(18.0), inv_gap_sq_sum=0.1, degenerate=False,
     )
     assert bound_eigvec_pointwise(cov, 1.0, profile, 1.0) == pytest.approx(
         _mpf(mp.exp(-1)), rel=1e-12
@@ -210,7 +214,7 @@ def test_eigvec_pointwise_fixture():
     assert bound_eigvec_pointwise(cov, 1.0, profile, 0.0) == 1.0
     crowded = GapProfile(
         index=1, n=10, lambda_i=1.0, _gap_next=0.5,
-        resolvent_sum=2.0 / math.sqrt(18.0), inv_gap_sq_sum=0.1, degenerate=False,
+        resolvent_sum=0.2 / math.sqrt(18.0), inv_gap_sq_sum=0.1, degenerate=False,
     )
     assert bound_eigvec_pointwise(cov, 1.0, crowded, 1.0) > bound_eigvec_pointwise(
         cov, 1.0, profile, 1.0
@@ -221,7 +225,7 @@ def test_eigvec_uniform_fixture():
     cov = _cov(1.5, 0.5, 1.0)
     profile = GapProfile(
         index=1, n=10, lambda_i=1.0, _gap_next=0.5,
-        resolvent_sum=1.0 / math.sqrt(18.0), inv_gap_sq_sum=0.1, degenerate=False,
+        resolvent_sum=0.1 / math.sqrt(18.0), inv_gap_sq_sum=0.1, degenerate=False,
     )
     # c = 1: at n = 1, eps = 2 the raw value is 2 exp(2 - 4)
     assert bound_eigvec_uniform(1, cov, 1.0, profile, 2.0) == pytest.approx(
@@ -277,7 +281,7 @@ def test_purity_bit_identical():
 def test_evaluate_bounds_report():
     s = gen_gaussian(40, 3, 77)
     spec_k = gaussian(1.0)
-    g = gram(s, spec_k, ONE_OVER_N)
+    g = gram(s, spec_k, RAW)
     cov = covariance_stats(s)
     x = BoundInputs(
         n=s.n,
@@ -314,7 +318,7 @@ def test_evaluate_bounds_report():
 def test_evaluate_bounds_eigvec_and_sums():
     s = gen_gaussian(30, 3, 78)
     spec_k = gaussian(1.0)
-    g = gram(s, spec_k, ONE_OVER_N)
+    g = gram(s, spec_k, RAW)
     x = BoundInputs(
         n=s.n,
         spectrum=eig_sym(g).eigenvalues,
@@ -376,7 +380,7 @@ def test_eigvec_uniform_overflow_is_vacuous():
     cov = _cov(1.5, 0.5, 1.0)
     profile = GapProfile(
         index=1, n=400, lambda_i=1.0, _gap_next=0.5,
-        resolvent_sum=1.0 / math.sqrt(18.0), inv_gap_sq_sum=0.1, degenerate=False,
+        resolvent_sum=1.0 / (400 * math.sqrt(18.0)), inv_gap_sq_sum=0.1, degenerate=False,
     )
     assert bound_eigvec_uniform(400, cov, 1.0, profile, 1e-4) == math.inf
     grid = bound_eigvec_uniform(400, cov, 1.0, profile, np.array([1e-4, 40.0]))
@@ -385,7 +389,7 @@ def test_eigvec_uniform_overflow_is_vacuous():
     s = gen_gaussian(400, 2, 79)
     spec_k = gaussian(1.0)
     report = evaluate_bounds(BoundInputs(
-        n=s.n, spectrum=eig_sym(gram(s, spec_k, ONE_OVER_N)).eigenvalues, cov=covariance_stats(s),
+        n=s.n, spectrum=eig_sym(gram(s, spec_k, RAW)).eigenvalues, cov=covariance_stats(s),
         lip=lipschitz(spec_k), kernel="distance",
     ), "eigenvector", 1, (1e-4,))
     row = [r for r in report.rows if r.theorem == "eigvec_uniform"][0]

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -7,10 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from specbounds import bounds as bnd
 from specbounds import cli
 from specbounds.cli import main
 from specbounds.dataset import load_csv
-from specbounds.kernels import ONE_OVER_N, gaussian, gram
+from specbounds.experiments import ExperimentConfig, _draw, _keys, _trial_inputs, subseed
+from specbounds.kernels import RAW, gaussian, gram
 from test_properties import theta_brute_force
 
 RANK1_ROWS = 8
@@ -102,6 +105,23 @@ def test_bounds_singular_covariance_exit_4(tmp_path, capsys):
                    "--out", str(tmp_path / "o"))
     assert code == 4
     assert "singular" in capsys.readouterr().err
+    # exit 4 still writes metadata.json, and neither report.csv nor manifest.json
+    meta = json.loads((tmp_path / "o" / "metadata.json").read_text())
+    assert "covariance_skipped" in meta
+    assert meta["skipped_theorems"]["eigenvalue:1:covgap_distance"] == meta["covariance_skipped"]
+    assert not (tmp_path / "o" / "report.csv").exists()
+    assert not (tmp_path / "o" / "manifest.json").exists()
+    # a statistic whose theorems read only the spectrum needs no covariance
+    data4 = tmp_path / "rank1x4.csv"
+    data4.write_text("1,2\n2,4\n3,6\n-1,-2\n")
+    assert run_cli("bounds", "--data", str(data4), "--stat", "topk:2", "--eps", "0.1,0.2",
+                   "--out", str(tmp_path / "o4")) == 0
+    lines = (tmp_path / "o4" / "report.csv").read_text().splitlines()[1:]
+    assert [line.split(",")[3] for line in lines] == ["topk_gap", "topk_gap"]
+    assert "covariance_skipped" in json.loads((tmp_path / "o4" / "metadata.json").read_text())
+    assert run_cli("bounds", "--data", str(data4), "--stat", "eig:1",
+                   "--out", str(tmp_path / "o5")) == 4
+    assert "singular" in capsys.readouterr().err
     code = run_cli("bounds", "--data", str(data), "--stat", "eig:1,eigvec:1",
                    "--allow-degenerate", "--out", str(tmp_path / "o2"))
     assert code == 0
@@ -124,6 +144,9 @@ def test_bounds_singular_covariance_exit_4(tmp_path, capsys):
     assert "eigenvalue:3:adjacent_gap: gap to the next eigenvalue is undefined" in err
     assert "tail_sum:3:tail_gap: theorem assumes distinct eigenvalues" in err
     assert not (tmp_path / "o3" / "report.csv").exists()
+    assert not (tmp_path / "o3" / "manifest.json").exists()
+    meta = json.loads((tmp_path / "o3" / "metadata.json").read_text())
+    assert sorted(meta["skipped_theorems"]) == ["eigenvalue:3:adjacent_gap", "tail_sum:3:tail_gap"]
 
 
 def test_bounds_estimates_theta_only_when_a_theorem_reads_it(tmp_path, monkeypatch):
@@ -148,8 +171,49 @@ def test_bounds_estimates_theta_only_when_a_theorem_reads_it(tmp_path, monkeypat
     assert run_cli("bounds", "--data", str(data), "--stat", "eig:1", "--out", str(out)) == 0
     assert len(calls) == 1
     reported = json.loads((out / "metadata.json").read_text())["statistics"]["eigenvalue:1"]
-    expected = theta_brute_force(gram(load_csv(str(data)), gaussian(1.0), ONE_OVER_N))
+    expected = theta_brute_force(gram(load_csv(str(data)), gaussian(1.0), RAW))
     assert reported["theta"] == expected and reported["theta_estimated"] is True
+
+
+def test_bounds_reproduces_simulate_trial_bounds(tmp_path):
+    # one simulate trial's samples through `bounds`: the same raw-spectrum
+    # inputs, so the same bound values (eigh and eigvalsh eigenvalues differ
+    # in the last bits, hence the tolerance)
+    cfg = ExperimentConfig(n=40, p=3, trials=2, seed=21, epsilons=(0.01, 0.05, 0.2),
+                           statistics=("eigenvalue", "topk_sum", "tail_sum"),
+                           bounds=("adjacent_gap", "topk_gap", "tail_gap", "covgap_distance"))
+    trial_seed = subseed(cfg.seed, 1)
+    _, _, samples = _draw(cfg, trial_seed)
+    data = tmp_path / "trial.csv"
+    data.write_text("".join(",".join(repr(float(v)) for v in row) + "\n" for row in samples.rows))
+    keys = _keys(cfg)
+    _, x = _trial_inputs(cfg, trial_seed, keys)
+    stats = ",".join(f"{alias}:{i}" for alias in ("eig", "topk", "tail") for i in cfg.indices)
+    out = tmp_path / "o"
+    assert run_cli("bounds", "--data", str(data), "--stat", stats,
+                   "--eps", ",".join(map(repr, cfg.epsilons)), "--out", str(out)) == 0
+    reported = {}
+    for line in (out / "report.csv").read_text().splitlines()[1:]:
+        f = line.split(",")
+        reported.setdefault((f[3], f[0], int(f[1])), []).append(float(f[5]))
+    eps = np.asarray(cfg.epsilons)
+    for theorem, statistic, i in keys[1]:
+        expected = bnd.theorem_grid(theorem, bnd.theorem_params(theorem, x, i), eps).tolist()
+        got = reported[(theorem, statistic, i)]
+        assert len(got) == len(expected)
+        assert all(math.isclose(a, b, rel_tol=1e-9) for a, b in zip(got, expected)), (theorem, i)
+    assert len(keys[1]) == 12
+
+
+def test_scaling_flag_removed(tmp_path):
+    data = _write_fixture(tmp_path)
+    labels = tmp_path / "y.csv"
+    labels.write_text("1\n-1\n1\n-1\n")
+    for argv in (["bounds", "--data", data], ["align", "--data", data, "--labels", str(labels)],
+                 ["simulate", "--n", "10", "--p", "2", "--trials", "3", "--seed", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(*argv, "--scaling", "raw", "--out", str(tmp_path / "o"))
+        assert exc.value.code == 2
 
 
 def test_bounds_data_errors_exit_3(tmp_path):
@@ -248,6 +312,21 @@ def test_simulate_emitted_config_reruns_identically(tmp_path):
                    "--no-svg", "--out", str(tmp_path / "r4")) == 0
     (run,) = json.loads((tmp_path / "r4" / "config.json").read_text())["runs"]
     assert run["config"]["epsilons"] == [0.1, 0.2]
+    # a config written when the scale was an option reruns at the fixed scale,
+    # and one asking for another scale is refused
+    payload = json.loads((first / "config.json").read_text())
+    assert "scaling" not in payload["runs"][0]["config"]
+    for scaling, code in (("one_over_n", 0), ("raw", 2)):
+        payload["runs"][0]["config"]["scaling"] = scaling
+        old = tmp_path / f"{scaling}.json"
+        old.write_text(json.dumps(payload))
+        out = tmp_path / scaling
+        assert run_cli("simulate", "--config", str(old), "--out", str(out)) == code
+        if code == 0:
+            assert (out / "results.csv").read_bytes() == (first / "results.csv").read_bytes()
+            assert (out / "summary.json").read_bytes() == (first / "summary.json").read_bytes()
+        else:
+            assert not (out / "results.csv").exists()
 
 
 def test_simulate_trials_smoke_fast(tmp_path):

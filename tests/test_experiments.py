@@ -224,6 +224,20 @@ def test_gap_profiles_computed_once_per_trial_and_order(monkeypatch):
     assert len(calls) == 5 * 3
 
 
+def test_second_order_bounds_hold_at_p2():
+    # at p = 2 the crowding term dominates gamma; read on the wrong scale it
+    # made the bound fall below the empirical frequency at i = 1
+    cfg = ExperimentConfig(n=100, p=2, trials=300, seed=3, indices=(1, 2, 3),
+                           bounds=("covgap_second_order", "covgap_second_order_alt"))
+    result = run_concentration(cfg)
+    series = {(s.statistic, s.index): s for s in result.series}
+    for b in result.bound_series:
+        s = series[(b.statistic, b.index)]
+        assert b.excluded == 0
+        over = s.frequencies - b.mean > 3.0 * s.frequency_se
+        assert not over.any(), (b.theorem, b.index, np.flatnonzero(over))
+
+
 def test_bound_mean_nonincreasing_and_nonnegative():
     cfg = _cfg(bounds=("adjacent_gap", "diag_uniform", "covgap_distance"))
     result = run_concentration(cfg)

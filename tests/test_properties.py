@@ -110,7 +110,8 @@ def printed_formula(theorem, x, i, e):
     lam = x.spectrum
     profile = gaps_from_eigenvalues(lam, i)
     m4 = cov.whitened_radius**4
-    inv_c = 18.0 * m4 * lip * lip * profile.resolvent_sum**2 * cov.gap_1p**2
+    resolvent = profile.n * profile.resolvent_sum
+    inv_c = 18.0 * m4 * lip * lip * resolvent**2 * cov.gap_1p**2
     if theorem in ("covgap_second_order", "covgap_second_order_alt"):
         gamma = bounds.second_order_gamma(n, cov, lip, profile, "printed" if theorem.endswith("order") else "alt")
     if theorem.startswith("kta_spectral"):

@@ -90,6 +90,7 @@ from .spectral import (
     gaps_from_eigenvalues,
     interlacing_check,
     perturb_replace,
+    perturb_replace_norm,
     principal_submatrix,
     range_gap_tail,
     range_gap_top,

@@ -32,14 +32,19 @@ def interlacing_tolerance(lambda_1: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """Descending eigenvalues with orthonormal eigenvectors (column i <-> lambda_i)."""
+    """Descending eigenvalues with orthonormal eigenvectors (column i <-> lambda_i).
+
+    From a stacked `eig_sym` both arrays carry the stack's leading axes; the
+    1-based accessors are for a single spectrum.
+    """
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
     @property
     def n(self) -> int:
-        return self.eigenvalues.shape[0]
+        """Matrix size (of each member, for a stack)."""
+        return self.eigenvalues.shape[-1]
 
     def eigenvalue(self, i: int) -> float:
         """1-based accessor."""
@@ -77,8 +82,8 @@ class GapProfile:
 
 
 class InterlacingResult(NamedTuple):
-    ok: bool
-    max_violation: float
+    ok: np.bool_ | np.ndarray
+    max_violation: np.float64 | np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,12 +103,32 @@ class PerturbationPair:
 
 
 def _as_matrix(g) -> np.ndarray:
+    """One finite square matrix, or a stack (..., k, k) of them."""
     a = g.entries if isinstance(g, GramMatrix) else np.asarray(g, dtype=np.float64)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DataError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise DataError("matrix entries must be finite")
     return a
+
+
+def _member(a: np.ndarray, flat: int | None) -> str:
+    """Where an error message points in `a`, one matrix or a stack: the size
+    and, for a stack, the member's row-major index `flat` (None if unknown)."""
+    k = a.shape[-1]
+    if a.ndim == 2:
+        return f"n = {k}"
+    return f"stack member {'unknown' if flat is None else flat} of {a.shape[:-2]}, n = {k}"
+
+
+def _first_unsolvable(members: np.ndarray) -> int | None:
+    """Index of the first of `members` (m, k, k) that `np.linalg.eigh` cannot solve alone."""
+    for m, member in enumerate(members):
+        try:
+            np.linalg.eigh(member)
+        except np.linalg.LinAlgError:
+            return m
+    return None
 
 
 def eig_sym(g: GramMatrix | np.ndarray) -> Spectrum:
@@ -111,29 +136,45 @@ def eig_sym(g: GramMatrix | np.ndarray) -> Spectrum:
 
     Sign convention: each eigenvector's entry of largest magnitude is positive
     (ties resolved at the lowest index), so decompositions are reproducible.
+
+    `g` may also be a stack of shape (..., k, k).  One `np.linalg.eigh` call
+    solves it, giving each member the same bits as solving it alone; the
+    returned arrays keep the leading axes: (..., k) and (..., k, k).
+    Orthonormality and reconstruction are checked for every member, and a
+    member that fails either check, or the solver, raises DegeneracyError
+    naming its position in the stack.
     """
     a = _as_matrix(g)
     try:
         vals, vecs = np.linalg.eigh(a)
     except np.linalg.LinAlgError as exc:
-        scale = float(np.linalg.norm(a, ord="fro"))
+        members = a.reshape(-1, *a.shape[-2:])
+        bad = _first_unsolvable(members)
+        scale = float(np.linalg.norm(a if bad is None else members[bad]))
         raise DegeneracyError(
-            f"symmetric eigensolver failed to converge (n = {a.shape[0]}, "
+            f"symmetric eigensolver failed to converge ({_member(a, bad)}, "
             f"frobenius norm = {scale:.6g}): {exc}"
         ) from exc
-    vals = vals[::-1].copy()
-    vecs = vecs[:, ::-1].copy()
-    anchor = np.argmax(np.abs(vecs), axis=0)
-    signs = np.sign(vecs[anchor, np.arange(vecs.shape[1])])
+    vals = vals[..., ::-1].copy()
+    vecs = vecs[..., ::-1].copy()
+    anchor = np.argmax(np.abs(vecs), axis=-2)[..., None, :]
+    signs = np.sign(np.take_along_axis(vecs, anchor, axis=-2))
     signs[signs == 0] = 1.0
     vecs *= signs
-    ortho = float(np.max(np.abs(vecs.T @ vecs - np.eye(a.shape[0]))))
-    if ortho > ORTHONORMALITY_TOL:
-        raise DegeneracyError(f"eigenvectors lost orthonormality: max deviation {ortho:.3e}")
-    fro = float(np.linalg.norm(a, ord="fro"))
-    recon = float(np.linalg.norm(a - (vecs * vals) @ vecs.T, ord="fro"))
-    if recon > RECONSTRUCTION_RTOL * (1.0 + fro):
-        raise DegeneracyError(f"eigendecomposition reconstruction error {recon:.3e} too large")
+    vecs_t = np.swapaxes(vecs, -1, -2)
+    ortho = np.max(np.abs(vecs_t @ vecs - np.eye(a.shape[-1])), axis=(-2, -1))
+    fro = np.linalg.norm(a, ord="fro", axis=(-2, -1))
+    recon = np.linalg.norm(a - (vecs * vals[..., None, :]) @ vecs_t, ord="fro", axis=(-2, -1))
+    for value, limit, what in (
+        (ortho, ORTHONORMALITY_TOL, "eigenvectors lost orthonormality: max deviation"),
+        (recon, RECONSTRUCTION_RTOL * (1.0 + fro), "eigendecomposition reconstruction error"),
+    ):
+        failed = np.ravel(value > limit)
+        if failed.any():
+            bad = int(np.argmax(failed))
+            raise DegeneracyError(
+                f"{what} {float(np.ravel(value)[bad]):.3e} too large ({_member(a, bad)})"
+            )
     vals.flags.writeable = False
     vecs.flags.writeable = False
     return Spectrum(eigenvalues=vals, eigenvectors=vecs)
@@ -209,6 +250,8 @@ def interlacing_check(parent: Spectrum, child: Spectrum) -> InterlacingResult:
     """Check lambda_i(A) >= mu_i(B) >= lambda_{i+1}(A) for all i.
 
     Returns (ok, worst signed violation); negative violation means slack.
+    `child` may be a stack of spectra (from a stacked `eig_sym`); then both
+    fields are arrays over the stack, one entry per child.
     """
     if child.n != parent.n - 1:
         raise DataError(
@@ -218,32 +261,41 @@ def interlacing_check(parent: Spectrum, child: Spectrum) -> InterlacingResult:
     mu = child.eigenvalues
     upper = mu - lam[:-1]       # > 0 violates mu_i <= lambda_i
     lower = lam[1:] - mu        # > 0 violates mu_i >= lambda_{i+1}
-    worst = float(max(np.max(upper), np.max(lower)))
+    worst = np.maximum(np.max(upper, axis=-1), np.max(lower, axis=-1))
     tol = interlacing_tolerance(float(lam[0]))
     return InterlacingResult(ok=worst <= tol, max_violation=worst)
 
 
-def _replace_one_norm(e: np.ndarray, idx0: int) -> float:
-    """Spectral norm of a symmetric matrix supported on one row/column.
+def _replace_one_matrix(delta: np.ndarray, idx0: int) -> np.ndarray:
+    """The symmetric matrix with row and column `idx0` equal to `delta`, zero elsewhere."""
+    e = np.zeros((delta.shape[0], delta.shape[0]))
+    e[idx0, :] = delta
+    e[:, idx0] = delta
+    return e
+
+
+def _replace_one_norm(delta: np.ndarray, idx0: int) -> float:
+    """Spectral norm of the matrix supported on row/column `idx0` with that
+    row equal to `delta`.
 
     On span{e_idx, w} the matrix acts as [[a, |w|], [|w|, 0]], whose extreme
-    eigenvalues are (a +/- sqrt(a^2 + 4|w|^2))/2.
+    eigenvalues are (a +/- sqrt(a^2 + 4|w|^2))/2; below n = 4 it is computed
+    densely.
     """
-    a = float(e[idx0, idx0])
-    w = e[:, idx0].copy()
+    if delta.shape[0] < 4:
+        return float(np.max(np.abs(np.linalg.eigvalsh(_replace_one_matrix(delta, idx0)))))
+    a = float(delta[idx0])
+    w = delta.copy()
     w[idx0] = 0.0
     wn = float(np.linalg.norm(w))
     return 0.5 * (abs(a) + float(np.hypot(a, 2.0 * wn)))
 
 
-def perturb_replace(
-    s: SampleSet,
-    spec: KernelSpec,
-    index: int,
-    replacement: np.ndarray,
-    scaling: str = ONE_OVER_N,
-) -> PerturbationPair:
-    """Replace sample `index` (1-based) and return the Gram matrix pair."""
+def _replace_one_delta(
+    s: SampleSet, spec: KernelSpec, index: int, replacement: np.ndarray, scaling: str
+) -> np.ndarray:
+    """Validate a replace-one request and return the change of row `index`
+    (1-based) of the Gram matrix at `scaling` when that sample is replaced."""
     replacement = np.asarray(replacement, dtype=np.float64)
     if replacement.shape != (s.p,):
         raise DataError(
@@ -251,7 +303,6 @@ def perturb_replace(
         )
     if not 1 <= index <= s.n:
         raise DataError(f"sample index must be in 1..{s.n}, got {index}")
-    original = gram(s, spec, scaling)
     idx0 = index - 1
 
     def row_against(point: np.ndarray) -> np.ndarray:
@@ -268,23 +319,41 @@ def perturb_replace(
             raise DataError(f"kernel value is not finite at pair ({index}, {j + 1})")
         return row / s.n if scaling == ONE_OVER_N else row
 
-    # both rows via the same code path, so an identity replacement gives E = 0
-    delta = row_against(replacement) - row_against(s.rows[idx0])
-    e = np.zeros_like(original.entries)
-    e[idx0, :] = delta
-    e[:, idx0] = delta
+    # both rows via the same code path, so an identity replacement gives a zero delta
+    return row_against(replacement) - row_against(s.rows[idx0])
+
+
+def perturb_replace(
+    s: SampleSet,
+    spec: KernelSpec,
+    index: int,
+    replacement: np.ndarray,
+    scaling: str = ONE_OVER_N,
+) -> PerturbationPair:
+    """Replace sample `index` (1-based) and return the Gram matrix pair."""
+    delta = _replace_one_delta(s, spec, index, replacement, scaling)
+    original = gram(s, spec, scaling)
+    e = _replace_one_matrix(delta, index - 1)
     perturbed = GramMatrix(entries=original.entries + e, scaling=scaling, kernel=spec)
-    if s.n < 4:
-        norm_e = float(np.max(np.abs(np.linalg.eigvalsh(e))))
-    else:
-        norm_e = _replace_one_norm(e, idx0)
     return PerturbationPair(
         original=original,
         perturbed=perturbed,
         e=e,
-        spectral_norm_e=norm_e,
+        spectral_norm_e=_replace_one_norm(delta, index - 1),
         replaced_index=index,
     )
+
+
+def perturb_replace_norm(
+    s: SampleSet,
+    spec: KernelSpec,
+    index: int,
+    replacement: np.ndarray,
+    scaling: str = ONE_OVER_N,
+) -> float:
+    """`perturb_replace(...).spectral_norm_e`, bit for bit, without building
+    either Gram matrix."""
+    return _replace_one_norm(_replace_one_delta(s, spec, index, replacement, scaling), index - 1)
 
 
 def sign_align(v: np.ndarray, reference: np.ndarray) -> np.ndarray:

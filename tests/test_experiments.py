@@ -3,12 +3,15 @@ import warnings
 import numpy as np
 import pytest
 
-from specbounds import bounds
+from specbounds import bounds, experiments
 from specbounds.bounds import theorem_values
 from specbounds.errors import ConfigError, SpecBoundsError
+from specbounds.kernels import RAW, GramMatrix
+from specbounds.spectral import Spectrum, eig_sym, interlacing_check, principal_submatrix
 from specbounds.experiments import (
     KNOWN_BOUNDS,
     ExperimentConfig,
+    _interlacing_trial,
     _keys,
     _trial_inputs,
     boxplot_stats,
@@ -354,6 +357,51 @@ def test_spearman_matches_scipy_exactly():
 def test_spearman_of_constant_input_is_nan():
     assert np.isnan(spearman([1.0, 1.0, 1.0], [0.1, 0.5, 0.2]))
     assert np.isnan(spearman([0.1, 0.5, 0.2], [2.0, 2.0, 2.0]))
+
+
+def _interlacing_per_drop(trial_seed: int) -> tuple[int, float]:
+    """The interlacing trial as one eigensolve and one check per drop index."""
+    rng = np.random.default_rng(trial_seed)
+    dim = int(rng.integers(3, 41))
+    b = rng.standard_normal((dim, dim))
+    a = GramMatrix(entries=(b @ b.T) / dim, scaling=RAW)
+    parent = eig_sym(a)
+    violations = 0
+    worst = -np.inf
+    for drop in range(1, dim + 1):
+        ok, violation = interlacing_check(parent, eig_sym(principal_submatrix(a, drop)))
+        worst = max(worst, violation)
+        violations += not ok
+    return violations, worst
+
+
+def test_interlacing_trial_equals_per_drop_loop():
+    for t in range(60):
+        trial_seed = subseed(11, 1_000_000 + t)
+        assert _interlacing_trial(trial_seed) == _interlacing_per_drop(trial_seed)
+
+
+def test_interlacing_counts_a_violating_child_in_a_stack(monkeypatch):
+    parent = Spectrum(eigenvalues=np.array([3.0, 2.0, 1.0]), eigenvectors=np.eye(3))
+    children = Spectrum(eigenvalues=np.array([[2.5, 1.5], [3.5, 1.0], [2.0, 1.0]]),
+                        eigenvectors=np.broadcast_to(np.eye(2), (3, 2, 2)))
+    ok, worst = interlacing_check(parent, children)
+    assert ok.tolist() == [True, False, True]
+    assert worst.tolist() == [-0.5, 0.5, 0.0]
+
+    solve = experiments.eig_sym
+
+    def raise_second_child(a):
+        spec = solve(a)
+        if spec.eigenvalues.ndim == 1:
+            return spec
+        lam = spec.eigenvalues.copy()
+        lam[1, 0] = float(np.max(lam)) + 1.0
+        return Spectrum(eigenvalues=lam, eigenvectors=spec.eigenvectors)
+
+    monkeypatch.setattr(experiments, "eig_sym", raise_second_child)
+    violations, worst = _interlacing_trial(subseed(11, 1_000_000))
+    assert violations == 1 and worst > 0.0
 
 
 def test_run_oracles_zero_perturbation_smoke():

@@ -205,6 +205,22 @@ def test_eigvec_uniform_stack_keeps_overflow_rows():
     assert np.all(np.isfinite(raw[0])) and np.all(np.isinf(raw[1]))
 
 
+# --- stacked eigensolves ---------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 40), members=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_stacked_eig_sym_equals_per_member_bits(k, members, seed):
+    b = np.random.default_rng(seed).standard_normal((members, k, k))
+    stack = b @ np.swapaxes(b, -1, -2) / k
+    spec = eig_sym(stack)
+    assert spec.n == k
+    for m in range(members):
+        alone = eig_sym(stack[m])
+        assert np.array_equal(spec.eigenvalues[m], alone.eigenvalues)
+        assert np.array_equal(spec.eigenvectors[m], alone.eigenvectors)
+
+
 # --- theta against the exhaustive loop ----------------------------------------
 
 

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from specbounds.dataset import SampleSet, gen_gaussian
-from specbounds.errors import DataError, DegenerateGapError, ValidityConditionError
-from specbounds.kernels import ONE_OVER_N, RAW, GramMatrix, gaussian, linear, gram
+from specbounds.errors import DataError, DegeneracyError, DegenerateGapError, ValidityConditionError
+from specbounds.kernels import ONE_OVER_N, RAW, GramMatrix, gaussian, linear, gram, polynomial
 from specbounds.spectral import (
     Spectrum,
     eig_sym,
@@ -12,6 +12,7 @@ from specbounds.spectral import (
     gaps_from_eigenvalues,
     interlacing_check,
     perturb_replace,
+    perturb_replace_norm,
     principal_submatrix,
     range_gap_tail,
     range_gap_top,
@@ -71,6 +72,54 @@ def test_eig_sym_orthonormality_and_reconstruction():
     spec = eig_sym(gram(s, gaussian(1.0), ONE_OVER_N))
     u = spec.eigenvectors
     assert np.max(np.abs(u.T @ u - np.eye(30))) <= 1e-8
+
+
+def _psd_stack(members, k, seed):
+    b = np.random.default_rng(seed).standard_normal((members, k, k))
+    return b @ np.swapaxes(b, -1, -2) / k
+
+
+def test_eig_sym_stack_shapes():
+    spec = eig_sym(_psd_stack(4, 6, 31))
+    assert spec.eigenvalues.shape == (4, 6) and spec.eigenvectors.shape == (4, 6, 6)
+    assert spec.n == 6
+    assert np.all(np.diff(spec.eigenvalues, axis=-1) <= 0)
+    with pytest.raises(DataError):
+        eig_sym(np.zeros((4, 6, 5)))
+
+
+def test_eig_sym_stack_names_non_orthonormal_member(monkeypatch):
+    stack = _psd_stack(5, 4, 32)
+    eigh = np.linalg.eigh
+
+    def corrupt_member_3(a):
+        vals, vecs = eigh(a)
+        if a.ndim == 3:
+            vecs[3] *= 2.0
+        return vals, vecs
+
+    monkeypatch.setattr(np.linalg, "eigh", corrupt_member_3)
+    with pytest.raises(DegeneracyError, match=r"orthonormality.*stack member 3 of \(5,\), n = 4"):
+        eig_sym(stack)
+    eig_sym(stack[0])  # a single matrix passes through the same checks
+
+
+def test_eig_sym_stack_names_member_that_does_not_converge(monkeypatch):
+    stack = _psd_stack(6, 5, 33)
+    poison = stack[4]
+    eigh = np.linalg.eigh
+
+    def fail_on_poison(a):
+        if np.any(np.all(np.asarray(a) == poison, axis=(-2, -1))):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", fail_on_poison)
+    with pytest.raises(DegeneracyError, match=r"stack member 4 of \(6,\), n = 5"):
+        eig_sym(stack)
+    with pytest.raises(DegeneracyError, match=r"failed to converge \(n = 5"):
+        eig_sym(poison)
+    eig_sym(stack[:4])
 
 
 def test_gaps_examples():
@@ -186,6 +235,30 @@ def test_perturb_replace_validation():
         perturb_replace(s, linear(), 1, np.zeros(3), RAW)
     with pytest.raises(DataError):
         perturb_replace(s, linear(), 6, np.zeros(2), RAW)
+
+
+@pytest.mark.parametrize("kernel", [gaussian(1.0), linear(), polynomial(2, 1.0)], ids=lambda k: k.name)
+@pytest.mark.parametrize("n", [2, 3, 4, 20])
+def test_perturb_replace_norm_equals_pair_norm(kernel, n):
+    rng = np.random.default_rng(40 + n)
+    s = SampleSet(rows=rng.standard_normal((n, 3)), provenance="t")
+    for scaling in (RAW, ONE_OVER_N):
+        for idx in range(1, n + 1):
+            replacement = rng.standard_normal(3)
+            pair = perturb_replace(s, kernel, idx, replacement, scaling)
+            norm = perturb_replace_norm(s, kernel, idx, replacement, scaling)
+            assert norm == pair.spectral_norm_e  # bit for bit
+            assert perturb_replace_norm(s, kernel, idx, s.rows[idx - 1], scaling) == 0.0
+
+
+def test_perturb_replace_norm_validation():
+    s = gen_gaussian(5, 2, 22)
+    for index, replacement in ((1, np.zeros(3)), (6, np.zeros(2)), (0, np.zeros(2))):
+        with pytest.raises(DataError) as pair_error:
+            perturb_replace(s, linear(), index, replacement, RAW)
+        with pytest.raises(DataError) as norm_error:
+            perturb_replace_norm(s, linear(), index, replacement, RAW)
+        assert str(norm_error.value) == str(pair_error.value)
 
 
 def test_eigvec_first_order_zero_perturbation():

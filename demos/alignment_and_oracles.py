@@ -14,11 +14,11 @@ labels = rng.choice([-1.0, 1.0], size=n)
 rows = labels[:, None] * np.array([2.0, 0.5]) + 0.4 * rng.standard_normal((n, 2))
 samples = sb.SampleSet(rows=rows, provenance="two-clusters")
 
-g = sb.gram(samples, sb.gaussian(1.0), "raw")
+g = sb.gram(samples, sb.gaussian(1.0))
 report = sb.alignment_report(g, labels, epsilons=(0.05, 0.1, 0.2, 0.4))
 
 print(f"alignment A(K) = {report.a_kn:.4f}")
-print(f"theta = {report.theta:.4f}, C(theta) = {report.c_theta:.4f} (m = n = {report.m})")
+print(f"theta = {report.theta:.4f}, C(theta) = {report.c_theta:.4f} (m = n = {n})")
 print(f"L = {report.l_mid:.4f}, ||K||_F = {report.frob:.4f}, "
       f"exact ratio = {report.ratio:.4f}, lambda_1/lambda_2 = {report.ratio_approx:.4f}")
 print("\nper-epsilon bounds (raw values, >= 1 means vacuous):")

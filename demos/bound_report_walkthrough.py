@@ -13,7 +13,7 @@ n, p, seed = 120, 4, 42
 samples = sb.gen_gaussian(n, p, seed)
 kernel = sb.gaussian(1.0)
 
-g = sb.gram(samples, kernel, "raw")
+g = sb.gram(samples, kernel)
 spectrum = sb.eig_sym(g)
 cov = sb.covariance_stats(samples)
 lip = sb.lipschitz(kernel)

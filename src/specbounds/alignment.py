@@ -21,7 +21,7 @@ from .bounds import (  # noqa: F401  (c_theta and the kta_* formulas are also pu
     validate_epsilons,
 )
 from .errors import ConfigError, DataError, DegeneracyError
-from .kernels import RAW, GramMatrix
+from .kernels import GramMatrix
 from .spectral import Spectrum, eig_sym, gap_tolerance
 
 # c in theta_statistic's rounding bound on the secular function
@@ -147,7 +147,6 @@ class AlignmentReport:
     theta: float
     c_theta: float
     theta_mode: str
-    m: int
     epsilons: tuple[float, ...]
     bounds: dict = field(default_factory=dict)   # theorem id -> list of raw values
     skipped: dict = field(default_factory=dict)  # theorem id -> reason
@@ -158,12 +157,9 @@ def alignment_report(
     y: np.ndarray,
     epsilons: tuple[float, ...],
     theta_mode: str = "drop",
-    m: int | None = None,
 ) -> AlignmentReport:
     """Compute A(K), theta, L, and all alignment bounds over an epsilon grid
     for a raw Gram matrix."""
-    if g.scaling != RAW:
-        raise ConfigError(f"alignment bounds read the raw Gram matrix, got scaling {g.scaling!r}")
     epsilons = validate_epsilons(epsilons)
     n = g.n
     a_kn = kta(g, y)
@@ -173,16 +169,15 @@ def alignment_report(
     l_mid = middle_spectrum_norm(lam)
     ratio = frob / l_mid if l_mid > 0 else math.inf
     ratio_approx = top_eigenvalue_ratio(lam)
-    m_val = n if m is None else m
     missing: dict[str, str] = {}
     try:
         theta = theta_statistic(g, mode=theta_mode, spectrum=spectrum)
-        c = c_theta(a_kn, theta, n, frob, m_val)
+        c = c_theta(a_kn, theta, n, frob)
     except (DegeneracyError, DataError) as exc:
         theta = c = math.nan
         missing["theta"] = str(exc)
     x = bnd.BoundInputs(n=n, theta=None if missing else theta, a_kn=a_kn, frob=frob, l_mid=l_mid,
-                        ratio=ratio_approx, m=m_val, missing=missing)
+                        ratio=ratio_approx, missing=missing)
     report = bnd.evaluate_bounds(x, bnd.STAT_KTA, None, epsilons)
     bounds: dict[str, list[float]] = {}
     for row in report.rows:
@@ -196,7 +191,6 @@ def alignment_report(
         theta=theta,
         c_theta=c,
         theta_mode=theta_mode,
-        m=m_val,
         epsilons=epsilons,
         bounds=bounds,
         skipped=report.skipped,

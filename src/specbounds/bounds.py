@@ -333,29 +333,25 @@ def bound_eigvec_uniform(n: int, cov: CovarianceStats, lip: float, gap_profile: 
     return theorem_grid("eigvec_uniform", _eigvec_uniform_params(n, cov, lip, gap_profile), eps)
 
 
-def c_theta(a_kn: float, theta: float, n: int, frob: float, m: int | None = None) -> float:
-    """Per-replacement constant C(theta) = |A| theta^{-1} (m - (m-1) theta + (2n-1)/||K||_F).
-
-    `m` defaults to n (recorded by callers in metadata).
-    """
+def c_theta(a_kn: float, theta: float, n: int, frob: float) -> float:
+    """Per-replacement constant C(theta) = |A| theta^{-1} (n - (n-1) theta + (2n-1)/||K||_F)."""
     if not 0.0 < theta <= 1.0:
         raise DegeneracyError(f"theta must lie in (0, 1] for C(theta), got {theta}")
     if frob <= 0.0:
         raise DataError("C(theta) undefined for the zero matrix")
-    m = n if m is None else m
-    return abs(a_kn) / theta * (m - (m - 1) * theta + (2.0 * n - 1.0) / frob)
+    return abs(a_kn) / theta * (n - (n - 1) * theta + (2.0 * n - 1.0) / frob)
 
 
-def _kta_theta_params(a_kn: float, theta: float, n: int, frob: float, m: int | None) -> tuple[float, float]:
-    c = c_theta(a_kn, theta, n, frob, m)
+def _kta_theta_params(a_kn: float, theta: float, n: int, frob: float) -> tuple[float, float]:
+    c = c_theta(a_kn, theta, n, frob)
     if c <= 0.0:
         raise DegeneracyError("C(theta) is zero; the theta-based bound is vacuous")
     return (n - 1.0) ** 2, n * c * c
 
 
-def kta_bound_theta(eps, *, a_kn: float, theta: float, n: int, frob: float, m: int | None = None):
+def kta_bound_theta(eps, *, a_kn: float, theta: float, n: int, frob: float):
     """Alignment bound via C(theta):  2 exp(-2 eps^2 (n-1)^2 / (n C(theta)^2))."""
-    return theorem_grid("kta_theta", _kta_theta_params(a_kn, theta, n, frob, m), eps)
+    return theorem_grid("kta_theta", _kta_theta_params(a_kn, theta, n, frob), eps)
 
 
 def kta_spectral_denominator(
@@ -440,7 +436,6 @@ class BoundInputs:
     frob: float | None = None
     l_mid: float | None = None
     ratio: float | None = None
-    m: int | None = None
     kernel: str | None = None
     missing: dict = field(default_factory=dict)
     profiles: dict = field(default_factory=dict, init=False, repr=False)
@@ -525,7 +520,7 @@ THEOREMS: dict[str, Theorem] = {
                               lambda x, i: _eigvec_uniform_params(x.n, x.cov, x.lip, _profile(x, i)),
                               grid=_offset_quadratic, prefactor=2.0, describe=_eigvec_metadata),
     "kta_theta": Theorem(STAT_KTA, ("a_kn", "theta", "frob"),
-                         lambda x, i: _kta_theta_params(x.a_kn, x.theta, x.n, x.frob, x.m),
+                         lambda x, i: _kta_theta_params(x.a_kn, x.theta, x.n, x.frob),
                          grid=_kta_theta_exponent, prefactor=2.0),
     "kta_spectral": Theorem(STAT_KTA, _KTA_FROB,
                             lambda x, i: _kta_spectral_params(x.a_kn, x.n, x.l_mid, x.frob, None, "printed"),

@@ -44,7 +44,7 @@ from .experiments import (
     run_concentration,
     run_oracles,
 )
-from .kernels import RAW, diag_sup, gram, kernel_from_cli, lipschitz
+from .kernels import diag_sup, gram, kernel_from_cli, lipschitz
 from .spectral import eig_sym
 from .svgplot import LinePlot, render_boxplot
 
@@ -151,9 +151,12 @@ def _parse_stats(text: str) -> list[tuple[str, int]]:
                 f"cannot parse statistic {tok!r}; expected eig:i, topk:k, tail:k, or eigvec:i"
             )
         try:
-            stats.append((_STAT_ALIASES[parts[0]], int(parts[1])))
+            stat = (_STAT_ALIASES[parts[0]], int(parts[1]))
         except ValueError as exc:
             raise ConfigError(f"bad index in statistic {tok!r}") from exc
+        if stat in stats:
+            raise ConfigError(f"--stat lists {tok!r} more than once")
+        stats.append(stat)
     return stats
 
 
@@ -163,7 +166,7 @@ def _cmd_bounds(args) -> int:
     spec = kernel_from_cli(args.kernel)
     epsilons = _parse_eps(args.eps)
     stats = _parse_stats(args.stat)
-    g = gram(samples, spec, RAW)
+    g = gram(samples, spec)
     spectrum = eig_sym(g)
     meta: dict = {
         "n": samples.n,
@@ -202,10 +205,12 @@ def _cmd_bounds(args) -> int:
         try:
             theta, estimated = theta_statistic(g, spectrum=spectrum), True
         except (DegeneracyError, DataError) as exc:
-            meta["theta_skipped"] = str(exc)
+            missing["theta"] = str(exc)
     if theta is not None and theta <= 0.0:
-        meta["theta_skipped"] = "estimated theta is 0; the theta bound is undefined"
+        missing["theta"] = "estimated theta is 0; the theta bound is undefined"
         theta = None
+    if "theta" in missing:
+        meta["theta_skipped"] = missing["theta"]
 
     x = bnd.BoundInputs(n=samples.n, spectrum=spectrum.eigenvalues, cov=cov, lip=lip, diag_sup_sq=r2,
                         theta=theta, theta_estimated=estimated, kernel=spec.kind, missing=missing)
@@ -515,7 +520,7 @@ def _cmd_align(args) -> int:
         labels = load_labels(args.labels)
     spec = kernel_from_cli(args.kernel)
     epsilons = _parse_eps(args.eps)
-    g = gram(samples, spec, RAW)
+    g = gram(samples, spec)
     report = alignment_report(g, labels, epsilons, theta_mode=args.theta_mode)
 
     lines = ["statistic,index,epsilon,theorem,kind,value,stderr,flags"]
@@ -542,7 +547,7 @@ def _cmd_align(args) -> int:
         "p": samples.p,
         "kernel": spec.describe(),
         "theta_mode": report.theta_mode,
-        "m": report.m,
+        "m": samples.n,  # C(theta)'s m is n
         "a_kn": report.a_kn,
         "population_alignment": None,  # not computable from a single sample
         "theta": _jf(report.theta),

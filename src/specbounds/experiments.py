@@ -19,7 +19,7 @@ the whole trials x epsilons grid.
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -27,16 +27,7 @@ from . import bounds as bnd
 from .alignment import kta, middle_spectrum_norm, theta_statistic, top_eigenvalue_ratio
 from .dataset import SampleSet, covariance_stats, whitened_norm
 from .errors import ConfigError, SpecBoundsError
-from .kernels import (
-    ONE_OVER_N,
-    RAW,
-    KernelSpec,
-    diag_sup,
-    gram,
-    kernel_from_config,
-    linear,
-    lipschitz,
-)
+from .kernels import KernelSpec, diag_sup, gram, kernel_from_config, linear, lipschitz
 from .spectral import (
     eig_sym,
     eigvec_first_order,
@@ -132,25 +123,17 @@ class ExperimentConfig:
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
         # configs written before the statistic scale was fixed carry it
-        if obj.get("scaling", ONE_OVER_N) != ONE_OVER_N:
+        if obj.get("scaling", "one_over_n") != "one_over_n":
             raise ConfigError(
                 f"scaling {obj['scaling']!r} is no longer supported: the statistic is lambda_i(G)/n"
             )
         try:
-            return cls(
-                n=int(obj["n"]),
-                p=int(obj["p"]),
-                trials=int(obj["trials"]),
-                seed=int(obj["seed"]),
-                kernel=dict(obj.get("kernel", {"family": "gaussian", "sigma": 1.0})),
-                generator=obj.get("generator", "gaussian"),
-                epsilons=tuple(obj.get("epsilons", default_epsilons())),
-                indices=tuple(obj.get("indices", (1, 2, 3))),
-                statistics=tuple(obj.get("statistics", ("eigenvalue",))),
-                bounds=tuple(obj.get("bounds", ("adjacent_gap",))),
-            )
+            sizes = {name: int(obj[name]) for name in ("n", "p", "trials", "seed")}
         except KeyError as exc:
             raise ConfigError(f"experiment config is missing key {exc}") from exc
+        # a field the dict leaves out takes its dataclass default
+        given = {f.name: obj[f.name] for f in fields(cls) if f.name in obj and f.name not in sizes}
+        return cls(**sizes, **given)
 
 
 @dataclass(frozen=True)
@@ -223,7 +206,7 @@ def _trial_inputs(cfg: ExperimentConfig, trial_seed: int, keys: tuple[list, list
     BoundInputs its bound keys read."""
     stat_keys, bound_keys = keys
     spec, rng, samples = _draw(cfg, trial_seed)
-    g_raw = gram(samples, spec, RAW)
+    g_raw = gram(samples, spec)
     lam = np.linalg.eigvalsh(g_raw.entries)[::-1]
     lam_stat = lam / cfg.n
 
@@ -399,7 +382,7 @@ def spearman(a, b) -> float:
 def _boxplot_trial(args: tuple[ExperimentConfig, int]) -> np.ndarray:
     cfg, trial_seed = args
     spec, _, samples = _draw(cfg, trial_seed)
-    lam = np.linalg.eigvalsh(gram(samples, spec, RAW).entries)[::-1] / cfg.n
+    lam = np.linalg.eigvalsh(gram(samples, spec).entries)[::-1] / cfg.n
     top = max(cfg.indices) + 1
     return lam[: min(top, cfg.n)]
 
@@ -479,13 +462,13 @@ def _interlacing_trial(trial_seed: int) -> tuple[int, float]:
 def _replace_one(cfg: ExperimentConfig, trial_seed: int, zero_perturbation: bool):
     """A trial's samples with one drawn row replaced (by itself under
     `zero_perturbation`): (kernel, samples, replace_at, replacement, pair),
-    the pair at 1/n scaling."""
+    the pair of G/n."""
     spec, rng, samples = _draw(cfg, trial_seed)
     replacement = rng.standard_normal(cfg.p)
     replace_at = int(rng.integers(1, cfg.n + 1))
     if zero_perturbation:
         replacement = samples.rows[replace_at - 1].copy()
-    pair = perturb_replace(samples, spec, replace_at, replacement, ONE_OVER_N)
+    pair = perturb_replace(samples, spec, replace_at, replacement)
     return spec, samples, replace_at, replacement, pair
 
 
@@ -509,7 +492,7 @@ def _perturbation_trial(args: tuple[ExperimentConfig, int, int, bool]) -> dict:
     out["perturbation_norm_printed"] = (norm_e, norms.printed)
     out["perturbation_norm_conservative"] = (norm_e, norms.conservative)
 
-    lin_norm = perturb_replace_norm(samples, linear(), replace_at, replacement, ONE_OVER_N)
+    lin_norm = perturb_replace_norm(samples, linear(), replace_at, replacement)
     lin_bound = bnd.error_norm_bound("inner", cov, 1.0, cfg.n)
     out["perturbation_norm_inner"] = (lin_norm, lin_bound.printed)
 

@@ -19,9 +19,6 @@ from .errors import ConfigError, DataError
 DISTANCE = "distance"
 INNER = "inner"
 
-RAW = "raw"
-ONE_OVER_N = "one_over_n"
-
 SYMMETRY_RTOL = 1e-12
 
 
@@ -53,18 +50,14 @@ class KernelSpec:
 
 @dataclass(frozen=True, eq=False)
 class GramMatrix:
-    """Symmetric kernel matrix with an explicit scaling tag."""
+    """Symmetric kernel matrix."""
 
     entries: np.ndarray
-    scaling: str
-    kernel: KernelSpec | None = None
 
     def __post_init__(self):
         a = np.asarray(self.entries, dtype=np.float64)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DataError(f"Gram matrix must be square, got shape {a.shape}")
-        if self.scaling not in (RAW, ONE_OVER_N):
-            raise ConfigError(f"scaling must be {RAW!r} or {ONE_OVER_N!r}, got {self.scaling!r}")
         scale = max(1.0, float(np.max(np.abs(a)))) if a.size else 1.0
         if float(np.max(np.abs(a - a.T))) > SYMMETRY_RTOL * scale:
             raise DataError("Gram matrix is not symmetric to tolerance")
@@ -175,8 +168,8 @@ def _pairwise_argument(x: np.ndarray, kind: str) -> np.ndarray:
     return t
 
 
-def gram(s: SampleSet, spec: KernelSpec, scaling: str = RAW) -> GramMatrix:
-    """Evaluate the kernel on all sample pairs.
+def gram(s: SampleSet, spec: KernelSpec) -> GramMatrix:
+    """Evaluate the kernel on all sample pairs: the raw Gram matrix G.
 
     Exact symmetry is enforced by computing the upper triangle and mirroring.
     Raises DataError naming the first offending pair if any value is non-finite.
@@ -188,12 +181,7 @@ def gram(s: SampleSet, spec: KernelSpec, scaling: str = RAW) -> GramMatrix:
     if not np.all(np.isfinite(k)):
         i, j = np.argwhere(~np.isfinite(k))[0]
         raise DataError(f"kernel value is not finite at pair ({i + 1}, {j + 1})")
-    k = np.triu(k) + np.triu(k, 1).T
-    if scaling == ONE_OVER_N:
-        k = k / s.n
-    elif scaling != RAW:
-        raise ConfigError(f"scaling must be {RAW!r} or {ONE_OVER_N!r}, got {scaling!r}")
-    return GramMatrix(entries=k, scaling=scaling, kernel=spec)
+    return GramMatrix(entries=np.triu(k) + np.triu(k, 1).T)
 
 
 def lipschitz(spec: KernelSpec, s: SampleSet | None = None) -> float:

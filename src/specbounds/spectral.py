@@ -7,7 +7,6 @@ mathematical convention used throughout the reports.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -15,7 +14,7 @@ import numpy as np
 
 from .dataset import SampleSet
 from .errors import DataError, DegeneracyError, DegenerateGapError, ValidityConditionError
-from .kernels import DISTANCE, ONE_OVER_N, GramMatrix, KernelSpec, gram
+from .kernels import DISTANCE, GramMatrix, KernelSpec, gram
 
 ORTHONORMALITY_TOL = 1e-8
 RECONSTRUCTION_RTOL = 1e-7
@@ -88,7 +87,7 @@ class InterlacingResult(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class PerturbationPair:
-    """A Gram matrix and its replace-one perturbation.
+    """The 1/n-scaled Gram matrix G/n and its replace-one perturbation.
 
     `e` = perturbed - original is symmetric and nonzero only in the replaced
     row/column; `spectral_norm_e` is computed exactly from that rank-<=2
@@ -235,7 +234,7 @@ def range_gap_tail(spec: Spectrum | np.ndarray, k: int) -> float:
 
 
 def principal_submatrix(g: GramMatrix, drop: int) -> GramMatrix:
-    """Remove row/column `drop` (1-based), preserving the scaling tag."""
+    """Remove row/column `drop` (1-based)."""
     a = g.entries
     n = a.shape[0]
     if n < 2:
@@ -243,7 +242,7 @@ def principal_submatrix(g: GramMatrix, drop: int) -> GramMatrix:
     if not 1 <= drop <= n:
         raise DataError(f"drop index must be in 1..{n}, got {drop}")
     keep = [j for j in range(n) if j != drop - 1]
-    return GramMatrix(entries=a[np.ix_(keep, keep)], scaling=g.scaling, kernel=g.kernel)
+    return GramMatrix(entries=a[np.ix_(keep, keep)])
 
 
 def interlacing_check(parent: Spectrum, child: Spectrum) -> InterlacingResult:
@@ -291,11 +290,9 @@ def _replace_one_norm(delta: np.ndarray, idx0: int) -> float:
     return 0.5 * (abs(a) + float(np.hypot(a, 2.0 * wn)))
 
 
-def _replace_one_delta(
-    s: SampleSet, spec: KernelSpec, index: int, replacement: np.ndarray, scaling: str
-) -> np.ndarray:
+def _replace_one_delta(s: SampleSet, spec: KernelSpec, index: int, replacement: np.ndarray) -> np.ndarray:
     """Validate a replace-one request and return the change of row `index`
-    (1-based) of the Gram matrix at `scaling` when that sample is replaced."""
+    (1-based) of G/n when that sample is replaced."""
     replacement = np.asarray(replacement, dtype=np.float64)
     if replacement.shape != (s.p,):
         raise DataError(
@@ -317,24 +314,19 @@ def _replace_one_delta(
         if not np.all(np.isfinite(row)):
             j = int(np.argwhere(~np.isfinite(row))[0])
             raise DataError(f"kernel value is not finite at pair ({index}, {j + 1})")
-        return row / s.n if scaling == ONE_OVER_N else row
+        return row / s.n
 
     # both rows via the same code path, so an identity replacement gives a zero delta
     return row_against(replacement) - row_against(s.rows[idx0])
 
 
-def perturb_replace(
-    s: SampleSet,
-    spec: KernelSpec,
-    index: int,
-    replacement: np.ndarray,
-    scaling: str = ONE_OVER_N,
-) -> PerturbationPair:
-    """Replace sample `index` (1-based) and return the Gram matrix pair."""
-    delta = _replace_one_delta(s, spec, index, replacement, scaling)
-    original = gram(s, spec, scaling)
+def perturb_replace(s: SampleSet, spec: KernelSpec, index: int, replacement: np.ndarray) -> PerturbationPair:
+    """Replace sample `index` (1-based) and return the pair of G/n, the
+    matrix whose perturbation norm `bounds.error_norm_bound` bounds."""
+    delta = _replace_one_delta(s, spec, index, replacement)
+    original = GramMatrix(entries=gram(s, spec).entries / s.n)
     e = _replace_one_matrix(delta, index - 1)
-    perturbed = GramMatrix(entries=original.entries + e, scaling=scaling, kernel=spec)
+    perturbed = GramMatrix(entries=original.entries + e)
     return PerturbationPair(
         original=original,
         perturbed=perturbed,
@@ -344,16 +336,10 @@ def perturb_replace(
     )
 
 
-def perturb_replace_norm(
-    s: SampleSet,
-    spec: KernelSpec,
-    index: int,
-    replacement: np.ndarray,
-    scaling: str = ONE_OVER_N,
-) -> float:
+def perturb_replace_norm(s: SampleSet, spec: KernelSpec, index: int, replacement: np.ndarray) -> float:
     """`perturb_replace(...).spectral_norm_e`, bit for bit, without building
     either Gram matrix."""
-    return _replace_one_norm(_replace_one_delta(s, spec, index, replacement, scaling), index - 1)
+    return _replace_one_norm(_replace_one_delta(s, spec, index, replacement), index - 1)
 
 
 def sign_align(v: np.ndarray, reference: np.ndarray) -> np.ndarray:
@@ -361,20 +347,15 @@ def sign_align(v: np.ndarray, reference: np.ndarray) -> np.ndarray:
     return -v if float(v @ reference) < 0.0 else v
 
 
-def eigvec_first_order(
-    base: Spectrum,
-    e: np.ndarray,
-    i: int,
-    allow_invalid: bool = False,
-) -> np.ndarray:
+def eigvec_first_order(base: Spectrum, e: np.ndarray, i: int) -> np.ndarray:
     """First-order eigenvector expansion around `base` at eigen-order i (1-based):
 
         u_i + sum_{j != i} (u_j . E u_i) / (lambda_j - lambda_i) * u_j
 
     With A the matrix behind `base`, this predicts the i-th eigenvector of
     A - e; pass -e to predict for A + e.  Requires the perturbation norm to be
-    below half the distance from lambda_i to the rest of the spectrum; with
-    `allow_invalid` that condition only warns.
+    below half the distance from lambda_i to the rest of the spectrum, and
+    raises ValidityConditionError otherwise.
     """
     e = _as_matrix(e)
     n = base.n
@@ -394,13 +375,10 @@ def eigvec_first_order(
         )
     norm_e = float(np.max(np.abs(np.linalg.eigvalsh(e)))) if n else 0.0
     if norm_e >= 0.5 * min_gap:
-        msg = (
+        raise ValidityConditionError(
             f"perturbation norm {norm_e:.6g} is not below half the spectral "
             f"distance {0.5 * min_gap:.6g} at eigenvalue {i}"
         )
-        if not allow_invalid:
-            raise ValidityConditionError(msg)
-        warnings.warn(msg, RuntimeWarning, stacklevel=2)
     u_i = base.eigenvectors[:, i - 1]
     coeffs = base.eigenvectors.T @ (e @ u_i)
     with np.errstate(divide="ignore", invalid="ignore"):

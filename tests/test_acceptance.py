@@ -239,14 +239,14 @@ def test_criterion_8_closed_form_regression():
           float(2 * mp.exp(-2 / mp.mpf("2.1"))))
 
     y = np.array([1.0, -1.0, 1.0, 1.0, -1.0, -1.0])
-    rank1 = sb.GramMatrix(entries=np.outer(y, y), scaling="raw")
+    rank1 = sb.GramMatrix(entries=np.outer(y, y))
     close("kta rank-1 fixture", sb.kta(rank1, y), 1.0)
-    ident = sb.GramMatrix(entries=np.eye(16), scaling="raw")
+    ident = sb.GramMatrix(entries=np.eye(16))
     labels = np.array([1.0, -1.0] * 8)
     close("kta identity fixture", sb.kta(ident, labels), float(1 / mp.sqrt(16)))
 
     two = sb.SampleSet(rows=np.array([[0.0], [1.0]]), provenance="t")
-    g2 = sb.gram(two, sb.gaussian(1.0), "raw")
+    g2 = sb.gram(two, sb.gaussian(1.0))
     close("gaussian off-diagonal", float(g2.entries[0, 1]), float(mp.exp(-0.5)))
     close("gaussian lipschitz", sb.lipschitz(sb.gaussian(1.0)), 0.5)
     pair_rows = sb.SampleSet(rows=np.array([[3.0, 4.0], [0.0, 1.0]]), provenance="t")
@@ -265,8 +265,8 @@ def test_criterion_8_closed_form_regression():
     close("expansion fixture u2", float(predicted[1]), -delta)
 
     two_basis = sb.SampleSet(rows=np.eye(2), provenance="t")
-    pair = sb.perturb_replace(two_basis, sb.linear(), 2, np.array([1.0, 0.0]), "raw")
-    close("replace-one norm n=2", pair.spectral_norm_e, 1.0)
+    pair = sb.perturb_replace(two_basis, sb.linear(), 2, np.array([1.0, 0.0]))
+    close("replace-one norm n=2", pair.spectral_norm_e, 0.5)  # the pair of G/n
 
     failures = [c for c in checks if not c[1]]
     detail = f"{len(checks)} closed-form values vs. high-precision recomputation"

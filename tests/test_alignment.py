@@ -16,14 +16,14 @@ from specbounds.alignment import (
 )
 from specbounds.dataset import gen_gaussian
 from specbounds.errors import ConfigError, DataError, DegeneracyError
-from specbounds.kernels import ONE_OVER_N, RAW, GramMatrix, gram, linear
+from specbounds.kernels import GramMatrix, gram, linear
 from specbounds.spectral import eig_sym
 
 mp.mp.dps = 50
 
 
-def _gram(entries, scaling=RAW):
-    return GramMatrix(entries=np.asarray(entries, dtype=float), scaling=scaling)
+def _gram(entries):
+    return GramMatrix(entries=np.asarray(entries, dtype=float))
 
 
 def _random_psd_gram(rng, n):
@@ -206,14 +206,13 @@ def test_ratio_approx_agreement_decaying_spectrum():
 
 def test_alignment_report_full():
     s = gen_gaussian(20, 3, 60)
-    g = gram(s, linear(), RAW)
+    g = gram(s, linear())
     rng = np.random.default_rng(61)
     y = rng.choice([-1.0, 1.0], size=20)
     report = alignment_report(g, y, epsilons=(0.5, 1.0))
     assert abs(report.a_kn) <= 1.0
     assert report.l_mid <= report.frob
     assert report.theta_mode == "drop"
-    assert report.m == 20
     # linear kernel on 3-d data is rank 3: theta degrades gracefully
     assert "kta_theta" in report.skipped
     for label in ("kta_spectral", "kta_spectral_approx", "kta_spectral_bdiff"):
@@ -224,7 +223,7 @@ def test_alignment_report_gaussian_kernel_has_theta():
     s = gen_gaussian(12, 2, 62)
     from specbounds.kernels import gaussian
 
-    g = gram(s, gaussian(1.0), RAW)
+    g = gram(s, gaussian(1.0))
     rng = np.random.default_rng(63)
     y = rng.choice([-1.0, 1.0], size=12)
     report = alignment_report(g, y, epsilons=(0.5, 1.0))
@@ -235,15 +234,9 @@ def test_alignment_report_gaussian_kernel_has_theta():
 
 def test_alignment_report_validates_epsilon_grid():
     s = gen_gaussian(12, 2, 64)
-    g = gram(s, linear(), RAW)
+    g = gram(s, linear())
     y = np.random.default_rng(65).choice([-1.0, 1.0], size=12)
     for grid in ((0.5, 0.1), (0.1, float("nan")), (float("inf"),), (), (0.0, 0.1)):
         with pytest.raises(ConfigError):
             alignment_report(g, y, epsilons=grid)
 
-
-def test_alignment_report_needs_raw_gram():
-    s = gen_gaussian(12, 2, 66)
-    y = np.random.default_rng(67).choice([-1.0, 1.0], size=12)
-    with pytest.raises(ConfigError, match="raw Gram"):
-        alignment_report(gram(s, linear(), ONE_OVER_N), y, epsilons=(0.5, 1.0))

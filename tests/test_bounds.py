@@ -23,7 +23,7 @@ from specbounds.bounds import (
 )
 from specbounds.dataset import CovarianceStats, covariance_stats, gen_gaussian
 from specbounds.errors import ConfigError, DegenerateGapError
-from specbounds.kernels import RAW, gaussian, gram, lipschitz, diag_sup
+from specbounds.kernels import gaussian, gram, lipschitz, diag_sup
 from specbounds.spectral import GapProfile, Spectrum, eig_sym, gaps_from_eigenvalues
 
 mp.mp.dps = 50
@@ -281,7 +281,7 @@ def test_purity_bit_identical():
 def test_evaluate_bounds_report():
     s = gen_gaussian(40, 3, 77)
     spec_k = gaussian(1.0)
-    g = gram(s, spec_k, RAW)
+    g = gram(s, spec_k)
     cov = covariance_stats(s)
     x = BoundInputs(
         n=s.n,
@@ -318,7 +318,7 @@ def test_evaluate_bounds_report():
 def test_evaluate_bounds_eigvec_and_sums():
     s = gen_gaussian(30, 3, 78)
     spec_k = gaussian(1.0)
-    g = gram(s, spec_k, RAW)
+    g = gram(s, spec_k)
     x = BoundInputs(
         n=s.n,
         spectrum=eig_sym(g).eigenvalues,
@@ -389,7 +389,7 @@ def test_eigvec_uniform_overflow_is_vacuous():
     s = gen_gaussian(400, 2, 79)
     spec_k = gaussian(1.0)
     report = evaluate_bounds(BoundInputs(
-        n=s.n, spectrum=eig_sym(gram(s, spec_k, RAW)).eigenvalues, cov=covariance_stats(s),
+        n=s.n, spectrum=eig_sym(gram(s, spec_k)).eigenvalues, cov=covariance_stats(s),
         lip=lipschitz(spec_k), kernel="distance",
     ), "eigenvector", 1, (1e-4,))
     row = [r for r in report.rows if r.theorem == "eigvec_uniform"][0]

@@ -13,7 +13,7 @@ from specbounds import cli
 from specbounds.cli import main
 from specbounds.dataset import load_csv
 from specbounds.experiments import ExperimentConfig, _draw, _keys, _trial_inputs, subseed
-from specbounds.kernels import RAW, gaussian, gram
+from specbounds.kernels import gaussian, gram
 from test_properties import theta_brute_force
 
 RANK1_ROWS = 8
@@ -171,8 +171,28 @@ def test_bounds_estimates_theta_only_when_a_theorem_reads_it(tmp_path, monkeypat
     assert run_cli("bounds", "--data", str(data), "--stat", "eig:1", "--out", str(out)) == 0
     assert len(calls) == 1
     reported = json.loads((out / "metadata.json").read_text())["statistics"]["eigenvalue:1"]
-    expected = theta_brute_force(gram(load_csv(str(data)), gaussian(1.0), RAW))
+    expected = theta_brute_force(gram(load_csv(str(data)), gaussian(1.0)))
     assert reported["theta"] == expected and reported["theta_estimated"] is True
+
+
+def test_bounds_skips_theta_top_when_theta_is_undefined(tmp_path, capsys):
+    # theta_top is reported as skipped with theta's reason, never silently dropped
+    rng = np.random.default_rng(84)
+    low_rank = tmp_path / "g.csv"  # a linear kernel on 2-d data: rank 2, theta undefined
+    rows = rng.standard_normal((20, 2))
+    low_rank.write_text("".join(",".join(repr(float(v)) for v in r) + "\n" for r in rows))
+    zero = tmp_path / "diag.csv"  # G = diag(9, 4, 1): dropping the third row keeps 9 and 4, so theta is 0
+    zero.write_text("3,0,0\n0,2,0\n0,0,1\n")
+    for data, reason in ((low_rank, "theta undefined"), (zero, "estimated theta is 0")):
+        argv = ("bounds", "--data", str(data), "--kernel", "linear", "--stat", "eig:1", "--eps", "0.1")
+        assert run_cli(*argv, "--out", str(tmp_path / "o4")) == 4
+        assert "eigenvalue:1:theta_top: " + reason in capsys.readouterr().err
+        out = tmp_path / "o0"
+        assert run_cli(*argv, "--allow-degenerate", "--out", str(out)) == 0
+        meta = json.loads((out / "metadata.json").read_text())
+        assert meta["skipped_theorems"]["eigenvalue:1:theta_top"] == meta["theta_skipped"]
+        theorems = {line.split(",")[3] for line in (out / "report.csv").read_text().splitlines()[1:]}
+        assert "theta_top" not in theorems and {"diag_uniform", "adjacent_gap"} <= theorems
 
 
 def test_bounds_reproduces_simulate_trial_bounds(tmp_path):
@@ -231,6 +251,9 @@ def test_bounds_config_errors_exit_2(tmp_path):
     assert run_cli("bounds", "--data", data, "--stat", "median:1",
                    "--out", str(tmp_path / "o")) == 2
     assert run_cli("bounds", "--data", data, "--eps", "0.2,0.1",
+                   "--out", str(tmp_path / "o")) == 2
+    # a repeated statistic would write every row twice
+    assert run_cli("bounds", "--data", data, "--stat", "eig:1,topk:2,eig:1",
                    "--out", str(tmp_path / "o")) == 2
 
 
@@ -393,6 +416,7 @@ def test_align_rank1_fixture(tmp_path):
                    "--eps", "0.5,1.0", "--out", str(out)) == 0
     payload = json.loads((out / "alignment.json").read_text())
     assert payload["a_kn"] == pytest.approx(1.0, rel=1e-12)
+    assert payload["m"] == RANK1_ROWS  # C(theta)'s m is n
     lines = (out / "alignment.csv").read_text().splitlines()
     a_line = [l for l in lines if ",a_kn," in l][0]
     assert float(a_line.split(",")[5]) == pytest.approx(1.0, rel=1e-12)
@@ -474,15 +498,23 @@ def test_module_entrypoint_runs():
     assert proc.stdout.strip() == "0.1.0"
 
 
-def test_bound_report_demo_runs(tmp_path):
+DEMOS = {
+    "bound_report_walkthrough": "adjacent_gap",
+    "alignment_and_oracles": "eigenvalue_stability",
+    "concentration_experiment": "spearman",
+}
+
+
+@pytest.mark.parametrize("demo", sorted(DEMOS))
+def test_bound_report_demo_runs(tmp_path, demo):
     root = Path(__file__).resolve().parents[1]
     proc = subprocess.run(
-        [sys.executable, str(root / "demos" / "bound_report_walkthrough.py")],
+        [sys.executable, str(root / "demos" / f"{demo}.py")],
         capture_output=True, text=True, cwd=tmp_path,
         env={**os.environ, "PYTHONPATH": str(root / "src")},
     )
     assert proc.returncode == 0, proc.stderr
-    assert "adjacent_gap" in proc.stdout
+    assert DEMOS[demo] in proc.stdout
 
 
 def test_generated_seed_printed(tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 from specbounds import bounds, experiments
 from specbounds.bounds import theorem_values
 from specbounds.errors import ConfigError, SpecBoundsError
-from specbounds.kernels import RAW, GramMatrix
+from specbounds.kernels import GramMatrix
 from specbounds.spectral import Spectrum, eig_sym, interlacing_check, principal_submatrix
 from specbounds.experiments import (
     KNOWN_BOUNDS,
@@ -61,6 +61,14 @@ def test_default_epsilons_grid():
 def test_config_round_trip_identity():
     cfg = _cfg()
     assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+
+
+def test_config_from_dict_defaults_and_sizes():
+    # absent fields take the dataclass defaults; sizes are coerced to int
+    sizes = {"n": "10", "p": 2.0, "trials": 3, "seed": 1}
+    assert ExperimentConfig.from_dict(sizes) == ExperimentConfig(n=10, p=2, trials=3, seed=1)
+    with pytest.raises(ConfigError, match="missing key 'seed'"):
+        ExperimentConfig.from_dict({"n": 10, "p": 2, "trials": 3})
 
 
 def test_config_validation():
@@ -364,7 +372,7 @@ def _interlacing_per_drop(trial_seed: int) -> tuple[int, float]:
     rng = np.random.default_rng(trial_seed)
     dim = int(rng.integers(3, 41))
     b = rng.standard_normal((dim, dim))
-    a = GramMatrix(entries=(b @ b.T) / dim, scaling=RAW)
+    a = GramMatrix(entries=(b @ b.T) / dim)
     parent = eig_sym(a)
     violations = 0
     worst = -np.inf

@@ -4,8 +4,6 @@ import pytest
 from specbounds.dataset import SampleSet, gen_gaussian
 from specbounds.errors import ConfigError, DataError
 from specbounds.kernels import (
-    ONE_OVER_N,
-    RAW,
     diag_sup,
     distance_kernel,
     gaussian,
@@ -28,33 +26,26 @@ def _samples(rows):
 
 def test_gram_linear_orthonormal_rows():
     s = _samples(np.eye(4))
-    g = gram(s, linear(), ONE_OVER_N)
-    assert np.allclose(g.entries, np.eye(4) / 4.0, atol=1e-15)
+    g = gram(s, linear())
+    assert np.allclose(g.entries, np.eye(4), atol=1e-15)
 
 
 def test_gram_gaussian_diagonal():
     s = _samples(np.random.default_rng(1).standard_normal((6, 3)))
-    g = gram(s, gaussian(1.0), ONE_OVER_N)
-    assert np.allclose(np.diag(g.entries), 1.0 / 6.0, atol=1e-15)
+    g = gram(s, gaussian(1.0))
+    assert np.allclose(np.diag(g.entries), 1.0, atol=1e-15)
 
 
 def test_gram_gaussian_two_points():
     s = _samples([[0.0], [1.0]])
-    g = gram(s, gaussian(1.0), RAW)
+    g = gram(s, gaussian(1.0))
     assert g.entries[0, 1] == pytest.approx(EXP_HALF, rel=1e-12)
     assert g.entries[1, 0] == g.entries[0, 1]
 
 
-def test_gram_scaling_relation_exact():
-    s = gen_gaussian(49, 3, 2)  # 49 exercises n where x/n*n would not round-trip
-    raw = gram(s, gaussian(0.7), RAW)
-    scaled = gram(s, gaussian(0.7), ONE_OVER_N)
-    assert np.array_equal(scaled.entries, raw.entries / s.n)
-
-
 def test_gram_exact_symmetry():
     s = gen_gaussian(30, 4, 3)
-    g = gram(s, gaussian(2.0), RAW)
+    g = gram(s, gaussian(2.0))
     assert np.array_equal(g.entries, g.entries.T)
 
 
@@ -63,8 +54,8 @@ def test_gram_distance_rigid_motion_invariance():
     rows = rng.standard_normal((25, 3))
     q, _ = np.linalg.qr(rng.standard_normal((3, 3)))
     shifted = rows @ q.T + np.array([1.0, -2.0, 3.0])
-    a = gram(_samples(rows), gaussian(1.3), RAW)
-    b = gram(_samples(shifted), gaussian(1.3), RAW)
+    a = gram(_samples(rows), gaussian(1.3))
+    b = gram(_samples(shifted), gaussian(1.3))
     assert np.allclose(a.entries, b.entries, rtol=1e-8, atol=1e-10)
 
 
@@ -73,7 +64,7 @@ def test_gram_distance_rigid_motion_invariance():
 )
 def test_gram_mercer_families_psd(spec):
     s = gen_gaussian(40, 3, 5)
-    g = gram(s, spec, ONE_OVER_N)
+    g = gram(s, spec)
     eigs = np.linalg.eigvalsh(g.entries)
     assert eigs[0] >= -1e-8 * max(eigs[-1], 1e-300)
 
@@ -83,7 +74,7 @@ def test_gram_nonfinite_names_pair():
     spec = distance_kernel(lambda t: np.where(t == 1.0, np.inf, t), 1.0, name="pole")
     s = _samples([[0.0], [1.0], [3.0]])
     with pytest.raises(DataError, match=r"\(1, 2\)"):
-        gram(s, spec, RAW)
+        gram(s, spec)
 
 
 def test_lipschitz_builtins():

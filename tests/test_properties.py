@@ -1,19 +1,20 @@
-"""Property tests of the theorem registry on random valid inputs, and of the
-theta statistic against the exhaustive leave-one-out loop."""
+"""Property tests of the theorem registry on random valid inputs, of the
+theta statistic against the exhaustive leave-one-out loop, and of the
+alignment statistics' scale invariance."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from specbounds import bounds
-from specbounds.alignment import theta_statistic
+from specbounds.alignment import kta, theta_statistic
 from specbounds.bounds import THEOREMS, BoundInputs
 from specbounds.dataset import CovarianceStats, SampleSet
 from specbounds.errors import ConfigError, DataError, DegeneracyError
-from specbounds.kernels import ONE_OVER_N, RAW, GramMatrix, gaussian, gram, linear, polynomial
+from specbounds.kernels import GramMatrix, gaussian, gram, linear, polynomial
 from specbounds.spectral import eig_sym, gap_tolerance, gaps_from_eigenvalues, principal_submatrix
 
 # raw value at eps = 0: the prefactor times exp(offset)
@@ -119,7 +120,7 @@ def printed_formula(theorem, x, i, e):
                                             **({"ratio": x.ratio} if theorem.endswith("approx") else {"frob": x.frob}))
     g = {"adjacent_gap": profile.gap_next, "topk_gap": float(lam[0] - lam[i]),
          "tail_gap": float(lam[i - 1] - lam[-1])}.get(theorem)
-    c = bounds.c_theta(x.a_kn, x.theta, n, x.frob, x.m)
+    c = bounds.c_theta(x.a_kn, x.theta, n, x.frob)
     return {
         "diag_uniform": lambda: 2.0 * _exp_or_inf(-2.0 * n * e * e / (x.diag_sup_sq * x.diag_sup_sq)),
         "theta_top": lambda: 2.0 * _exp_or_inf(-2.0 * e * e / (x.theta * x.theta * lam[0] * lam[0])),
@@ -270,28 +271,30 @@ KERNELS = {"gaussian": gaussian(1.0), "gaussian_narrow": gaussian(0.3), "linear"
 @st.composite
 def theta_grams(draw):
     """Gram matrices of random samples with duplicated or near-duplicate rows,
-    or symmetric indefinite matrices, at either scaling."""
+    or symmetric indefinite matrices, at magnitude G or G/n."""
     n = draw(st.integers(3, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    scaling = draw(st.sampled_from((RAW, ONE_OVER_N)))
+    over_n = draw(st.booleans())
     kind = draw(st.sampled_from((*KERNELS, "indefinite", "one_negative")))
     if kind == "indefinite":
         a = rng.standard_normal((n, n))
-        return GramMatrix(entries=(a + a.T) / 2, scaling=scaling)
-    if kind == "one_negative":
+        entries = (a + a.T) / 2
+    elif kind == "one_negative":
         # only lambda_n < 0, so theta is defined and some ratios are negative
         q, _ = np.linalg.qr(rng.standard_normal((n, n)))
         lam = np.concatenate([rng.uniform(0.05, 3.0, n - 1), [-rng.uniform(0.01, 2.0)]])
         a = (q * lam) @ q.T
-        return GramMatrix(entries=np.triu(a) + np.triu(a, 1).T, scaling=scaling)
-    rows = rng.standard_normal((n, draw(st.integers(1, 5))))
-    copies = draw(st.integers(0, n - 1))
-    if copies:
-        src = rng.integers(0, n, size=copies)
-        dst = rng.integers(0, n, size=copies)
-        jitter = draw(st.sampled_from((0.0, 1e-9, 1e-6)))
-        rows[dst] = rows[src] + jitter * rng.standard_normal((copies, rows.shape[1]))
-    return gram(SampleSet(rows=rows, provenance="hypothesis"), KERNELS[kind], scaling)
+        entries = np.triu(a) + np.triu(a, 1).T
+    else:
+        rows = rng.standard_normal((n, draw(st.integers(1, 5))))
+        copies = draw(st.integers(0, n - 1))
+        if copies:
+            src = rng.integers(0, n, size=copies)
+            dst = rng.integers(0, n, size=copies)
+            jitter = draw(st.sampled_from((0.0, 1e-9, 1e-6)))
+            rows[dst] = rows[src] + jitter * rng.standard_normal((copies, rows.shape[1]))
+        entries = gram(SampleSet(rows=rows, provenance="hypothesis"), KERNELS[kind]).entries
+    return GramMatrix(entries=entries / n if over_n else entries)
 
 
 @settings(max_examples=150, deadline=None)
@@ -303,7 +306,7 @@ def test_theta_equals_exhaustive_loop(g, mode):
 
 def test_theta_solves_few_deletions(monkeypatch):
     rng = np.random.default_rng(57)
-    g = gram(SampleSet(rows=rng.standard_normal((200, 5)), provenance="seeded"), gaussian(1.0), RAW)
+    g = gram(SampleSet(rows=rng.standard_normal((200, 5)), provenance="seeded"), gaussian(1.0))
     expected = theta_brute_force(g)
     calls = []
     eigvalsh = np.linalg.eigvalsh
@@ -315,3 +318,20 @@ def test_theta_solves_few_deletions(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
     assert theta_statistic(g) == expected
     assert 1 <= len(calls) <= 20
+
+
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(3, 40), p=st.integers(1, 5), seed=st.integers(0, 2**32 - 1))
+def test_alignment_statistics_are_scale_invariant(n, p, seed):
+    """kta and theta read G and G/n alike.  The eigensolver's rounding is
+    absolute, about n eps lambda_1, so theta's ratio at order i carries a
+    relative error of about n eps lambda_1 / lambda_i; theta is compared
+    where lambda_{n-1} >= 1e-4 lambda_1."""
+    rng = np.random.default_rng(seed)
+    g = gram(SampleSet(rows=rng.standard_normal((n, p)), provenance="hypothesis"), gaussian(1.0))
+    g_over_n = GramMatrix(entries=g.entries / n)
+    y = rng.choice([-1.0, 1.0], size=n)
+    assert math.isclose(kta(g_over_n, y), kta(g, y), rel_tol=1e-12)
+    lam = eig_sym(g).eigenvalues
+    assume(lam[n - 2] >= 1e-4 * lam[0])
+    assert math.isclose(theta_statistic(g_over_n), theta_statistic(g), rel_tol=1e-9)

@@ -3,7 +3,7 @@ import pytest
 
 from specbounds.dataset import SampleSet, gen_gaussian
 from specbounds.errors import DataError, DegeneracyError, DegenerateGapError, ValidityConditionError
-from specbounds.kernels import ONE_OVER_N, RAW, GramMatrix, gaussian, linear, gram, polynomial
+from specbounds.kernels import GramMatrix, gaussian, linear, gram, polynomial
 from specbounds.spectral import (
     Spectrum,
     eig_sym,
@@ -20,8 +20,8 @@ from specbounds.spectral import (
 )
 
 
-def _gram(entries, scaling=RAW):
-    return GramMatrix(entries=np.asarray(entries, dtype=float), scaling=scaling)
+def _gram(entries):
+    return GramMatrix(entries=np.asarray(entries, dtype=float))
 
 
 def test_eig_sym_diagonal():
@@ -69,7 +69,7 @@ def test_eig_sym_permutation_invariant_eigenvalues():
 
 def test_eig_sym_orthonormality_and_reconstruction():
     s = gen_gaussian(30, 4, 9)
-    spec = eig_sym(gram(s, gaussian(1.0), ONE_OVER_N))
+    spec = eig_sym(gram(s, gaussian(1.0)))
     u = spec.eigenvectors
     assert np.max(np.abs(u.T @ u - np.eye(30))) <= 1e-8
 
@@ -161,10 +161,8 @@ def test_principal_submatrix():
     g = _gram([[1.0, 2.0], [2.0, 5.0]])
     sub = principal_submatrix(g, 2)
     assert sub.entries.shape == (1, 1) and sub.entries[0, 0] == 1.0
-    g3 = _gram(np.eye(3), scaling=ONE_OVER_N)
-    sub = principal_submatrix(g3, 2)
+    sub = principal_submatrix(_gram(np.eye(3)), 2)
     assert np.array_equal(sub.entries, np.eye(2))
-    assert sub.scaling == ONE_OVER_N
     tri = _gram([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 1.0, 2.0]])
     assert np.array_equal(principal_submatrix(tri, 3).entries, [[2.0, 1.0], [1.0, 2.0]])
     with pytest.raises(DataError):
@@ -200,16 +198,17 @@ def test_interlacing_brute_force_small():
 
 def test_perturb_replace_identity():
     s = gen_gaussian(10, 2, 20)
-    pair = perturb_replace(s, gaussian(1.0), 3, s.rows[2], ONE_OVER_N)
+    pair = perturb_replace(s, gaussian(1.0), 3, s.rows[2])
     assert pair.spectral_norm_e == 0.0
     assert np.all(pair.e == 0.0)
 
 
 def test_perturb_replace_two_point_linear():
     s = SampleSet(rows=np.eye(2), provenance="t")
-    pair = perturb_replace(s, linear(), 2, np.array([1.0, 0.0]), RAW)
-    assert np.allclose(pair.e, [[0.0, 1.0], [1.0, 0.0]])
-    assert pair.spectral_norm_e == pytest.approx(1.0)
+    # the pair is of G/n: row 2 of G changes by (1, 0), so E/n has 1/2 off the diagonal
+    pair = perturb_replace(s, linear(), 2, np.array([1.0, 0.0]))
+    assert np.allclose(pair.e, [[0.0, 0.5], [0.5, 0.0]])
+    assert pair.spectral_norm_e == pytest.approx(0.5)
     assert np.allclose(np.diag(pair.e), 0.0)
 
 
@@ -219,7 +218,7 @@ def test_perturb_replace_structure_and_norm_oracle():
         n = int(rng.integers(4, 30))
         s = SampleSet(rows=rng.standard_normal((n, 3)), provenance="t")
         idx = int(rng.integers(1, n + 1))
-        pair = perturb_replace(s, gaussian(1.0), idx, rng.standard_normal(3), ONE_OVER_N)
+        pair = perturb_replace(s, gaussian(1.0), idx, rng.standard_normal(3))
         mask = np.ones((n, n), dtype=bool)
         mask[idx - 1, :] = False
         mask[:, idx - 1] = False
@@ -229,12 +228,23 @@ def test_perturb_replace_structure_and_norm_oracle():
         assert np.array_equal(pair.perturbed.entries, pair.original.entries + pair.e)
 
 
+@pytest.mark.parametrize("kernel", [gaussian(0.7), linear(), polynomial(2, 1.0)], ids=lambda k: k.name)
+@pytest.mark.parametrize("n", [2, 3, 4, 20, 49])  # 49: x / n * n does not round-trip
+def test_perturb_replace_pair_is_gram_over_n(kernel, n):
+    rng = np.random.default_rng(60 + n)
+    s = SampleSet(rows=rng.standard_normal((n, 3)), provenance="t")
+    for idx in range(1, n + 1):
+        pair = perturb_replace(s, kernel, idx, rng.standard_normal(3))
+        assert np.array_equal(pair.original.entries, gram(s, kernel).entries / s.n)
+        assert np.array_equal(pair.perturbed.entries, pair.original.entries + pair.e)
+
+
 def test_perturb_replace_validation():
     s = gen_gaussian(5, 2, 22)
     with pytest.raises(DataError):
-        perturb_replace(s, linear(), 1, np.zeros(3), RAW)
+        perturb_replace(s, linear(), 1, np.zeros(3))
     with pytest.raises(DataError):
-        perturb_replace(s, linear(), 6, np.zeros(2), RAW)
+        perturb_replace(s, linear(), 6, np.zeros(2))
 
 
 @pytest.mark.parametrize("kernel", [gaussian(1.0), linear(), polynomial(2, 1.0)], ids=lambda k: k.name)
@@ -242,22 +252,21 @@ def test_perturb_replace_validation():
 def test_perturb_replace_norm_equals_pair_norm(kernel, n):
     rng = np.random.default_rng(40 + n)
     s = SampleSet(rows=rng.standard_normal((n, 3)), provenance="t")
-    for scaling in (RAW, ONE_OVER_N):
-        for idx in range(1, n + 1):
-            replacement = rng.standard_normal(3)
-            pair = perturb_replace(s, kernel, idx, replacement, scaling)
-            norm = perturb_replace_norm(s, kernel, idx, replacement, scaling)
-            assert norm == pair.spectral_norm_e  # bit for bit
-            assert perturb_replace_norm(s, kernel, idx, s.rows[idx - 1], scaling) == 0.0
+    for idx in range(1, n + 1):
+        replacement = rng.standard_normal(3)
+        pair = perturb_replace(s, kernel, idx, replacement)
+        norm = perturb_replace_norm(s, kernel, idx, replacement)
+        assert norm == pair.spectral_norm_e  # bit for bit
+        assert perturb_replace_norm(s, kernel, idx, s.rows[idx - 1]) == 0.0
 
 
 def test_perturb_replace_norm_validation():
     s = gen_gaussian(5, 2, 22)
     for index, replacement in ((1, np.zeros(3)), (6, np.zeros(2)), (0, np.zeros(2))):
         with pytest.raises(DataError) as pair_error:
-            perturb_replace(s, linear(), index, replacement, RAW)
+            perturb_replace(s, linear(), index, replacement)
         with pytest.raises(DataError) as norm_error:
-            perturb_replace_norm(s, linear(), index, replacement, RAW)
+            perturb_replace_norm(s, linear(), index, replacement)
         assert str(norm_error.value) == str(pair_error.value)
 
 
@@ -303,8 +312,6 @@ def test_eigvec_first_order_validity_errors():
     big = np.array([[0.0, 1.0], [1.0, 0.0]])
     with pytest.raises(ValidityConditionError):
         eigvec_first_order(base, big, 1)
-    with pytest.warns(RuntimeWarning):
-        eigvec_first_order(base, big, 1, allow_invalid=True)
     degenerate = eig_sym(_gram(np.eye(3)))
     with pytest.raises(DegenerateGapError):
         eigvec_first_order(degenerate, np.zeros((3, 3)), 1)
@@ -315,7 +322,7 @@ def test_weyl_stability_small():
     for _ in range(50):
         s = SampleSet(rows=rng.standard_normal((20, 3)), provenance="t")
         idx = int(rng.integers(1, 21))
-        pair = perturb_replace(s, gaussian(1.0), idx, rng.standard_normal(3), ONE_OVER_N)
+        pair = perturb_replace(s, gaussian(1.0), idx, rng.standard_normal(3))
         lam = np.linalg.eigvalsh(pair.original.entries)
         lam_p = np.linalg.eigvalsh(pair.perturbed.entries)
         assert np.max(np.abs(lam - lam_p)) <= pair.spectral_norm_e + 1e-9
@@ -327,7 +334,7 @@ def test_second_order_eigenvalue_bound_small():
     for _ in range(60):
         s = SampleSet(rows=rng.standard_normal((25, 3)), provenance="t")
         idx = int(rng.integers(1, 26))
-        pair = perturb_replace(s, gaussian(1.0), idx, rng.standard_normal(3), ONE_OVER_N)
+        pair = perturb_replace(s, gaussian(1.0), idx, rng.standard_normal(3))
         lam = np.sort(np.linalg.eigvalsh(pair.original.entries))[::-1]
         profile = gaps_from_eigenvalues(lam, 1)
         min_gap = np.min(np.abs(np.delete(lam - lam[0], 0)))

@@ -2,7 +2,8 @@
 the leading eigenvalue statistics against the per-eigenvalue gap bound, and
 the boxplot statistics whose spread follows the spectral gaps.
 
-Writes an SVG line plot and an SVG boxplot next to this script.
+Writes an SVG line plot and an SVG boxplot to specbounds_out/ under the
+working directory, the CLI's default output directory.
 """
 
 from pathlib import Path
@@ -12,7 +13,7 @@ import numpy as np
 from specbounds.experiments import ExperimentConfig, boxplot_stats, run_concentration
 from specbounds.svgplot import LinePlot, render_boxplot
 
-out_dir = Path(__file__).resolve().parent / "out"
+out_dir = Path("specbounds_out")
 out_dir.mkdir(exist_ok=True)
 
 cfg = ExperimentConfig(

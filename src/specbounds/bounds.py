@@ -557,10 +557,12 @@ def theorem_grid(theorem: str, params, eps):
     `params` is one sample's tuple, with eps a scalar or a 1-D grid, or a
     stack of T samples' parameters as (T, 1) columns (`params[j]`), with eps
     a (1, E) row, giving a (T, E) array whose rows are the one-sample
-    values.  `eps` is used as given: callers validate it.
+    values.  `eps` is used as given: callers validate it.  A product that
+    overflows is inf, silently, as it is for one scalar.
     """
     t = THEOREMS[theorem]
-    return t.prefactor * _exp(t.grid(params, eps))
+    with np.errstate(over="ignore"):
+        return t.prefactor * _exp(t.grid(params, eps))
 
 
 def theorem_values(theorem: str, x: BoundInputs, i: int | None, eps):

@@ -8,15 +8,15 @@ Subcommands:
 
 Exit codes: 0 ok, 2 config error, 3 data error, 4 numerical degeneracy.
 
-Results CSV contract (bounds/simulate/align):
-  statistic,index,epsilon,theorem,kind,value,stderr,flags
-Audit CSV:
-  inequality,trials,violations,skipped,max_violation
+CSV columns: RESULTS_HEADER for bounds, simulate and align; AUDIT_HEADER
+for audit.
 
 All randomness flows from --seed; an omitted seed is generated, printed, and
-stored in the manifest.  Manifests carry the resolved config, input file
-hashes, tool version, and output names (no timestamps), so identical commands
-re-run to byte-identical CSV/JSON.
+stored in the manifest (a --config run takes each run's seed from its config
+instead).  Manifests carry the resolved config, input file hashes, tool
+version, and output names (no timestamps), so identical commands re-run to
+byte-identical CSV/JSON.  The --out directory is created at the first write,
+so a run that fails before it leaves nothing behind.
 """
 
 from __future__ import annotations
@@ -26,14 +26,17 @@ import hashlib
 import json
 import secrets
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
 from . import bounds as bnd
-from .alignment import alignment_report, theta_statistic
-from .dataset import covariance_stats, load_csv, load_csv_with_labels, load_labels
+# theta_statistic and covariance_stats go unused here (experiments.sample_inputs
+# computes the bound inputs), but the benchmark's tracer patches them by name
+from .alignment import alignment_report, theta_statistic  # noqa: F401
+from .dataset import covariance_stats, load_csv, load_csv_with_labels, load_labels  # noqa: F401
 from .errors import ConfigError, DataError, DegeneracyError, SpecBoundsError
 from .experiments import (
     BoxplotResult,
@@ -43,12 +46,18 @@ from .experiments import (
     default_epsilons,
     run_concentration,
     run_oracles,
+    sample_inputs,
 )
-from .kernels import diag_sup, gram, kernel_from_cli, lipschitz
+from .kernels import gram, kernel_from_cli
 from .spectral import eig_sym
 from .svgplot import LinePlot, render_boxplot
 
 PRESETS = ("example1-fig2-top", "example1-fig2-bottom", "fig1-boxplot")
+MODES = ("concentration", "boxplot")
+RESULTS_HEADER = "statistic,index,epsilon,theorem,kind,value,stderr,flags"
+AUDIT_HEADER = "inequality,trials,violations,skipped,max_violation"
+
+Run = tuple[str, str, ExperimentConfig]  # (label, mode, config) of one simulate run
 
 
 # --- small IO helpers --------------------------------------------------------
@@ -62,16 +71,25 @@ def _fval(v) -> str:
     return repr(float(v))
 
 
-def _csv_line(fields) -> str:
-    return ",".join("" if f is None else str(f) for f in fields)
+def _csv(rows, header: str = RESULTS_HEADER) -> str:
+    """CSV text: the header, then one line per row (None is an empty field)."""
+    lines = [header] + [",".join("" if f is None else str(f) for f in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+def _json(obj) -> str:
+    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
 def _write(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8")
 
 
-def _write_json(path: Path, obj) -> None:
-    _write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+def _write_files(out: Path, files: dict[str, str]) -> None:
+    """Write each name -> text into `out`, creating it first."""
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in files.items():
+        _write(out / name, text)
 
 
 def _sha256(path: str) -> str:
@@ -82,16 +100,17 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def _manifest(command: str, out_dir: Path, seed, config, inputs: dict, outputs: list[str]) -> None:
+def _write_outputs(command: str, args, files: dict[str, str], seed, config, inputs: dict) -> None:
+    """Write `files` and a manifest listing them into --out."""
     manifest = {
         "command": command,
         "tool_version": __version__,
         "master_seed": seed,
         "config": config,
         "input_hashes": {name: _sha256(p) for name, p in inputs.items()},
-        "outputs": sorted(outputs),
+        "outputs": sorted(files),
     }
-    _write_json(out_dir / "manifest.json", manifest)
+    _write_files(Path(args.out), {**files, "manifest.json": _json(manifest)})
 
 
 def _resolve_seed(args) -> int:
@@ -100,12 +119,6 @@ def _resolve_seed(args) -> int:
     seed = secrets.randbits(63)
     print(f"generated seed: {seed}")
     return seed
-
-
-def _out_dir(args) -> Path:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    return out
 
 
 def _parse_eps(text: str | None) -> tuple[float, ...]:
@@ -161,59 +174,50 @@ def _parse_stats(text: str) -> list[tuple[str, int]]:
 
 
 def _cmd_bounds(args) -> int:
-    out = _out_dir(args)
+    out = Path(args.out)
     samples = load_csv(args.data, header=args.header)
     spec = kernel_from_cli(args.kernel)
     epsilons = _parse_eps(args.eps)
     stats = _parse_stats(args.stat)
+    if args.theta is not None and not 0.0 < args.theta <= 1.0:
+        raise ConfigError(f"--theta must lie in (0, 1], got {args.theta}")
     g = gram(samples, spec)
     spectrum = eig_sym(g)
+    # the covariance, Lipschitz constant and diagonal sup go into the
+    # metadata whichever theorems run; theta is estimated only when read
+    needs = {"diag_sup_sq", "cov", "lip"}
+    if args.theta is None and any("theta" in bnd.THEOREMS[t].needs
+                                  for stat, _ in stats for t in bnd.theorems_for(stat)):
+        needs.add("theta")
+    x = sample_inputs(samples, spec, g, spectrum.eigenvalues, needs, spectrum=spectrum,
+                      centered=args.centered)
+    if args.theta is not None:
+        x = replace(x, theta=args.theta)
     meta: dict = {
         "n": samples.n,
         "p": samples.p,
         "kernel": spec.describe(),
         "epsilons": list(epsilons),
+        "diag_sup_sq": x.diag_sup_sq,
     }
-    cov = lip = None
-    missing: dict[str, str] = {}
-    try:
-        cov = covariance_stats(samples, centered=args.centered)
-        lip = lipschitz(spec, samples)
-        norms = bnd.error_norm_bound(spec.kind, cov, lip, samples.n)
+    if x.cov is None or x.lip is None:
+        meta["covariance_skipped"] = x.missing.get("cov") or x.missing["lip"]
+    else:
+        norms = bnd.error_norm_bound(spec.kind, x.cov, x.lip, samples.n)
         meta.update(
             {
-                "whitened_radius": cov.whitened_radius,
-                "cov_lambda_1": cov.lambda_1,
-                "cov_lambda_p": cov.lambda_p,
-                "cov_gap_1p": cov.gap_1p,
-                "lipschitz": lip,
+                "whitened_radius": x.cov.whitened_radius,
+                "cov_lambda_1": x.cov.lambda_1,
+                "cov_lambda_p": x.cov.lambda_p,
+                "cov_gap_1p": x.cov.gap_1p,
+                "lipschitz": x.lip,
                 "error_norm_printed": norms.printed,
                 "error_norm_conservative": norms.conservative,
             }
         )
-    except DegeneracyError as exc:
-        meta["covariance_skipped"] = str(exc)
-        missing = dict.fromkeys(("cov", "lip"), str(exc))
-    r2 = diag_sup(samples, spec)
-    meta["diag_sup_sq"] = r2
-    theta, estimated = None, False
-    if args.theta is not None:
-        theta = args.theta
-        if not 0.0 < theta <= 1.0:
-            raise ConfigError(f"--theta must lie in (0, 1], got {theta}")
-    elif any("theta" in bnd.THEOREMS[t].needs for stat, _ in stats for t in bnd.theorems_for(stat)):
-        try:
-            theta, estimated = theta_statistic(g, spectrum=spectrum), True
-        except (DegeneracyError, DataError) as exc:
-            missing["theta"] = str(exc)
-    if theta is not None and theta <= 0.0:
-        missing["theta"] = "estimated theta is 0; the theta bound is undefined"
-        theta = None
-    if "theta" in missing:
-        meta["theta_skipped"] = missing["theta"]
+    if "theta" in x.missing:
+        meta["theta_skipped"] = x.missing["theta"]
 
-    x = bnd.BoundInputs(n=samples.n, spectrum=spectrum.eigenvalues, cov=cov, lip=lip, diag_sup_sq=r2,
-                        theta=theta, theta_estimated=estimated, kernel=spec.kind, missing=missing)
     rows = []
     skipped: dict[str, str] = {}
     for statistic, index in stats:
@@ -224,24 +228,20 @@ def _cmd_bounds(args) -> int:
         meta.setdefault("statistics", {})[f"{statistic}:{index}"] = report.metadata
     if skipped:
         meta["skipped_theorems"] = skipped
-    _write_json(out / "metadata.json", meta)
+    files = {"metadata.json": _json(meta)}
     if skipped and not args.allow_degenerate:
+        _write_files(out, files)
         listed = "; ".join(f"{key}: {reason}" for key, reason in skipped.items())
         raise DegeneracyError(
             f"{len(skipped)} theorem(s) skipped: {listed} (pass --allow-degenerate to keep going)"
         )
 
-    lines = ["statistic,index,epsilon,theorem,kind,value,stderr,flags"]
-    for row in rows:
-        flags = list(row.flags) + (["vacuous"] if row.vacuous else [])
-        lines.append(
-            _csv_line(
-                [row.statistic, row.index, _fval(row.epsilon), row.theorem, "bound",
-                 _fval(row.raw), "", ";".join(flags)]
-            )
-        )
-    _write(out / "report.csv", "\n".join(lines) + "\n")
-    _manifest("bounds", out, None, vars_config(args), {"data": args.data}, ["report.csv", "metadata.json"])
+    files["report.csv"] = _csv(
+        [row.statistic, row.index, _fval(row.epsilon), row.theorem, "bound", _fval(row.raw), "",
+         ";".join(row.flags + (("vacuous",) if row.vacuous else ()))]
+        for row in rows
+    )
+    _write_outputs("bounds", args, files, None, vars_config(args), {"data": args.data})
     print(f"wrote {out / 'report.csv'}")
     return 0
 
@@ -254,74 +254,67 @@ def vars_config(args) -> dict:
 # --- simulate ----------------------------------------------------------------
 
 
-def preset_runs(name: str, seed: int, trials: int | None, epsilons) -> list[dict]:
-    """Built-in experiment presets; returns [{label, mode, config}, ...]."""
-    eps = list(epsilons if epsilons is not None else default_epsilons())
-    trials = 1000 if trials is None else trials
-    kernel = {"family": "gaussian", "sigma": 1.0}
+def preset_runs(name: str, seed: int, trials: int | None, epsilons) -> list[Run]:
+    """Built-in experiment presets; returns [(label, mode, config), ...]."""
+    common = {"n": 100, "trials": 1000 if trials is None else trials, "seed": seed}
+    if epsilons is not None:
+        common["epsilons"] = epsilons
     if name == "example1-fig2-top":
-        cfg = {
-            "generator": "gaussian", "n": 100, "p": 1, "trials": trials,
-            "seed": seed, "kernel": kernel, "epsilons": eps,
-            "indices": [1, 2, 3], "statistics": ["eigenvalue"], "bounds": ["adjacent_gap"],
-        }
-        return [{"label": "", "mode": "concentration", "config": cfg}]
+        return [("", "concentration", ExperimentConfig(p=1, **common))]
     if name == "example1-fig2-bottom":
-        runs = []
-        for p in (2, 5):
-            cfg = {
-                "generator": "gaussian", "n": 100, "p": p, "trials": trials,
-                "seed": seed, "kernel": kernel, "epsilons": eps,
-                "indices": [1, 2, 3], "statistics": ["eigenvalue"], "bounds": ["covgap_distance"],
-            }
-            runs.append({"label": f"p{p}", "mode": "concentration", "config": cfg})
-        return runs
+        return [(f"p{p}", "concentration", ExperimentConfig(p=p, bounds=("covgap_distance",), **common))
+                for p in (2, 5)]
     if name == "fig1-boxplot":
-        cfg = {
-            "generator": "gaussian", "n": 100, "p": 5, "trials": trials,
-            "seed": seed, "kernel": kernel, "epsilons": eps,
-            "indices": list(range(1, 16)), "statistics": ["eigenvalue"], "bounds": [],
-        }
-        return [{"label": "", "mode": "boxplot", "config": cfg}]
+        return [("", "boxplot", ExperimentConfig(p=5, indices=tuple(range(1, 16)), bounds=(), **common))]
     raise ConfigError(f"unknown preset {name!r} (known: {PRESETS})")
 
 
-def _runs_from_args(args, seed: int) -> list[dict]:
+def _config_runs(path: str, overrides: dict) -> list[Run]:
+    """The runs of a --config file (one config or {"runs": [...]}), each
+    config with `overrides` applied."""
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise DataError(f"cannot read config {path}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    runs = payload["runs"] if isinstance(payload, dict) and "runs" in payload else [{"config": payload}]
+    if not isinstance(runs, list) or not all(isinstance(r, dict) and "config" in r for r in runs):
+        raise ConfigError(f'config {path}: "runs" must be a list of {{"label", "mode", "config"}} objects')
+    out = []
+    for run in runs:
+        unknown = sorted(set(run) - {"label", "mode", "config"})
+        if unknown:
+            raise ConfigError(f"config {path}: unknown run key(s) {unknown}")
+        mode = run.get("mode", "concentration")
+        if mode not in MODES:
+            raise ConfigError(f"config {path}: unknown mode {mode!r} (known: {MODES})")
+        config = run["config"]
+        if isinstance(config, dict):
+            config = {**config, **overrides}
+        out.append((run.get("label", ""), mode, ExperimentConfig.from_dict(config)))
+    return out
+
+
+def _runs_from_args(args, seed: int | None) -> list[Run]:
     epsilons = _parse_eps(args.eps)
     if args.preset:
         return preset_runs(args.preset, seed, args.trials, epsilons)
     if args.config:
-        try:
-            payload = json.loads(Path(args.config).read_text(encoding="utf-8"))
-        except OSError as exc:
-            raise DataError(f"cannot read config {args.config}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config {args.config} is not valid JSON: {exc}") from exc
-        runs = payload["runs"] if isinstance(payload, dict) and "runs" in payload else [
-            {"label": "", "mode": "concentration", "config": payload}
-        ]
-        for run in runs:
-            run.setdefault("label", "")
-            run.setdefault("mode", "concentration")
-            if args.trials is not None:
-                run["config"]["trials"] = args.trials
-            if args.seed is not None:
-                run["config"]["seed"] = seed
-            if args.eps is not None:
-                run["config"]["epsilons"] = list(epsilons)
-        return runs
+        given = {"trials": args.trials, "seed": args.seed, "epsilons": None if args.eps is None else epsilons}
+        return _config_runs(args.config, {k: v for k, v in given.items() if v is not None})
     if args.n is None or args.p is None:
         raise ConfigError("simulate needs --preset, --config, or at least --n and --p")
-    cfg = {
-        "generator": "gaussian", "n": args.n, "p": args.p,
-        "trials": 1000 if args.trials is None else args.trials,
-        "seed": seed, "kernel": _kernel_dict(args.kernel),
-        "epsilons": list(epsilons),
-        "indices": list(_parse_indices(args.indices)),
+    fields = {
+        "epsilons": epsilons,
+        "kernel": _kernel_dict(args.kernel),
+        "indices": _parse_indices(args.indices),
         "statistics": args.statistics.split(","),
-        "bounds": [b for b in args.bounds.split(",") if b] if args.bounds else ["adjacent_gap"],
     }
-    return [{"label": "", "mode": args.mode, "config": cfg}]
+    if args.bounds:  # an empty --bounds keeps the default
+        fields["bounds"] = [b for b in args.bounds.split(",") if b]
+    trials = 1000 if args.trials is None else args.trials
+    return [("", args.mode, ExperimentConfig(n=args.n, p=args.p, trials=trials, seed=seed, **fields))]
 
 
 def _kernel_dict(token: str) -> dict:
@@ -330,62 +323,47 @@ def _kernel_dict(token: str) -> dict:
 
 
 def _result_csv(result: ExperimentResult) -> str:
-    lines = ["statistic,index,epsilon,theorem,kind,value,stderr,flags"]
     eps = result.config.epsilons
+    rows = []
     for s in result.series:
-        lines.append(
-            _csv_line([s.statistic, s.index, "", "", "mc_mean", _fval(s.mc_mean), _fval(s.mc_se), ""])
+        rows.append([s.statistic, s.index, "", "", "mc_mean", _fval(s.mc_mean), _fval(s.mc_se), ""])
+        rows.extend(
+            [s.statistic, s.index, _fval(e), "", "empirical_freq", _fval(f), _fval(se), ""]
+            for e, f, se in zip(eps, s.frequencies, s.frequency_se)
         )
-        for j, e in enumerate(eps):
-            lines.append(
-                _csv_line(
-                    [s.statistic, s.index, _fval(e), "", "empirical_freq",
-                     _fval(s.frequencies[j]), _fval(s.frequency_se[j]), ""]
-                )
-            )
     for b in result.bound_series:
-        base_flags = []
-        if b.excluded:
-            base_flags.append(f"excluded={b.excluded}")
+        base_flags = [f"excluded={b.excluded}"] if b.excluded else []
         for j, e in enumerate(eps):
-            for kind, arr in (("bound_mean", b.mean), ("bound_p10", b.p10)):
-                v = arr[j]
+            for kind, v in (("bound_mean", b.mean[j]), ("bound_p10", b.p10[j])):
                 flags = list(base_flags)
                 if not np.isfinite(v):
                     flags.append("all_excluded")
                 elif v >= 1.0:
                     flags.append("vacuous")
-                lines.append(
-                    _csv_line(
-                        [b.statistic, b.index, _fval(e), b.theorem, kind, _fval(v), "", ";".join(flags)]
-                    )
-                )
-    return "\n".join(lines) + "\n"
+                rows.append([b.statistic, b.index, _fval(e), b.theorem, kind, _fval(v), "", ";".join(flags)])
+    return _csv(rows)
 
 
 def _boxplot_csv(result: BoxplotResult) -> str:
-    lines = ["statistic,index,epsilon,theorem,kind,value,stderr,flags"]
-    names = ("min", "q1", "median", "q3", "max")
+    rows = []
+    names = ("min", "q1", "median", "q3", "max", "iqr", "mean_gap")
     for i, five, iqr, mg in zip(result.indices, result.five_numbers, result.iqrs, result.mean_gaps):
-        for name, v in zip(names, five):
-            lines.append(_csv_line(["eigenvalue", i, "", "", name, _fval(v), "", ""]))
-        lines.append(_csv_line(["eigenvalue", i, "", "", "iqr", _fval(iqr), "", ""]))
-        lines.append(_csv_line(["eigenvalue", i, "", "", "mean_gap", _fval(mg), "", ""]))
-    lines.append(
-        _csv_line(["eigenvalue", "", "", "", "spearman_gap_iqr", _fval(result.spearman_gap_iqr), "", ""])
-    )
-    return "\n".join(lines) + "\n"
+        rows.extend(
+            ["eigenvalue", i, "", "", name, _fval(v), "", ""] for name, v in zip(names, (*five, iqr, mg))
+        )
+    rows.append(["eigenvalue", "", "", "", "spearman_gap_iqr", _fval(result.spearman_gap_iqr), "", ""])
+    return _csv(rows)
 
 
 def _result_summary(result: ExperimentResult) -> dict:
+    """A concentration run's summary.json entry, apart from its label, mode,
+    config and RNG lineage."""
     eps = list(result.config.epsilons)
     return {
-        "config": result.config.to_dict(),
         "scaling_note": (
             "statistic is eigenvalue of the raw Gram matrix divided by n; "
             "spectral bound inputs (gaps, lambda_1) come from the raw Gram spectrum"
         ),
-        "rng": {"master_seed": result.config.seed, "subseeds": list(result.subseeds)},
         "statistics": [
             {
                 "statistic": s.statistic,
@@ -423,9 +401,9 @@ def _result_summary(result: ExperimentResult) -> dict:
 
 
 def _boxplot_summary(result: BoxplotResult) -> dict:
+    """A boxplot run's summary.json entry, apart from its label, mode, config
+    and RNG lineage."""
     return {
-        "config": result.config.to_dict(),
-        "rng": {"master_seed": result.config.seed, "subseeds": list(result.subseeds)},
         "boxplot": {
             "indices": list(result.indices),
             "five_numbers": [list(f) for f in result.five_numbers],
@@ -457,52 +435,43 @@ def _concentration_svg(results: list[tuple[str, ExperimentResult]]) -> str:
 
 
 def _cmd_simulate(args) -> int:
-    out = _out_dir(args)
-    seed = _resolve_seed(args)
+    # a --config run takes each run's seed from its file unless --seed is given
+    seed = args.seed if args.config and not args.preset else _resolve_seed(args)
     runs = _runs_from_args(args, seed)
-    outputs = []
+    files: dict[str, str] = {}
     summary_runs = []
-    svg_inputs = []
-    boxplots = []
-    for run in runs:
-        cfg = ExperimentConfig.from_dict(run["config"])
-        label = run["label"]
+    concentration = []
+    for label, mode, cfg in runs:
         suffix = f"_{label}" if label else ""
-        if run["mode"] == "boxplot":
+        if mode == "boxplot":
             result = boxplot_stats(cfg, workers=args.workers)
-            _write(out / f"results{suffix}.csv", _boxplot_csv(result))
-            outputs.append(f"results{suffix}.csv")
-            summary_runs.append({"label": label, "mode": "boxplot", **_boxplot_summary(result)})
-            boxplots.append((label, result))
+            files[f"results{suffix}.csv"] = _boxplot_csv(result)
+            summary = _boxplot_summary(result)
+            if not args.no_svg:
+                files[f"boxplot{suffix}.svg"] = render_boxplot(
+                    [str(i) for i in result.indices],
+                    list(result.five_numbers),
+                    title="Eigenvalue statistic by order",
+                    xlabel="eigenvalue order",
+                    ylabel="value",
+                )
         else:
             result = run_concentration(cfg, workers=args.workers)
-            _write(out / f"results{suffix}.csv", _result_csv(result))
-            outputs.append(f"results{suffix}.csv")
-            summary_runs.append({"label": label, "mode": "concentration", **_result_summary(result)})
-            svg_inputs.append((label, result))
-    _write_json(out / "summary.json", {"runs": summary_runs})
-    outputs.append("summary.json")
-    config_payload = {"runs": [{"label": r["label"], "mode": r["mode"], "config": r["config"]} for r in runs]}
-    _write_json(out / "config.json", config_payload)
-    outputs.append("config.json")
-    if not args.no_svg:
-        if svg_inputs:
-            _write(out / "plot.svg", _concentration_svg(svg_inputs))
-            outputs.append("plot.svg")
-        for label, result in boxplots:
-            suffix = f"_{label}" if label else ""
-            svg = render_boxplot(
-                [str(i) for i in result.indices],
-                list(result.five_numbers),
-                title="Eigenvalue statistic by order",
-                xlabel="eigenvalue order",
-                ylabel="value",
-            )
-            _write(out / f"boxplot{suffix}.svg", svg)
-            outputs.append(f"boxplot{suffix}.svg")
+            files[f"results{suffix}.csv"] = _result_csv(result)
+            summary = _result_summary(result)
+            concentration.append((label, result))
+        rng = {"master_seed": cfg.seed, "subseeds": list(result.subseeds)}
+        summary_runs.append({"label": label, "mode": mode, "config": cfg.to_dict(), "rng": rng, **summary})
+    if concentration and not args.no_svg:
+        files["plot.svg"] = _concentration_svg(concentration)
+    files["summary.json"] = _json({"runs": summary_runs})
+    config_payload = {
+        "runs": [{"label": label, "mode": mode, "config": cfg.to_dict()} for label, mode, cfg in runs]
+    }
+    files["config.json"] = _json(config_payload)
     inputs = {"config": args.config} if args.config else {}
-    _manifest("simulate", out, seed, config_payload, inputs, outputs)
-    print(f"wrote {len(outputs)} files to {out}")
+    _write_outputs("simulate", args, files, seed, config_payload, inputs)
+    print(f"wrote {len(files)} files to {Path(args.out)}")
     return 0
 
 
@@ -510,7 +479,6 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_align(args) -> int:
-    out = _out_dir(args)
     if args.label_col:
         samples, labels = load_csv_with_labels(args.data, args.label_col)
     else:
@@ -523,24 +491,21 @@ def _cmd_align(args) -> int:
     g = gram(samples, spec)
     report = alignment_report(g, labels, epsilons, theta_mode=args.theta_mode)
 
-    lines = ["statistic,index,epsilon,theorem,kind,value,stderr,flags"]
-    for kind, value in (
-        ("a_kn", report.a_kn),
-        ("theta", report.theta),
-        ("c_theta", report.c_theta),
-        ("l_mid", report.l_mid),
-        ("frob", report.frob),
-        ("ratio", report.ratio),
-        ("ratio_approx", report.ratio_approx),
-    ):
-        lines.append(_csv_line(["kta", "", "", "", kind, _fval(value), "", ""]))
+    statistics = {
+        "a_kn": report.a_kn,
+        "theta": report.theta,
+        "c_theta": report.c_theta,
+        "l_mid": report.l_mid,
+        "frob": report.frob,
+        "ratio": report.ratio,
+        "ratio_approx": report.ratio_approx,
+    }
+    rows = [["kta", "", "", "", kind, _fval(value), "", ""] for kind, value in statistics.items()]
     for theorem, values in sorted(report.bounds.items()):
-        for e, v in zip(report.epsilons, values):
-            flags = "vacuous" if v >= 1.0 else ""
-            lines.append(_csv_line(["kta", "", _fval(e), theorem, "bound", _fval(v), "", flags]))
-    _write(out / "alignment.csv", "\n".join(lines) + "\n")
-    def _jf(v):
-        return None if not np.isfinite(v) else float(v)
+        rows.extend(
+            ["kta", "", _fval(e), theorem, "bound", _fval(v), "", "vacuous" if v >= 1.0 else ""]
+            for e, v in zip(report.epsilons, values)
+        )
 
     payload = {
         "n": samples.n,
@@ -548,24 +513,18 @@ def _cmd_align(args) -> int:
         "kernel": spec.describe(),
         "theta_mode": report.theta_mode,
         "m": samples.n,  # C(theta)'s m is n
-        "a_kn": report.a_kn,
         "population_alignment": None,  # not computable from a single sample
-        "theta": _jf(report.theta),
-        "c_theta": _jf(report.c_theta),
-        "l_mid": report.l_mid,
-        "frob": report.frob,
-        "ratio": _jf(report.ratio),
-        "ratio_approx": _jf(report.ratio_approx),
+        **{kind: float(v) if np.isfinite(v) else None for kind, v in statistics.items()},
         "epsilons": list(report.epsilons),
         "bounds": report.bounds,
         "skipped": report.skipped,
     }
-    _write_json(out / "alignment.json", payload)
+    files = {"alignment.csv": _csv(rows), "alignment.json": _json(payload)}
     inputs = {"data": args.data}
     if args.labels:
         inputs["labels"] = args.labels
-    _manifest("align", out, None, vars_config(args), inputs, ["alignment.csv", "alignment.json"])
-    print(f"wrote {out / 'alignment.csv'}")
+    _write_outputs("align", args, files, None, vars_config(args), inputs)
+    print(f"wrote {Path(args.out) / 'alignment.csv'}")
     return 0
 
 
@@ -573,7 +532,6 @@ def _cmd_align(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    out = _out_dir(args)
     seed = _resolve_seed(args)
     cfg = ExperimentConfig(
         n=args.n,
@@ -582,48 +540,27 @@ def _cmd_audit(args) -> int:
         seed=seed,
         kernel=_kernel_dict(args.kernel),
         indices=(args.index,),
-        statistics=("eigenvalue",),
         bounds=(),
     )
-    table = run_oracles(
-        cfg,
-        interlacing_matrices=args.interlacing_matrices,
-        perturbation_trials=args.oracle_trials,
-        expansion_trials=args.expansion_trials,
-        index=args.index,
-        workers=args.workers,
-        zero_perturbation=args.zero_perturbation,
-    )
-    lines = ["inequality,trials,violations,skipped,max_violation"]
-    for row in table.rows:
-        lines.append(
-            _csv_line([row.name, row.trials, row.violations, row.skipped, _fval(row.max_violation)])
-        )
-    _write(out / "audit.csv", "\n".join(lines) + "\n")
-    _write_json(
-        out / "summary.json",
-        {
-            "config": cfg.to_dict(),
-            "oracle_params": {
-                "interlacing_matrices": args.interlacing_matrices,
-                "perturbation_trials": args.oracle_trials,
-                "expansion_trials": args.expansion_trials,
-                "index": args.index,
-                "zero_perturbation": args.zero_perturbation,
-            },
-            "rows": [
-                {
-                    "inequality": r.name,
-                    "trials": r.trials,
-                    "violations": r.violations,
-                    "skipped": r.skipped,
-                    "max_violation": r.max_violation,
-                }
-                for r in table.rows
-            ],
-        },
-    )
-    _manifest("audit", out, seed, cfg.to_dict(), {}, ["audit.csv", "summary.json"])
+    oracle_params = {
+        "interlacing_matrices": args.interlacing_matrices,
+        "perturbation_trials": args.oracle_trials,
+        "expansion_trials": args.expansion_trials,
+        "index": args.index,
+        "zero_perturbation": args.zero_perturbation,
+    }
+    table = run_oracles(cfg, workers=args.workers, **oracle_params)
+    rows = [(r.name, r.trials, r.violations, r.skipped, r.max_violation) for r in table.rows]
+    summary = {
+        "config": cfg.to_dict(),
+        "oracle_params": oracle_params,
+        "rows": [dict(zip(AUDIT_HEADER.split(","), row)) for row in rows],
+    }
+    files = {
+        "audit.csv": _csv(([*row[:4], _fval(row[4])] for row in rows), AUDIT_HEADER),
+        "summary.json": _json(summary),
+    }
+    _write_outputs("audit", args, files, seed, cfg.to_dict(), {})
     for row in table.rows:
         print(
             f"{row.name}: trials={row.trials} violations={row.violations} "

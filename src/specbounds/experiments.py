@@ -77,6 +77,7 @@ class ExperimentConfig:
     bounds: tuple[str, ...] = ("adjacent_gap",)
 
     def __post_init__(self):
+        kind = kernel_from_config(self.kernel).kind  # validate eagerly
         object.__setattr__(self, "epsilons", bnd.validate_epsilons(self.epsilons))
         object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
         object.__setattr__(self, "statistics", tuple(self.statistics))
@@ -96,7 +97,6 @@ class ExperimentConfig:
         for s in self.statistics:
             if s not in KNOWN_STATISTICS:
                 raise ConfigError(f"unknown statistic {s!r} (known: {KNOWN_STATISTICS})")
-        kind = kernel_from_config(self.kernel).kind  # validate eagerly
         for b in self.bounds:
             if b not in KNOWN_BOUNDS:
                 raise ConfigError(f"unknown bound {b!r} (known: {KNOWN_BOUNDS})")
@@ -122,18 +122,25 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
+        if not isinstance(obj, dict):
+            raise ConfigError(f"experiment config must be a JSON object, got {obj!r}")
         # configs written before the statistic scale was fixed carry it
         if obj.get("scaling", "one_over_n") != "one_over_n":
             raise ConfigError(
                 f"scaling {obj['scaling']!r} is no longer supported: the statistic is lambda_i(G)/n"
             )
+        unknown = sorted(set(obj) - {f.name for f in fields(cls)} - {"scaling"})
+        if unknown:
+            raise ConfigError(f"experiment config has unknown key(s) {unknown}")
         try:
             sizes = {name: int(obj[name]) for name in ("n", "p", "trials", "seed")}
+            # a field the dict leaves out takes its dataclass default
+            given = {f.name: obj[f.name] for f in fields(cls) if f.name in obj and f.name not in sizes}
+            return cls(**sizes, **given)
         except KeyError as exc:
             raise ConfigError(f"experiment config is missing key {exc}") from exc
-        # a field the dict leaves out takes its dataclass default
-        given = {f.name: obj[f.name] for f in fields(cls) if f.name in obj and f.name not in sizes}
-        return cls(**sizes, **given)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"experiment config has a malformed value: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -201,6 +208,41 @@ def _draw(cfg: ExperimentConfig, trial_seed: int):
     return cfg.kernel_spec(), rng, samples
 
 
+def sample_inputs(samples: SampleSet, spec: KernelSpec, g, lam: np.ndarray, needs,
+                  spectrum=None, centered: bool = False, a_kn: float | None = None) -> bnd.BoundInputs:
+    """The BoundInputs of one sample with raw Gram matrix g and its
+    descending eigenvalues lam, computing only the inputs named in `needs`.
+
+    An input that cannot be computed goes into `missing` with the error's
+    text, and so does an estimated theta of 0, so the theorems reading it
+    are skipped with that reason instead of aborting the run.  `spectrum`,
+    if given, is `eig_sym(g)`, which theta reuses; `centered` mean-centres
+    the samples before the covariance.
+    """
+    computations = {
+        "diag_sup_sq": lambda: diag_sup(samples, spec),
+        "theta": lambda: theta_statistic(g, spectrum=spectrum),
+        "cov": lambda: covariance_stats(samples, centered=centered),
+        "lip": lambda: lipschitz(spec, samples),
+        "frob": lambda: float(np.linalg.norm(g.entries, ord="fro")),
+        "l_mid": lambda: middle_spectrum_norm(lam),
+        "ratio": lambda: top_eigenvalue_ratio(lam),
+    }
+    inputs: dict = {}
+    missing: dict[str, str] = {}
+    for name, compute in computations.items():
+        if name in needs:
+            try:
+                inputs[name] = compute()
+            except SpecBoundsError as exc:
+                missing[name] = str(exc)
+    if inputs.get("theta", 1.0) <= 0.0:
+        del inputs["theta"]
+        missing["theta"] = "estimated theta is 0; the theta bound is undefined"
+    return bnd.BoundInputs(n=samples.n, spectrum=lam, a_kn=a_kn, kernel=spec.kind, missing=missing,
+                           theta_estimated="theta" in inputs, **inputs)
+
+
 def _trial_inputs(cfg: ExperimentConfig, trial_seed: int, keys: tuple[list, list]):
     """One seeded trial's statistic values in `_keys` order and the
     BoundInputs its bound keys read."""
@@ -223,27 +265,8 @@ def _trial_inputs(cfg: ExperimentConfig, trial_seed: int, keys: tuple[list, list
             a_kn = kta(g_raw, rng.choice([-1.0, 1.0], size=cfg.n))
             stats.append(a_kn)
 
-    # compute only the inputs the requested theorems read; one that fails
-    # excludes this trial from those theorems, never aborts the run
     needs = {name for theorem, _, _ in bound_keys for name in bnd.THEOREMS[theorem].needs}
-    computations = {
-        "diag_sup_sq": lambda: diag_sup(samples, spec),
-        "theta": lambda: theta_statistic(g_raw),
-        "cov": lambda: covariance_stats(samples),
-        "lip": lambda: lipschitz(spec, samples),
-        "frob": lambda: float(np.linalg.norm(g_raw.entries, ord="fro")),
-        "l_mid": lambda: middle_spectrum_norm(lam),
-        "ratio": lambda: top_eigenvalue_ratio(lam),
-    }
-    inputs: dict = {}
-    missing: dict[str, str] = {}
-    for name, compute in computations.items():
-        if name in needs:
-            try:
-                inputs[name] = compute()
-            except SpecBoundsError as exc:
-                missing[name] = "singular sample covariance" if name in ("cov", "lip") else str(exc)
-    return stats, bnd.BoundInputs(n=cfg.n, spectrum=lam, a_kn=a_kn, missing=missing, **inputs)
+    return stats, sample_inputs(samples, spec, g_raw, lam, needs, a_kn=a_kn)
 
 
 def _concentration_trial(args: tuple[ExperimentConfig, tuple[list, list], int]) -> tuple[list, list, list]:

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import mpmath as mp
@@ -20,6 +21,7 @@ from specbounds.bounds import (
     error_norm_bound,
     evaluate_bounds,
     second_order_gamma,
+    theorem_grid,
 )
 from specbounds.dataset import CovarianceStats, covariance_stats, gen_gaussian
 from specbounds.errors import ConfigError, DegenerateGapError
@@ -396,3 +398,14 @@ def test_eigvec_uniform_overflow_is_vacuous():
     assert row.raw == math.inf
     assert row.value == 1.0
     assert row.vacuous
+
+
+def test_theorem_grid_overflow_is_silent_inf():
+    # exp(710 - 0.5^2) is finite but twice it (the prefactor 2) is not: the
+    # grid's product overflows to inf without a warning, as the scalar does
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scalar = theorem_grid("eigvec_uniform", (710.0, 1.0), 0.5)
+        grid = theorem_grid("eigvec_uniform", (710.0, 1.0), np.array([0.5, 0.9]))
+    assert scalar == math.inf and grid[0] == scalar
+    assert grid.tolist() == [theorem_grid("eigvec_uniform", (710.0, 1.0), e) for e in (0.5, 0.9)]

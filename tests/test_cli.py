@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from specbounds import bounds as bnd
-from specbounds import cli
+from specbounds import experiments
 from specbounds.cli import main
 from specbounds.dataset import load_csv
 from specbounds.experiments import ExperimentConfig, _draw, _keys, _trial_inputs, subseed
@@ -160,8 +160,8 @@ def test_bounds_estimates_theta_only_when_a_theorem_reads_it(tmp_path, monkeypat
         calls.append(args)
         return theta(*args, **kwargs)
 
-    theta = cli.theta_statistic
-    monkeypatch.setattr(cli, "theta_statistic", counting)
+    theta = experiments.theta_statistic
+    monkeypatch.setattr(experiments, "theta_statistic", counting)
     out = tmp_path / "topk"
     assert run_cli("bounds", "--data", str(data), "--stat", "topk:2", "--allow-degenerate",
                    "--out", str(out)) == 0
@@ -361,8 +361,75 @@ def test_simulate_trials_smoke_fast(tmp_path):
     assert time.time() - start < 1.0
 
 
-def test_simulate_needs_inputs():
-    assert run_cli("simulate", "--out", "/tmp/unused-simulate-out") == 2
+def test_simulate_needs_inputs(tmp_path):
+    out = tmp_path / "o"
+    assert run_cli("simulate", "--out", str(out)) == 2
+    assert not out.exists()
+
+
+def test_failed_runs_create_no_output_directory(tmp_path):
+    # the output directory appears at the first write, so a run that stops
+    # with a config or data error leaves nothing behind
+    out = tmp_path / "o"
+    data = _write_fixture(tmp_path)
+    assert run_cli("bounds", "--data", data, "--theta", "1.5", "--out", str(out)) == 2
+    assert run_cli("bounds", "--data", str(tmp_path / "nope.csv"), "--out", str(out)) == 3
+    assert run_cli("align", "--data", data, "--out", str(out)) == 3
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("payload,message", [
+    ({"runs": [{"label": "x"}]}, '"runs" must be a list'),
+    ({"runs": "x"}, '"runs" must be a list'),
+    ([1, 2], "JSON object"),
+    ({"n": 10, "p": 2, "trials": 3, "seed": 1, "kernel": "gaussian"}, "kernel config"),
+    ({"n": 10, "p": 2, "trials": 3, "seed": 1, "bogus": 3}, "unknown key"),
+    ({"runs": [{"mode": "violin", "config": {"n": 10, "p": 2, "trials": 3, "seed": 1}}]}, "unknown mode"),
+    ({"runs": [{"colour": "red", "config": {"n": 10, "p": 2, "trials": 3, "seed": 1}}]}, "unknown run key"),
+])
+def test_simulate_invalid_config_exit_2(tmp_path, capsys, payload, message):
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps(payload))
+    out = tmp_path / "o"
+    assert run_cli("simulate", "--config", str(config), "--no-svg", "--out", str(out)) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_config_without_seed_reruns_identically(tmp_path, capsys):
+    # each run's seed is in its config, so none is generated and the
+    # manifest records none
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({"n": 10, "p": 2, "trials": 3, "seed": 4, "scaling": "one_over_n"}))
+    first, second = tmp_path / "r1", tmp_path / "r2"
+    for out in (first, second):
+        assert run_cli("simulate", "--config", str(config), "--no-svg", "--out", str(out)) == 0
+    assert "generated seed" not in capsys.readouterr().out
+    manifest = (first / "manifest.json").read_bytes()
+    assert manifest == (second / "manifest.json").read_bytes()
+    assert json.loads(manifest)["master_seed"] is None
+    # config.json is the validated config: the legacy key dropped, defaults filled in
+    (run,) = json.loads((first / "config.json").read_text())["runs"]
+    assert run["config"] == ExperimentConfig(n=10, p=2, trials=3, seed=4).to_dict()
+
+
+def test_bounds_and_simulate_share_the_singular_covariance_reason(tmp_path):
+    # p > n makes every trial's covariance singular; `bounds` on the first
+    # trial's samples reports the reason `simulate` records for that trial
+    cfg = ExperimentConfig(n=4, p=6, trials=2, seed=1, epsilons=(0.1,), indices=(1,),
+                           bounds=("covgap_distance",))
+    _, _, samples = _draw(cfg, subseed(cfg.seed, 0))
+    data = tmp_path / "trial.csv"
+    data.write_text("".join(",".join(repr(float(v)) for v in row) + "\n" for row in samples.rows))
+    assert run_cli("bounds", "--data", str(data), "--allow-degenerate", "--out", str(tmp_path / "b")) == 0
+    meta = json.loads((tmp_path / "b" / "metadata.json").read_text())
+    reason = meta["skipped_theorems"]["eigenvalue:1:covgap_distance"]
+    assert reason.startswith("sample covariance is singular")
+    assert run_cli("simulate", "--n", "4", "--p", "6", "--trials", "2", "--seed", "1", "--indices", "1",
+                   "--bounds", "covgap_distance", "--eps", "0.1", "--no-svg",
+                   "--out", str(tmp_path / "s")) == 0
+    (bound,) = json.loads((tmp_path / "s" / "summary.json").read_text())["runs"][0]["bounds"]
+    assert bound["excluded"] == 2 and bound["reason"] == reason
 
 
 @pytest.mark.parametrize("kernel,bound", [("gaussian:1.0", "covgap_inner"), ("linear", "covgap_distance")])
@@ -515,6 +582,9 @@ def test_bound_report_demo_runs(tmp_path, demo):
     )
     assert proc.returncode == 0, proc.stderr
     assert DEMOS[demo] in proc.stdout
+    if demo == "concentration_experiment":
+        written = sorted(p.name for p in (tmp_path / "specbounds_out").iterdir())
+        assert written == ["concentration.svg", "eigenvalue_boxplot.svg"]
 
 
 def test_generated_seed_printed(tmp_path, capsys):

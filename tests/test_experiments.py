@@ -6,7 +6,8 @@ import pytest
 from specbounds import bounds, experiments
 from specbounds.bounds import theorem_values
 from specbounds.errors import ConfigError, SpecBoundsError
-from specbounds.kernels import GramMatrix
+from specbounds.dataset import SampleSet
+from specbounds.kernels import GramMatrix, gram, linear
 from specbounds.spectral import Spectrum, eig_sym, interlacing_check, principal_submatrix
 from specbounds.experiments import (
     KNOWN_BOUNDS,
@@ -19,6 +20,7 @@ from specbounds.experiments import (
     five_number_summary,
     run_concentration,
     run_oracles,
+    sample_inputs,
     spearman,
     splitmix64,
     subseed,
@@ -69,6 +71,14 @@ def test_config_from_dict_defaults_and_sizes():
     assert ExperimentConfig.from_dict(sizes) == ExperimentConfig(n=10, p=2, trials=3, seed=1)
     with pytest.raises(ConfigError, match="missing key 'seed'"):
         ExperimentConfig.from_dict({"n": 10, "p": 2, "trials": 3})
+    # a malformed config is a ConfigError, never a KeyError, TypeError or ValueError
+    for bad, match in (([1, 2], "JSON object"), ({**sizes, "kernel": "gaussian"}, "kernel config"),
+                       ({**sizes, "bogus": 3}, "unknown key"), ({**sizes, "n": "ten"}, "malformed value"),
+                       ({**sizes, "indices": ["a"]}, "malformed value")):
+        with pytest.raises(ConfigError, match=match):
+            ExperimentConfig.from_dict(bad)
+    # a config written when the scale was an option still loads
+    assert ExperimentConfig.from_dict({**sizes, "scaling": "one_over_n"}) == ExperimentConfig.from_dict(sizes)
 
 
 def test_config_validation():
@@ -157,6 +167,26 @@ def test_run_concentration_determinism_and_workers():
             assert (ba.excluded, ba.reason) == (bb.excluded, bb.reason)
     assert a.bound_series[-1].excluded == cfg.trials
     assert "isotropic covariance" in a.bound_series[-1].reason
+
+
+def test_sample_inputs_records_why_an_input_is_missing():
+    # G = diag(9, 4, 1): dropping the third row keeps 9 and 4, so theta is 0,
+    # while the covariance diag(9, 4, 1)/3 is regular
+    samples = SampleSet(rows=np.diag([3.0, 2.0, 1.0]), provenance="diag")
+    spec = linear()
+    g = gram(samples, spec)
+    lam = eig_sym(g).eigenvalues
+    x = sample_inputs(samples, spec, g, lam, {"theta", "cov", "lip"})
+    assert x.theta is None and x.cov is not None and x.lip == 1.0
+    assert x.missing == {"theta": "estimated theta is 0; the theta bound is undefined"}
+    with pytest.raises(SpecBoundsError, match="estimated theta is 0"):
+        bounds.theorem_params("theta_top", x, 1)
+    # collinear rows: the covariance error's own text, for the covariance only
+    samples = SampleSet(rows=np.array([[1.0, 2.0], [2.0, 4.0], [3.0, 6.0]]), provenance="collinear")
+    g = gram(samples, spec)
+    x = sample_inputs(samples, spec, g, eig_sym(g).eigenvalues, {"cov", "lip", "diag_sup_sq"})
+    assert set(x.missing) == {"cov"} and x.missing["cov"].startswith("sample covariance is singular")
+    assert x.lip == 1.0 and x.diag_sup_sq == 45.0
 
 
 def per_trial_reference(cfg):

@@ -292,7 +292,12 @@ def _config_runs(path: str, overrides: dict) -> list[Run]:
         config = run["config"]
         if isinstance(config, dict):
             config = {**config, **overrides}
-        out.append((run.get("label", ""), mode, ExperimentConfig.from_dict(config)))
+        label = run.get("label", "")
+        if not isinstance(label, str):
+            raise ConfigError(f"config {path}: run label must be a string, got {label!r}")
+        if any(label == other for other, _, _ in out):
+            raise ConfigError(f"config {path}: run label {label!r} is used more than once")
+        out.append((label, mode, ExperimentConfig.from_dict(config)))
     return out
 
 
@@ -311,7 +316,7 @@ def _runs_from_args(args, seed: int | None) -> list[Run]:
         "indices": _parse_indices(args.indices),
         "statistics": args.statistics.split(","),
     }
-    if args.bounds:  # an empty --bounds keeps the default
+    if args.bounds is not None:  # an empty --bounds runs no bound
         fields["bounds"] = [b for b in args.bounds.split(",") if b]
     trials = 1000 if args.trials is None else args.trials
     return [("", args.mode, ExperimentConfig(n=args.n, p=args.p, trials=trials, seed=seed, **fields))]

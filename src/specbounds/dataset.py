@@ -56,6 +56,9 @@ class CovarianceStats:
     `sigma` is (1/n) X^T X by default (the whitening model treats data as
     zero-mean); with `centered` the mean is subtracted first.  `whitened_radius`
     is max_i ||sigma^{-1/2} x_i||_2 over the (optionally centered) rows.
+    `eigvecs_sigma` holds the eigenvectors of `sigma`, column j belonging to
+    `eigs_sigma[j]`; it is None for statistics built by hand, which
+    `whitened_norm` does not accept.
     """
 
     sigma: np.ndarray
@@ -63,6 +66,7 @@ class CovarianceStats:
     gap_1p: float               # lambda_1(sigma) - lambda_p(sigma)
     whitened_radius: float
     centered: bool
+    eigvecs_sigma: np.ndarray | None = None
 
     @property
     def lambda_1(self) -> float:
@@ -207,11 +211,12 @@ def covariance_stats(s: SampleSet, centered: bool = False) -> CovarianceStats:
     inv_sqrt = eigvecs @ np.diag(1.0 / np.sqrt(np.maximum(eigvals, tol))) @ eigvecs.T
     whitened = x @ inv_sqrt.T
     radius = float(np.sqrt(np.max(np.sum(whitened * whitened, axis=1))))
-    eigvals.flags.writeable = False
-    sigma.flags.writeable = False
+    for a in (eigvals, eigvecs, sigma):
+        a.flags.writeable = False
     return CovarianceStats(
         sigma=sigma,
         eigs_sigma=eigvals,
+        eigvecs_sigma=eigvecs,
         gap_1p=float(lam1 - lamp),
         whitened_radius=radius,
         centered=centered,
@@ -219,9 +224,13 @@ def covariance_stats(s: SampleSet, centered: bool = False) -> CovarianceStats:
 
 
 def whitened_norm(cov: CovarianceStats, x: np.ndarray) -> float:
-    """||sigma^{-1/2} x||_2 for one extra point under `cov`'s whitening."""
-    eigvals = cov.eigs_sigma
-    tol = SINGULAR_TOL_FACTOR * max(float(eigvals[0]), 0.0)
-    vals, vecs = np.linalg.eigh(cov.sigma)
+    """||sigma^{-1/2} x||_2 for one extra point under `cov`'s whitening.
+
+    `cov` must come from `covariance_stats`: its eigendecomposition is
+    reused, reversed back to `np.linalg.eigh`'s ascending order, so the
+    result has the bits of solving `cov.sigma` again.
+    """
+    tol = SINGULAR_TOL_FACTOR * max(cov.lambda_1, 0.0)
+    vals, vecs = cov.eigs_sigma[::-1], cov.eigvecs_sigma[:, ::-1]
     inv_sqrt = vecs @ np.diag(1.0 / np.sqrt(np.maximum(vals, tol))) @ vecs.T
     return float(np.linalg.norm(inv_sqrt @ np.asarray(x, dtype=np.float64)))

@@ -134,12 +134,15 @@ class ExperimentConfig:
             raise ConfigError(f"experiment config has unknown key(s) {unknown}")
         try:
             sizes = {name: int(obj[name]) for name in ("n", "p", "trials", "seed")}
+            for name, size in sizes.items():
+                if isinstance(obj[name], float) and obj[name] != size:
+                    raise ConfigError(f"experiment config key {name!r} must be an integer, got {obj[name]!r}")
             # a field the dict leaves out takes its dataclass default
             given = {f.name: obj[f.name] for f in fields(cls) if f.name in obj and f.name not in sizes}
             return cls(**sizes, **given)
         except KeyError as exc:
             raise ConfigError(f"experiment config is missing key {exc}") from exc
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"experiment config has a malformed value: {exc}") from exc
 
 

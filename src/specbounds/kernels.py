@@ -50,7 +50,13 @@ class KernelSpec:
 
 @dataclass(frozen=True, eq=False)
 class GramMatrix:
-    """Symmetric kernel matrix."""
+    """Symmetric kernel matrix, stored as a read-only copy of `entries`.
+
+    `entries` must be square and symmetric to within SYMMETRY_RTOL times
+    max(1, max |entry|).  An exactly symmetric matrix, such as every one that
+    `gram` builds, is accepted by a single elementwise comparison with its
+    transpose; only a matrix that fails it pays for the tolerance test.
+    """
 
     entries: np.ndarray
 
@@ -58,9 +64,10 @@ class GramMatrix:
         a = np.asarray(self.entries, dtype=np.float64)
         if a.ndim != 2 or a.shape[0] != a.shape[1]:
             raise DataError(f"Gram matrix must be square, got shape {a.shape}")
-        scale = max(1.0, float(np.max(np.abs(a)))) if a.size else 1.0
-        if float(np.max(np.abs(a - a.T))) > SYMMETRY_RTOL * scale:
-            raise DataError("Gram matrix is not symmetric to tolerance")
+        if not np.array_equal(a, a.T):
+            scale = max(1.0, float(np.max(np.abs(a)))) if a.size else 1.0
+            if float(np.max(np.abs(a - a.T))) > SYMMETRY_RTOL * scale:
+                raise DataError("Gram matrix is not symmetric to tolerance")
         a = a.copy()
         a.flags.writeable = False
         object.__setattr__(self, "entries", a)
@@ -171,8 +178,11 @@ def _pairwise_argument(x: np.ndarray, kind: str) -> np.ndarray:
 def gram(s: SampleSet, spec: KernelSpec) -> GramMatrix:
     """Evaluate the kernel on all sample pairs: the raw Gram matrix G.
 
-    Exact symmetry is enforced by computing the upper triangle and mirroring.
-    Raises DataError naming the first offending pair if any value is non-finite.
+    G is the profile's upper triangle mirrored onto the lower one: each lower
+    entry is assigned from its upper partner, so G is exactly symmetric even
+    when the profile is not elementwise; every -0.0 entry becomes +0.0.  Raises ConfigError if the
+    profile changes the shape, and DataError naming the first offending pair
+    if any value is non-finite.
     """
     t = _pairwise_argument(s.rows, spec.kind)
     k = np.asarray(spec.profile(t), dtype=np.float64)
@@ -181,7 +191,10 @@ def gram(s: SampleSet, spec: KernelSpec) -> GramMatrix:
     if not np.all(np.isfinite(k)):
         i, j = np.argwhere(~np.isfinite(k))[0]
         raise DataError(f"kernel value is not finite at pair ({i + 1}, {j + 1})")
-    return GramMatrix(entries=np.triu(k) + np.triu(k, 1).T)
+    a = k + 0.0  # a fresh array, with -0.0 turned into +0.0
+    # a.T shares memory with a; numpy buffers the overlapping source first
+    np.copyto(a, a.T, where=np.tri(a.shape[0], k=-1, dtype=bool))
+    return GramMatrix(entries=a)
 
 
 def lipschitz(spec: KernelSpec, s: SampleSet | None = None) -> float:

@@ -324,6 +324,8 @@ def perturb_replace(s: SampleSet, spec: KernelSpec, index: int, replacement: np.
     """Replace sample `index` (1-based) and return the pair of G/n, the
     matrix whose perturbation norm `bounds.error_norm_bound` bounds."""
     delta = _replace_one_delta(s, spec, index, replacement)
+    # G is exactly symmetric, and so are G/n and G/n + e, so of the three
+    # GramMatrix checks only the one inside `gram` can fail
     original = GramMatrix(entries=gram(s, spec).entries / s.n)
     e = _replace_one_matrix(delta, index - 1)
     perturbed = GramMatrix(entries=original.entries + e)

@@ -386,6 +386,14 @@ def test_failed_runs_create_no_output_directory(tmp_path):
     ({"n": 10, "p": 2, "trials": 3, "seed": 1, "bogus": 3}, "unknown key"),
     ({"runs": [{"mode": "violin", "config": {"n": 10, "p": 2, "trials": 3, "seed": 1}}]}, "unknown mode"),
     ({"runs": [{"colour": "red", "config": {"n": 10, "p": 2, "trials": 3, "seed": 1}}]}, "unknown run key"),
+    ({"n": 10, "p": 2, "trials": 2.7, "seed": 1}, "'trials' must be an integer"),
+    # two runs with one label would write one results file
+    ({"runs": [{"label": "a", "config": {"n": 10, "p": 2, "trials": 3, "seed": 1}},
+               {"label": "a", "config": {"n": 10, "p": 2, "trials": 3, "seed": 2}}]}, "'a' is used more than once"),
+    # a number and its string would also name one file, results_1.csv
+    ({"runs": [{"label": 1, "config": {"n": 10, "p": 2, "trials": 3, "seed": 1}}]}, "label must be a string"),
+    ({"runs": [{"label": None, "config": {"n": 10, "p": 2, "trials": 3, "seed": 1}},
+               {"config": {"n": 10, "p": 2, "trials": 3, "seed": 2}}]}, "label must be a string"),
 ])
 def test_simulate_invalid_config_exit_2(tmp_path, capsys, payload, message):
     config = tmp_path / "c.json"
@@ -394,6 +402,15 @@ def test_simulate_invalid_config_exit_2(tmp_path, capsys, payload, message):
     assert run_cli("simulate", "--config", str(config), "--no-svg", "--out", str(out)) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_simulate_empty_bounds_runs_no_bound(tmp_path):
+    for token in ("", ","):
+        out = tmp_path / f"o{len(token)}"
+        assert run_cli("simulate", "--n", "10", "--p", "2", "--trials", "3", "--seed", "1",
+                       "--bounds", token, "--no-svg", "--out", str(out)) == 0
+        (run,) = json.loads((out / "config.json").read_text())["runs"]
+        assert run["config"]["bounds"] == []
 
 
 def test_simulate_config_without_seed_reruns_identically(tmp_path, capsys):

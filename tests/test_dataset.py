@@ -194,6 +194,26 @@ def test_whitened_norm_matches_samples():
     assert max(norms) == pytest.approx(cov.whitened_radius, rel=1e-10)
 
 
+def _whitened_norm_resolving_sigma(cov, x):
+    """`whitened_norm` as it was when it solved cov.sigma a second time."""
+    tol = 1e-10 * max(float(cov.eigs_sigma[0]), 0.0)
+    vals, vecs = np.linalg.eigh(cov.sigma)
+    inv_sqrt = vecs @ np.diag(1.0 / np.sqrt(np.maximum(vals, tol))) @ vecs.T
+    return float(np.linalg.norm(inv_sqrt @ np.asarray(x, dtype=np.float64)))
+
+
+def test_whitened_norm_bits_equal_a_second_eigh():
+    rng = np.random.default_rng(31)
+    for trial in range(40):
+        p = int(rng.integers(1, 9))
+        rows = rng.standard_normal((int(rng.integers(p + 2, 40)), p)) * rng.uniform(0.1, 10.0, p)
+        cov = covariance_stats(SampleSet(rows=rows, provenance="t"), centered=bool(trial % 2))
+        points = [rng.standard_normal(p) * 3.0, rows[0], np.zeros(p)]
+        for x in points:
+            expected = np.float64(_whitened_norm_resolving_sigma(cov, x)).tobytes()
+            assert np.float64(whitened_norm(cov, x)).tobytes() == expected
+
+
 def test_sampleset_validation():
     with pytest.raises(DataError):
         SampleSet(rows=np.array([[1.0, np.nan]]), provenance="t")

@@ -74,7 +74,12 @@ def test_config_from_dict_defaults_and_sizes():
     # a malformed config is a ConfigError, never a KeyError, TypeError or ValueError
     for bad, match in (([1, 2], "JSON object"), ({**sizes, "kernel": "gaussian"}, "kernel config"),
                        ({**sizes, "bogus": 3}, "unknown key"), ({**sizes, "n": "ten"}, "malformed value"),
-                       ({**sizes, "indices": ["a"]}, "malformed value")):
+                       ({**sizes, "indices": ["a"]}, "malformed value"),
+                       ({**sizes, "seed": float("inf")}, "malformed value"),
+                       ({**sizes, "trials": 2.7}, "'trials' must be an integer"),
+                       ({**sizes, "n": 10.5}, "'n' must be an integer"),
+                       ({**sizes, "p": 2.25}, "'p' must be an integer"),
+                       ({**sizes, "seed": 1.5}, "'seed' must be an integer")):
         with pytest.raises(ConfigError, match=match):
             ExperimentConfig.from_dict(bad)
     # a config written when the scale was an option still loads

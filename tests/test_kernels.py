@@ -4,6 +4,9 @@ import pytest
 from specbounds.dataset import SampleSet, gen_gaussian
 from specbounds.errors import ConfigError, DataError
 from specbounds.kernels import (
+    SYMMETRY_RTOL,
+    GramMatrix,
+    _pairwise_argument,
     diag_sup,
     distance_kernel,
     gaussian,
@@ -47,6 +50,57 @@ def test_gram_exact_symmetry():
     s = gen_gaussian(30, 4, 3)
     g = gram(s, gaussian(2.0))
     assert np.array_equal(g.entries, g.entries.T)
+
+
+def _triu_mirror(s, spec):
+    """G as the triangle sum that `gram` once built with three temporaries."""
+    k = np.asarray(spec.profile(_pairwise_argument(s.rows, spec.kind)), dtype=np.float64)
+    return np.triu(k) + np.triu(k, 1).T
+
+
+def _asymmetric(t):
+    # not elementwise: each entry also reads its flat position
+    return np.exp(-t) + 1e-3 * np.arange(t.size).reshape(t.shape) / t.size
+
+
+def _signed_zeros(t):
+    return np.where(np.abs(t) < 0.5, -0.0, t)
+
+
+@pytest.mark.parametrize("spec", [
+    gaussian(1.0), linear(), polynomial(3, 0.5),
+    distance_kernel(_asymmetric, 1.0), inner_product_kernel(_signed_zeros, 1.0),
+], ids=["gaussian", "linear", "polynomial", "asymmetric", "signed_zeros"])
+def test_gram_bits_equal_the_triangle_sum(spec):
+    for n in (2, 3, 7, 50, 101, 200):
+        s = gen_gaussian(n, 3, n)
+        g = gram(s, spec).entries
+        assert g.tobytes() == _triu_mirror(s, spec).tobytes()
+        assert not np.signbit(g[g == 0.0]).any()
+    k = spec.profile(_pairwise_argument(s.rows, spec.kind))
+    if spec.name == "custom_distance":
+        assert not np.array_equal(k, k.T)
+    if spec.name == "custom_inner":
+        assert np.signbit(k[k == 0.0]).any()
+
+
+def test_gram_matrix_symmetry_tolerance():
+    base = np.array([[2.0, 0.5, -1.0], [0.5, 1.0, 0.25], [-1.0, 0.25, 3.0]])
+    exact = GramMatrix(entries=base)
+    assert np.array_equal(exact.entries, base) and exact.entries is not base
+    assert not exact.entries.flags.writeable
+    # the tolerance is SYMMETRY_RTOL times max(1, max |entry|) = 3
+    within = base.copy()
+    within[0, 1] += 2.0 * SYMMETRY_RTOL
+    assert GramMatrix(entries=within).entries.tobytes() == within.tobytes()
+    beyond = base.copy()
+    beyond[0, 1] += 4.0 * SYMMETRY_RTOL
+    with pytest.raises(DataError, match="^Gram matrix is not symmetric to tolerance$"):
+        GramMatrix(entries=beyond)
+    # below unit scale the tolerance is SYMMETRY_RTOL itself, not 0.3 times it
+    small = base / 10.0
+    small[2, 0] += 0.5 * SYMMETRY_RTOL
+    assert GramMatrix(entries=small).entries.tobytes() == small.tobytes()
 
 
 def test_gram_distance_rigid_motion_invariance():

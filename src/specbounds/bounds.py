@@ -103,7 +103,8 @@ def _exp(x):
     """math.exp per point of a scalar or an array of any shape; an
     overflowing exponent gives inf."""
     if isinstance(x, np.ndarray):
-        flat = x.ravel().tolist()
+        # a memoryview yields the values as Python floats without a list of them
+        flat = memoryview(x.ravel())
         try:
             values = np.fromiter(map(math.exp, flat), dtype=np.float64, count=len(flat))
         except OverflowError:

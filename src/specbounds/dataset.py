@@ -7,6 +7,7 @@ bound downstream.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -39,6 +40,16 @@ class SampleSet:
         rows = rows.copy()
         rows.flags.writeable = False
         object.__setattr__(self, "rows", rows)
+
+    @classmethod
+    def _owned(cls, rows: np.ndarray, provenance: str) -> "SampleSet":
+        """Wrap `rows` without the checks and the copy: for a finite float64
+        (n >= 2, p >= 1) array that the caller has just drawn and hands over."""
+        rows.flags.writeable = False
+        s = object.__new__(cls)
+        object.__setattr__(s, "rows", rows)
+        object.__setattr__(s, "provenance", provenance)
+        return s
 
     @property
     def n(self) -> int:
@@ -207,10 +218,11 @@ def covariance_stats(s: SampleSet, centered: bool = False) -> CovarianceStats:
             f"sample covariance is singular: lambda_p = {lamp:.6g} <= tolerance "
             f"{tol:.6g} (nonsingular covariance required)"
         )
-    # Symmetric inverse square root, eigenvalues clipped at the tolerance.
-    inv_sqrt = eigvecs @ np.diag(1.0 / np.sqrt(np.maximum(eigvals, tol))) @ eigvecs.T
+    # Symmetric inverse square root, eigenvalues clipped at the tolerance:
+    # V diag(w) V^T, with V diag(w) formed as the column scaling V * w
+    inv_sqrt = (eigvecs * (1.0 / np.sqrt(np.maximum(eigvals, tol)))) @ eigvecs.T
     whitened = x @ inv_sqrt.T
-    radius = float(np.sqrt(np.max(np.sum(whitened * whitened, axis=1))))
+    radius = math.sqrt((whitened * whitened).sum(axis=1).max())
     for a in (eigvals, eigvecs, sigma):
         a.flags.writeable = False
     return CovarianceStats(
@@ -232,5 +244,5 @@ def whitened_norm(cov: CovarianceStats, x: np.ndarray) -> float:
     """
     tol = SINGULAR_TOL_FACTOR * max(cov.lambda_1, 0.0)
     vals, vecs = cov.eigs_sigma[::-1], cov.eigvecs_sigma[:, ::-1]
-    inv_sqrt = vecs @ np.diag(1.0 / np.sqrt(np.maximum(vals, tol))) @ vecs.T
+    inv_sqrt = (vecs * (1.0 / np.sqrt(np.maximum(vals, tol)))) @ vecs.T
     return float(np.linalg.norm(inv_sqrt @ np.asarray(x, dtype=np.float64)))

@@ -8,8 +8,10 @@ matrix; bound inputs come from G as in every command (see `bounds`).
 Per-trial RNG: subseed = splitmix64(master seed, trial index), so results are
 identical for any worker count or scheduling order.  Every trial that samples
 data receives the ExperimentConfig itself (frozen and picklable) with its
-subseed and draws its kernel, generator and samples through `_draw`.  A concentration trial returns
-its statistic values and each bound's parameters (the first phase of
+subseed and draws its kernel, generator and samples through `_draw`; the
+config builds its KernelSpec once, and again wherever it is unpickled.  A
+concentration trial also receives the run's `_keys`, and returns its
+statistic values and each bound's parameters (the first phase of
 `bounds.theorem_params`, a few floats) as lists in `_keys` order, None
 marking a trial excluded from a bound.  `run_concentration` stacks each
 bound's parameters over the kept trials and evaluates the bound once over
@@ -18,8 +20,10 @@ the whole trials x epsilons grid.
 
 from __future__ import annotations
 
+import hashlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -77,7 +81,9 @@ class ExperimentConfig:
     bounds: tuple[str, ...] = ("adjacent_gap",)
 
     def __post_init__(self):
-        kind = kernel_from_config(self.kernel).kind  # validate eagerly
+        spec = kernel_from_config(self.kernel)  # validated eagerly, built once
+        object.__setattr__(self, "_spec", spec)
+        kind = spec.kind
         object.__setattr__(self, "epsilons", bnd.validate_epsilons(self.epsilons))
         object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
         object.__setattr__(self, "statistics", tuple(self.statistics))
@@ -88,6 +94,10 @@ class ExperimentConfig:
             repeated = [v for j, v in enumerate(values) if v in values[:j]]
             if repeated:
                 raise ConfigError(f"{name} lists {repeated[0]!r} more than once")
+        if self.n < 2:
+            raise ConfigError(f"need at least 2 samples, got n = {self.n}")
+        if self.p < 1:
+            raise ConfigError(f"need at least one feature column, got p = {self.p}")
         if self.trials < 2:
             raise ConfigError(f"need at least 2 trials, got {self.trials}")
         if self.generator != "gaussian":
@@ -104,7 +114,16 @@ class ExperimentConfig:
                 raise ConfigError(f"bound {b!r} applies to {bnd.THEOREMS[b].kernel} kernels, not {kind}")
 
     def kernel_spec(self) -> KernelSpec:
-        return kernel_from_config(self.kernel)
+        """The kernel, built from `kernel` when the config was made."""
+        return self._spec
+
+    # a KernelSpec holds lambdas, which do not pickle: a worker process
+    # receives the fields and builds the kernel again
+    def __getstate__(self) -> dict:
+        return {f.name: getattr(self, f.name) for f in fields(self)}
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state, _spec=kernel_from_config(state["kernel"]))
 
     def to_dict(self) -> dict:
         return {
@@ -188,9 +207,17 @@ def five_number_summary(values: np.ndarray) -> tuple[float, ...]:
     return tuple(float(v) for v in q)
 
 
-def _keys(cfg: ExperimentConfig) -> tuple[list, list]:
-    """Statistic keys (statistic, index) and bound keys (theorem, statistic,
-    index) in output order; a bound covers every index of its statistic."""
+class _Keys(NamedTuple):
+    """A run's statistic keys (statistic, index) and bound keys (theorem,
+    statistic, index) in output order, and the bound inputs they read."""
+
+    stats: list
+    bounds: list
+    needs: frozenset
+
+
+def _keys(cfg: ExperimentConfig) -> _Keys:
+    """The run's keys; a bound covers every index of its statistic."""
 
     def expand(stat: str) -> list[tuple[str, int | None]]:
         return [(stat, None)] if stat == "kta" else [(stat, i) for i in cfg.indices]
@@ -201,13 +228,15 @@ def _keys(cfg: ExperimentConfig) -> tuple[list, list]:
         stat = bnd.THEOREMS[theorem].statistic
         if stat in cfg.statistics:
             bound_keys += [(theorem, *key) for key in expand(stat)]
-    return stat_keys, bound_keys
+    needs = frozenset(name for theorem, _, _ in bound_keys for name in bnd.THEOREMS[theorem].needs)
+    return _Keys(stat_keys, bound_keys, needs)
 
 
 def _draw(cfg: ExperimentConfig, trial_seed: int):
     """A trial's kernel, its generator, and n standard-normal samples in R^p."""
     rng = np.random.default_rng(trial_seed)
-    samples = SampleSet(rows=rng.standard_normal((cfg.n, cfg.p)), provenance=f"gaussian(seed={trial_seed})")
+    # standard-normal draws are finite, and the config has checked n and p
+    samples = SampleSet._owned(rng.standard_normal((cfg.n, cfg.p)), f"gaussian(seed={trial_seed})")
     return cfg.kernel_spec(), rng, samples
 
 
@@ -246,18 +275,17 @@ def sample_inputs(samples: SampleSet, spec: KernelSpec, g, lam: np.ndarray, need
                            theta_estimated="theta" in inputs, **inputs)
 
 
-def _trial_inputs(cfg: ExperimentConfig, trial_seed: int, keys: tuple[list, list]):
+def _trial_inputs(cfg: ExperimentConfig, trial_seed: int, keys: _Keys):
     """One seeded trial's statistic values in `_keys` order and the
     BoundInputs its bound keys read."""
-    stat_keys, bound_keys = keys
     spec, rng, samples = _draw(cfg, trial_seed)
     g_raw = gram(samples, spec)
-    lam = np.linalg.eigvalsh(g_raw.entries)[::-1]
+    lam = np.linalg.eigvalsh(g_raw.entries)[::-1].copy()  # descending and contiguous
     lam_stat = lam / cfg.n
 
     stats: list[float] = []
     a_kn = None
-    for stat, i in stat_keys:
+    for stat, i in keys.stats:
         if stat == "eigenvalue":
             stats.append(float(lam_stat[i - 1]))
         elif stat == "topk_sum":
@@ -267,12 +295,10 @@ def _trial_inputs(cfg: ExperimentConfig, trial_seed: int, keys: tuple[list, list
         else:
             a_kn = kta(g_raw, rng.choice([-1.0, 1.0], size=cfg.n))
             stats.append(a_kn)
-
-    needs = {name for theorem, _, _ in bound_keys for name in bnd.THEOREMS[theorem].needs}
-    return stats, sample_inputs(samples, spec, g_raw, lam, needs, a_kn=a_kn)
+    return stats, sample_inputs(samples, spec, g_raw, lam, keys.needs, a_kn=a_kn)
 
 
-def _concentration_trial(args: tuple[ExperimentConfig, tuple[list, list], int]) -> tuple[list, list, list]:
+def _concentration_trial(args: tuple[ExperimentConfig, _Keys, int]) -> tuple[list, list, list]:
     """One seeded trial: statistic values, each bound key's parameters
     (None when the trial is excluded) and exclusion reasons, in the order
     of `keys` (the run's `_keys`)."""
@@ -280,7 +306,7 @@ def _concentration_trial(args: tuple[ExperimentConfig, tuple[list, list], int]) 
     stats, x = _trial_inputs(cfg, trial_seed, keys)
     params: list[tuple | None] = []
     reasons: list[str] = []
-    for theorem, _, i in keys[1]:
+    for theorem, _, i in keys.bounds:
         try:
             params.append(bnd.theorem_params(theorem, x, i))
             reasons.append("")
@@ -291,7 +317,9 @@ def _concentration_trial(args: tuple[ExperimentConfig, tuple[list, list], int]) 
 
 
 def _map_trials(fn, args_list, workers: int):
-    if workers <= 1:
+    if workers < 1:
+        raise ConfigError(f"need at least 1 worker, got {workers}")
+    if workers == 1:
         return [fn(a) for a in args_list]
     chunk = max(1, len(args_list) // (workers * 4))
     with ProcessPoolExecutor(max_workers=workers) as ex:
@@ -307,7 +335,12 @@ def run_concentration(
 
     `subseeds` overrides the per-trial seeds (testing hook).  Trials whose
     bound inputs are degenerate are excluded from that bound's mean (count
-    reported) but never from the empirical frequencies.
+    reported) but never from the empirical frequencies.  Each bound is
+    evaluated once over its (kept trials x epsilons) grid, and bound keys
+    whose grids have the same exponent, prefactor and parameter columns
+    (covgap_distance at every order, adjacent_gap at 1 and topk_gap at 1)
+    share one evaluation: their `mean` and `p10` are the same read-only
+    arrays.
     """
     if subseeds is None:
         seeds = tuple(subseed(cfg.seed, t) for t in range(cfg.trials))
@@ -321,13 +354,12 @@ def run_concentration(
     eps = np.asarray(cfg.epsilons)
     t_count = cfg.trials
     series = []
-    stat_keys, bound_keys = keys
-    for k, key in enumerate(stat_keys):
-        values = np.array([p[0][k] for p in payloads])
+    for key, column in zip(keys.stats, zip(*(p[0] for p in payloads))):
+        values = np.array(column)
         mean = float(np.mean(values))
         se = float(np.std(values, ddof=1) / np.sqrt(t_count))
-        deviations = np.abs(values - mean)
-        freq = np.array([float(np.mean(deviations > e)) for e in eps])
+        # strict deviation frequency at every epsilon, from one (T, E) comparison
+        freq = np.mean(np.abs(values - mean)[:, None] > eps, axis=0)
         freq_se = np.sqrt(freq * (1.0 - freq) / t_count)
         fns = five_number_summary(values)
         series.append(
@@ -344,20 +376,27 @@ def run_concentration(
             )
         )
 
-    # each bound once over the (kept trials x epsilons) grid: parameters
-    # stacked as (T, 1) columns against the (1, E) epsilon row
+    # parameters stacked as (T, 1) columns against the (1, E) epsilon row;
+    # `grids` maps (exponent, prefactor, the columns' shape and sha256) to
+    # the (mean, p10) pair
+    grids: dict = {}
+    nan = _read_only(np.full(eps.shape, np.nan))
     bound_series = []
-    for k, key in enumerate(bound_keys):
-        kept = [p[1][k] for p in payloads if p[1][k] is not None]
-        reasons = [p[2][k] for p in payloads if p[1][k] is None]
-        excluded = len(reasons)
+    params_by_key = zip(*(p[1] for p in payloads))
+    reasons_by_key = zip(*(p[2] for p in payloads))
+    for key, params, why in zip(keys.bounds, params_by_key, reasons_by_key):
+        kept = [q for q in params if q is not None]
+        reasons = [r for q, r in zip(params, why) if q is None]
+        mean = p10 = nan
         if kept:
-            raw = bnd.theorem_grid(key[0], np.array(kept).T[:, :, None], eps[None, :])
-            mean = raw.mean(axis=0)
-            p10 = np.quantile(raw, 0.1, axis=0, method="linear")
-        else:
-            mean = np.full(eps.shape, np.nan)
-            p10 = np.full(eps.shape, np.nan)
+            columns = np.array(kept)
+            t = bnd.THEOREMS[key[0]]
+            grid = (t.grid, t.prefactor, columns.shape, hashlib.sha256(columns).digest())
+            if grid not in grids:
+                raw = bnd.theorem_grid(key[0], columns.T[:, :, None], eps[None, :])
+                grids[grid] = (_read_only(raw.mean(axis=0)),
+                               _read_only(np.quantile(raw, 0.1, axis=0, method="linear")))
+            mean, p10 = grids[grid]
         bound_series.append(
             BoundSeries(
                 theorem=key[0],
@@ -365,13 +404,18 @@ def run_concentration(
                 index=key[2],
                 mean=mean,
                 p10=p10,
-                excluded=excluded,
+                excluded=len(reasons),
                 reason=reasons[0] if reasons else "",
             )
         )
     return ExperimentResult(
         config=cfg, subseeds=seeds, series=tuple(series), bound_series=tuple(bound_series)
     )
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)

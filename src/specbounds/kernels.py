@@ -9,6 +9,7 @@ domain; custom profiles must declare one.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -53,9 +54,10 @@ class GramMatrix:
     """Symmetric kernel matrix, stored as a read-only copy of `entries`.
 
     `entries` must be square and symmetric to within SYMMETRY_RTOL times
-    max(1, max |entry|).  An exactly symmetric matrix, such as every one that
-    `gram` builds, is accepted by a single elementwise comparison with its
-    transpose; only a matrix that fails it pays for the tolerance test.
+    max(1, max |entry|).  An exactly symmetric matrix is accepted by a single
+    elementwise comparison with its transpose; only a matrix that fails it
+    pays for the tolerance test.  `gram` wraps the matrix it builds, which
+    is symmetric by construction, with neither the check nor the copy.
     """
 
     entries: np.ndarray
@@ -71,6 +73,15 @@ class GramMatrix:
         a = a.copy()
         a.flags.writeable = False
         object.__setattr__(self, "entries", a)
+
+    @classmethod
+    def _owned(cls, a: np.ndarray) -> "GramMatrix":
+        """Wrap `a` without the checks and the copy: for a finite, exactly
+        symmetric float64 matrix that the caller has just built and hands over."""
+        a.flags.writeable = False
+        g = object.__new__(cls)
+        object.__setattr__(g, "entries", a)
+        return g
 
     @property
     def n(self) -> int:
@@ -169,18 +180,30 @@ def _pairwise_argument(x: np.ndarray, kind: str) -> np.ndarray:
     g = x @ x.T
     if kind == INNER:
         return g
-    sq = np.diag(g)
-    t = sq[:, None] + sq[None, :] - 2.0 * g
+    # (sq_i + sq_j) - 2 g_ij, formed in place in the order of that expression
+    sq = np.diag(g).copy()
+    t = sq[:, None] + sq[None, :]
+    g *= 2.0
+    t -= g
     np.maximum(t, 0.0, out=t)
     return t
+
+
+@lru_cache(maxsize=8)
+def _strict_lower(n: int) -> np.ndarray:
+    """The read-only n x n mask of the entries below the diagonal."""
+    mask = np.tri(n, k=-1, dtype=bool)
+    mask.flags.writeable = False
+    return mask
 
 
 def gram(s: SampleSet, spec: KernelSpec) -> GramMatrix:
     """Evaluate the kernel on all sample pairs: the raw Gram matrix G.
 
     G is the profile's upper triangle mirrored onto the lower one: each lower
-    entry is assigned from its upper partner, so G is exactly symmetric even
-    when the profile is not elementwise; every -0.0 entry becomes +0.0.  Raises ConfigError if the
+    entry is assigned from its upper partner, through a strict-lower mask
+    cached per n, so G is exactly symmetric even when the profile is not
+    elementwise; every -0.0 entry becomes +0.0.  Raises ConfigError if the
     profile changes the shape, and DataError naming the first offending pair
     if any value is non-finite.
     """
@@ -188,13 +211,13 @@ def gram(s: SampleSet, spec: KernelSpec) -> GramMatrix:
     k = np.asarray(spec.profile(t), dtype=np.float64)
     if k.shape != t.shape:
         raise ConfigError(f"kernel profile returned shape {k.shape}, expected {t.shape}")
-    if not np.all(np.isfinite(k)):
+    if not np.isfinite(k).all():
         i, j = np.argwhere(~np.isfinite(k))[0]
         raise DataError(f"kernel value is not finite at pair ({i + 1}, {j + 1})")
     a = k + 0.0  # a fresh array, with -0.0 turned into +0.0
     # a.T shares memory with a; numpy buffers the overlapping source first
-    np.copyto(a, a.T, where=np.tri(a.shape[0], k=-1, dtype=bool))
-    return GramMatrix(entries=a)
+    np.copyto(a, a.T, where=_strict_lower(a.shape[0]))
+    return GramMatrix._owned(a)  # square, finite and symmetric by construction
 
 
 def lipschitz(spec: KernelSpec, s: SampleSet | None = None) -> float:

@@ -18,6 +18,8 @@ from .kernels import DISTANCE, GramMatrix, KernelSpec, gram
 
 ORTHONORMALITY_TOL = 1e-8
 RECONSTRUCTION_RTOL = 1e-7
+# relative margin by which a Frobenius norm must clear a spectral-norm limit
+FROBENIUS_MARGIN = 1e-8
 
 
 def gap_tolerance(lambda_1: float) -> float:
@@ -191,14 +193,23 @@ def gaps_from_eigenvalues(eigenvalues: np.ndarray, i: int) -> GapProfile:
     if not 1 <= i <= n:
         raise DataError(f"eigen-order i must be in 1..{n}, got {i}")
     tol = gap_tolerance(float(lam[0]))
-    diffs = np.abs(lam[i - 1] - np.concatenate((lam[: i - 1], lam[i:])))
+    # |lambda_i - lambda_j| for j != i, then one scratch buffer for the sums
+    diffs = np.empty(n - 1)
+    diffs[: i - 1] = lam[: i - 1]
+    diffs[i - 1 :] = lam[i:]
+    np.subtract(lam[i - 1], diffs, out=diffs)
+    np.abs(diffs, out=diffs)
     degenerate = bool(diffs.size) and bool(diffs.min() < tol)
     if degenerate:
         resolvent = float("inf")
         inv_sq = float("inf")
+    elif diffs.size:
+        scratch = np.divide(1.0, diffs)
+        resolvent = float(scratch.sum())
+        np.multiply(diffs, diffs, out=scratch)
+        inv_sq = float(np.divide(1.0, scratch, out=scratch).sum())
     else:
-        resolvent = float((1.0 / diffs).sum()) if diffs.size else 0.0
-        inv_sq = float((1.0 / diffs**2).sum()) if diffs.size else 0.0
+        resolvent = inv_sq = 0.0
     gap_next = float(lam[i - 1] - lam[i]) if i < n else None
     return GapProfile(
         index=i,
@@ -324,8 +335,8 @@ def perturb_replace(s: SampleSet, spec: KernelSpec, index: int, replacement: np.
     """Replace sample `index` (1-based) and return the pair of G/n, the
     matrix whose perturbation norm `bounds.error_norm_bound` bounds."""
     delta = _replace_one_delta(s, spec, index, replacement)
-    # G is exactly symmetric, and so are G/n and G/n + e, so of the three
-    # GramMatrix checks only the one inside `gram` can fail
+    # G is exactly symmetric, and so are G/n and G/n + e, so neither
+    # GramMatrix check below can fail
     original = GramMatrix(entries=gram(s, spec).entries / s.n)
     e = _replace_one_matrix(delta, index - 1)
     perturbed = GramMatrix(entries=original.entries + e)
@@ -357,7 +368,9 @@ def eigvec_first_order(base: Spectrum, e: np.ndarray, i: int) -> np.ndarray:
     With A the matrix behind `base`, this predicts the i-th eigenvector of
     A - e; pass -e to predict for A + e.  Requires the perturbation norm to be
     below half the distance from lambda_i to the rest of the spectrum, and
-    raises ValidityConditionError otherwise.
+    raises ValidityConditionError otherwise.  The Frobenius norm of e, which
+    bounds its spectral norm, is tested first; only when it is not clearly
+    below that limit does a dense eigensolve of e decide.
     """
     e = _as_matrix(e)
     n = base.n
@@ -375,12 +388,15 @@ def eigvec_first_order(base: Spectrum, e: np.ndarray, i: int) -> np.ndarray:
             "requires the perturbation norm below half the distance to the rest "
             "of the spectrum"
         )
-    norm_e = float(np.max(np.abs(np.linalg.eigvalsh(e)))) if n else 0.0
-    if norm_e >= 0.5 * min_gap:
-        raise ValidityConditionError(
-            f"perturbation norm {norm_e:.6g} is not below half the spectral "
-            f"distance {0.5 * min_gap:.6g} at eigenvalue {i}"
-        )
+    # ||E||_2 <= ||E||_F, so a Frobenius norm below the limit settles the
+    # check; the margin keeps rounding in either norm from deciding it
+    if float(np.linalg.norm(e)) >= (1.0 - FROBENIUS_MARGIN) * 0.5 * min_gap:
+        norm_e = float(np.max(np.abs(np.linalg.eigvalsh(e))))
+        if norm_e >= 0.5 * min_gap:
+            raise ValidityConditionError(
+                f"perturbation norm {norm_e:.6g} is not below half the spectral "
+                f"distance {0.5 * min_gap:.6g} at eigenvalue {i}"
+            )
     u_i = base.eigenvectors[:, i - 1]
     coeffs = base.eigenvectors.T @ (e @ u_i)
     with np.errstate(divide="ignore", invalid="ignore"):

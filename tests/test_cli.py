@@ -464,13 +464,24 @@ def test_simulate_kernel_restricted_bound_exit_2(tmp_path, kernel, bound):
     ("--bounds", "adjacent_gap,adjacent_gap"),
     ("--trials", "0"),
     ("--eps", ""),
+    ("--p", "0"),
+    ("--n", "1", "--indices", "1"),
+    ("--workers", "0"),
 ])
 def test_simulate_invalid_flags_exit_2(tmp_path, flags):
-    # a repeated entry, zero trials or an empty grid is an error, never a default
+    # a repeated entry, zero trials, an empty grid, an impossible size or no
+    # worker is an error, never a default or a failure inside the first trial
     out = tmp_path / "o"
     assert run_cli("simulate", "--n", "10", "--p", "2", "--trials", "5", "--seed", "1",
                    "--no-svg", *flags, "--out", str(out)) == 2
     assert not (out / "results.csv").exists()
+
+
+@pytest.mark.parametrize("flags", [("--p", "0"), ("--n", "1", "--index", "1"), ("--workers", "0")])
+def test_audit_invalid_sizes_exit_2(tmp_path, flags):
+    out = tmp_path / "o"
+    assert run_cli("audit", "--n", "10", "--seed", "1", *flags, "--out", str(out)) == 2
+    assert not out.exists()
 
 
 def test_benchmark_tracer_sees_every_trial(tmp_path, monkeypatch):

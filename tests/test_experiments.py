@@ -1,3 +1,4 @@
+import pickle
 import warnings
 
 import numpy as np
@@ -112,6 +113,27 @@ def test_config_validation():
                               ("bounds", ("adjacent_gap", "adjacent_gap"))):
         with pytest.raises(ConfigError, match=f"{field_name} lists"):
             _cfg(**{field_name: value})
+
+
+def test_config_rejects_impossible_sizes_and_workers():
+    # caught when the run is set up, not inside its first trial
+    with pytest.raises(ConfigError, match="n = 1"):
+        _cfg(n=1, indices=(1,))
+    for p in (0, -2):
+        with pytest.raises(ConfigError, match=f"p = {p}"):
+            _cfg(p=p)
+    for workers in (0, -1):
+        with pytest.raises(ConfigError, match="at least 1 worker"):
+            run_concentration(_cfg(trials=2), workers=workers)
+
+
+def test_config_pickles_without_its_kernel():
+    # a worker process receives the fields and builds the kernel itself
+    cfg = _cfg()
+    back = pickle.loads(pickle.dumps(cfg))
+    assert back == cfg and "_spec" not in cfg.__getstate__()
+    assert back.kernel_spec().describe() == cfg.kernel_spec().describe()
+    assert back.kernel_spec() is back.kernel_spec()
 
 
 def test_identical_subseeds_zero_frequency():

@@ -1,8 +1,10 @@
 """Property tests of the theorem registry on random valid inputs, of the
-theta statistic against the exhaustive leave-one-out loop, and of the
-alignment statistics' scale invariance."""
+theta statistic against the exhaustive leave-one-out loop, of the
+alignment statistics' scale invariance, and of the rewritten per-trial
+helpers against the formulas they replaced, bit for bit."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,10 +14,18 @@ from hypothesis import strategies as st
 from specbounds import bounds
 from specbounds.alignment import kta, theta_statistic
 from specbounds.bounds import THEOREMS, BoundInputs
-from specbounds.dataset import CovarianceStats, SampleSet
-from specbounds.errors import ConfigError, DataError, DegeneracyError
+from specbounds.dataset import SINGULAR_TOL_FACTOR, CovarianceStats, SampleSet, covariance_stats, whitened_norm
+from specbounds.errors import ConfigError, DataError, DegeneracyError, SingularCovarianceError, ValidityConditionError
+from specbounds.experiments import ExperimentConfig, _keys, _trial_inputs, run_concentration
 from specbounds.kernels import GramMatrix, gaussian, gram, linear, polynomial
-from specbounds.spectral import eig_sym, gap_tolerance, gaps_from_eigenvalues, principal_submatrix
+from specbounds.spectral import (
+    FROBENIUS_MARGIN,
+    eig_sym,
+    eigvec_first_order,
+    gap_tolerance,
+    gaps_from_eigenvalues,
+    principal_submatrix,
+)
 
 # raw value at eps = 0: the prefactor times exp(offset)
 PREF = {
@@ -335,3 +345,140 @@ def test_alignment_statistics_are_scale_invariant(n, p, seed):
     lam = eig_sym(g).eigenvalues
     assume(lam[n - 2] >= 1e-4 * lam[0])
     assert math.isclose(theta_statistic(g_over_n), theta_statistic(g), rel_tol=1e-9)
+
+
+# --- rewritten per-trial helpers against the formulas they replaced ----------------
+
+
+def _same_bits(a: float, b: float) -> bool:
+    return float(a).hex() == float(b).hex()
+
+
+def _diag_inverse_sqrt(vals, vecs, tol):
+    """V diag(w) V^T through an explicit diagonal matrix, as first written."""
+    return vecs @ np.diag(1.0 / np.sqrt(np.maximum(vals, tol))) @ vecs.T
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(2, 60), p=st.integers(1, 8), seed=st.integers(0, 2**32 - 1), centered=st.booleans(),
+       log_scales=st.lists(_floats(-6.0, 6.0), min_size=8, max_size=8))
+def test_whitening_bits_equal_the_diag_formula(n, p, seed, centered, log_scales):
+    rng = np.random.default_rng(seed)
+    rows = rng.standard_normal((n, p)) * np.exp(log_scales[:p])
+    try:
+        cov = covariance_stats(SampleSet(rows=rows, provenance="hypothesis"), centered=centered)
+    except SingularCovarianceError:
+        assume(False)
+    x = rows - rows.mean(axis=0) if centered else rows
+    sigma = (x.T @ x) / n
+    vals, vecs = np.linalg.eigh(0.5 * (sigma + sigma.T))
+    tol = SINGULAR_TOL_FACTOR * max(float(vals[-1]), 0.0)
+    whitened = x @ _diag_inverse_sqrt(vals[::-1].copy(), vecs[:, ::-1], tol).T
+    assert _same_bits(cov.whitened_radius, np.sqrt(np.max(np.sum(whitened * whitened, axis=1))))
+    point = rng.standard_normal(p) * np.exp(log_scales[:p])
+    expected = np.linalg.norm(_diag_inverse_sqrt(vals, vecs, tol) @ point)
+    assert _same_bits(whitened_norm(cov, point), expected)
+
+
+def _gaps_reference(lam: np.ndarray, i: int) -> tuple:
+    """The gap profile's fields from the concatenate-and-divide formula."""
+    n = lam.shape[0]
+    tol = gap_tolerance(float(lam[0]))
+    diffs = np.abs(lam[i - 1] - np.concatenate((lam[: i - 1], lam[i:])))
+    degenerate = bool(diffs.size) and bool(diffs.min() < tol)
+    if degenerate:
+        resolvent = inv_sq = float("inf")
+    else:
+        resolvent = float((1.0 / diffs).sum()) if diffs.size else 0.0
+        inv_sq = float((1.0 / diffs**2).sum()) if diffs.size else 0.0
+    gap_next = float(lam[i - 1] - lam[i]) if i < n else None
+    return i, n, float(lam[i - 1]), gap_next, resolvent, inv_sq, degenerate
+
+
+@st.composite
+def spectra(draw):
+    """A descending spectrum, often with ties, and an order 1..n."""
+    pool = draw(st.lists(_floats(-50.0, 1e3), min_size=1, max_size=6))
+    values = draw(st.lists(st.sampled_from(pool) | _floats(-50.0, 1e3), min_size=1, max_size=120))
+    lam = np.sort(np.array(values))[::-1].copy()
+    i = draw(st.sampled_from((1, lam.shape[0], draw(st.integers(1, lam.shape[0])))))
+    return lam, i
+
+
+@settings(max_examples=300, deadline=None)
+@given(spectra())
+def test_gap_profile_bits_equal_the_concatenate_formula(spectrum):
+    lam, i = spectrum
+    expected = _gaps_reference(lam, i)
+    # a contiguous spectrum and the reversed view of an ascending one agree
+    for given_lam in (lam, lam[::-1].copy()[::-1]):
+        p = gaps_from_eigenvalues(given_lam, i)
+        got = (p.index, p.n, p.lambda_i, p._gap_next, p.resolvent_sum, p.inv_gap_sq_sum, p.degenerate)
+        assert got[:2] == expected[:2] and got[-1] == expected[-1]
+        for a, b in zip(got[2:6], expected[2:6]):
+            assert (a is None and b is None) or _same_bits(a, b)
+
+
+@settings(max_examples=12, deadline=None)
+@given(p=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
+def test_bound_keys_with_one_grid_share_it(p, seed):
+    """covgap_distance reads no eigen-order, and adjacent_gap at 1 has the
+    parameters of topk_gap at 1: each key's series equals theorem_grid
+    applied to that key alone, and equal keys share one read-only array."""
+    cfg = ExperimentConfig(n=12, p=p, trials=6, seed=seed, epsilons=(0.01, 0.1, 1.0), indices=(1, 2, 3),
+                           statistics=("eigenvalue", "topk_sum"),
+                           bounds=("adjacent_gap", "topk_gap", "covgap_distance"))
+    result = run_concentration(cfg)
+    keys = _keys(cfg)
+    inputs = [_trial_inputs(cfg, s, keys)[1] for s in result.subseeds]
+    eps = np.asarray(cfg.epsilons)
+    series = {(b.theorem, b.index): b for b in result.bound_series}
+    for (theorem, index), b in series.items():
+        kept, reasons = [], []
+        for x in inputs:
+            try:
+                kept.append(bounds.theorem_params(theorem, x, index))
+            except DegeneracyError as exc:
+                reasons.append(str(exc))
+        assert (b.excluded, b.reason) == (len(reasons), reasons[0] if reasons else "")
+        if kept:
+            raw = bounds.theorem_grid(theorem, np.array(kept).T[:, :, None], eps[None, :])
+            assert np.array_equal(b.mean, raw.mean(axis=0))
+            assert np.array_equal(b.p10, np.quantile(raw, 0.1, axis=0, method="linear"))
+        else:
+            assert np.isnan(b.mean).all() and np.isnan(b.p10).all()
+        assert not b.mean.flags.writeable and not b.p10.flags.writeable
+    covgap = [series[("covgap_distance", i)] for i in (1, 2, 3)]
+    assert all(b.mean is covgap[0].mean and b.p10 is covgap[0].p10 for b in covgap)
+    if series[("adjacent_gap", 1)].excluded == 0:
+        assert series[("adjacent_gap", 1)].mean is series[("topk_gap", 1)].mean
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(2, 8), seed=st.integers(0, 2**32 - 1), ratio=_floats(0.02, 2.0))
+def test_expansion_norm_check_falls_through_to_the_exact_norm(n, seed, ratio):
+    """eigvec_first_order raises exactly when ||E||_2 >= half the distance
+    from lambda_i to the rest of the spectrum, and solves for ||E||_2 only
+    when the Frobenius norm does not settle it."""
+    assume(abs(ratio - 1.0) > 1e-6)
+    rng = np.random.default_rng(seed)
+    base = eig_sym(np.diag(np.arange(n, 0, -1, dtype=float) * 2.0))  # every gap is 2
+    b = rng.standard_normal((n, n))
+    b = b + b.T
+    e = b * (ratio * 1.0 / float(np.max(np.abs(np.linalg.eigvalsh(b)))))  # ||E||_2 = ratio * limit
+    frobenius = float(np.linalg.norm(e))
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a):
+        calls.append(a.shape)
+        return eigvalsh(a)
+
+    with mock.patch.object(np.linalg, "eigvalsh", counting):
+        try:
+            eigvec_first_order(base, e, 1)
+            raised = False
+        except ValidityConditionError:
+            raised = True
+    assert raised == (ratio > 1.0)
+    assert bool(calls) == (frobenius >= (1.0 - FROBENIUS_MARGIN) * 1.0)

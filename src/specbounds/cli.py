@@ -24,6 +24,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import secrets
 import sys
 from dataclasses import replace
@@ -334,17 +335,18 @@ def _result_csv(result: ExperimentResult) -> str:
         rows.append([s.statistic, s.index, "", "", "mc_mean", _fval(s.mc_mean), _fval(s.mc_se), ""])
         rows.extend(
             [s.statistic, s.index, _fval(e), "", "empirical_freq", _fval(f), _fval(se), ""]
-            for e, f, se in zip(eps, s.frequencies, s.frequency_se)
+            for e, f, se in zip(eps, s.frequencies.tolist(), s.frequency_se.tolist())
         )
     for b in result.bound_series:
-        base_flags = [f"excluded={b.excluded}"] if b.excluded else []
-        for j, e in enumerate(eps):
-            for kind, v in (("bound_mean", b.mean[j]), ("bound_p10", b.p10[j])):
-                flags = list(base_flags)
-                if not np.isfinite(v):
-                    flags.append("all_excluded")
+        excluded = [f"excluded={b.excluded}"] if b.excluded else []
+        for e, mean, p10 in zip(eps, b.mean.tolist(), b.p10.tolist()):
+            for kind, v in (("bound_mean", mean), ("bound_p10", p10)):
+                if not math.isfinite(v):
+                    flags = excluded + ["all_excluded"]
                 elif v >= 1.0:
-                    flags.append("vacuous")
+                    flags = excluded + ["vacuous"]
+                else:
+                    flags = excluded
                 rows.append([b.statistic, b.index, _fval(e), b.theorem, kind, _fval(v), "", ";".join(flags)])
     return _csv(rows)
 

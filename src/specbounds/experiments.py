@@ -6,22 +6,39 @@ lambda_i(G)/n, which equals the i-th eigenvalue of the 1/n-scaled kernel
 matrix; bound inputs come from G as in every command (see `bounds`).
 
 Per-trial RNG: subseed = splitmix64(master seed, trial index), so results are
-identical for any worker count or scheduling order.  Every trial that samples
-data receives the ExperimentConfig itself (frozen and picklable) with its
-subseed and draws its kernel, generator and samples through `_draw`; the
-config builds its KernelSpec once, and again wherever it is unpickled.  A
-concentration trial also receives the run's `_keys`, and returns its
-statistic values and each bound's parameters (the first phase of
-`bounds.theorem_params`, a few floats) as lists in `_keys` order, None
-marking a trial excluded from a bound.  `run_concentration` stacks each
-bound's parameters over the kept trials and evaluates the bound once over
-the whole trials x epsilons grid.
+identical for any worker count, scheduling order or block length.  Every
+trial that samples data draws its generator and samples from the
+ExperimentConfig (frozen and picklable) and its subseed through `_draw`; the
+config builds its KernelSpec once, and again wherever it is unpickled.
+
+Staged trial blocks: `_map_trials` cuts a loop's seeds into blocks and runs
+each block one stage at a time, for the concentration, boxplot and
+perturbation-oracle loops:
+  1. draw: every trial's RNG and samples (and the oracle's replacement row
+     and index, the kta labels);
+  2. solve: every trial's n x n work, the Gram matrix, its `eigvalsh` and
+     the statistics that read G, keeping only the samples, the spectrum
+     and scalars;
+  3. finish: `_concentration_trial`, `_boxplot_trial` or
+     `_perturbation_trial`, once per trial: bound inputs and parameters,
+     or the oracle's left and right sides.
+Each trial calls the same functions on the same inputs as when run alone;
+only the interleaving across trials changes, so no output bit does.  The
+small-array Python work of stage 3 then runs back to back instead of right
+after each eigensolve has evicted it from the caches.  A block holds as many
+trials as keep what it carries between stages within BLOCK_BYTES; a run
+whose bound inputs read G after its spectrum (`GRAM_INPUTS`) carries G, so
+from about n = 128 its blocks are one trial long.
+
+A concentration trial's finish returns its statistic values and each
+bound's parameters (the first phase of `bounds.theorem_params`, a few
+floats) as lists in `_keys` order, None marking a trial excluded from a
+bound.  `run_concentration` stacks each bound's parameters over the kept
+trials and evaluates the bound once over the whole trials x epsilons grid.
 """
 
 from __future__ import annotations
 
-import hashlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple
 
@@ -31,7 +48,7 @@ from . import bounds as bnd
 from .alignment import kta, middle_spectrum_norm, theta_statistic, top_eigenvalue_ratio
 from .dataset import SampleSet, covariance_stats, whitened_norm
 from .errors import ConfigError, SpecBoundsError
-from .kernels import KernelSpec, diag_sup, gram, kernel_from_config, linear, lipschitz
+from .kernels import GramMatrix, KernelSpec, diag_sup, gram, kernel_from_config, linear, lipschitz
 from .spectral import (
     eig_sym,
     eigvec_first_order,
@@ -45,6 +62,8 @@ from .spectral import (
 
 KNOWN_STATISTICS = ("eigenvalue", "topk_sum", "tail_sum", "kta")
 KNOWN_BOUNDS = tuple(name for name, t in bnd.THEOREMS.items() if t.statistic in KNOWN_STATISTICS)
+# what one block of trials may carry from one stage to the next
+BLOCK_BYTES = 256 * 1024
 
 
 def splitmix64(state: int) -> int:
@@ -240,6 +259,10 @@ def _draw(cfg: ExperimentConfig, trial_seed: int):
     return cfg.kernel_spec(), rng, samples
 
 
+# the bound inputs `sample_inputs` computes from the Gram matrix itself
+GRAM_INPUTS = frozenset({"theta", "frob"})
+
+
 def sample_inputs(samples: SampleSet, spec: KernelSpec, g, lam: np.ndarray, needs,
                   spectrum=None, centered: bool = False, a_kn: float | None = None) -> bnd.BoundInputs:
     """The BoundInputs of one sample with raw Gram matrix g and its
@@ -251,7 +274,7 @@ def sample_inputs(samples: SampleSet, spec: KernelSpec, g, lam: np.ndarray, need
     if given, is `eig_sym(g)`, which theta reuses; `centered` mean-centres
     the samples before the covariance.
     """
-    computations = {
+    computations = {  # GRAM_INPUTS lists the ones that read g
         "diag_sup_sq": lambda: diag_sup(samples, spec),
         "theta": lambda: theta_statistic(g, spectrum=spectrum),
         "cov": lambda: covariance_stats(samples, centered=centered),
@@ -275,11 +298,27 @@ def sample_inputs(samples: SampleSet, spec: KernelSpec, g, lam: np.ndarray, need
                            theta_estimated="theta" in inputs, **inputs)
 
 
-def _trial_inputs(cfg: ExperimentConfig, trial_seed: int, keys: _Keys):
-    """One seeded trial's statistic values in `_keys` order and the
-    BoundInputs its bound keys read."""
-    spec, rng, samples = _draw(cfg, trial_seed)
-    g_raw = gram(samples, spec)
+def _draw_labelled(cfg: ExperimentConfig, trial_seed: int):
+    """Stage 1 of a concentration trial: its samples, and its +-1 labels
+    when the run has the kta statistic (else None)."""
+    _, rng, samples = _draw(cfg, trial_seed)
+    labels = rng.choice([-1.0, 1.0], size=cfg.n) if "kta" in cfg.statistics else None
+    return samples, labels
+
+
+class _Solved(NamedTuple):
+    """What a concentration trial carries from its eigensolve to its finish."""
+
+    samples: SampleSet
+    g: GramMatrix | None        # the raw Gram matrix, kept only when an input in GRAM_INPUTS is needed
+    lam: np.ndarray             # its eigenvalues, descending and contiguous
+    stats: list                 # statistic values in `_keys` order
+    a_kn: float | None
+
+
+def _solve(cfg: ExperimentConfig, keys: _Keys, samples: SampleSet, labels) -> _Solved:
+    """Stage 2 of a concentration trial: Gram matrix, spectrum and statistics."""
+    g_raw = gram(samples, cfg.kernel_spec())
     lam = np.linalg.eigvalsh(g_raw.entries)[::-1].copy()  # descending and contiguous
     lam_stat = lam / cfg.n
 
@@ -293,17 +332,28 @@ def _trial_inputs(cfg: ExperimentConfig, trial_seed: int, keys: _Keys):
         elif stat == "tail_sum":
             stats.append(float(lam_stat[i - 1 :].sum()))
         else:
-            a_kn = kta(g_raw, rng.choice([-1.0, 1.0], size=cfg.n))
+            a_kn = kta(g_raw, labels)
             stats.append(a_kn)
-    return stats, sample_inputs(samples, spec, g_raw, lam, keys.needs, a_kn=a_kn)
+    return _Solved(samples, g_raw if keys.needs & GRAM_INPUTS else None, lam, stats, a_kn)
 
 
-def _concentration_trial(args: tuple[ExperimentConfig, _Keys, int]) -> tuple[list, list, list]:
-    """One seeded trial: statistic values, each bound key's parameters
-    (None when the trial is excluded) and exclusion reasons, in the order
-    of `keys` (the run's `_keys`)."""
-    cfg, keys, trial_seed = args
-    stats, x = _trial_inputs(cfg, trial_seed, keys)
+def _solved_inputs(cfg: ExperimentConfig, keys: _Keys, solved: _Solved) -> bnd.BoundInputs:
+    return sample_inputs(solved.samples, cfg.kernel_spec(), solved.g, solved.lam, keys.needs, a_kn=solved.a_kn)
+
+
+def _trial_inputs(cfg: ExperimentConfig, trial_seed: int, keys: _Keys):
+    """One seeded trial's statistic values in `_keys` order and the
+    BoundInputs its bound keys read, computed by the trial alone."""
+    solved = _solve(cfg, keys, *_draw_labelled(cfg, trial_seed))
+    return solved.stats, _solved_inputs(cfg, keys, solved)
+
+
+def _concentration_trial(args: tuple[ExperimentConfig, _Keys, _Solved]) -> tuple[list, list, list]:
+    """Stage 3 of a concentration trial: statistic values, each bound key's
+    parameters (None when the trial is excluded) and exclusion reasons, in
+    the order of `keys` (the run's `_keys`)."""
+    cfg, keys, solved = args
+    x = _solved_inputs(cfg, keys, solved)
     params: list[tuple | None] = []
     reasons: list[str] = []
     for theorem, _, i in keys.bounds:
@@ -313,17 +363,50 @@ def _concentration_trial(args: tuple[ExperimentConfig, _Keys, int]) -> tuple[lis
         except SpecBoundsError as exc:
             params.append(None)
             reasons.append(str(exc))
-    return stats, params, reasons
+    return solved.stats, params, reasons
 
 
-def _map_trials(fn, args_list, workers: int):
+def _concentration_block(args) -> list:
+    (cfg, keys), seeds = args
+    draws = [_draw_labelled(cfg, s) for s in seeds]
+    solved = [_solve(cfg, keys, samples, labels) for samples, labels in draws]
+    return [_concentration_trial((cfg, keys, x)) for x in solved]
+
+
+def _trial_bytes(cfg: ExperimentConfig, keeps_gram: bool = False) -> int:
+    """About what one trial carries between stages: its samples and two
+    length-n spectra, plus G if it keeps it."""
+    return 8 * cfg.n * (cfg.p + 2 + (cfg.n if keeps_gram else 0))
+
+
+def _each(args) -> list:
+    """The block runner of a loop without stages: one call per item."""
+    fn, items = args
+    return [fn(item) for item in items]
+
+
+def _map_trials(run_block, common, items, workers: int, item_bytes: int | None = None) -> list:
+    """Every item's result, in order: `run_block((common, block))` maps the
+    consecutive blocks of `items` to their items' results.
+
+    A block holds as many items as fit into BLOCK_BYTES at `item_bytes`
+    each, and at least one; `item_bytes=None` makes every block one item.
+    With `workers > 1` the blocks go to a process pool, a few blocks per
+    task; the results do not depend on the worker count.
+    """
     if workers < 1:
         raise ConfigError(f"need at least 1 worker, got {workers}")
+    size = 1 if item_bytes is None else max(1, BLOCK_BYTES // item_bytes)
+    blocks = [(common, items[k : k + size]) for k in range(0, len(items), size)]
     if workers == 1:
-        return [fn(a) for a in args_list]
-    chunk = max(1, len(args_list) // (workers * 4))
-    with ProcessPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, args_list, chunksize=chunk))
+        results = [run_block(b) for b in blocks]
+    else:
+        from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing; only pools pay for it
+
+        chunk = max(1, len(blocks) // (workers * 4))
+        with ProcessPoolExecutor(max_workers=workers) as ex:
+            results = list(ex.map(run_block, blocks, chunksize=chunk))
+    return [r for block in results for r in block]
 
 
 def run_concentration(
@@ -349,7 +432,8 @@ def run_concentration(
             raise ConfigError(f"need {cfg.trials} subseeds, got {len(subseeds)}")
         seeds = tuple(int(s) for s in subseeds)
     keys = _keys(cfg)
-    payloads = _map_trials(_concentration_trial, [(cfg, keys, s) for s in seeds], workers)
+    item_bytes = _trial_bytes(cfg, keeps_gram=bool(keys.needs & GRAM_INPUTS))
+    payloads = _map_trials(_concentration_block, (cfg, keys), seeds, workers, item_bytes)
 
     eps = np.asarray(cfg.epsilons)
     t_count = cfg.trials
@@ -377,7 +461,7 @@ def run_concentration(
         )
 
     # parameters stacked as (T, 1) columns against the (1, E) epsilon row;
-    # `grids` maps (exponent, prefactor, the columns' shape and sha256) to
+    # `grids` maps (exponent, prefactor, the columns' shape and bytes) to
     # the (mean, p10) pair
     grids: dict = {}
     nan = _read_only(np.full(eps.shape, np.nan))
@@ -391,7 +475,7 @@ def run_concentration(
         if kept:
             columns = np.array(kept)
             t = bnd.THEOREMS[key[0]]
-            grid = (t.grid, t.prefactor, columns.shape, hashlib.sha256(columns).digest())
+            grid = (t.grid, t.prefactor, columns.shape, columns.tobytes())
             if grid not in grids:
                 raw = bnd.theorem_grid(key[0], columns.T[:, :, None], eps[None, :])
                 grids[grid] = (_read_only(raw.mean(axis=0)),
@@ -449,20 +533,26 @@ def spearman(a, b) -> float:
     return float(np.corrcoef(np.column_stack((ra, rb)), rowvar=False)[1, 0])
 
 
-def _boxplot_trial(args: tuple[ExperimentConfig, int]) -> np.ndarray:
-    cfg, trial_seed = args
-    spec, _, samples = _draw(cfg, trial_seed)
-    lam = np.linalg.eigvalsh(gram(samples, spec).entries)[::-1] / cfg.n
+def _boxplot_trial(args: tuple[ExperimentConfig, np.ndarray]) -> np.ndarray:
+    """Stage 3 of a boxplot trial: the leading statistics from the raw
+    spectrum `eigvalsh` returned (ascending)."""
+    cfg, lam = args
     top = max(cfg.indices) + 1
-    return lam[: min(top, cfg.n)]
+    return (lam[::-1] / cfg.n)[: min(top, cfg.n)]
+
+
+def _boxplot_block(args) -> list:
+    cfg, seeds = args
+    spec = cfg.kernel_spec()
+    draws = [_draw(cfg, s)[2] for s in seeds]
+    spectra = [np.linalg.eigvalsh(gram(samples, spec).entries) for samples in draws]
+    return [_boxplot_trial((cfg, lam)) for lam in spectra]
 
 
 def boxplot_stats(cfg: ExperimentConfig, workers: int = 1) -> BoxplotResult:
     """Boxplot statistics of the per-order eigenvalue statistic across trials."""
     seeds = tuple(subseed(cfg.seed, t) for t in range(cfg.trials))
-    spectra = np.array(
-        _map_trials(_boxplot_trial, [(cfg, s) for s in seeds], workers)
-    )
+    spectra = np.array(_map_trials(_boxplot_block, cfg, seeds, workers, _trial_bytes(cfg)))
     fives, iqrs, mean_gaps = [], [], []
     for i in cfg.indices:
         values = spectra[:, i - 1]
@@ -529,40 +619,55 @@ def _interlacing_trial(trial_seed: int) -> tuple[int, float]:
     return int(np.count_nonzero(~ok)), float(np.max(worst))
 
 
-def _replace_one(cfg: ExperimentConfig, trial_seed: int, zero_perturbation: bool):
-    """A trial's samples with one drawn row replaced (by itself under
-    `zero_perturbation`): (kernel, samples, replace_at, replacement, pair),
-    the pair of G/n."""
-    spec, rng, samples = _draw(cfg, trial_seed)
+def _draw_replacement(cfg: ExperimentConfig, trial_seed: int, zero_perturbation: bool):
+    """A trial's samples, the 1-based index of the row to replace and its
+    replacement (the row itself under `zero_perturbation`)."""
+    _, rng, samples = _draw(cfg, trial_seed)
     replacement = rng.standard_normal(cfg.p)
     replace_at = int(rng.integers(1, cfg.n + 1))
     if zero_perturbation:
         replacement = samples.rows[replace_at - 1].copy()
-    pair = perturb_replace(samples, spec, replace_at, replacement)
-    return spec, samples, replace_at, replacement, pair
+    return samples, replace_at, replacement
 
 
-def _perturbation_trial(args: tuple[ExperimentConfig, int, int, bool]) -> dict:
-    """One replace-one trial: eigenvalue stability and perturbation-norm checks."""
-    cfg, trial_seed, index, zero_perturbation = args
-    spec, samples, replace_at, replacement, pair = _replace_one(cfg, trial_seed, zero_perturbation)
+class _Perturbed(NamedTuple):
+    """What a perturbation trial carries from its eigensolves to its finish."""
+
+    samples: SampleSet
+    replace_at: int
+    replacement: np.ndarray
+    lam: np.ndarray             # eigenvalues of G/n, descending
+    lam_pert: np.ndarray        # and of G/n + E
+    norm_e: float               # ||E||
+
+
+def _solve_perturbed(cfg: ExperimentConfig, samples: SampleSet, replace_at: int, replacement) -> _Perturbed:
+    """Stage 2 of a perturbation trial: both spectra of the replace-one pair."""
+    pair = perturb_replace(samples, cfg.kernel_spec(), replace_at, replacement)
     lam = np.linalg.eigvalsh(pair.original.entries)[::-1]
     lam_pert = np.linalg.eigvalsh(pair.perturbed.entries)[::-1]
-    norm_e = pair.spectral_norm_e
+    return _Perturbed(samples, replace_at, replacement, lam, lam_pert, pair.spectral_norm_e)
+
+
+def _perturbation_trial(args: tuple[ExperimentConfig, int, _Perturbed]) -> dict:
+    """Stage 3 of a replace-one trial: eigenvalue stability and
+    perturbation-norm checks."""
+    cfg, index, t = args
+    spec, samples, lam, lam_pert, norm_e = cfg.kernel_spec(), t.samples, t.lam, t.lam_pert, t.norm_e
 
     out: dict[str, tuple[float, float] | None] = {}
     # Weyl-type stability: every eigenvalue moves at most ||E||.
     out["eigenvalue_stability"] = (float(np.max(np.abs(lam_pert - lam))), norm_e + 1e-9)
 
     cov = covariance_stats(samples)
-    radius = max(cov.whitened_radius, whitened_norm(cov, replacement))
+    radius = max(cov.whitened_radius, whitened_norm(cov, t.replacement))
     cov = replace(cov, whitened_radius=radius)  # boundedness covers the replacement
     lip = lipschitz(spec, samples)
     norms = bnd.error_norm_bound(spec.kind, cov, lip, cfg.n)
     out["perturbation_norm_printed"] = (norm_e, norms.printed)
     out["perturbation_norm_conservative"] = (norm_e, norms.conservative)
 
-    lin_norm = perturb_replace_norm(samples, linear(), replace_at, replacement)
+    lin_norm = perturb_replace_norm(samples, linear(), t.replace_at, t.replacement)
     lin_bound = bnd.error_norm_bound("inner", cov, 1.0, cfg.n)
     out["perturbation_norm_inner"] = (lin_norm, lin_bound.printed)
 
@@ -578,6 +683,13 @@ def _perturbation_trial(args: tuple[ExperimentConfig, int, int, bool]) -> dict:
     return out
 
 
+def _perturbation_block(args) -> list:
+    (cfg, index, zero_perturbation), seeds = args
+    draws = [_draw_replacement(cfg, s, zero_perturbation) for s in seeds]
+    solved = [_solve_perturbed(cfg, *d) for d in draws]
+    return [_perturbation_trial((cfg, index, t)) for t in solved]
+
+
 def _expansion_trial(args: tuple[dict, int, int, bool]) -> tuple[float, float] | None:
     """Quadratic-residual check of the first-order eigenvector expansion.
 
@@ -586,7 +698,8 @@ def _expansion_trial(args: tuple[dict, int, int, bool]) -> tuple[float, float] |
     the trial is degenerate.
     """
     cfg, trial_seed, index, zero_perturbation = args
-    pair = _replace_one(cfg, trial_seed, zero_perturbation)[-1]
+    samples, replace_at, replacement = _draw_replacement(cfg, trial_seed, zero_perturbation)
+    pair = perturb_replace(samples, cfg.kernel_spec(), replace_at, replacement)
     base = eig_sym(pair.original)
     lam = base.eigenvalues
     others = np.abs(np.delete(lam - lam[index - 1], index - 1))
@@ -627,7 +740,7 @@ def run_oracles(
         raise ConfigError("oracle trial counts must be >= 100 (expansion >= 1)")
 
     seeds = [subseed(cfg.seed, 1_000_000 + t) for t in range(interlacing_matrices)]
-    results = _map_trials(_interlacing_trial, seeds, workers)
+    results = _map_trials(_each, _interlacing_trial, seeds, workers)
     interlacing = OracleRow(
         name="interlacing",
         trials=interlacing_matrices,
@@ -636,17 +749,15 @@ def run_oracles(
         max_violation=max(0.0, max(w for _, w in results)),
     )
 
-    args = [
-        (cfg, subseed(cfg.seed, 2_000_000 + t), index, zero_perturbation)
-        for t in range(perturbation_trials)
-    ]
-    payloads = _map_trials(_perturbation_trial, args, workers)
+    seeds = [subseed(cfg.seed, 2_000_000 + t) for t in range(perturbation_trials)]
+    payloads = _map_trials(_perturbation_block, (cfg, index, zero_perturbation), seeds, workers,
+                           _trial_bytes(cfg))
 
     args = [
         (cfg, subseed(cfg.seed, 3_000_000 + t), index, zero_perturbation)
         for t in range(expansion_trials)
     ]
-    residuals = _map_trials(_expansion_trial, args, workers)
+    residuals = _map_trials(_each, _expansion_trial, args, workers)
 
     def tally(name: str, lhs_rhs: list) -> OracleRow:
         kept = [x for x in lhs_rhs if x is not None]

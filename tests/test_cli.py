@@ -593,6 +593,19 @@ def test_module_entrypoint_runs():
     assert proc.stdout.strip() == "0.1.0"
 
 
+def test_cli_import_loads_no_process_pool():
+    # only a run with more than one worker imports the pool, and multiprocessing with it
+    root = Path(__file__).resolve().parents[1]
+    code = ("import sys, specbounds.cli; "
+            "print([m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 DEMOS = {
     "bound_report_walkthrough": "adjacent_gap",
     "alignment_and_oracles": "eigenvalue_stability",

@@ -15,6 +15,7 @@ from specbounds.experiments import (
     ExperimentConfig,
     _interlacing_trial,
     _keys,
+    _map_trials,
     _trial_inputs,
     boxplot_stats,
     default_epsilons,
@@ -290,6 +291,74 @@ def test_gap_profiles_computed_once_per_trial_and_order(monkeypatch):
                bounds=("adjacent_gap", "covgap_second_order", "covgap_second_order_alt"))
     run_concentration(cfg)
     assert len(calls) == 5 * 3
+
+
+def test_map_trials_cuts_blocks_by_the_byte_budget(monkeypatch):
+    monkeypatch.setattr(experiments, "BLOCK_BYTES", 70)
+
+    def run_block(args):
+        common, block = args
+        return [(common, len(block), item) for item in block]
+
+    items = list(range(17))
+    out = _map_trials(run_block, "c", items, 1, item_bytes=10)
+    assert out == [("c", 7, i) for i in range(14)] + [("c", 3, i) for i in range(14, 17)]
+    for item_bytes in (None, 70, 100):  # one item per block
+        assert _map_trials(run_block, "c", items, 1, item_bytes) == [("c", 1, i) for i in items]
+
+
+def _carried_per_block(monkeypatch, cfg) -> list[list]:
+    """Run `cfg` and return, block by block, the records its concentration
+    trials carry from their eigensolve to their finish stage."""
+    events = []
+    solve, finish = experiments._solve, experiments._concentration_trial
+
+    def spy_solve(*args):
+        events.append(solve(*args))
+        return events[-1]
+
+    def spy_finish(args):
+        events.append(None)
+        return finish(args)
+
+    monkeypatch.setattr(experiments, "_solve", spy_solve)
+    monkeypatch.setattr(experiments, "_concentration_trial", spy_finish)
+    run_concentration(cfg)
+    blocks: list[list] = [[]]
+    for event in events:
+        if event is not None:
+            blocks[-1].append(event)
+        elif blocks[-1]:
+            blocks.append([])
+    return [b for b in blocks if b]
+
+
+def _square_arrays(records, n: int) -> int:
+    """How many n x n arrays the records hold, a GramMatrix counting as its entries."""
+    fields = [getattr(f, "entries", getattr(f, "rows", f)) for r in records for f in r]
+    return sum(isinstance(a, np.ndarray) and a.shape == (n, n) for a in fields)
+
+
+def test_blocks_carry_at_most_one_gram_matrix(monkeypatch):
+    # kta_theta reads theta from G after the spectrum, so each trial carries
+    # G, and at n = 300 a block is one trial
+    cfg = ExperimentConfig(n=300, p=3, trials=2, seed=5, indices=(1,), statistics=("kta",),
+                           bounds=("kta_theta",))
+    blocks = _carried_per_block(monkeypatch, cfg)
+    assert [len(b) for b in blocks] == [1, 1]
+    assert [_square_arrays(b, cfg.n) for b in blocks] == [1, 1]
+
+
+def test_mc_bounds_blocks_carry_no_gram_matrix(monkeypatch):
+    # the benchmark's mc-bounds run at n = 100: no input reads G after its
+    # spectrum, so a block of many trials keeps no n x n array
+    cfg = ExperimentConfig(n=100, p=5, trials=60, seed=6, indices=(1, 2, 3),
+                           statistics=("eigenvalue", "topk_sum", "tail_sum"),
+                           bounds=("adjacent_gap", "topk_gap", "tail_gap", "covgap_distance",
+                                   "covgap_second_order", "covgap_second_order_alt"))
+    blocks = _carried_per_block(monkeypatch, cfg)
+    assert sum(len(b) for b in blocks) == cfg.trials and max(len(b) for b in blocks) > 1
+    assert [_square_arrays(b, cfg.n) for b in blocks] == [0] * len(blocks)
 
 
 def test_second_order_bounds_hold_at_p2():

@@ -1,7 +1,8 @@
 """Property tests of the theorem registry on random valid inputs, of the
 theta statistic against the exhaustive leave-one-out loop, of the
-alignment statistics' scale invariance, and of the rewritten per-trial
-helpers against the formulas they replaced, bit for bit."""
+alignment statistics' scale invariance, of the rewritten per-trial
+helpers against the formulas they replaced, bit for bit, and of seeded runs
+against their block length and worker count."""
 
 import math
 from unittest import mock
@@ -11,12 +12,21 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from specbounds import bounds
+from specbounds import bounds, experiments
 from specbounds.alignment import kta, theta_statistic
 from specbounds.bounds import THEOREMS, BoundInputs
 from specbounds.dataset import SINGULAR_TOL_FACTOR, CovarianceStats, SampleSet, covariance_stats, whitened_norm
 from specbounds.errors import ConfigError, DataError, DegeneracyError, SingularCovarianceError, ValidityConditionError
-from specbounds.experiments import ExperimentConfig, _keys, _trial_inputs, run_concentration
+from specbounds.experiments import (
+    GRAM_INPUTS,
+    ExperimentConfig,
+    _keys,
+    _trial_bytes,
+    _trial_inputs,
+    boxplot_stats,
+    run_concentration,
+    run_oracles,
+)
 from specbounds.kernels import GramMatrix, gaussian, gram, linear, polynomial
 from specbounds.spectral import (
     FROBENIUS_MARGIN,
@@ -482,3 +492,79 @@ def test_expansion_norm_check_falls_through_to_the_exact_norm(n, seed, ratio):
             raised = True
     assert raised == (ratio > 1.0)
     assert bool(calls) == (frobenius >= (1.0 - FROBENIUS_MARGIN) * 1.0)
+
+
+# one run without and one with an input read from G after the spectrum, so
+# blocks of the second carry G
+STAGED_CONFIGS = {
+    "eigenvalue-topk": dict(n=12, p=3, indices=(1, 2), statistics=("eigenvalue", "topk_sum"),
+                            bounds=("adjacent_gap", "topk_gap", "covgap_distance")),
+    "kta-theta": dict(n=12, p=3, indices=(1,), statistics=("eigenvalue", "kta"),
+                      bounds=("adjacent_gap", "kta_theta", "kta_spectral")),
+}
+
+
+def _staged_runs(cfg, run, keeps_gram=False, pooled=(1, 2, 7, None)):
+    """`run(workers)` with blocks of 1, 2 and 7 trials and of the whole run
+    (None), with one worker, and with two at the lengths in `pooled`."""
+    for length in (1, 2, 7, None):
+        budget = (length or cfg.trials) * _trial_bytes(cfg, keeps_gram)
+        with mock.patch.object(experiments, "BLOCK_BYTES", budget):
+            yield run(1)
+            if length in pooled:
+                yield run(2)
+
+
+def _concentration_bytes(result) -> list:
+    parts = [result.subseeds]
+    for s in result.series:
+        parts += [s.values.tobytes(), s.frequencies.tobytes(), s.frequency_se.tobytes(),
+                  repr((s.mc_mean, s.mc_se, s.five_number, s.iqr))]
+    for b in result.bound_series:
+        parts += [b.mean.tobytes(), b.p10.tobytes(), b.excluded, b.reason]
+    return parts
+
+
+@pytest.mark.parametrize("name", list(STAGED_CONFIGS))
+@settings(max_examples=3, deadline=None)
+@given(trials=st.integers(2, 40), seed=st.integers(0, 2**32 - 1))
+def test_concentration_bytes_do_not_depend_on_blocks_or_workers(name, trials, seed):
+    cfg = ExperimentConfig(trials=trials, seed=seed, **STAGED_CONFIGS[name])
+    keeps_gram = bool(_keys(cfg).needs & GRAM_INPUTS)
+    assert keeps_gram == (name == "kta-theta")
+    reference = _concentration_bytes(run_concentration(cfg))
+    for result in _staged_runs(cfg, lambda w: run_concentration(cfg, workers=w), keeps_gram):
+        assert _concentration_bytes(result) == reference
+
+
+@settings(max_examples=3, deadline=None)
+@given(trials=st.integers(2, 40), seed=st.integers(0, 2**32 - 1))
+def test_boxplot_bytes_do_not_depend_on_blocks_or_workers(trials, seed):
+    cfg = ExperimentConfig(n=12, p=3, trials=trials, seed=seed, indices=(1, 2, 3, 12), bounds=())
+
+    def outputs(r):
+        # repr round-trips every float, NaN included
+        return repr((r.subseeds, r.five_numbers, r.iqrs, r.mean_gaps, r.spearman_gap_iqr))
+
+    reference = outputs(boxplot_stats(cfg))
+    for result in _staged_runs(cfg, lambda w: boxplot_stats(cfg, workers=w)):
+        assert outputs(result) == reference
+
+
+@settings(max_examples=1, deadline=None)
+@given(perturbation_trials=st.integers(100, 140), seed=st.integers(0, 2**32 - 1))
+def test_oracle_bytes_do_not_depend_on_blocks_or_workers(perturbation_trials, seed):
+    # the perturbation loop is staged; its trial count starts at the oracles'
+    # minimum.  Each run spends about 0.5 s in the unstaged interlacing loop,
+    # and a pool seconds when BLAS is multithreaded, so this draws one example
+    # and pools one block length
+    cfg = ExperimentConfig(n=10, p=2, trials=2, seed=seed, indices=(1,), bounds=())
+
+    def run(w):
+        table = run_oracles(cfg, interlacing_matrices=100, perturbation_trials=perturbation_trials,
+                            expansion_trials=1, workers=w)
+        return repr(table.rows)
+
+    reference = run(1)
+    for rows in _staged_runs(cfg, run, pooled=(7,)):
+        assert rows == reference

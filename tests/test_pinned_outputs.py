@@ -43,6 +43,25 @@ CONCENTRATION = {
                        bounds=("adjacent_gap", "theta_top", "diag_uniform", "covgap_second_order", "kta_theta",
                                "kta_spectral")),
                   "b1504fa3a93e51d5401907dd956e42a5033ee5729a0404e315ec3cbc534349da"),
+    # an inner-product kernel: covgap_inner, diag_uniform and the kta variants
+    # that read the ratio and the Frobenius norm
+    "inner-kta": (dict(n=12, p=3, trials=40, seed=15, indices=(1, 2, 12), statistics=("eigenvalue", "kta"),
+                       kernel={"family": "polynomial", "degree": 2, "offset": 1.0},
+                       bounds=("covgap_inner", "diag_uniform", "kta_spectral_approx", "kta_spectral_bdiff",
+                               "covgap_second_order_alt", "adjacent_gap")),
+                  "f61a5675ad18f1073620473ad0584c4492e578f728f8118d8aaaeb2e8682901c"),
+    # p > n: every trial's sample covariance is singular, with its own lambda_p
+    # in the reason
+    "singular-cov": (dict(n=4, p=6, trials=30, seed=16, indices=(1, 2, 4),
+                          statistics=("eigenvalue", "topk_sum", "tail_sum"),
+                          bounds=("covgap_distance", "covgap_second_order", "adjacent_gap", "topk_gap", "tail_gap")),
+                     "572bf2c14ae17d6bb46c76195b9e217cae6754aa8007d1e03ef4ed6b0f220b46"),
+    # p = 1: a zero covariance gap (gamma = 0), and deep orders where some
+    # trials' gaps are degenerate and others' are not
+    "low-p-gaps": (dict(n=12, p=1, trials=40, seed=17, indices=(1, 9, 10, 11),
+                        statistics=("eigenvalue", "topk_sum", "tail_sum"),
+                        bounds=("adjacent_gap", "covgap_second_order", "topk_gap", "tail_gap")),
+                   "68dc4460a97527df83672144c95bf76f1068cf6c7d9cfd4e99263f5b0581b80b"),
 }
 
 

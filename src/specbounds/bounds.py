@@ -13,8 +13,8 @@ another scale converts inside its params phase:
     G/n) with crowding sums, which must be those of lambda(G)/n: n^2 times
     inv_gap_sq_sum and n times resolvent_sum of G.
 
-Every bound is evaluated in two phases.  `params(x, i)` checks the
-theorem's precondition on one sample's inputs and returns a short tuple of
+Every bound is evaluated in two phases.  `params(x, i, reject)` checks the
+theorem's preconditions on one sample's inputs and returns a pair of
 floats; `grid(params, eps)` turns them into the exponent, and the raw value
 is the theorem's prefactor times math.exp of it.  Most exponents are
 a eps^2 / b, computed as (a * eps) * eps / b.  The grid phase takes scalars,
@@ -25,6 +25,15 @@ the last ulp on some inputs), so every point has the bits of the scalar
 expression.  Raw values may exceed 1 (vacuous); report assembly keeps the
 raw value and flags it instead of hiding it.  The bound_* functions are the
 same two phases for one sample.
+
+The params phase also takes the inputs of a block of B samples as (B,)
+columns and returns (B,) columns; `theorem_params` then records each
+sample's first failed precondition instead of raising it.  Its products and
+quotients keep the one-sample order, and every power the one-sample formula
+takes with Python's `**` (the whitened radius to the 4th or 2nd power,
+gap_1p^2, R_i^2) is still taken with it at every point (`_pow`): numpy's
+power and square round some inputs differently from libm's pow, so each
+row of a column has its sample's bits.
 
 THEOREMS is the one table of theorem ids; this list mirrors it.  M is the
 whitened radius, lip the kernel's Lipschitz constant, gap_1p the covariance
@@ -71,7 +80,7 @@ from typing import Callable
 import numpy as np
 
 from .dataset import CovarianceStats
-from .errors import ConfigError, DataError, DegeneracyError, DegenerateGapError
+from .errors import ConfigError, DataError, DegeneracyError, DegenerateGapError, SpecBoundsError
 from .kernels import DISTANCE, INNER
 from .spectral import GapProfile, Spectrum, gap_tolerance, gaps_from_eigenvalues, range_gap_tail, range_gap_top
 
@@ -97,6 +106,43 @@ def _check_eps(eps):
     if np.any(arr < 0):
         raise ConfigError(f"epsilon must be >= 0, got {float(arr.min())}")
     return float(arr) if arr.ndim == 0 else arr
+
+
+def _raise(bad, error, template: str, *values) -> None:
+    """A precondition check on one sample: raise
+    `error(template.format(*values))` when `bad` holds."""
+    if bad:
+        raise error(template.format(*values))
+
+
+class _Rejections:
+    """The precondition checks of a block: `bad` is a (B,) mask, or one bool
+    for every row, and each row it marks that no earlier check has rejected
+    takes the message that one sample would raise as its reason, with the
+    row's entry of every (B,) value."""
+
+    def __init__(self, reasons: list):
+        self.reasons = reasons
+
+    def __call__(self, bad, error, template: str, *values) -> None:
+        if not np.any(bad):
+            return
+        for r in np.flatnonzero(np.broadcast_to(bad, (len(self.reasons),))).tolist():
+            if self.reasons[r] is None:
+                self.reasons[r] = template.format(*(v[r] if np.ndim(v) else v for v in values))
+
+
+def _pow(x, k: int):
+    """x ** k through Python's float pow at every point of a column: numpy's
+    power and square round some inputs differently from it."""
+    if isinstance(x, np.ndarray):
+        return np.array([v**k for v in x.tolist()])
+    return x**k
+
+
+def _outside_unit(x):
+    """Not in (0, 1], NaN included."""
+    return np.logical_not((0.0 < x) & (x <= 1.0))
 
 
 def _exp(x):
@@ -137,11 +183,9 @@ def _offset_quadratic(p, eps):
 # --- parameters of the first phase, and the one-sample bound_* functions ------
 
 
-def _trace_uniform_params(n: int, diag_sup_sq: float) -> tuple[float, float]:
-    if diag_sup_sq <= 0:
-        raise ConfigError(f"diagonal supremum must be positive, got {diag_sup_sq}")
-    if n < 1:
-        raise ConfigError(f"n must be >= 1, got {n}")
+def _trace_uniform_params(n: int, diag_sup_sq: float, reject=_raise) -> tuple[float, float]:
+    reject(diag_sup_sq <= 0, ConfigError, "diagonal supremum must be positive, got {}", diag_sup_sq)
+    reject(n < 1, ConfigError, "n must be >= 1, got {}", n)
     return -2.0 * n, diag_sup_sq * diag_sup_sq
 
 
@@ -151,11 +195,9 @@ def bound_trace_uniform(n: int, diag_sup_sq: float, eps):
     return theorem_grid("diag_uniform", _trace_uniform_params(n, diag_sup_sq), eps)
 
 
-def _theta_params(theta: float, lambda_1: float) -> tuple[float, float]:
-    if not 0.0 < theta <= 1.0:
-        raise ConfigError(f"theta must lie in (0, 1], got {theta}")
-    if lambda_1 <= 0:
-        raise ConfigError(f"lambda_1 must be positive, got {lambda_1}")
+def _theta_params(theta: float, lambda_1: float, reject=_raise) -> tuple[float, float]:
+    reject(_outside_unit(theta), ConfigError, "theta must lie in (0, 1], got {}", theta)
+    reject(lambda_1 <= 0, ConfigError, "lambda_1 must be positive, got {}", lambda_1)
     return -2.0, theta * theta * lambda_1 * lambda_1
 
 
@@ -165,10 +207,10 @@ def bound_theta(theta: float, lambda_1: float, eps):
     return theorem_grid("theta_top", _theta_params(theta, lambda_1), eps)
 
 
-def _gap_params(n: int, gap_profile: GapProfile) -> tuple[float, float]:
+def _gap_params(n: int, gap_profile: GapProfile, reject=_raise) -> tuple[float, float]:
     gap = gap_profile.gap_next
-    if gap_profile.degenerate or gap <= gap_tolerance(gap_profile.lambda_i):
-        raise DegenerateGapError(DEGENERATE_GAP_MESSAGE)
+    reject(gap_profile.degenerate | (gap <= gap_tolerance(gap_profile.lambda_i)), DegenerateGapError,
+           DEGENERATE_GAP_MESSAGE)
     return -2.0 * n, gap * gap
 
 
@@ -178,10 +220,9 @@ def bound_gap(n: int, gap_profile: GapProfile, eps):
     return theorem_grid("adjacent_gap", _gap_params(n, gap_profile), eps)
 
 
-def _range_gap_params(n: int, g: float, spectrum) -> tuple[float, float]:
-    lam = spectrum.eigenvalues if isinstance(spectrum, Spectrum) else spectrum
-    if g <= gap_tolerance(float(lam[0])):
-        raise DegenerateGapError(DEGENERATE_GAP_MESSAGE)
+def _range_gap_params(n: int, g: float, spectrum, reject=_raise) -> tuple[float, float]:
+    lam = np.asarray(spectrum.eigenvalues if isinstance(spectrum, Spectrum) else spectrum)
+    reject(g <= gap_tolerance(_first(lam)), DegenerateGapError, DEGENERATE_GAP_MESSAGE)
     return -2.0 * n, g * g
 
 
@@ -228,14 +269,13 @@ def error_norm_bound(kind: str, cov: CovarianceStats, lip: float, n: int) -> Err
     return ErrorNormBounds(printed=printed, conservative=conservative, kind=kind)
 
 
-def _covgap_params(n: int, cov: CovarianceStats, lip: float, denom_factor: float) -> tuple[float, float]:
-    if cov.gap_1p <= gap_tolerance(cov.lambda_1):
-        raise DegenerateGapError(
-            "covariance eigenvalue gap lambda_1 - lambda_p is degenerate "
-            "(isotropic covariance); the printed bound is vacuous there"
-        )
-    m4 = cov.whitened_radius**4
-    return -float(n) * n, denom_factor * m4 * lip * lip * cov.gap_1p**2
+def _covgap_params(n: int, cov: CovarianceStats, lip: float, denom_factor: float,
+                   reject=_raise) -> tuple[float, float]:
+    reject(cov.gap_1p <= gap_tolerance(cov.lambda_1), DegenerateGapError,
+           "covariance eigenvalue gap lambda_1 - lambda_p is degenerate "
+           "(isotropic covariance); the printed bound is vacuous there")
+    m4 = _pow(cov.whitened_radius, 4)
+    return -float(n) * n, denom_factor * m4 * lip * lip * _pow(cov.gap_1p, 2)
 
 
 def bound_distance(n: int, cov: CovarianceStats, lip: float, eps):
@@ -256,6 +296,7 @@ def second_order_gamma(
     lip: float,
     gap_profile: GapProfile,
     variant: str = "printed",
+    reject=_raise,
 ) -> float:
     """The gamma denominator of the second-order refinement.
 
@@ -266,23 +307,20 @@ def second_order_gamma(
     """
     if variant not in ("printed", "alt"):
         raise ConfigError(f"variant must be 'printed' or 'alt', got {variant!r}")
-    if gap_profile.degenerate:
-        raise DegenerateGapError(DEGENERATE_GAP_MESSAGE)
-    m2 = cov.whitened_radius**2
+    reject(gap_profile.degenerate, DegenerateGapError, DEGENERATE_GAP_MESSAGE)
+    m2 = _pow(cov.whitened_radius, 2)
     first = 6.0 * m2 * lip * cov.gap_1p / math.sqrt(n)
     m = gap_profile.n  # G is m x m
     crowding = m * m * gap_profile.inv_gap_sq_sum if variant == "printed" else m * gap_profile.resolvent_sum
-    second = 36.0 * m2 * m2 * lip * lip * (cov.gap_1p**2 / n) * crowding
+    second = 36.0 * m2 * m2 * lip * lip * (_pow(cov.gap_1p, 2) / n) * crowding
     return first + second
 
 
 def _second_order_params(n: int, cov: CovarianceStats, lip: float, gap_profile: GapProfile,
-                         variant: str) -> tuple[float, float]:
-    gamma = second_order_gamma(n, cov, lip, gap_profile, variant)
-    if gamma <= 0.0:
-        raise DegenerateGapError(
-            "second-order denominator gamma is zero (degenerate covariance gap); bound is vacuous"
-        )
+                         variant: str, reject=_raise) -> tuple[float, float]:
+    gamma = second_order_gamma(n, cov, lip, gap_profile, variant, reject)
+    reject(gamma <= 0.0, DegenerateGapError,
+           "second-order denominator gamma is zero (degenerate covariance gap); bound is vacuous")
     return -float(n) * n, gamma * gamma
 
 
@@ -299,22 +337,21 @@ def bound_second_order(
     return theorem_grid("covgap_second_order", _second_order_params(n, cov, lip, gap_profile, variant), eps)
 
 
-def _eigvec_inverse_c(cov: CovarianceStats, lip: float, gap_profile: GapProfile) -> float:
-    if gap_profile.degenerate or not math.isfinite(gap_profile.resolvent_sum):
-        raise DegenerateGapError(DEGENERATE_GAP_MESSAGE)
-    if cov.gap_1p <= gap_tolerance(cov.lambda_1):
-        raise DegenerateGapError(
-            "covariance eigenvalue gap lambda_1 - lambda_p is degenerate; "
-            "the eigenvector bound is vacuous there"
-        )
-    m4 = cov.whitened_radius**4
+def _eigvec_inverse_c(cov: CovarianceStats, lip: float, gap_profile: GapProfile, reject=_raise) -> float:
+    reject(gap_profile.degenerate | np.logical_not(np.isfinite(gap_profile.resolvent_sum)), DegenerateGapError,
+           DEGENERATE_GAP_MESSAGE)
+    reject(cov.gap_1p <= gap_tolerance(cov.lambda_1), DegenerateGapError,
+           "covariance eigenvalue gap lambda_1 - lambda_p is degenerate; "
+           "the eigenvector bound is vacuous there")
+    m4 = _pow(cov.whitened_radius, 4)
     resolvent = gap_profile.n * gap_profile.resolvent_sum  # R_i of lambda(G)/n
-    return 18.0 * m4 * lip * lip * resolvent**2 * cov.gap_1p**2
+    return 18.0 * m4 * lip * lip * _pow(resolvent, 2) * _pow(cov.gap_1p, 2)
 
 
-def _eigvec_pointwise_params(cov: CovarianceStats, lip: float, gap_profile: GapProfile) -> tuple[float, float]:
+def _eigvec_pointwise_params(cov: CovarianceStats, lip: float, gap_profile: GapProfile,
+                             reject=_raise) -> tuple[float, float]:
     # -1.0 * eps is exactly -eps
-    return -1.0, _eigvec_inverse_c(cov, lip, gap_profile)
+    return -1.0, _eigvec_inverse_c(cov, lip, gap_profile, reject)
 
 
 def bound_eigvec_pointwise(cov: CovarianceStats, lip: float, gap_profile: GapProfile, eps):
@@ -323,8 +360,9 @@ def bound_eigvec_pointwise(cov: CovarianceStats, lip: float, gap_profile: GapPro
     return theorem_grid("eigvec_pointwise", _eigvec_pointwise_params(cov, lip, gap_profile), eps)
 
 
-def _eigvec_uniform_params(n: int, cov: CovarianceStats, lip: float, gap_profile: GapProfile) -> tuple[float, float]:
-    return 2.0 * n, 1.0 / _eigvec_inverse_c(cov, lip, gap_profile)
+def _eigvec_uniform_params(n: int, cov: CovarianceStats, lip: float, gap_profile: GapProfile,
+                           reject=_raise) -> tuple[float, float]:
+    return 2.0 * n, 1.0 / _eigvec_inverse_c(cov, lip, gap_profile, reject)
 
 
 def bound_eigvec_uniform(n: int, cov: CovarianceStats, lip: float, gap_profile: GapProfile, eps):
@@ -334,19 +372,16 @@ def bound_eigvec_uniform(n: int, cov: CovarianceStats, lip: float, gap_profile: 
     return theorem_grid("eigvec_uniform", _eigvec_uniform_params(n, cov, lip, gap_profile), eps)
 
 
-def c_theta(a_kn: float, theta: float, n: int, frob: float) -> float:
+def c_theta(a_kn: float, theta: float, n: int, frob: float, reject=_raise) -> float:
     """Per-replacement constant C(theta) = |A| theta^{-1} (n - (n-1) theta + (2n-1)/||K||_F)."""
-    if not 0.0 < theta <= 1.0:
-        raise DegeneracyError(f"theta must lie in (0, 1] for C(theta), got {theta}")
-    if frob <= 0.0:
-        raise DataError("C(theta) undefined for the zero matrix")
+    reject(_outside_unit(theta), DegeneracyError, "theta must lie in (0, 1] for C(theta), got {}", theta)
+    reject(frob <= 0.0, DataError, "C(theta) undefined for the zero matrix")
     return abs(a_kn) / theta * (n - (n - 1) * theta + (2.0 * n - 1.0) / frob)
 
 
-def _kta_theta_params(a_kn: float, theta: float, n: int, frob: float) -> tuple[float, float]:
-    c = c_theta(a_kn, theta, n, frob)
-    if c <= 0.0:
-        raise DegeneracyError("C(theta) is zero; the theta-based bound is vacuous")
+def _kta_theta_params(a_kn: float, theta: float, n: int, frob: float, reject=_raise) -> tuple[float, float]:
+    c = c_theta(a_kn, theta, n, frob, reject)
+    reject(c <= 0.0, DegeneracyError, "C(theta) is zero; the theta-based bound is vacuous")
     return (n - 1.0) ** 2, n * c * c
 
 
@@ -356,17 +391,16 @@ def kta_bound_theta(eps, *, a_kn: float, theta: float, n: int, frob: float):
 
 
 def kta_spectral_denominator(
-    *, a_kn: float, n: int, l_mid: float, frob: float | None = None, ratio: float | None = None
+    *, a_kn: float, n: int, l_mid: float, frob: float | None = None, ratio: float | None = None,
+    reject=_raise,
 ) -> float:
     """D = A(K) |1/(n-1) - ||K||_F / L| + (2 + 1/(n-1)) / L.
 
     Pass `ratio` to use an approximation of ||K||_F / L (e.g. lambda_1/lambda_2)
     instead of the exact Frobenius ratio.
     """
-    if l_mid <= 0.0:
-        raise DegeneracyError(
-            "middle-spectrum norm L is zero (needs at least two nonzero interior eigenvalues)"
-        )
+    reject(l_mid <= 0.0, DegeneracyError,
+           "middle-spectrum norm L is zero (needs at least two nonzero interior eigenvalues)")
     if ratio is None:
         if frob is None:
             raise ConfigError("need either frob or ratio")
@@ -375,12 +409,11 @@ def kta_spectral_denominator(
 
 
 def _kta_spectral_params(a_kn: float, n: int, l_mid: float, frob: float | None, ratio: float | None,
-                         variant: str) -> tuple[float, float]:
+                         variant: str, reject=_raise) -> tuple[float, float]:
     if variant not in ("printed", "bdiff"):
         raise ConfigError(f"variant must be 'printed' or 'bdiff', got {variant!r}")
-    d = kta_spectral_denominator(a_kn=a_kn, n=n, l_mid=l_mid, frob=frob, ratio=ratio)
-    if d <= 0.0:
-        raise DegeneracyError("spectral alignment denominator D is zero; bound is vacuous")
+    d = kta_spectral_denominator(a_kn=a_kn, n=n, l_mid=l_mid, frob=frob, ratio=ratio, reject=reject)
+    reject(d <= 0.0, DegeneracyError, "spectral alignment denominator D is zero; bound is vacuous")
     return -2.0, d if variant == "printed" else n * d * d
 
 
@@ -424,6 +457,11 @@ class BoundInputs:
     that could not be computed to the reason, and a theorem needing that
     input is reported as skipped with it instead of left out.  `profiles`
     caches the gap profile of each eigen-order the theorems read.
+
+    The inputs of a block of B samples of one size n (see
+    `experiments.sample_inputs`) are (B,) columns, with `spectrum` (B, n),
+    `cov` a stacked CovarianceStats, and `missing` mapping an input that
+    some samples lack to B reasons, None for a sample that has it.
     """
 
     n: int
@@ -444,12 +482,13 @@ class BoundInputs:
 
 @dataclass(frozen=True)
 class Theorem:
-    """One registry entry, evaluated in two phases.  `params(x, i)` reads
-    inputs x at eigen-order i (k for the top/tail sums; None for alignment),
-    raises DegeneracyError when the theorem's precondition fails, and
-    returns a short tuple of floats.  `grid(params, eps)` is the exponent at
-    those parameters, and the raw bound is `prefactor` times its exp (see
-    `theorem_grid`).  `describe(x, i)` is the metadata `evaluate_bounds`
+    """One registry entry, evaluated in two phases.  `params(x, i, reject)`
+    reads inputs x at eigen-order i (k for the top/tail sums; None for
+    alignment), passes each precondition to `reject` (which raises
+    DegeneracyError for one sample, see `theorem_params`), and returns a
+    pair of floats, or of (B,) columns for a block.  `grid(params, eps)` is
+    the exponent at those parameters, and the raw bound is `prefactor`
+    times its exp (see `theorem_grid`).  `describe(x, i)` is the metadata `evaluate_bounds`
     echoes; `kernel` restricts the theorem to one kernel kind."""
 
     statistic: str
@@ -464,6 +503,12 @@ class Theorem:
 
 _SPEC_COV = ("spectrum", "cov", "lip")
 _KTA_FROB = ("a_kn", "l_mid", "frob")
+
+
+def _first(spectrum):
+    """lambda_1 of one spectrum as a float, of a block's as a (B,) column."""
+    lam = spectrum.T[0]
+    return lam if lam.ndim else float(lam)
 
 
 def _profile(x: BoundInputs, i: int) -> GapProfile:
@@ -483,7 +528,7 @@ def _gap_metadata(x: BoundInputs, i: int) -> dict:
 def _second_order(variant: str) -> Theorem:
     return Theorem(
         STAT_EIGENVALUE, _SPEC_COV,
-        lambda x, i: _second_order_params(x.n, x.cov, x.lip, _profile(x, i), variant),
+        lambda x, i, reject: _second_order_params(x.n, x.cov, x.lip, _profile(x, i), variant, reject),
         describe=lambda x, i: {f"gamma_{variant}": second_order_gamma(x.n, x.cov, x.lip, _profile(x, i), variant)},
     )
 
@@ -495,43 +540,45 @@ def _eigvec_metadata(x: BoundInputs, i: int) -> dict:
 # Registry order is the order of report rows and of skipped theorems.
 THEOREMS: dict[str, Theorem] = {
     "diag_uniform": Theorem(STAT_EIGENVALUE, ("diag_sup_sq",),
-                            lambda x, i: _trace_uniform_params(x.n, x.diag_sup_sq), prefactor=2.0),
+                            lambda x, i, reject: _trace_uniform_params(x.n, x.diag_sup_sq, reject), prefactor=2.0),
     "theta_top": Theorem(STAT_EIGENVALUE, ("spectrum", "theta"),
-                         lambda x, i: _theta_params(x.theta, float(x.spectrum[0])), prefactor=2.0,
+                         lambda x, i, reject: _theta_params(x.theta, _first(x.spectrum), reject), prefactor=2.0,
                          describe=lambda x, i: {"theta": x.theta, "theta_estimated": x.theta_estimated}),
     "adjacent_gap": Theorem(STAT_EIGENVALUE, ("spectrum",),
-                            lambda x, i: _gap_params(x.n, _profile(x, i)), describe=_gap_metadata),
+                            lambda x, i, reject: _gap_params(x.n, _profile(x, i), reject), describe=_gap_metadata),
     "covgap_distance": Theorem(STAT_EIGENVALUE, ("cov", "lip"),
-                               lambda x, i: _covgap_params(x.n, x.cov, x.lip, 18.0), kernel=DISTANCE),
+                               lambda x, i, reject: _covgap_params(x.n, x.cov, x.lip, 18.0, reject), kernel=DISTANCE),
     "covgap_inner": Theorem(STAT_EIGENVALUE, ("cov", "lip"),
-                            lambda x, i: _covgap_params(x.n, x.cov, x.lip, 4.0), kernel=INNER),
+                            lambda x, i, reject: _covgap_params(x.n, x.cov, x.lip, 4.0, reject), kernel=INNER),
     "covgap_second_order": _second_order("printed"),
     "covgap_second_order_alt": _second_order("alt"),
     "topk_gap": Theorem(STAT_TOPK, ("spectrum",),
-                        lambda x, i: _range_gap_params(x.n, range_gap_top(x.spectrum, i), x.spectrum),
+                        lambda x, i, reject: _range_gap_params(x.n, range_gap_top(x.spectrum, i), x.spectrum, reject),
                         describe=lambda x, i: {"range_gap": range_gap_top(x.spectrum, i)}),
     "tail_gap": Theorem(STAT_TAIL, ("spectrum",),
-                        lambda x, i: _range_gap_params(x.n, range_gap_tail(x.spectrum, i), x.spectrum),
+                        lambda x, i, reject: _range_gap_params(x.n, range_gap_tail(x.spectrum, i), x.spectrum, reject),
                         describe=lambda x, i: {"range_gap": range_gap_tail(x.spectrum, i)}),
     "eigvec_pointwise": Theorem(STAT_EIGVEC, _SPEC_COV,
-                                lambda x, i: _eigvec_pointwise_params(x.cov, x.lip, _profile(x, i)),
+                                lambda x, i, reject: _eigvec_pointwise_params(x.cov, x.lip, _profile(x, i), reject),
                                 describe=lambda x, i: {"resolvent_sum": _profile(x, i).resolvent_sum},
                                 flags=("direction_free",)),
     "eigvec_uniform": Theorem(STAT_EIGVEC, _SPEC_COV,
-                              lambda x, i: _eigvec_uniform_params(x.n, x.cov, x.lip, _profile(x, i)),
+                              lambda x, i, reject: _eigvec_uniform_params(x.n, x.cov, x.lip, _profile(x, i), reject),
                               grid=_offset_quadratic, prefactor=2.0, describe=_eigvec_metadata),
     "kta_theta": Theorem(STAT_KTA, ("a_kn", "theta", "frob"),
-                         lambda x, i: _kta_theta_params(x.a_kn, x.theta, x.n, x.frob),
+                         lambda x, i, reject: _kta_theta_params(x.a_kn, x.theta, x.n, x.frob, reject),
                          grid=_kta_theta_exponent, prefactor=2.0),
     "kta_spectral": Theorem(STAT_KTA, _KTA_FROB,
-                            lambda x, i: _kta_spectral_params(x.a_kn, x.n, x.l_mid, x.frob, None, "printed"),
+                            lambda x, i, reject: _kta_spectral_params(x.a_kn, x.n, x.l_mid, x.frob, None, "printed",
+                                                                      reject),
                             prefactor=2.0),
     "kta_spectral_approx": Theorem(STAT_KTA, ("a_kn", "l_mid", "ratio"),
-                                   lambda x, i: _kta_spectral_params(x.a_kn, x.n, x.l_mid, None, x.ratio,
-                                                                     "printed"),
+                                   lambda x, i, reject: _kta_spectral_params(x.a_kn, x.n, x.l_mid, None, x.ratio,
+                                                                             "printed", reject),
                                    prefactor=2.0),
     "kta_spectral_bdiff": Theorem(STAT_KTA, _KTA_FROB,
-                                  lambda x, i: _kta_spectral_params(x.a_kn, x.n, x.l_mid, x.frob, None, "bdiff"),
+                                  lambda x, i, reject: _kta_spectral_params(x.a_kn, x.n, x.l_mid, x.frob, None, "bdiff",
+                                                                            reject),
                                   prefactor=2.0),
 }
 
@@ -541,15 +588,38 @@ def theorems_for(statistic: str) -> list[str]:
     return [name for name, t in THEOREMS.items() if t.statistic == statistic]
 
 
-def theorem_params(theorem: str, x: BoundInputs, i: int | None) -> tuple[float, ...]:
+def theorem_params(theorem: str, x: BoundInputs, i: int | None, reasons: list | None = None):
     """Phase one: the parameters of `theorem` for inputs x at eigen-order i;
     raises DegeneracyError when an input it needs is missing (with the
-    recorded reason) or its precondition fails."""
+    recorded reason) or its precondition fails.
+
+    For the inputs of a block of B samples, pass `reasons`, a list of B
+    Nones.  Nothing is raised: a sample whose needed input is missing or
+    whose precondition fails gets, in `reasons`, the message one sample
+    alone would raise (the first failed check, in the same order), and its
+    parameters are left unspecified.  Returns the pair of (B,) columns (or
+    floats shared by every sample), or None when every sample failed.
+    """
     t = THEOREMS[theorem]
+    reject = _raise if reasons is None else _Rejections(reasons)
     for name in t.needs:
         if getattr(x, name) is None:
-            raise DegeneracyError(x.missing.get(name, f"{theorem} needs {name}"))
-    return t.params(x, i)
+            reject(True, DegeneracyError, "{}", x.missing.get(name, f"{theorem} needs {name}"))
+        elif reasons is not None and name in x.missing:
+            why = x.missing[name]
+            reject(np.array([w is not None for w in why]), DegeneracyError, "{}", why)
+    if reasons is None:
+        return t.params(x, i, reject)
+    if None not in reasons:
+        return None
+    # rows that failed a check go on with placeholder values
+    with np.errstate(all="ignore"):
+        try:
+            params = t.params(x, i, reject)
+        except SpecBoundsError as exc:
+            reject(True, type(exc), "{}", str(exc))
+            return None
+    return params if None in reasons else None
 
 
 def theorem_grid(theorem: str, params, eps):

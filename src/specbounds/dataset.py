@@ -7,7 +7,7 @@ bound downstream.
 
 from __future__ import annotations
 
-import math
+import contextlib
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -70,6 +70,11 @@ class CovarianceStats:
     `eigvecs_sigma` holds the eigenvectors of `sigma`, column j belonging to
     `eigs_sigma[j]`; it is None for statistics built by hand, which
     `whitened_norm` does not accept.
+
+    The statistics of a block of B samples (see `covariance_stats`) carry a
+    leading (B,) axis in every array, and their floats are (B,) columns;
+    `singular` then holds each member's singular-covariance message, None
+    for a regular member.
     """
 
     sigma: np.ndarray
@@ -78,18 +83,21 @@ class CovarianceStats:
     whitened_radius: float
     centered: bool
     eigvecs_sigma: np.ndarray | None = None
+    singular: tuple = ()
 
     @property
-    def lambda_1(self) -> float:
-        return float(self.eigs_sigma[0])
+    def lambda_1(self):
+        lam = self.eigs_sigma.T[0]
+        return lam if lam.ndim else float(lam)
 
     @property
-    def lambda_p(self) -> float:
-        return float(self.eigs_sigma[-1])
+    def lambda_p(self):
+        lam = self.eigs_sigma.T[-1]
+        return lam if lam.ndim else float(lam)
 
     @property
     def p(self) -> int:
-        return self.sigma.shape[0]
+        return self.sigma.shape[-1]
 
 
 def _parse_line(text: str, lineno: int) -> list[float]:
@@ -199,39 +207,63 @@ def gen_gaussian(n: int, p: int, seed: int) -> SampleSet:
     return SampleSet(rows=rows, provenance=f"gaussian(n={n}, p={p}, seed={seed})")
 
 
-def covariance_stats(s: SampleSet, centered: bool = False) -> CovarianceStats:
+def _singular(lambda_p: float, tol: float) -> str | None:
+    """The singular-covariance message when lambda_p is at or below the tolerance."""
+    if lambda_p > tol:
+        return None
+    return (f"sample covariance is singular: lambda_p = {lambda_p:.6g} <= tolerance "
+            f"{tol:.6g} (nonsingular covariance required)")
+
+
+def covariance_stats(s, centered: bool = False) -> CovarianceStats:
     """Compute sigma, its extreme eigenvalues, their gap, and the whitened radius.
 
     Raises SingularCovarianceError when lambda_p(sigma) falls at or below the
     relative tolerance SINGULAR_TOL_FACTOR * lambda_1(sigma).
+
+    `s` may also be a block, a sequence of B SampleSets of one shape: it is
+    solved as one (B, n, p) stack, every member with the bits it has alone,
+    and a singular member raises nothing; its message goes into `singular`.
     """
-    x = s.rows - s.rows.mean(axis=0) if centered else s.rows
-    sigma = (x.T @ x) / s.n
-    sigma = 0.5 * (sigma + sigma.T)
+    block = not isinstance(s, SampleSet)
+    x = np.stack([member.rows for member in s]) if block else s.rows
+    if centered:
+        x = x - x.mean(axis=-2, keepdims=True)
+    sigma = (x.mT @ x) / x.shape[-2]
+    sigma = 0.5 * (sigma + sigma.mT)
     eigvals, eigvecs = np.linalg.eigh(sigma)
-    eigvals = eigvals[::-1].copy()
-    eigvecs = eigvecs[:, ::-1]
-    lam1, lamp = float(eigvals[0]), float(eigvals[-1])
-    tol = SINGULAR_TOL_FACTOR * max(lam1, 0.0)
-    if lamp <= tol:
-        raise SingularCovarianceError(
-            f"sample covariance is singular: lambda_p = {lamp:.6g} <= tolerance "
-            f"{tol:.6g} (nonsingular covariance required)"
-        )
+    eigvals = eigvals[..., ::-1].copy()
+    eigvecs = eigvecs[..., ::-1]
+    lam1, lamp = eigvals.T[0], eigvals.T[-1]  # floats, or (B,) columns
+    if block:
+        # Python's max per member, as for one sample, so a tolerance of -0.0 stays -0.0
+        tols = [SINGULAR_TOL_FACTOR * max(v, 0.0) for v in lam1.tolist()]
+        singular = tuple(_singular(vp, t) for vp, t in zip(lamp.tolist(), tols))
+        tol = np.array(tols)[:, None]
+    else:
+        tol = SINGULAR_TOL_FACTOR * max(float(lam1), 0.0)
+        singular = ()
+        if lamp <= tol:
+            raise SingularCovarianceError(_singular(float(lamp), tol))
     # Symmetric inverse square root, eigenvalues clipped at the tolerance:
-    # V diag(w) V^T, with V diag(w) formed as the column scaling V * w
-    inv_sqrt = (eigvecs * (1.0 / np.sqrt(np.maximum(eigvals, tol)))) @ eigvecs.T
-    whitened = x @ inv_sqrt.T
-    radius = math.sqrt((whitened * whitened).sum(axis=1).max())
+    # V diag(w) V^T, with V diag(w) formed as the column scaling V * w.  A
+    # singular member of a block is whitened too, with unused values
+    with np.errstate(all="ignore") if block else contextlib.nullcontext():
+        scale = 1.0 / np.sqrt(np.maximum(eigvals, tol))
+        inv_sqrt = (eigvecs * scale[..., None, :]) @ eigvecs.mT
+        whitened = x @ inv_sqrt.mT
+        radius = np.sqrt((whitened * whitened).sum(axis=-1).max(axis=-1))
     for a in (eigvals, eigvecs, sigma):
         a.flags.writeable = False
+    gap = lam1 - lamp
     return CovarianceStats(
         sigma=sigma,
         eigs_sigma=eigvals,
         eigvecs_sigma=eigvecs,
-        gap_1p=float(lam1 - lamp),
-        whitened_radius=radius,
+        gap_1p=gap if block else float(gap),
+        whitened_radius=radius if block else float(radius),
         centered=centered,
+        singular=singular,
     )
 
 

@@ -19,26 +19,32 @@ perturbation-oracle loops:
   2. solve: every trial's n x n work, the Gram matrix, its `eigvalsh` and
      the statistics that read G, keeping only the samples, the spectrum
      and scalars;
-  3. finish: `_concentration_trial`, `_boxplot_trial` or
-     `_perturbation_trial`, once per trial: bound inputs and parameters,
-     or the oracle's left and right sides.
-Each trial calls the same functions on the same inputs as when run alone;
-only the interleaving across trials changes, so no output bit does.  The
-small-array Python work of stage 3 then runs back to back instead of right
-after each eigensolve has evicted it from the caches.  A block holds as many
-trials as keep what it carries between stages within BLOCK_BYTES; a run
-whose bound inputs read G after its spectrum (`GRAM_INPUTS`) carries G, so
-from about n = 128 its blocks are one trial long.
+  3. finish: for the concentration loop, once per block (`_finish`): the
+     block's spectra as one (B, n) array give the statistic columns,
+     `sample_inputs` builds every trial's bound inputs at once (one
+     stacked `covariance_stats`, one stacked gap profile per eigen-order)
+     and `bounds.theorem_params` gives each bound key's parameters as (B,)
+     columns with each trial's exclusion reason; `_concentration_trial`
+     then hands on each trial's row.  The boxplot and perturbation loops
+     finish once per trial, `_boxplot_trial` and `_perturbation_trial`.
+Every stacked step gives each trial the bits it has alone (see `bounds`
+on powers), so no output bit depends on the block length, and the
+small-array work of stage 3 runs with warm caches, as numpy calls over the
+block instead of Python calls per trial.  A block holds as many trials as
+keep what it carries between stages within BLOCK_BYTES; a run whose bound
+inputs read G after its spectrum (`GRAM_INPUTS`) carries G, so from about
+n = 128 its blocks are one trial long, and a block of one is finished with
+plain scalars, as `bounds` evaluates one sample.
 
-A concentration trial's finish returns its statistic values and each
-bound's parameters (the first phase of `bounds.theorem_params`, a few
-floats) as lists in `_keys` order, None marking a trial excluded from a
-bound.  `run_concentration` stacks each bound's parameters over the kept
-trials and evaluates the bound once over the whole trials x epsilons grid.
+`run_concentration` stacks the trials' rows, statistic values and then each
+bound key's parameter pair, and evaluates each bound once over its kept
+trials x epsilons grid; an excluded trial's reason is the first failed
+precondition, in the order one sample checks them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, fields, replace
 from typing import NamedTuple
 
@@ -84,6 +90,15 @@ def default_epsilons(points: int = 40) -> tuple[float, ...]:
     return tuple(float(x) for x in np.logspace(-4.0, 0.0, points))
 
 
+def _integer(name: str, value, what: str = "be an integer") -> int:
+    """A config integer: a whole float or a numeric string loads as its int,
+    and a boolean or a fractional float is a ConfigError."""
+    size = int(value)
+    if isinstance(value, (bool, np.bool_)) or (isinstance(value, float) and value != size):
+        raise ConfigError(f"experiment config key {name!r} must {what}, got {value!r}")
+    return size
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a Monte Carlo run needs; JSON round-trippable."""
@@ -100,11 +115,16 @@ class ExperimentConfig:
     bounds: tuple[str, ...] = ("adjacent_gap",)
 
     def __post_init__(self):
+        for name in ("n", "p", "trials", "seed"):
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         spec = kernel_from_config(self.kernel)  # validated eagerly, built once
         object.__setattr__(self, "_spec", spec)
         kind = spec.kind
+        flags = [e for e in self.epsilons if isinstance(e, (bool, np.bool_))]
+        if flags:
+            raise ConfigError(f"experiment config key 'epsilons' must hold numbers, got {flags[0]!r}")
         object.__setattr__(self, "epsilons", bnd.validate_epsilons(self.epsilons))
-        object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
+        object.__setattr__(self, "indices", tuple(_integer("indices", i, "hold integers") for i in self.indices))
         object.__setattr__(self, "statistics", tuple(self.statistics))
         object.__setattr__(self, "bounds", tuple(self.bounds))
         object.__setattr__(self, "kernel", dict(self.kernel))
@@ -170,16 +190,12 @@ class ExperimentConfig:
         unknown = sorted(set(obj) - {f.name for f in fields(cls)} - {"scaling"})
         if unknown:
             raise ConfigError(f"experiment config has unknown key(s) {unknown}")
+        for name in ("n", "p", "trials", "seed"):
+            if name not in obj:
+                raise ConfigError(f"experiment config is missing key {name!r}")
         try:
-            sizes = {name: int(obj[name]) for name in ("n", "p", "trials", "seed")}
-            for name, size in sizes.items():
-                if isinstance(obj[name], float) and obj[name] != size:
-                    raise ConfigError(f"experiment config key {name!r} must be an integer, got {obj[name]!r}")
             # a field the dict leaves out takes its dataclass default
-            given = {f.name: obj[f.name] for f in fields(cls) if f.name in obj and f.name not in sizes}
-            return cls(**sizes, **given)
-        except KeyError as exc:
-            raise ConfigError(f"experiment config is missing key {exc}") from exc
+            return cls(**{f.name: obj[f.name] for f in fields(cls) if f.name in obj})
         except (TypeError, ValueError, OverflowError) as exc:
             raise ConfigError(f"experiment config has a malformed value: {exc}") from exc
 
@@ -261,10 +277,11 @@ def _draw(cfg: ExperimentConfig, trial_seed: int):
 
 # the bound inputs `sample_inputs` computes from the Gram matrix itself
 GRAM_INPUTS = frozenset({"theta", "frob"})
+_ZERO_THETA = "estimated theta is 0; the theta bound is undefined"
 
 
-def sample_inputs(samples: SampleSet, spec: KernelSpec, g, lam: np.ndarray, needs,
-                  spectrum=None, centered: bool = False, a_kn: float | None = None) -> bnd.BoundInputs:
+def sample_inputs(samples, spec: KernelSpec, g, lam: np.ndarray, needs,
+                  spectrum=None, centered: bool = False, a_kn=None) -> bnd.BoundInputs:
     """The BoundInputs of one sample with raw Gram matrix g and its
     descending eigenvalues lam, computing only the inputs named in `needs`.
 
@@ -273,28 +290,58 @@ def sample_inputs(samples: SampleSet, spec: KernelSpec, g, lam: np.ndarray, need
     are skipped with that reason instead of aborting the run.  `spectrum`,
     if given, is `eig_sym(g)`, which theta reuses; `centered` mean-centres
     the samples before the covariance.
+
+    A block of B samples is a sequence of SampleSets, with `g` the sequence
+    of their Gram matrices (None when no input in GRAM_INPUTS is needed),
+    `lam` their (B, n) spectra and `a_kn` a (B,) column.  Its inputs are
+    (B,) columns, the covariance statistics one stacked `covariance_stats`,
+    and `missing` maps an input some samples lack to each sample's reason
+    (None where it was computed), as `bounds.BoundInputs` describes.
     """
-    computations = {  # GRAM_INPUTS lists the ones that read g
-        "diag_sup_sq": lambda: diag_sup(samples, spec),
-        "theta": lambda: theta_statistic(g, spectrum=spectrum),
-        "cov": lambda: covariance_stats(samples, centered=centered),
-        "lip": lambda: lipschitz(spec, samples),
-        "frob": lambda: float(np.linalg.norm(g.entries, ord="fro")),
-        "l_mid": lambda: middle_spectrum_norm(lam),
-        "ratio": lambda: top_eigenvalue_ratio(lam),
+    block = lam.ndim == 2
+    members = samples if block else (samples,)
+    grams = g if block else (g,)
+    spectra = lam if block else lam[None]
+    per_sample = {  # GRAM_INPUTS lists the ones that read g
+        "diag_sup_sq": lambda r: diag_sup(members[r], spec),
+        "theta": lambda r: theta_statistic(grams[r], spectrum=spectrum),
+        "lip": lambda r: lipschitz(spec, members[r]),
+        "frob": lambda r: float(np.linalg.norm(grams[r].entries, ord="fro")),
+        "l_mid": lambda r: middle_spectrum_norm(spectra[r]),
+        "ratio": lambda r: top_eigenvalue_ratio(spectra[r]),
     }
     inputs: dict = {}
-    missing: dict[str, str] = {}
-    for name, compute in computations.items():
-        if name in needs:
+    missing: dict = {}
+    if "cov" in needs:  # every sample at once
+        try:
+            cov = inputs["cov"] = covariance_stats(samples, centered=centered)
+        except SpecBoundsError as exc:  # one sample; a block's singular members are in `singular`
+            missing["cov"] = str(exc)
+        else:
+            if any(why is not None for why in cov.singular):
+                missing["cov"] = cov.singular
+    for name, compute in per_sample.items():
+        if name not in needs:
+            continue
+        values, reasons = [], []
+        for r in range(len(members)):
             try:
-                inputs[name] = compute()
+                values.append(compute(r))
+                reasons.append(None)
             except SpecBoundsError as exc:
-                missing[name] = str(exc)
-    if inputs.get("theta", 1.0) <= 0.0:
-        del inputs["theta"]
-        missing["theta"] = "estimated theta is 0; the theta bound is undefined"
-    return bnd.BoundInputs(n=samples.n, spectrum=lam, a_kn=a_kn, kernel=spec.kind, missing=missing,
+                values.append(math.nan)
+                reasons.append(str(exc))
+        if name == "theta":  # an estimated theta of 0 is missing too
+            reasons = [_ZERO_THETA if why is None and v <= 0.0 else why for v, why in zip(values, reasons)]
+        if block:
+            inputs[name] = np.array(values)
+            if any(why is not None for why in reasons):
+                missing[name] = reasons
+        elif reasons[0] is None:
+            inputs[name] = values[0]
+        else:
+            missing[name] = reasons[0]
+    return bnd.BoundInputs(n=lam.shape[-1], spectrum=lam, a_kn=a_kn, kernel=spec.kind, missing=missing,
                            theta_estimated="theta" in inputs, **inputs)
 
 
@@ -312,65 +359,106 @@ class _Solved(NamedTuple):
     samples: SampleSet
     g: GramMatrix | None        # the raw Gram matrix, kept only when an input in GRAM_INPUTS is needed
     lam: np.ndarray             # its eigenvalues, descending and contiguous
-    stats: list                 # statistic values in `_keys` order
-    a_kn: float | None
+    a_kn: float | None          # its kernel-target alignment, for the kta statistic
 
 
 def _solve(cfg: ExperimentConfig, keys: _Keys, samples: SampleSet, labels) -> _Solved:
-    """Stage 2 of a concentration trial: Gram matrix, spectrum and statistics."""
+    """Stage 2 of a concentration trial: Gram matrix, spectrum and alignment."""
     g_raw = gram(samples, cfg.kernel_spec())
     lam = np.linalg.eigvalsh(g_raw.entries)[::-1].copy()  # descending and contiguous
-    lam_stat = lam / cfg.n
+    a_kn = kta(g_raw, labels) if labels is not None else None
+    return _Solved(samples, g_raw if keys.needs & GRAM_INPUTS else None, lam, a_kn)
 
-    stats: list[float] = []
-    a_kn = None
+
+def _statistics(cfg: ExperimentConfig, keys: _Keys, lam: np.ndarray, a_kn) -> list:
+    """The statistic values, in `_keys` order, of one trial's spectrum and
+    alignment, or the (B,) columns of B trials' (B, n) spectra and (B,)
+    alignments."""
+    lam_stat = lam / cfg.n
+    values = []
     for stat, i in keys.stats:
         if stat == "eigenvalue":
-            stats.append(float(lam_stat[i - 1]))
+            values.append(lam_stat[..., i - 1])
         elif stat == "topk_sum":
-            stats.append(float(lam_stat[:i].sum()))
+            values.append(lam_stat[..., :i].sum(axis=-1))
         elif stat == "tail_sum":
-            stats.append(float(lam_stat[i - 1 :].sum()))
+            values.append(lam_stat[..., i - 1 :].sum(axis=-1))
         else:
-            a_kn = kta(g_raw, labels)
-            stats.append(a_kn)
-    return _Solved(samples, g_raw if keys.needs & GRAM_INPUTS else None, lam, stats, a_kn)
-
-
-def _solved_inputs(cfg: ExperimentConfig, keys: _Keys, solved: _Solved) -> bnd.BoundInputs:
-    return sample_inputs(solved.samples, cfg.kernel_spec(), solved.g, solved.lam, keys.needs, a_kn=solved.a_kn)
+            values.append(a_kn)
+    return values
 
 
 def _trial_inputs(cfg: ExperimentConfig, trial_seed: int, keys: _Keys):
     """One seeded trial's statistic values in `_keys` order and the
     BoundInputs its bound keys read, computed by the trial alone."""
     solved = _solve(cfg, keys, *_draw_labelled(cfg, trial_seed))
-    return solved.stats, _solved_inputs(cfg, keys, solved)
+    stats = [float(v) for v in _statistics(cfg, keys, solved.lam, solved.a_kn)]
+    return stats, sample_inputs(solved.samples, cfg.kernel_spec(), solved.g, solved.lam, keys.needs,
+                                a_kn=solved.a_kn)
 
 
-def _concentration_trial(args: tuple[ExperimentConfig, _Keys, _Solved]) -> tuple[list, list, list]:
-    """Stage 3 of a concentration trial: statistic values, each bound key's
-    parameters (None when the trial is excluded) and exclusion reasons, in
-    the order of `keys` (the run's `_keys`)."""
-    cfg, keys, solved = args
-    x = _solved_inputs(cfg, keys, solved)
-    params: list[tuple | None] = []
-    reasons: list[str] = []
-    for theorem, _, i in keys.bounds:
-        try:
-            params.append(bnd.theorem_params(theorem, x, i))
-            reasons.append("")
-        except SpecBoundsError as exc:
-            params.append(None)
-            reasons.append(str(exc))
-    return solved.stats, params, reasons
+class _Finished(NamedTuple):
+    """Stage 3 of a block of B concentration trials: one row per trial
+    holding its statistic values, then each bound key's parameter pair in
+    `_keys` order (NaN where the trial is excluded), and each trial's
+    exclusions, {bound key position: reason}."""
+
+    table: np.ndarray
+    excluded: list
+
+
+def _finish(cfg: ExperimentConfig, keys: _Keys, solved: list) -> _Finished:
+    """Stage 3 of a block of concentration trials, once for the block: the
+    statistic columns of the stacked spectra, the bound inputs of every
+    trial at once, and each bound key's parameter columns.  A block of one
+    trial is evaluated as plain scalars, which is cheaper than columns of
+    one row."""
+    size = len(solved)
+    if size == 1:
+        (one,) = solved
+        lam, a_kn, samples, grams = one.lam, one.a_kn, one.samples, one.g
+    else:
+        lam = np.array([s.lam for s in solved])
+        a_kn = np.array([s.a_kn for s in solved]) if "kta" in cfg.statistics else None
+        samples, grams = [s.samples for s in solved], [s.g for s in solved]
+    values = _statistics(cfg, keys, lam, a_kn)
+    x = sample_inputs(samples, cfg.kernel_spec(), grams, lam, keys.needs, a_kn=a_kn)
+    excluded: list[dict] = [{} for _ in solved]
+    for k, (theorem, _, i) in enumerate(keys.bounds):
+        reasons = [None] * size
+        if size > 1:
+            params = bnd.theorem_params(theorem, x, i, reasons)
+        else:
+            try:
+                params = bnd.theorem_params(theorem, x, i)
+            except SpecBoundsError as exc:
+                params, reasons[0] = None, str(exc)
+        if reasons.count(None) < size:
+            for r, why in enumerate(reasons):
+                if why is not None:
+                    excluded[r][k] = why
+        values += (math.nan, math.nan) if params is None else params
+    if size == 1:
+        return _Finished(np.array([values]), excluded)
+    table = np.empty((size, len(values)))
+    for j, column in enumerate(values):
+        table[:, j] = column
+    return _Finished(table, excluded)
+
+
+def _concentration_trial(args: tuple[_Finished, int]) -> tuple[np.ndarray, dict]:
+    """One trial's share of its block's finish: its row of the table and
+    its exclusions."""
+    finished, t = args
+    return finished.table[t], finished.excluded[t]
 
 
 def _concentration_block(args) -> list:
     (cfg, keys), seeds = args
     draws = [_draw_labelled(cfg, s) for s in seeds]
     solved = [_solve(cfg, keys, samples, labels) for samples, labels in draws]
-    return [_concentration_trial((cfg, keys, x)) for x in solved]
+    finished = _finish(cfg, keys, solved)
+    return [_concentration_trial((finished, t)) for t in range(len(solved))]
 
 
 def _trial_bytes(cfg: ExperimentConfig, keeps_gram: bool = False) -> int:
@@ -437,9 +525,10 @@ def run_concentration(
 
     eps = np.asarray(cfg.epsilons)
     t_count = cfg.trials
+    table = np.array([row for row, _ in payloads])
     series = []
-    for key, column in zip(keys.stats, zip(*(p[0] for p in payloads))):
-        values = np.array(column)
+    for j, key in enumerate(keys.stats):
+        values = table[:, j].copy()
         mean = float(np.mean(values))
         se = float(np.std(values, ddof=1) / np.sqrt(t_count))
         # strict deviation frequency at every epsilon, from one (T, E) comparison
@@ -460,20 +549,23 @@ def run_concentration(
             )
         )
 
-    # parameters stacked as (T, 1) columns against the (1, E) epsilon row;
-    # `grids` maps (exponent, prefactor, the columns' shape and bytes) to
-    # the (mean, p10) pair
+    # each key's kept parameter pairs as (T, 1) columns against the (1, E)
+    # epsilon row; `grids` maps (exponent, prefactor, the columns' shape and
+    # bytes) to the (mean, p10) pair
+    kept = np.ones((len(keys.bounds), t_count), dtype=bool)
+    reasons: list[list[str]] = [[] for _ in keys.bounds]
+    for t, (_, excluded) in enumerate(payloads):
+        for k, why in excluded.items():
+            kept[k, t] = False
+            reasons[k].append(why)
     grids: dict = {}
     nan = _read_only(np.full(eps.shape, np.nan))
     bound_series = []
-    params_by_key = zip(*(p[1] for p in payloads))
-    reasons_by_key = zip(*(p[2] for p in payloads))
-    for key, params, why in zip(keys.bounds, params_by_key, reasons_by_key):
-        kept = [q for q in params if q is not None]
-        reasons = [r for q, r in zip(params, why) if q is None]
+    for k, key in enumerate(keys.bounds):
         mean = p10 = nan
-        if kept:
-            columns = np.array(kept)
+        if kept[k].any():
+            first = len(keys.stats) + 2 * k
+            columns = table[kept[k], first : first + 2]
             t = bnd.THEOREMS[key[0]]
             grid = (t.grid, t.prefactor, columns.shape, columns.tobytes())
             if grid not in grids:
@@ -488,8 +580,8 @@ def run_concentration(
                 index=key[2],
                 mean=mean,
                 p10=p10,
-                excluded=len(reasons),
-                reason=reasons[0] if reasons else "",
+                excluded=len(reasons[k]),
+                reason=reasons[k][0] if reasons[k] else "",
             )
         )
     return ExperimentResult(
@@ -690,7 +782,7 @@ def _perturbation_block(args) -> list:
     return [_perturbation_trial((cfg, index, t)) for t in solved]
 
 
-def _expansion_trial(args: tuple[dict, int, int, bool]) -> tuple[float, float] | None:
+def _expansion_trial(args: tuple[ExperimentConfig, int, int, bool]) -> tuple[float, float] | None:
     """Quadratic-residual check of the first-order eigenvector expansion.
 
     Scales the perturbation so its norm is a quarter of the spectral distance,

@@ -187,34 +187,44 @@ def gaps(spec: Spectrum, i: int) -> GapProfile:
 
 
 def gaps_from_eigenvalues(eigenvalues: np.ndarray, i: int) -> GapProfile:
-    """Like `gaps`, but from a descending eigenvalue array alone."""
+    """Like `gaps`, but from a descending eigenvalue array alone.
+
+    A (B, n) stack of spectra gives one profile of the B spectra: its
+    lambda_i, gap, sums and `degenerate` are (B,) columns, each row with the
+    bits of its spectrum's profile alone.
+    """
     lam = np.asarray(eigenvalues, dtype=np.float64)
-    n = lam.shape[0]
+    n = lam.shape[-1]
     if not 1 <= i <= n:
         raise DataError(f"eigen-order i must be in 1..{n}, got {i}")
-    tol = gap_tolerance(float(lam[0]))
+    # lam.T[k] is eigenvalue k + 1 of one spectrum, or the (B,) column of a stack's
+    tol = gap_tolerance(lam.T[0])
     # |lambda_i - lambda_j| for j != i, then one scratch buffer for the sums
-    diffs = np.empty(n - 1)
-    diffs[: i - 1] = lam[: i - 1]
-    diffs[i - 1 :] = lam[i:]
-    np.subtract(lam[i - 1], diffs, out=diffs)
+    diffs = np.empty(lam.shape[:-1] + (n - 1,))
+    diffs[..., : i - 1] = lam[..., : i - 1]
+    diffs[..., i - 1 :] = lam[..., i:]
+    np.subtract(lam[..., i - 1 : i], diffs, out=diffs)
     np.abs(diffs, out=diffs)
-    degenerate = bool(diffs.size) and bool(diffs.min() < tol)
-    if degenerate:
-        resolvent = float("inf")
-        inv_sq = float("inf")
-    elif diffs.size:
-        scratch = np.divide(1.0, diffs)
-        resolvent = float(scratch.sum())
-        np.multiply(diffs, diffs, out=scratch)
-        inv_sq = float(np.divide(1.0, scratch, out=scratch).sum())
-    else:
-        resolvent = inv_sq = 0.0
-    gap_next = float(lam[i - 1] - lam[i]) if i < n else None
+    degenerate = diffs.min(axis=-1, initial=np.inf) < tol
+    some_degenerate = degenerate.any() if degenerate.ndim else bool(degenerate)
+    if some_degenerate:  # their sums are inf: sum placeholder gaps without zero division
+        diffs[degenerate] = 1.0
+    scratch = np.divide(1.0, diffs)
+    resolvent = scratch.sum(axis=-1)
+    np.multiply(diffs, diffs, out=scratch)
+    inv_sq = np.divide(1.0, scratch, out=scratch).sum(axis=-1)
+    if some_degenerate:
+        resolvent = np.where(degenerate, np.inf, resolvent)
+        inv_sq = np.where(degenerate, np.inf, inv_sq)
+    lambda_i = lam.T[i - 1]
+    gap_next = lambda_i - lam.T[i] if i < n else None
+    if lam.ndim == 1:
+        lambda_i, resolvent, inv_sq, degenerate = float(lambda_i), float(resolvent), float(inv_sq), bool(degenerate)
+        gap_next = None if gap_next is None else float(gap_next)
     return GapProfile(
         index=i,
         n=n,
-        lambda_i=float(lam[i - 1]),
+        lambda_i=lambda_i,
         _gap_next=gap_next,
         resolvent_sum=resolvent,
         inv_gap_sq_sum=inv_sq,
@@ -228,20 +238,27 @@ def _eigenvalues_of(spec_or_values) -> np.ndarray:
     return np.asarray(spec_or_values, dtype=np.float64)
 
 
+def _float_or_column(a):
+    """One spectrum's value as a float, a (B, n) stack's as its (B,) column
+    (`lam.T[k]` is eigenvalue k + 1 of either)."""
+    return a if a.ndim else float(a)
+
+
 def range_gap_top(spec: Spectrum | np.ndarray, k: int) -> float:
-    """lambda_1 - lambda_{k+1} (1-based k, requires k < n)."""
+    """lambda_1 - lambda_{k+1} (1-based k, requires k < n); a (B,) column
+    for a (B, n) stack of spectra."""
     lam = _eigenvalues_of(spec)
-    if not 1 <= k < lam.shape[0]:
-        raise DataError(f"k must be in 1..{lam.shape[0] - 1}, got {k}")
-    return float(lam[0] - lam[k])
+    if not 1 <= k < lam.shape[-1]:
+        raise DataError(f"k must be in 1..{lam.shape[-1] - 1}, got {k}")
+    return _float_or_column(lam.T[0] - lam.T[k])
 
 
 def range_gap_tail(spec: Spectrum | np.ndarray, k: int) -> float:
-    """lambda_k - lambda_n (1-based k)."""
+    """lambda_k - lambda_n (1-based k); a (B,) column for a stack."""
     lam = _eigenvalues_of(spec)
-    if not 1 <= k <= lam.shape[0]:
-        raise DataError(f"k must be in 1..{lam.shape[0]}, got {k}")
-    return float(lam[k - 1] - lam[-1])
+    if not 1 <= k <= lam.shape[-1]:
+        raise DataError(f"k must be in 1..{lam.shape[-1]}, got {k}")
+    return _float_or_column(lam.T[k - 1] - lam.T[-1])
 
 
 def principal_submatrix(g: GramMatrix, drop: int) -> GramMatrix:

@@ -387,6 +387,7 @@ def test_failed_runs_create_no_output_directory(tmp_path):
     ({"runs": [{"mode": "violin", "config": {"n": 10, "p": 2, "trials": 3, "seed": 1}}]}, "unknown mode"),
     ({"runs": [{"colour": "red", "config": {"n": 10, "p": 2, "trials": 3, "seed": 1}}]}, "unknown run key"),
     ({"n": 10, "p": 2, "trials": 2.7, "seed": 1}, "'trials' must be an integer"),
+    ({"n": 10, "p": True, "trials": 3, "seed": 1}, "'p' must be an integer"),
     # two runs with one label would write one results file
     ({"runs": [{"label": "a", "config": {"n": 10, "p": 2, "trials": 3, "seed": 1}},
                {"label": "a", "config": {"n": 10, "p": 2, "trials": 3, "seed": 2}}]}, "'a' is used more than once"),

@@ -88,6 +88,26 @@ def test_config_from_dict_defaults_and_sizes():
     assert ExperimentConfig.from_dict({**sizes, "scaling": "one_over_n"}) == ExperimentConfig.from_dict(sizes)
 
 
+@pytest.mark.parametrize("key,value,match", [
+    ("indices", [2.7], "'indices' must hold integers, got 2.7"),
+    ("indices", [True], "'indices' must hold integers, got True"),
+    ("p", True, "'p' must be an integer, got True"),
+    ("seed", False, "'seed' must be an integer, got False"),
+    ("epsilons", [0.1, True], "'epsilons' must hold numbers, got True"),
+])
+def test_config_rejects_booleans_and_fractions(key, value, match):
+    # int() and float() would read these as 2, 1, 1, 0 and 1.0
+    sizes = {"n": 10, "p": 2, "trials": 3, "seed": 1}
+    with pytest.raises(ConfigError, match=match):
+        ExperimentConfig.from_dict({**sizes, key: value})
+
+
+def test_config_whole_floats_and_numeric_strings_still_load():
+    cfg = ExperimentConfig.from_dict({"n": "10", "p": 2.0, "trials": 3, "seed": "1", "indices": [2.0, "3"]})
+    assert (cfg.n, cfg.p, cfg.seed, cfg.indices) == (10, 2, 1, (2, 3))
+    assert all(type(v) is int for v in (cfg.n, cfg.p, cfg.trials, cfg.seed, *cfg.indices))
+
+
 def test_config_validation():
     with pytest.raises(ConfigError):
         _cfg(trials=1)
@@ -279,18 +299,19 @@ def test_reference_configs_cover_every_simulate_bound():
 
 
 def test_gap_profiles_computed_once_per_trial_and_order(monkeypatch):
+    # a block's profiles at one order are one stacked call over its trials
     calls = []
     original = bounds.gaps_from_eigenvalues
 
     def counting(lam, i):
-        calls.append(i)
+        calls.append((i, lam.shape[0]))
         return original(lam, i)
 
     monkeypatch.setattr(bounds, "gaps_from_eigenvalues", counting)
     cfg = _cfg(trials=5, p=3, indices=(1, 2, 3),
                bounds=("adjacent_gap", "covgap_second_order", "covgap_second_order_alt"))
     run_concentration(cfg)
-    assert len(calls) == 5 * 3
+    assert sorted(calls) == [(1, 5), (2, 5), (3, 5)]
 
 
 def test_map_trials_cuts_blocks_by_the_byte_budget(monkeypatch):

@@ -4,6 +4,7 @@ alignment statistics' scale invariance, of the rewritten per-trial
 helpers against the formulas they replaced, bit for bit, and of seeded runs
 against their block length and worker count."""
 
+import functools
 import math
 from unittest import mock
 
@@ -16,9 +17,17 @@ from specbounds import bounds, experiments
 from specbounds.alignment import kta, theta_statistic
 from specbounds.bounds import THEOREMS, BoundInputs
 from specbounds.dataset import SINGULAR_TOL_FACTOR, CovarianceStats, SampleSet, covariance_stats, whitened_norm
-from specbounds.errors import ConfigError, DataError, DegeneracyError, SingularCovarianceError, ValidityConditionError
+from specbounds.errors import (
+    ConfigError,
+    DataError,
+    DegeneracyError,
+    SingularCovarianceError,
+    SpecBoundsError,
+    ValidityConditionError,
+)
 from specbounds.experiments import (
     GRAM_INPUTS,
+    KNOWN_BOUNDS,
     ExperimentConfig,
     _keys,
     _trial_bytes,
@@ -429,6 +438,141 @@ def test_gap_profile_bits_equal_the_concatenate_formula(spectrum):
             assert (a is None and b is None) or _same_bits(a, b)
 
 
+# --- stacked forms of a block of samples against one sample at a time ------------
+
+
+def _bits(a) -> bytes:
+    return np.asarray(a, dtype=np.float64).tobytes()
+
+
+@pytest.mark.parametrize("n,p", [(30, 1), (20, 4), (10, 10), (6, 9), (50, 20)])
+@pytest.mark.parametrize("centered", [False, True])
+def test_stacked_covariance_stats_equal_one_at_a_time(n, p, centered):
+    # p > n makes every member singular (centred, p > n - 1 does); the block
+    # records the message one sample raises
+    rng = np.random.default_rng(n * 100 + p)
+    members = [SampleSet(rows=rng.standard_normal((n, p)) * np.exp(rng.uniform(-4, 4, p)), provenance="s")
+               for _ in range(7)]
+    stack = covariance_stats(members, centered=centered)
+    assert stack.eigs_sigma.shape == (7, p) and stack.gap_1p.shape == (7,)
+    for r, member in enumerate(members):
+        try:
+            alone = covariance_stats(member, centered=centered)
+        except SingularCovarianceError as exc:
+            assert stack.singular[r] == str(exc)
+            continue
+        assert stack.singular[r] is None
+        for got, want in ((stack.sigma[r], alone.sigma), (stack.eigs_sigma[r], alone.eigs_sigma),
+                          (stack.eigvecs_sigma[r], alone.eigvecs_sigma), (stack.gap_1p[r], alone.gap_1p),
+                          (stack.whitened_radius[r], alone.whitened_radius), (stack.lambda_1[r], alone.lambda_1)):
+            assert _bits(got) == _bits(want)
+    assert any(why is None for why in stack.singular) == (p <= n - centered)
+
+
+def test_stacked_gap_profiles_equal_one_at_a_time():
+    rng = np.random.default_rng(31)
+    n = 9
+    lam = np.sort(rng.uniform(-1.0, 50.0, (12, n)), axis=1)[:, ::-1].copy()
+    lam[3, 2] = lam[3, 1]                 # tied at orders 2 and 3
+    lam[5] = 4.0                          # every eigenvalue tied
+    lam[7, -1] = lam[7, -2] + 1e-12       # tied within tolerance at n - 1 and n
+    for i in (1, 2, n - 1, n):
+        stacked = gaps_from_eigenvalues(lam, i)
+        for r in range(lam.shape[0]):
+            alone = gaps_from_eigenvalues(lam[r], i)
+            assert (stacked.index, stacked.n) == (alone.index, alone.n)
+            assert bool(stacked.degenerate[r]) == alone.degenerate
+            for field_name in ("lambda_i", "resolvent_sum", "inv_gap_sq_sum"):
+                assert _bits(getattr(stacked, field_name)[r]) == _bits(getattr(alone, field_name))
+            assert (stacked._gap_next is None) == (alone._gap_next is None)
+            if alone._gap_next is not None:
+                assert _bits(stacked._gap_next[r]) == _bits(alone._gap_next)
+        assert stacked.degenerate[5] and stacked.degenerate[3] == (i == 2) and stacked.degenerate[7] == (i >= n - 1)
+
+
+@functools.cache
+def _pow_sensitive(lo, hi, k, count):
+    """Values in [lo, hi) whose k-th power numpy rounds differently from
+    Python's float pow, where this machine has any."""
+    candidates = np.random.default_rng(k).uniform(lo, hi, 20_000)
+    numpy_pow = np.square(candidates) if k == 2 else np.power(candidates, k)
+    python_pow = np.array([v**k for v in candidates.tolist()])
+    return candidates[numpy_pow != python_pow][:count]
+
+
+def _block_inputs(size=24, n=6):
+    """A block of bound inputs with every theorem's precondition failing in
+    some rows, a missing theta in others, and radii and covariance gaps whose
+    powers numpy would round differently from the scalar formulas."""
+    rng = np.random.default_rng(2024)
+    lam = np.sort(rng.uniform(0.1, 20.0, (size, n)), axis=1)[:, ::-1].copy()
+    lam[1, 1] = lam[1, 2]                                   # tied: degenerate at orders 2 and 3
+    lam[2] = 3.0                                            # every gap degenerate
+    radius = rng.uniform(0.5, 3.0, size)
+    sensitive = _pow_sensitive(0.5, 3.0, 4, 8)
+    radius[6:6 + sensitive.size] = sensitive
+    gap = rng.uniform(0.05, 3.0, size)
+    sensitive = _pow_sensitive(0.05, 3.0, 2, 6)
+    gap[14:14 + sensitive.size] = sensitive
+    gap[3] = 0.0                                            # isotropic
+    eigs = np.column_stack((0.5 + gap, np.full(size, 0.5)))
+    cov = CovarianceStats(sigma=np.zeros((size, 2, 2)), eigs_sigma=eigs, gap_1p=eigs[:, 0] - eigs[:, 1],
+                          whitened_radius=radius, centered=False)
+    theta = rng.uniform(0.05, 1.0, size)
+    theta[4] = 1.5                                          # outside (0, 1]
+    a_kn = rng.uniform(0.05, 1.0, size)
+    a_kn[5] = 0.0                                           # C(theta) = 0
+    l_mid = rng.uniform(0.5, 10.0, size)
+    l_mid[8] = 0.0
+    diag = rng.uniform(0.1, 4.0, size)
+    diag[9] = -1.0
+    missing = {"theta": [None] * size}
+    missing["theta"][10] = "estimated theta is 0; the theta bound is undefined"
+    return BoundInputs(n=n, spectrum=lam, cov=cov, lip=rng.uniform(0.1, 2.0, size), diag_sup_sq=diag,
+                       theta=theta, a_kn=a_kn, frob=rng.uniform(0.5, 30.0, size), l_mid=l_mid,
+                       ratio=rng.uniform(0.5, 20.0, size), kernel="distance", missing=missing)
+
+
+def _member(x: BoundInputs, r: int) -> BoundInputs:
+    """Row r of a block's inputs as one sample's, with Python floats."""
+    cov = x.cov
+    one = CovarianceStats(sigma=cov.sigma[r], eigs_sigma=cov.eigs_sigma[r], gap_1p=float(cov.gap_1p[r]),
+                          whitened_radius=float(cov.whitened_radius[r]), centered=cov.centered)
+    missing = {name: why[r] for name, why in x.missing.items() if why[r] is not None}
+    floats = {name: None if name in missing else float(getattr(x, name)[r])
+              for name in ("lip", "diag_sup_sq", "theta", "a_kn", "frob", "l_mid", "ratio")}
+    return BoundInputs(n=x.n, spectrum=x.spectrum[r], cov=one, kernel=x.kernel, missing=missing, **floats)
+
+
+def test_block_inputs_are_pow_sensitive():
+    # the fixture only tells numpy's power from Python's where they differ
+    x = _block_inputs()
+    radius, gap = x.cov.whitened_radius, x.cov.gap_1p
+    assert _bits(np.power(radius, 4)) != _bits([v**4 for v in radius.tolist()])
+    assert _bits(np.square(gap)) != _bits([v**2 for v in gap.tolist()])
+
+
+@pytest.mark.parametrize("theorem", list(THEOREMS))
+def test_block_params_equal_one_sample_params(theorem):
+    # KNOWN_BOUNDS run in blocks; the rest take blocks through the same code
+    assert set(KNOWN_BOUNDS) <= set(THEOREMS)
+    x = _block_inputs()
+    for i in (1, 2, x.n - 1, x.n):
+        reasons = [None] * x.spectrum.shape[0]
+        columns = bounds.theorem_params(theorem, x, i, reasons)
+        kept = 0
+        for r, why in enumerate(reasons):
+            try:
+                params = bounds.theorem_params(theorem, _member(x, r), i)
+            except SpecBoundsError as exc:
+                assert why == str(exc), (i, r)
+                continue
+            assert why is None, (i, r)
+            kept += 1
+            assert [_bits(np.broadcast_to(c, (len(reasons),))[r]) for c in columns] == [_bits(v) for v in params]
+        assert (columns is None) == (kept == 0)
+
+
 @settings(max_examples=12, deadline=None)
 @given(p=st.integers(1, 4), seed=st.integers(0, 2**32 - 1))
 def test_bound_keys_with_one_grid_share_it(p, seed):
@@ -494,13 +638,22 @@ def test_expansion_norm_check_falls_through_to_the_exact_norm(n, seed, ratio):
     assert bool(calls) == (frobenius >= (1.0 - FROBENIUS_MARGIN) * 1.0)
 
 
-# one run without and one with an input read from G after the spectrum, so
-# blocks of the second carry G
+# runs without and with an input read from G after the spectrum (blocks of
+# the latter carry G), and the pinned runs' exclusions: a singular
+# covariance in every trial, and gaps degenerate in some trials only
 STAGED_CONFIGS = {
     "eigenvalue-topk": dict(n=12, p=3, indices=(1, 2), statistics=("eigenvalue", "topk_sum"),
                             bounds=("adjacent_gap", "topk_gap", "covgap_distance")),
     "kta-theta": dict(n=12, p=3, indices=(1,), statistics=("eigenvalue", "kta"),
                       bounds=("adjacent_gap", "kta_theta", "kta_spectral")),
+    "inner-kta": dict(n=12, p=3, indices=(1, 2, 12), statistics=("eigenvalue", "kta"),
+                      kernel={"family": "polynomial", "degree": 2, "offset": 1.0},
+                      bounds=("covgap_inner", "diag_uniform", "kta_spectral_approx", "kta_spectral_bdiff",
+                              "covgap_second_order_alt", "adjacent_gap")),
+    "singular-cov": dict(n=4, p=6, indices=(1, 2, 4), statistics=("eigenvalue", "topk_sum", "tail_sum"),
+                         bounds=("covgap_distance", "covgap_second_order", "adjacent_gap", "topk_gap", "tail_gap")),
+    "low-p-gaps": dict(n=12, p=1, indices=(1, 9, 10, 11), statistics=("eigenvalue", "topk_sum", "tail_sum"),
+                       bounds=("adjacent_gap", "covgap_second_order", "topk_gap", "tail_gap")),
 }
 
 
@@ -531,7 +684,7 @@ def _concentration_bytes(result) -> list:
 def test_concentration_bytes_do_not_depend_on_blocks_or_workers(name, trials, seed):
     cfg = ExperimentConfig(trials=trials, seed=seed, **STAGED_CONFIGS[name])
     keeps_gram = bool(_keys(cfg).needs & GRAM_INPUTS)
-    assert keeps_gram == (name == "kta-theta")
+    assert keeps_gram == (name in ("kta-theta", "inner-kta"))
     reference = _concentration_bytes(run_concentration(cfg))
     for result in _staged_runs(cfg, lambda w: run_concentration(cfg, workers=w), keeps_gram):
         assert _concentration_bytes(result) == reference

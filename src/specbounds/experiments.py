@@ -425,18 +425,19 @@ def _finish(cfg: ExperimentConfig, keys: _Keys, solved: list) -> _Finished:
     x = sample_inputs(samples, cfg.kernel_spec(), grams, lam, keys.needs, a_kn=a_kn)
     excluded: list[dict] = [{} for _ in solved]
     for k, (theorem, _, i) in enumerate(keys.bounds):
-        reasons = [None] * size
-        if size > 1:
-            params = bnd.theorem_params(theorem, x, i, reasons)
-        else:
+        if size == 1:
             try:
                 params = bnd.theorem_params(theorem, x, i)
             except SpecBoundsError as exc:
-                params, reasons[0] = None, str(exc)
-        if reasons.count(None) < size:
-            for r, why in enumerate(reasons):
-                if why is not None:
-                    excluded[r][k] = why
+                params = None
+                excluded[0][k] = str(exc)
+        else:
+            reasons = [None] * size
+            params = bnd.theorem_params(theorem, x, i, reasons)
+            if reasons.count(None) < size:
+                for r, why in enumerate(reasons):
+                    if why is not None:
+                        excluded[r][k] = why
         values += (math.nan, math.nan) if params is None else params
     if size == 1:
         return _Finished(np.array([values]), excluded)

@@ -205,14 +205,15 @@ def gaps_from_eigenvalues(eigenvalues: np.ndarray, i: int) -> GapProfile:
     diffs[..., i - 1 :] = lam[..., i:]
     np.subtract(lam[..., i - 1 : i], diffs, out=diffs)
     np.abs(diffs, out=diffs)
-    degenerate = diffs.min(axis=-1, initial=np.inf) < tol
+    # the ufunc reductions that `min` and `sum` wrap, without their Python wrappers
+    degenerate = np.minimum.reduce(diffs, axis=-1, initial=np.inf) < tol
     some_degenerate = degenerate.any() if degenerate.ndim else bool(degenerate)
     if some_degenerate:  # their sums are inf: sum placeholder gaps without zero division
         diffs[degenerate] = 1.0
     scratch = np.divide(1.0, diffs)
-    resolvent = scratch.sum(axis=-1)
+    resolvent = np.add.reduce(scratch, axis=-1)
     np.multiply(diffs, diffs, out=scratch)
-    inv_sq = np.divide(1.0, scratch, out=scratch).sum(axis=-1)
+    inv_sq = np.add.reduce(np.divide(1.0, scratch, out=scratch), axis=-1)
     if some_degenerate:
         resolvent = np.where(degenerate, np.inf, resolvent)
         inv_sq = np.where(degenerate, np.inf, inv_sq)

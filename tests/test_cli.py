@@ -387,7 +387,6 @@ def test_failed_runs_create_no_output_directory(tmp_path):
     ({"runs": [{"mode": "violin", "config": {"n": 10, "p": 2, "trials": 3, "seed": 1}}]}, "unknown mode"),
     ({"runs": [{"colour": "red", "config": {"n": 10, "p": 2, "trials": 3, "seed": 1}}]}, "unknown run key"),
     ({"n": 10, "p": 2, "trials": 2.7, "seed": 1}, "'trials' must be an integer"),
-    ({"n": 10, "p": True, "trials": 3, "seed": 1}, "'p' must be an integer"),
     # two runs with one label would write one results file
     ({"runs": [{"label": "a", "config": {"n": 10, "p": 2, "trials": 3, "seed": 1}},
                {"label": "a", "config": {"n": 10, "p": 2, "trials": 3, "seed": 2}}]}, "'a' is used more than once"),
@@ -395,6 +394,8 @@ def test_failed_runs_create_no_output_directory(tmp_path):
     ({"runs": [{"label": 1, "config": {"n": 10, "p": 2, "trials": 3, "seed": 1}}]}, "label must be a string"),
     ({"runs": [{"label": None, "config": {"n": 10, "p": 2, "trials": 3, "seed": 1}},
                {"config": {"n": 10, "p": 2, "trials": 3, "seed": 2}}]}, "label must be a string"),
+    # a boolean is not read as 1
+    ({"n": 10, "p": True, "trials": 3, "seed": 1}, "'p' must be an integer"),
 ])
 def test_simulate_invalid_config_exit_2(tmp_path, capsys, payload, message):
     config = tmp_path / "c.json"

@@ -1,8 +1,10 @@
 """Property tests of the theorem registry on random valid inputs, of the
 theta statistic against the exhaustive leave-one-out loop, of the
 alignment statistics' scale invariance, of the rewritten per-trial
-helpers against the formulas they replaced, bit for bit, and of seeded runs
-against their block length and worker count."""
+helpers against the formulas they replaced, bit for bit, of the stacked
+block forms (covariance statistics, gap profiles, theorem parameters)
+against one sample at a time, bit for bit, and of seeded runs against their
+block length and worker count."""
 
 import functools
 import math

@@ -79,7 +79,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dataset import CovarianceStats
+from .dataset import CovarianceStats, float_or_column
 from .errors import ConfigError, DataError, DegeneracyError, DegenerateGapError, SpecBoundsError
 from .kernels import DISTANCE, INNER
 from .spectral import GapProfile, Spectrum, gap_tolerance, gaps_from_eigenvalues, range_gap_tail, range_gap_top
@@ -125,7 +125,7 @@ class _Rejections:
         self.reasons = reasons
 
     def __call__(self, bad, error, template: str, *values) -> None:
-        if not np.any(bad):
+        if not np.count_nonzero(bad):
             return
         for r in np.flatnonzero(np.broadcast_to(bad, (len(self.reasons),))).tolist():
             if self.reasons[r] is None:
@@ -222,7 +222,7 @@ def bound_gap(n: int, gap_profile: GapProfile, eps):
 
 def _range_gap_params(n: int, g: float, spectrum, reject=_raise) -> tuple[float, float]:
     lam = np.asarray(spectrum.eigenvalues if isinstance(spectrum, Spectrum) else spectrum)
-    reject(g <= gap_tolerance(_first(lam)), DegenerateGapError, DEGENERATE_GAP_MESSAGE)
+    reject(g <= gap_tolerance(float_or_column(lam.T[0])), DegenerateGapError, DEGENERATE_GAP_MESSAGE)
     return -2.0 * n, g * g
 
 
@@ -489,7 +489,9 @@ class Theorem:
     pair of floats, or of (B,) columns for a block.  `grid(params, eps)` is
     the exponent at those parameters, and the raw bound is `prefactor`
     times its exp (see `theorem_grid`).  `describe(x, i)` is the metadata `evaluate_bounds`
-    echoes; `kernel` restricts the theorem to one kernel kind."""
+    echoes; `kernel` restricts the theorem to one kernel kind; `ordered` is
+    False for a theorem of an eigen-order whose parameters do not depend on
+    it, so one evaluation serves every order."""
 
     statistic: str
     needs: tuple[str, ...]
@@ -499,16 +501,11 @@ class Theorem:
     describe: Callable | None = None
     kernel: str | None = None
     flags: tuple[str, ...] = ()
+    ordered: bool = True
 
 
 _SPEC_COV = ("spectrum", "cov", "lip")
 _KTA_FROB = ("a_kn", "l_mid", "frob")
-
-
-def _first(spectrum):
-    """lambda_1 of one spectrum as a float, of a block's as a (B,) column."""
-    lam = spectrum.T[0]
-    return lam if lam.ndim else float(lam)
 
 
 def _profile(x: BoundInputs, i: int) -> GapProfile:
@@ -540,16 +537,20 @@ def _eigvec_metadata(x: BoundInputs, i: int) -> dict:
 # Registry order is the order of report rows and of skipped theorems.
 THEOREMS: dict[str, Theorem] = {
     "diag_uniform": Theorem(STAT_EIGENVALUE, ("diag_sup_sq",),
-                            lambda x, i, reject: _trace_uniform_params(x.n, x.diag_sup_sq, reject), prefactor=2.0),
+                            lambda x, i, reject: _trace_uniform_params(x.n, x.diag_sup_sq, reject), prefactor=2.0,
+                            ordered=False),
     "theta_top": Theorem(STAT_EIGENVALUE, ("spectrum", "theta"),
-                         lambda x, i, reject: _theta_params(x.theta, _first(x.spectrum), reject), prefactor=2.0,
-                         describe=lambda x, i: {"theta": x.theta, "theta_estimated": x.theta_estimated}),
+                         lambda x, i, reject: _theta_params(x.theta, float_or_column(x.spectrum.T[0]), reject),
+                         prefactor=2.0, describe=lambda x, i: {"theta": x.theta, "theta_estimated": x.theta_estimated},
+                         ordered=False),
     "adjacent_gap": Theorem(STAT_EIGENVALUE, ("spectrum",),
                             lambda x, i, reject: _gap_params(x.n, _profile(x, i), reject), describe=_gap_metadata),
     "covgap_distance": Theorem(STAT_EIGENVALUE, ("cov", "lip"),
-                               lambda x, i, reject: _covgap_params(x.n, x.cov, x.lip, 18.0, reject), kernel=DISTANCE),
+                               lambda x, i, reject: _covgap_params(x.n, x.cov, x.lip, 18.0, reject), kernel=DISTANCE,
+                               ordered=False),
     "covgap_inner": Theorem(STAT_EIGENVALUE, ("cov", "lip"),
-                            lambda x, i, reject: _covgap_params(x.n, x.cov, x.lip, 4.0, reject), kernel=INNER),
+                            lambda x, i, reject: _covgap_params(x.n, x.cov, x.lip, 4.0, reject), kernel=INNER,
+                            ordered=False),
     "covgap_second_order": _second_order("printed"),
     "covgap_second_order_alt": _second_order("alt"),
     "topk_gap": Theorem(STAT_TOPK, ("spectrum",),

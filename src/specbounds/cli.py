@@ -22,10 +22,8 @@ so a run that fails before it leaves nothing behind.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
-import secrets
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -94,6 +92,8 @@ def _write_files(out: Path, files: dict[str, str]) -> None:
 
 
 def _sha256(path: str) -> str:
+    import hashlib  # loads OpenSSL; only runs that read input files pay for it
+
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(65536), b""):
@@ -117,6 +117,8 @@ def _write_outputs(command: str, args, files: dict[str, str], seed, config, inpu
 def _resolve_seed(args) -> int:
     if args.seed is not None:
         return args.seed
+    import secrets  # only a run without a seed needs it
+
     seed = secrets.randbits(63)
     print(f"generated seed: {seed}")
     return seed

@@ -60,6 +60,15 @@ class SampleSet:
         return self.rows.shape[1]
 
 
+def float_or_column(v):
+    """One sample's value as a Python float, a block's (B,) column as it is.
+
+    `a.T[k]` is entry k of one sample's 1-D array and column k of a block's
+    (B, m) stack, so `float_or_column(a.T[k])` reads either.
+    """
+    return v if v.ndim else float(v)
+
+
 @dataclass(frozen=True, eq=False)
 class CovarianceStats:
     """Second-moment/covariance matrix of a sample with derived statistics.
@@ -87,13 +96,11 @@ class CovarianceStats:
 
     @property
     def lambda_1(self):
-        lam = self.eigs_sigma.T[0]
-        return lam if lam.ndim else float(lam)
+        return float_or_column(self.eigs_sigma.T[0])
 
     @property
     def lambda_p(self):
-        lam = self.eigs_sigma.T[-1]
-        return lam if lam.ndim else float(lam)
+        return float_or_column(self.eigs_sigma.T[-1])
 
     @property
     def p(self) -> int:
@@ -229,8 +236,8 @@ def covariance_stats(s, centered: bool = False) -> CovarianceStats:
     x = np.stack([member.rows for member in s]) if block else s.rows
     if centered:
         x = x - x.mean(axis=-2, keepdims=True)
-    sigma = (x.mT @ x) / x.shape[-2]
-    sigma = 0.5 * (sigma + sigma.mT)
+    sigma = (np.swapaxes(x, -1, -2) @ x) / x.shape[-2]
+    sigma = 0.5 * (sigma + np.swapaxes(sigma, -1, -2))
     eigvals, eigvecs = np.linalg.eigh(sigma)
     eigvals = eigvals[..., ::-1].copy()
     eigvecs = eigvecs[..., ::-1]
@@ -250,8 +257,8 @@ def covariance_stats(s, centered: bool = False) -> CovarianceStats:
     # singular member of a block is whitened too, with unused values
     with np.errstate(all="ignore") if block else contextlib.nullcontext():
         scale = 1.0 / np.sqrt(np.maximum(eigvals, tol))
-        inv_sqrt = (eigvecs * scale[..., None, :]) @ eigvecs.mT
-        whitened = x @ inv_sqrt.mT
+        inv_sqrt = (eigvecs * scale[..., None, :]) @ np.swapaxes(eigvecs, -1, -2)
+        whitened = x @ np.swapaxes(inv_sqrt, -1, -2)
         radius = np.sqrt((whitened * whitened).sum(axis=-1).max(axis=-1))
     for a in (eigvals, eigvecs, sigma):
         a.flags.writeable = False
@@ -260,8 +267,8 @@ def covariance_stats(s, centered: bool = False) -> CovarianceStats:
         sigma=sigma,
         eigs_sigma=eigvals,
         eigvecs_sigma=eigvecs,
-        gap_1p=gap if block else float(gap),
-        whitened_radius=radius if block else float(radius),
+        gap_1p=float_or_column(gap),
+        whitened_radius=float_or_column(radius),
         centered=centered,
         singular=singular,
     )

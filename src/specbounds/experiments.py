@@ -33,8 +33,9 @@ small-array work of stage 3 runs with warm caches, as numpy calls over the
 block instead of Python calls per trial.  A block holds as many trials as
 keep what it carries between stages within BLOCK_BYTES; a run whose bound
 inputs read G after its spectrum (`GRAM_INPUTS`) carries G, so from about
-n = 128 its blocks are one trial long, and a block of one is finished with
-plain scalars, as `bounds` evaluates one sample.
+n = 128 its blocks are one trial long, finished as stacks of one row; a
+theorem of an eigen-order whose parameters do not read the order
+(`bounds.Theorem.ordered`) is evaluated once for every order of a block.
 
 `run_concentration` stacks the trials' rows, statistic values and then each
 bound key's parameter pair, and evaluates each bound once over its kept
@@ -410,41 +411,30 @@ class _Finished(NamedTuple):
 def _finish(cfg: ExperimentConfig, keys: _Keys, solved: list) -> _Finished:
     """Stage 3 of a block of concentration trials, once for the block: the
     statistic columns of the stacked spectra, the bound inputs of every
-    trial at once, and each bound key's parameter columns.  A block of one
-    trial is evaluated as plain scalars, which is cheaper than columns of
-    one row."""
+    trial at once, and each bound key's parameter columns."""
     size = len(solved)
-    if size == 1:
-        (one,) = solved
-        lam, a_kn, samples, grams = one.lam, one.a_kn, one.samples, one.g
-    else:
-        lam = np.array([s.lam for s in solved])
-        a_kn = np.array([s.a_kn for s in solved]) if "kta" in cfg.statistics else None
-        samples, grams = [s.samples for s in solved], [s.g for s in solved]
+    lam = np.array([s.lam for s in solved])
+    a_kn = np.array([s.a_kn for s in solved]) if "kta" in cfg.statistics else None
     values = _statistics(cfg, keys, lam, a_kn)
-    x = sample_inputs(samples, cfg.kernel_spec(), grams, lam, keys.needs, a_kn=a_kn)
+    x = sample_inputs([s.samples for s in solved], cfg.kernel_spec(), [s.g for s in solved], lam, keys.needs,
+                      a_kn=a_kn)
     excluded: list[dict] = [{} for _ in solved]
+    evaluated: dict = {}  # (theorem, order) -> (params, reasons), one order for an unordered theorem
     for k, (theorem, _, i) in enumerate(keys.bounds):
-        if size == 1:
-            try:
-                params = bnd.theorem_params(theorem, x, i)
-            except SpecBoundsError as exc:
-                params = None
-                excluded[0][k] = str(exc)
-        else:
+        at = (theorem, i if bnd.THEOREMS[theorem].ordered else None)
+        if at not in evaluated:
             reasons = [None] * size
-            params = bnd.theorem_params(theorem, x, i, reasons)
-            if reasons.count(None) < size:
-                for r, why in enumerate(reasons):
-                    if why is not None:
-                        excluded[r][k] = why
+            evaluated[at] = bnd.theorem_params(theorem, x, i, reasons), reasons
+        params, reasons = evaluated[at]
+        if reasons.count(None) < size:
+            for r, why in enumerate(reasons):
+                if why is not None:
+                    excluded[r][k] = why
         values += (math.nan, math.nan) if params is None else params
-    if size == 1:
-        return _Finished(np.array([values]), excluded)
-    table = np.empty((size, len(values)))
+    columns = np.empty((len(values), size))  # each column written contiguously; the table is their transpose
     for j, column in enumerate(values):
-        table[:, j] = column
-    return _Finished(table, excluded)
+        columns[j] = column
+    return _Finished(columns.T, excluded)
 
 
 def _concentration_trial(args: tuple[_Finished, int]) -> tuple[np.ndarray, dict]:

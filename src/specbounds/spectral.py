@@ -12,7 +12,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .dataset import SampleSet
+from .dataset import SampleSet, float_or_column
 from .errors import DataError, DegeneracyError, DegenerateGapError, ValidityConditionError
 from .kernels import DISTANCE, GramMatrix, KernelSpec, gram
 
@@ -218,18 +218,14 @@ def gaps_from_eigenvalues(eigenvalues: np.ndarray, i: int) -> GapProfile:
         resolvent = np.where(degenerate, np.inf, resolvent)
         inv_sq = np.where(degenerate, np.inf, inv_sq)
     lambda_i = lam.T[i - 1]
-    gap_next = lambda_i - lam.T[i] if i < n else None
-    if lam.ndim == 1:
-        lambda_i, resolvent, inv_sq, degenerate = float(lambda_i), float(resolvent), float(inv_sq), bool(degenerate)
-        gap_next = None if gap_next is None else float(gap_next)
     return GapProfile(
         index=i,
         n=n,
-        lambda_i=lambda_i,
-        _gap_next=gap_next,
-        resolvent_sum=resolvent,
-        inv_gap_sq_sum=inv_sq,
-        degenerate=degenerate,
+        lambda_i=float_or_column(lambda_i),
+        _gap_next=float_or_column(lambda_i - lam.T[i]) if i < n else None,
+        resolvent_sum=float_or_column(resolvent),
+        inv_gap_sq_sum=float_or_column(inv_sq),
+        degenerate=degenerate if degenerate.ndim else bool(degenerate),
     )
 
 
@@ -239,19 +235,13 @@ def _eigenvalues_of(spec_or_values) -> np.ndarray:
     return np.asarray(spec_or_values, dtype=np.float64)
 
 
-def _float_or_column(a):
-    """One spectrum's value as a float, a (B, n) stack's as its (B,) column
-    (`lam.T[k]` is eigenvalue k + 1 of either)."""
-    return a if a.ndim else float(a)
-
-
 def range_gap_top(spec: Spectrum | np.ndarray, k: int) -> float:
     """lambda_1 - lambda_{k+1} (1-based k, requires k < n); a (B,) column
     for a (B, n) stack of spectra."""
     lam = _eigenvalues_of(spec)
     if not 1 <= k < lam.shape[-1]:
         raise DataError(f"k must be in 1..{lam.shape[-1] - 1}, got {k}")
-    return _float_or_column(lam.T[0] - lam.T[k])
+    return float_or_column(lam.T[0] - lam.T[k])
 
 
 def range_gap_tail(spec: Spectrum | np.ndarray, k: int) -> float:
@@ -259,7 +249,7 @@ def range_gap_tail(spec: Spectrum | np.ndarray, k: int) -> float:
     lam = _eigenvalues_of(spec)
     if not 1 <= k <= lam.shape[-1]:
         raise DataError(f"k must be in 1..{lam.shape[-1]}, got {k}")
-    return _float_or_column(lam.T[k - 1] - lam.T[-1])
+    return float_or_column(lam.T[k - 1] - lam.T[-1])
 
 
 def principal_submatrix(g: GramMatrix, drop: int) -> GramMatrix:

@@ -608,6 +608,20 @@ def test_cli_import_loads_no_process_pool():
     assert proc.stdout.strip() == "[]"
 
 
+def test_cli_import_loads_no_hashing():
+    # hashlib (OpenSSL) is loaded by a run that hashes an input file, and
+    # secrets by a run that generates its seed, not by the import
+    root = Path(__file__).resolve().parents[1]
+    code = ("import sys, specbounds.cli; "
+            "print([m for m in ('hashlib', 'secrets') if m in sys.modules])")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(root / "src")},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 DEMOS = {
     "bound_report_walkthrough": "adjacent_gap",
     "alignment_and_oracles": "eigenvalue_stability",

@@ -20,7 +20,7 @@ from .bounds import (  # noqa: F401  (c_theta and the kta_* formulas are also pu
     kta_spectral_denominator,
     validate_epsilons,
 )
-from .errors import ConfigError, DataError, DegeneracyError
+from .errors import DataError, DegeneracyError
 from .kernels import GramMatrix
 from .spectral import Spectrum, eig_sym, gap_tolerance
 
@@ -47,12 +47,11 @@ def kta(g: GramMatrix, y: np.ndarray) -> float:
     return float(y @ g.entries @ y) / (g.n * frob)
 
 
-def theta_statistic(g: GramMatrix, mode: str = "drop", spectrum: Spectrum | None = None) -> float:
+def theta_statistic(g: GramMatrix, spectrum: Spectrum | None = None) -> float:
     """Shrinkage statistic  1 - max_s min_i lambda_i(K^s) / lambda_i(K).
 
-    mode="drop" removes row/column s (dimension n-1); mode="zero" zeroes it
-    instead, which only appends a zero eigenvalue for PSD matrices.  The min
-    runs over i = 1..n-1.  Raises when any of the first n-1 eigenvalues of K
+    K^s removes row/column s (dimension n-1), and the min runs over
+    i = 1..n-1.  Raises when any of the first n-1 eigenvalues of K
     is too close to zero for the ratios to be meaningful.  Pass `spectrum`
     only if it is `eig_sym(g)` of this very matrix; it is computed otherwise.
 
@@ -67,15 +66,12 @@ def theta_statistic(g: GramMatrix, mode: str = "drop", spectrum: Spectrum | None
     the rounding bound c n eps sum_j (U_sj^2 + |U_sj|) / |lambda_j - x_i|
     (c = _SECULAR_ROUNDING).  tol = gap_tolerance(lambda_1) is far above the
     backward error of the eigensolvers, so a skipped deletion's computed
-    ratio lies strictly below `best`.  In zero mode the extra zero eigenvalue
-    cannot lift the i-th largest above x_i > 0, so the same test holds.
+    ratio lies strictly below `best`.
     A deletion that is not skipped runs the same `eigvalsh` call on the same
     matrix as the exhaustive loop, and the max over those is the max over
     all s: the result is bit-identical to solving every deletion, which
     remains the worst case.
     """
-    if mode not in ("drop", "zero"):
-        raise ConfigError(f"theta mode must be 'drop' or 'zero', got {mode!r}")
     n = g.n
     if n < 3:
         raise DataError(f"theta needs n >= 3, got n = {n}")
@@ -100,14 +96,8 @@ def theta_statistic(g: GramMatrix, mode: str = "drop", spectrum: Spectrum | None
         if not unsolved[s]:
             continue
         unsolved[s] = False
-        if mode == "drop":
-            keep = np.arange(n) != s
-            sub_lam = np.linalg.eigvalsh(a[np.ix_(keep, keep)])[::-1]
-        else:
-            zeroed = a.copy()
-            zeroed[s, :] = 0.0
-            zeroed[:, s] = 0.0
-            sub_lam = np.linalg.eigvalsh(zeroed)[::-1][: n - 1]
+        keep = np.arange(n) != s
+        sub_lam = np.linalg.eigvalsh(a[np.ix_(keep, keep)])[::-1]
         ratio = float(np.min(sub_lam / denom))
         if ratio > best:
             best = ratio
@@ -146,18 +136,12 @@ class AlignmentReport:
     ratio_approx: float         # lambda_1 / lambda_2
     theta: float
     c_theta: float
-    theta_mode: str
     epsilons: tuple[float, ...]
     bounds: dict = field(default_factory=dict)   # theorem id -> list of raw values
     skipped: dict = field(default_factory=dict)  # theorem id -> reason
 
 
-def alignment_report(
-    g: GramMatrix,
-    y: np.ndarray,
-    epsilons: tuple[float, ...],
-    theta_mode: str = "drop",
-) -> AlignmentReport:
+def alignment_report(g: GramMatrix, y: np.ndarray, epsilons: tuple[float, ...]) -> AlignmentReport:
     """Compute A(K), theta, L, and all alignment bounds over an epsilon grid
     for a raw Gram matrix."""
     epsilons = validate_epsilons(epsilons)
@@ -171,7 +155,7 @@ def alignment_report(
     ratio_approx = top_eigenvalue_ratio(lam)
     missing: dict[str, str] = {}
     try:
-        theta = theta_statistic(g, mode=theta_mode, spectrum=spectrum)
+        theta = theta_statistic(g, spectrum=spectrum)
         c = c_theta(a_kn, theta, n, frob)
     except (DegeneracyError, DataError) as exc:
         theta = c = math.nan
@@ -190,7 +174,6 @@ def alignment_report(
         ratio_approx=ratio_approx,
         theta=theta,
         c_theta=c,
-        theta_mode=theta_mode,
         epsilons=epsilons,
         bounds=bounds,
         skipped=report.skipped,

@@ -60,6 +60,7 @@ gap, R_i the resolvent sum of lambda(G)/n at eigen-order i (n R_i(G)).
 Preconditions raise DegeneracyError (the theorem is skipped, or the trial
 excluded from that bound's mean):
 
+  diag_uniform             diag_sup^2 > 0
   adjacent_gap             i < n, distinct eigenvalues at i and gap_{i,i+1} above tolerance
   topk_gap, tail_gap       range gap above tolerance
   covgap_*                 gap_1p above tolerance (not isotropic); second order also needs
@@ -184,7 +185,7 @@ def _offset_quadratic(p, eps):
 
 
 def _trace_uniform_params(n: int, diag_sup_sq: float, reject=_raise) -> tuple[float, float]:
-    reject(diag_sup_sq <= 0, ConfigError, "diagonal supremum must be positive, got {}", diag_sup_sq)
+    reject(diag_sup_sq <= 0, DegeneracyError, "diagonal supremum must be positive, got {}", diag_sup_sq)
     reject(n < 1, ConfigError, "n must be >= 1, got {}", n)
     return -2.0 * n, diag_sup_sq * diag_sup_sq
 
@@ -249,7 +250,6 @@ class ErrorNormBounds:
 
     printed: float
     conservative: float
-    kind: str
 
 
 def error_norm_bound(kind: str, cov: CovarianceStats, lip: float, n: int) -> ErrorNormBounds:
@@ -266,7 +266,7 @@ def error_norm_bound(kind: str, cov: CovarianceStats, lip: float, n: int) -> Err
     factor = 6.0 if kind == "distance" else 2.0
     printed = factor * m2 * lip * cov.gap_1p / math.sqrt(n)
     conservative = 12.0 * m2 * lip * cov.lambda_1 / math.sqrt(n)
-    return ErrorNormBounds(printed=printed, conservative=conservative, kind=kind)
+    return ErrorNormBounds(printed=printed, conservative=conservative)
 
 
 def _covgap_params(n: int, cov: CovarianceStats, lip: float, denom_factor: float,
@@ -459,7 +459,7 @@ class BoundInputs:
     caches the gap profile of each eigen-order the theorems read.
 
     The inputs of a block of B samples of one size n (see
-    `experiments.sample_inputs`) are (B,) columns, with `spectrum` (B, n),
+    `experiments._finish`) are (B,) columns, with `spectrum` (B, n),
     `cov` a stacked CovarianceStats, and `missing` mapping an input that
     some samples lack to B reasons, None for a sample that has it.
     """

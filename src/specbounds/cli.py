@@ -498,7 +498,7 @@ def _cmd_align(args) -> int:
     spec = kernel_from_cli(args.kernel)
     epsilons = _parse_eps(args.eps)
     g = gram(samples, spec)
-    report = alignment_report(g, labels, epsilons, theta_mode=args.theta_mode)
+    report = alignment_report(g, labels, epsilons)
 
     statistics = {
         "a_kn": report.a_kn,
@@ -520,7 +520,6 @@ def _cmd_align(args) -> int:
         "n": samples.n,
         "p": samples.p,
         "kernel": spec.describe(),
-        "theta_mode": report.theta_mode,
         "m": samples.n,  # C(theta)'s m is n
         "population_alignment": None,  # not computable from a single sample
         **{kind: float(v) if np.isfinite(v) else None for kind, v in statistics.items()},
@@ -627,7 +626,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--label-col", default=None, help="label column name inside --data (implies header)")
     p.add_argument("--kernel", default="gaussian:1.0")
     p.add_argument("--eps", default=None)
-    p.add_argument("--theta-mode", default="drop", choices=("drop", "zero"))
     p.add_argument("--out", default="specbounds_out")
     p.set_defaults(func=_cmd_align)
 

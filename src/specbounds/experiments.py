@@ -16,26 +16,27 @@ each block one stage at a time, for the concentration, boxplot and
 perturbation-oracle loops:
   1. draw: every trial's RNG and samples (and the oracle's replacement row
      and index, the kta labels);
-  2. solve: every trial's n x n work, the Gram matrix, its `eigvalsh` and
-     the statistics that read G, keeping only the samples, the spectrum
-     and scalars;
+  2. solve: every trial's n x n work, the Gram matrix, its `eigvalsh`, the
+     alignment and the per-sample bound inputs (`_per_sample_inputs`:
+     theta, ||K||_F, the Lipschitz constant, ...), keeping only the
+     samples, the spectrum and scalars, so no block carries G;
   3. finish: for the concentration loop, once per block (`_finish`): the
-     block's spectra as one (B, n) array give the statistic columns,
-     `sample_inputs` builds every trial's bound inputs at once (one
-     stacked `covariance_stats`, one stacked gap profile per eigen-order)
-     and `bounds.theorem_params` gives each bound key's parameters as (B,)
-     columns with each trial's exclusion reason; `_concentration_trial`
-     then hands on each trial's row.  The boxplot and perturbation loops
-     finish once per trial, `_boxplot_trial` and `_perturbation_trial`.
+     block's spectra as one (B, n) array give the statistic columns, the
+     trials' per-sample inputs are stacked into (B,) columns next to one
+     stacked `covariance_stats` and one stacked gap profile per
+     eigen-order, and `bounds.theorem_params` gives each bound key's
+     parameters as (B,) columns with each trial's exclusion reason;
+     `_concentration_trial` then hands on each trial's row.  The boxplot
+     and perturbation loops finish once per trial, `_boxplot_trial` and
+     `_perturbation_trial`.
 Every stacked step gives each trial the bits it has alone (see `bounds`
 on powers), so no output bit depends on the block length, and the
 small-array work of stage 3 runs with warm caches, as numpy calls over the
 block instead of Python calls per trial.  A block holds as many trials as
-keep what it carries between stages within BLOCK_BYTES; a run whose bound
-inputs read G after its spectrum (`GRAM_INPUTS`) carries G, so from about
-n = 128 its blocks are one trial long, finished as stacks of one row; a
-theorem of an eigen-order whose parameters do not read the order
-(`bounds.Theorem.ordered`) is evaluated once for every order of a block.
+keep what it carries between stages within BLOCK_BYTES, by one rule for
+every run (`_trial_bytes`); a theorem of an eigen-order whose parameters
+do not read the order (`bounds.Theorem.ordered`) is evaluated once for
+every order of a block.
 
 `run_concentration` stacks the trials' rows, statistic values and then each
 bound key's parameter pair, and evaluates each bound once over its kept
@@ -86,9 +87,9 @@ def subseed(master_seed: int, trial_index: int) -> int:
     return splitmix64((master_seed & 0xFFFFFFFFFFFFFFFF) ^ splitmix64(trial_index))
 
 
-def default_epsilons(points: int = 40) -> tuple[float, ...]:
+def default_epsilons() -> tuple[float, ...]:
     """40 log-spaced deviations spanning [1e-4, 1]."""
-    return tuple(float(x) for x in np.logspace(-4.0, 0.0, points))
+    return tuple(float(x) for x in np.logspace(-4.0, 0.0, 40))
 
 
 def _integer(name: str, value, what: str = "be an integer") -> int:
@@ -276,12 +277,53 @@ def _draw(cfg: ExperimentConfig, trial_seed: int):
     return cfg.kernel_spec(), rng, samples
 
 
-# the bound inputs `sample_inputs` computes from the Gram matrix itself
-GRAM_INPUTS = frozenset({"theta", "frob"})
 _ZERO_THETA = "estimated theta is 0; the theta bound is undefined"
 
 
-def sample_inputs(samples, spec: KernelSpec, g, lam: np.ndarray, needs,
+def _per_sample_inputs(samples, spec: KernelSpec, g, lam: np.ndarray, needs, spectrum) -> tuple[dict, dict]:
+    """The inputs among diag_sup_sq, theta, lip, frob, l_mid and ratio that
+    `needs` names, of one sample with raw Gram matrix g and its descending
+    eigenvalues lam: each one's value (NaN where it cannot be computed) and
+    each missing one's reason, the error's text.  An estimated theta of 0 is
+    missing too.  `spectrum`, if not None, is `eig_sym(g)`, which theta reuses."""
+    compute = {
+        "diag_sup_sq": lambda: diag_sup(samples, spec),
+        "theta": lambda: theta_statistic(g, spectrum=spectrum),
+        "lip": lambda: lipschitz(spec, samples),
+        "frob": lambda: float(np.linalg.norm(g.entries, ord="fro")),
+        "l_mid": lambda: middle_spectrum_norm(lam),
+        "ratio": lambda: top_eigenvalue_ratio(lam),
+    }
+    values: dict = {}
+    missing: dict = {}
+    for name, value in compute.items():
+        if name in needs:
+            try:
+                values[name] = value()
+            except SpecBoundsError as exc:
+                values[name], missing[name] = math.nan, str(exc)
+    if values.get("theta", math.nan) <= 0.0:
+        missing["theta"] = _ZERO_THETA
+    return values, missing
+
+
+def _one_sample_inputs(samples, spec: KernelSpec, lam: np.ndarray, needs, per_sample: tuple[dict, dict],
+                       centered: bool, a_kn) -> bnd.BoundInputs:
+    """One sample's BoundInputs from its `_per_sample_inputs` pair, with
+    its covariance statistics when `needs` names them."""
+    values, missing = per_sample
+    inputs = {name: v for name, v in values.items() if name not in missing}
+    missing = dict(missing)
+    if "cov" in needs:
+        try:
+            inputs["cov"] = covariance_stats(samples, centered=centered)
+        except SpecBoundsError as exc:
+            missing["cov"] = str(exc)
+    return bnd.BoundInputs(n=lam.shape[-1], spectrum=lam, a_kn=a_kn, kernel=spec.kind, missing=missing,
+                           theta_estimated="theta" in inputs, **inputs)
+
+
+def sample_inputs(samples: SampleSet, spec: KernelSpec, g: GramMatrix, lam: np.ndarray, needs,
                   spectrum=None, centered: bool = False, a_kn=None) -> bnd.BoundInputs:
     """The BoundInputs of one sample with raw Gram matrix g and its
     descending eigenvalues lam, computing only the inputs named in `needs`.
@@ -291,59 +333,9 @@ def sample_inputs(samples, spec: KernelSpec, g, lam: np.ndarray, needs,
     are skipped with that reason instead of aborting the run.  `spectrum`,
     if given, is `eig_sym(g)`, which theta reuses; `centered` mean-centres
     the samples before the covariance.
-
-    A block of B samples is a sequence of SampleSets, with `g` the sequence
-    of their Gram matrices (None when no input in GRAM_INPUTS is needed),
-    `lam` their (B, n) spectra and `a_kn` a (B,) column.  Its inputs are
-    (B,) columns, the covariance statistics one stacked `covariance_stats`,
-    and `missing` maps an input some samples lack to each sample's reason
-    (None where it was computed), as `bounds.BoundInputs` describes.
     """
-    block = lam.ndim == 2
-    members = samples if block else (samples,)
-    grams = g if block else (g,)
-    spectra = lam if block else lam[None]
-    per_sample = {  # GRAM_INPUTS lists the ones that read g
-        "diag_sup_sq": lambda r: diag_sup(members[r], spec),
-        "theta": lambda r: theta_statistic(grams[r], spectrum=spectrum),
-        "lip": lambda r: lipschitz(spec, members[r]),
-        "frob": lambda r: float(np.linalg.norm(grams[r].entries, ord="fro")),
-        "l_mid": lambda r: middle_spectrum_norm(spectra[r]),
-        "ratio": lambda r: top_eigenvalue_ratio(spectra[r]),
-    }
-    inputs: dict = {}
-    missing: dict = {}
-    if "cov" in needs:  # every sample at once
-        try:
-            cov = inputs["cov"] = covariance_stats(samples, centered=centered)
-        except SpecBoundsError as exc:  # one sample; a block's singular members are in `singular`
-            missing["cov"] = str(exc)
-        else:
-            if any(why is not None for why in cov.singular):
-                missing["cov"] = cov.singular
-    for name, compute in per_sample.items():
-        if name not in needs:
-            continue
-        values, reasons = [], []
-        for r in range(len(members)):
-            try:
-                values.append(compute(r))
-                reasons.append(None)
-            except SpecBoundsError as exc:
-                values.append(math.nan)
-                reasons.append(str(exc))
-        if name == "theta":  # an estimated theta of 0 is missing too
-            reasons = [_ZERO_THETA if why is None and v <= 0.0 else why for v, why in zip(values, reasons)]
-        if block:
-            inputs[name] = np.array(values)
-            if any(why is not None for why in reasons):
-                missing[name] = reasons
-        elif reasons[0] is None:
-            inputs[name] = values[0]
-        else:
-            missing[name] = reasons[0]
-    return bnd.BoundInputs(n=lam.shape[-1], spectrum=lam, a_kn=a_kn, kernel=spec.kind, missing=missing,
-                           theta_estimated="theta" in inputs, **inputs)
+    per_sample = _per_sample_inputs(samples, spec, g, lam, needs, spectrum)
+    return _one_sample_inputs(samples, spec, lam, needs, per_sample, centered, a_kn)
 
 
 def _draw_labelled(cfg: ExperimentConfig, trial_seed: int):
@@ -355,20 +347,23 @@ def _draw_labelled(cfg: ExperimentConfig, trial_seed: int):
 
 
 class _Solved(NamedTuple):
-    """What a concentration trial carries from its eigensolve to its finish."""
+    """What a concentration trial carries from its eigensolve to its finish:
+    no n x n array."""
 
     samples: SampleSet
-    g: GramMatrix | None        # the raw Gram matrix, kept only when an input in GRAM_INPUTS is needed
     lam: np.ndarray             # its eigenvalues, descending and contiguous
     a_kn: float | None          # its kernel-target alignment, for the kta statistic
+    per_sample: tuple[dict, dict]  # its `_per_sample_inputs` pair
 
 
 def _solve(cfg: ExperimentConfig, keys: _Keys, samples: SampleSet, labels) -> _Solved:
-    """Stage 2 of a concentration trial: Gram matrix, spectrum and alignment."""
-    g_raw = gram(samples, cfg.kernel_spec())
+    """Stage 2 of a concentration trial, the last to read its Gram matrix:
+    the spectrum, the alignment and the per-sample bound inputs."""
+    spec = cfg.kernel_spec()
+    g_raw = gram(samples, spec)
     lam = np.linalg.eigvalsh(g_raw.entries)[::-1].copy()  # descending and contiguous
     a_kn = kta(g_raw, labels) if labels is not None else None
-    return _Solved(samples, g_raw if keys.needs & GRAM_INPUTS else None, lam, a_kn)
+    return _Solved(samples, lam, a_kn, _per_sample_inputs(samples, spec, g_raw, lam, keys.needs, None))
 
 
 def _statistics(cfg: ExperimentConfig, keys: _Keys, lam: np.ndarray, a_kn) -> list:
@@ -394,8 +389,8 @@ def _trial_inputs(cfg: ExperimentConfig, trial_seed: int, keys: _Keys):
     BoundInputs its bound keys read, computed by the trial alone."""
     solved = _solve(cfg, keys, *_draw_labelled(cfg, trial_seed))
     stats = [float(v) for v in _statistics(cfg, keys, solved.lam, solved.a_kn)]
-    return stats, sample_inputs(solved.samples, cfg.kernel_spec(), solved.g, solved.lam, keys.needs,
-                                a_kn=solved.a_kn)
+    return stats, _one_sample_inputs(solved.samples, cfg.kernel_spec(), solved.lam, keys.needs, solved.per_sample,
+                                     centered=False, a_kn=solved.a_kn)
 
 
 class _Finished(NamedTuple):
@@ -410,14 +405,27 @@ class _Finished(NamedTuple):
 
 def _finish(cfg: ExperimentConfig, keys: _Keys, solved: list) -> _Finished:
     """Stage 3 of a block of concentration trials, once for the block: the
-    statistic columns of the stacked spectra, the bound inputs of every
-    trial at once, and each bound key's parameter columns."""
+    statistic columns of the stacked spectra, the trials' bound inputs as
+    (B,) columns with one stacked `covariance_stats` (see
+    `bounds.BoundInputs`), and each bound key's parameter columns."""
     size = len(solved)
     lam = np.array([s.lam for s in solved])
     a_kn = np.array([s.a_kn for s in solved]) if "kta" in cfg.statistics else None
     values = _statistics(cfg, keys, lam, a_kn)
-    x = sample_inputs([s.samples for s in solved], cfg.kernel_spec(), [s.g for s in solved], lam, keys.needs,
-                      a_kn=a_kn)
+    inputs: dict = {}
+    missing: dict = {}
+    if "cov" in keys.needs:
+        cov = inputs["cov"] = covariance_stats([s.samples for s in solved])
+        if any(why is not None for why in cov.singular):
+            missing["cov"] = cov.singular
+    per_sample = [s.per_sample for s in solved]
+    for name in per_sample[0][0]:
+        inputs[name] = np.array([computed[name] for computed, _ in per_sample])
+        reasons = [why.get(name) for _, why in per_sample]
+        if any(why is not None for why in reasons):
+            missing[name] = reasons
+    x = bnd.BoundInputs(n=cfg.n, spectrum=lam, a_kn=a_kn, kernel=cfg.kernel_spec().kind, missing=missing,
+                        theta_estimated="theta" in inputs, **inputs)
     excluded: list[dict] = [{} for _ in solved]
     evaluated: dict = {}  # (theorem, order) -> (params, reasons), one order for an unordered theorem
     for k, (theorem, _, i) in enumerate(keys.bounds):
@@ -452,10 +460,10 @@ def _concentration_block(args) -> list:
     return [_concentration_trial((finished, t)) for t in range(len(solved))]
 
 
-def _trial_bytes(cfg: ExperimentConfig, keeps_gram: bool = False) -> int:
+def _trial_bytes(cfg: ExperimentConfig) -> int:
     """About what one trial carries between stages: its samples and two
-    length-n spectra, plus G if it keeps it."""
-    return 8 * cfg.n * (cfg.p + 2 + (cfg.n if keeps_gram else 0))
+    length-n spectra."""
+    return 8 * cfg.n * (cfg.p + 2)
 
 
 def _each(args) -> list:
@@ -488,31 +496,20 @@ def _map_trials(run_block, common, items, workers: int, item_bytes: int | None =
     return [r for block in results for r in block]
 
 
-def run_concentration(
-    cfg: ExperimentConfig,
-    workers: int = 1,
-    subseeds: tuple[int, ...] | None = None,
-) -> ExperimentResult:
+def run_concentration(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResult:
     """Run the seeded trials and aggregate frequencies and mean bound values.
 
-    `subseeds` overrides the per-trial seeds (testing hook).  Trials whose
-    bound inputs are degenerate are excluded from that bound's mean (count
-    reported) but never from the empirical frequencies.  Each bound is
+    Trials whose bound inputs are degenerate are excluded from that bound's
+    mean (count reported) but never from the empirical frequencies.  Each bound is
     evaluated once over its (kept trials x epsilons) grid, and bound keys
     whose grids have the same exponent, prefactor and parameter columns
     (covgap_distance at every order, adjacent_gap at 1 and topk_gap at 1)
     share one evaluation: their `mean` and `p10` are the same read-only
     arrays.
     """
-    if subseeds is None:
-        seeds = tuple(subseed(cfg.seed, t) for t in range(cfg.trials))
-    else:
-        if len(subseeds) != cfg.trials:
-            raise ConfigError(f"need {cfg.trials} subseeds, got {len(subseeds)}")
-        seeds = tuple(int(s) for s in subseeds)
+    seeds = tuple(subseed(cfg.seed, t) for t in range(cfg.trials))
     keys = _keys(cfg)
-    item_bytes = _trial_bytes(cfg, keeps_gram=bool(keys.needs & GRAM_INPUTS))
-    payloads = _map_trials(_concentration_block, (cfg, keys), seeds, workers, item_bytes)
+    payloads = _map_trials(_concentration_block, (cfg, keys), seeds, workers, _trial_bytes(cfg))
 
     eps = np.asarray(cfg.epsilons)
     t_count = cfg.trials

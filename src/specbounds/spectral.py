@@ -100,7 +100,6 @@ class PerturbationPair:
     perturbed: GramMatrix
     e: np.ndarray
     spectral_norm_e: float
-    replaced_index: int
 
 
 def _as_matrix(g) -> np.ndarray:
@@ -353,7 +352,6 @@ def perturb_replace(s: SampleSet, spec: KernelSpec, index: int, replacement: np.
         perturbed=perturbed,
         e=e,
         spectral_norm_e=_replace_one_norm(delta, index - 1),
-        replaced_index=index,
     )
 
 

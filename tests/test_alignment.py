@@ -107,17 +107,6 @@ def test_theta_range_on_random_psd():
         assert -1e-12 <= theta <= 1.0 + 1e-12
 
 
-def test_theta_zero_mode_matches_drop_on_psd():
-    rng = np.random.default_rng(55)
-    for _ in range(20):
-        g = _random_psd_gram(rng, 8)
-        assert theta_statistic(g, mode="zero") == pytest.approx(
-            theta_statistic(g, mode="drop"), abs=1e-10
-        )
-    with pytest.raises(ConfigError):
-        theta_statistic(g, mode="both")
-
-
 def test_theta_needs_n_at_least_3():
     with pytest.raises(DataError):
         theta_statistic(_gram(np.eye(2)))
@@ -212,7 +201,6 @@ def test_alignment_report_full():
     report = alignment_report(g, y, epsilons=(0.5, 1.0))
     assert abs(report.a_kn) <= 1.0
     assert report.l_mid <= report.frob
-    assert report.theta_mode == "drop"
     # linear kernel on 3-d data is rank 3: theta degrades gracefully
     assert "kta_theta" in report.skipped
     for label in ("kta_spectral", "kta_spectral_approx", "kta_spectral_bdiff"):

@@ -24,7 +24,7 @@ from specbounds.bounds import (
     theorem_grid,
 )
 from specbounds.dataset import CovarianceStats, covariance_stats, gen_gaussian
-from specbounds.errors import ConfigError, DegenerateGapError
+from specbounds.errors import ConfigError, DegeneracyError, DegenerateGapError
 from specbounds.kernels import gaussian, gram, lipschitz, diag_sup
 from specbounds.spectral import GapProfile, Spectrum, eig_sym, gaps_from_eigenvalues
 
@@ -62,6 +62,13 @@ def test_trace_uniform_limits_and_identity():
     v_n = bound_trace_uniform(50, 1.0, 0.3)
     v_2n = bound_trace_uniform(100, 1.0, 0.3)
     assert v_2n == pytest.approx(v_n * v_n / 2.0, rel=1e-12)
+
+
+def test_trace_uniform_rejects_zero_diagonal_as_degenerate():
+    # a vanishing kernel diagonal is a failed precondition, so `bounds`
+    # skips the theorem instead of stopping with a configuration error
+    with pytest.raises(DegeneracyError, match="diagonal supremum must be positive, got 0.0"):
+        bound_trace_uniform(10, 0.0, 0.1)
 
 
 def test_theta_fixture():

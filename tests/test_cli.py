@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,7 @@ import pytest
 
 from specbounds import bounds as bnd
 from specbounds import experiments
-from specbounds.cli import main
+from specbounds.cli import build_parser, main
 from specbounds.dataset import load_csv
 from specbounds.experiments import ExperimentConfig, _draw, _keys, _trial_inputs, subseed
 from specbounds.kernels import gaussian, gram
@@ -193,6 +194,19 @@ def test_bounds_skips_theta_top_when_theta_is_undefined(tmp_path, capsys):
         assert meta["skipped_theorems"]["eigenvalue:1:theta_top"] == meta["theta_skipped"]
         theorems = {line.split(",")[3] for line in (out / "report.csv").read_text().splitlines()[1:]}
         assert "theta_top" not in theorems and {"diag_uniform", "adjacent_gap"} <= theorems
+
+
+def test_bounds_skips_diag_uniform_on_a_zero_diagonal(tmp_path, capsys):
+    # all-zero data under the linear kernel: the diagonal supremum is 0
+    data = tmp_path / "zero.csv"
+    data.write_text("0,0\n0,0\n0,0\n0,0\n")
+    argv = ("bounds", "--data", str(data), "--kernel", "linear", "--stat", "eig:1")
+    assert run_cli(*argv, "--out", str(tmp_path / "o4")) == 4
+    assert "eigenvalue:1:diag_uniform: diagonal supremum must be positive" in capsys.readouterr().err
+    out = tmp_path / "o0"
+    assert run_cli(*argv, "--allow-degenerate", "--out", str(out)) == 0
+    meta = json.loads((out / "metadata.json").read_text())
+    assert meta["skipped_theorems"]["eigenvalue:1:diag_uniform"] == "diagonal supremum must be positive, got 0.0"
 
 
 def test_bounds_reproduces_simulate_trial_bounds(tmp_path):
@@ -519,6 +533,18 @@ def test_align_rank1_fixture(tmp_path):
     assert float(a_line.split(",")[5]) == pytest.approx(1.0, rel=1e-12)
 
 
+def test_readme_command_line_flags_are_accepted():
+    # every --flag the README's command-line section names is an option of
+    # some subcommand, so a removed flag cannot linger in the docs
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    named = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+    commands = next(a for a in build_parser()._actions if a.choices and "bounds" in a.choices).choices
+    accepted = {flag for sub in commands.values() for flag in sub._option_string_actions}
+    assert {"--seed", "--workers", "--allow-degenerate", "--label-col"} <= named
+    assert sorted(named - accepted) == []
+
+
 def test_align_theta_mode_flag(tmp_path):
     rng = np.random.default_rng(81)
     rows = rng.standard_normal((10, 2))
@@ -526,14 +552,17 @@ def test_align_theta_mode_flag(tmp_path):
     data.write_text("\n".join(",".join(map(str, r)) for r in rows) + "\n")
     labels = tmp_path / "y.csv"
     labels.write_text("\n".join("1" if i % 2 else "-1" for i in range(10)) + "\n")
-    for mode in ("drop", "zero"):
-        out = tmp_path / f"al_{mode}"
-        assert run_cli("align", "--data", str(data), "--labels", str(labels),
-                       "--kernel", "gaussian:1.0", "--theta-mode", mode,
-                       "--out", str(out)) == 0
-        payload = json.loads((out / "alignment.json").read_text())
-        assert payload["theta_mode"] == mode
-        assert 0.0 <= payload["theta"] <= 1.0
+    # theta always drops the s-th row and column: the zero mode is gone, and
+    # with it the flag and the output key
+    argv = ("align", "--data", str(data), "--labels", str(labels), "--kernel", "gaussian:1.0")
+    out = tmp_path / "al"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv, "--theta-mode", "drop", "--out", str(out))
+    assert exc.value.code == 2 and not out.exists()
+    assert run_cli(*argv, "--out", str(out)) == 0
+    payload = json.loads((out / "alignment.json").read_text())
+    assert "theta_mode" not in payload
+    assert 0.0 <= payload["theta"] <= 1.0
 
 
 def test_align_label_col(tmp_path):

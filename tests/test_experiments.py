@@ -157,10 +157,12 @@ def test_config_pickles_without_its_kernel():
     assert back.kernel_spec() is back.kernel_spec()
 
 
-def test_identical_subseeds_zero_frequency():
+def test_identical_subseeds_zero_frequency(monkeypatch):
     cfg = _cfg(trials=2)
     s = subseed(cfg.seed, 0)
-    result = run_concentration(cfg, subseeds=(s, s))
+    monkeypatch.setattr(experiments, "subseed", lambda seed, t: s)
+    result = run_concentration(cfg)
+    assert result.subseeds == (s, s)
     for series in result.series:
         assert np.all(series.frequencies == 0.0)
         assert series.iqr == 0.0
@@ -379,14 +381,15 @@ def _square_arrays(records, n: int) -> int:
     return sum(isinstance(a, np.ndarray) and a.shape == (n, n) for a in fields)
 
 
-def test_blocks_carry_at_most_one_gram_matrix(monkeypatch):
-    # kta_theta reads theta from G after the spectrum, so each trial carries
-    # G, and at n = 300 a block is one trial
+def test_theta_blocks_carry_no_gram_matrix(monkeypatch):
+    # kta_theta reads theta and ||K||_F from G, both computed next to the
+    # eigensolve: at n = 300 both trials run in one block, which keeps no
+    # n x n array
     cfg = ExperimentConfig(n=300, p=3, trials=2, seed=5, indices=(1,), statistics=("kta",),
                            bounds=("kta_theta",))
     blocks = _carried_per_block(monkeypatch, cfg)
-    assert [len(b) for b in blocks] == [1, 1]
-    assert [_square_arrays(b, cfg.n) for b in blocks] == [1, 1]
+    assert [len(b) for b in blocks] == [2]
+    assert [_square_arrays(b, cfg.n) for b in blocks] == [0]
 
 
 def test_mc_bounds_blocks_carry_no_gram_matrix(monkeypatch):

@@ -20,7 +20,6 @@ from specbounds.alignment import kta, theta_statistic
 from specbounds.bounds import THEOREMS, BoundInputs
 from specbounds.dataset import SINGULAR_TOL_FACTOR, CovarianceStats, SampleSet, covariance_stats, whitened_norm
 from specbounds.errors import (
-    ConfigError,
     DataError,
     DegeneracyError,
     SingularCovarianceError,
@@ -28,7 +27,6 @@ from specbounds.errors import (
     ValidityConditionError,
 )
 from specbounds.experiments import (
-    GRAM_INPUTS,
     KNOWN_BOUNDS,
     ExperimentConfig,
     _keys,
@@ -256,10 +254,8 @@ def test_stacked_eig_sym_equals_per_member_bits(k, members, seed):
 # --- theta against the exhaustive loop ----------------------------------------
 
 
-def theta_brute_force(g: GramMatrix, mode: str = "drop") -> float:
+def theta_brute_force(g: GramMatrix) -> float:
     """Reference theta: one eigensolve for every deletion s."""
-    if mode not in ("drop", "zero"):
-        raise ConfigError(f"theta mode must be 'drop' or 'zero', got {mode!r}")
     n = g.n
     if n < 3:
         raise DataError(f"theta needs n >= 3, got n = {n}")
@@ -274,23 +270,16 @@ def theta_brute_force(g: GramMatrix, mode: str = "drop") -> float:
     denom = lam[: n - 1]
     best = -math.inf
     for s in range(1, n + 1):
-        if mode == "drop":
-            sub = principal_submatrix(g, s).entries
-            sub_lam = np.sort(np.linalg.eigvalsh(sub))[::-1]
-        else:
-            zeroed = g.entries.copy()
-            zeroed[s - 1, :] = 0.0
-            zeroed[:, s - 1] = 0.0
-            sub_lam = np.sort(np.linalg.eigvalsh(zeroed))[::-1][: n - 1]
-        ratio = float(np.min(sub_lam[: n - 1] / denom))
+        sub_lam = np.sort(np.linalg.eigvalsh(principal_submatrix(g, s).entries))[::-1]
+        ratio = float(np.min(sub_lam / denom))
         if ratio > best:
             best = ratio
     return 1.0 - best
 
 
-def _outcome(theta, g, mode):
+def _outcome(theta, g):
     try:
-        return theta(g, mode=mode)
+        return theta(g)
     except (DataError, DegeneracyError) as exc:
         return type(exc), str(exc)
 
@@ -329,10 +318,10 @@ def theta_grams(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(g=theta_grams(), mode=st.sampled_from(("drop", "zero")))
-def test_theta_equals_exhaustive_loop(g, mode):
+@given(g=theta_grams())
+def test_theta_equals_exhaustive_loop(g):
     # exact equality: skipped deletions must never include the maximiser
-    assert _outcome(theta_statistic, g, mode) == _outcome(theta_brute_force, g, mode)
+    assert _outcome(theta_statistic, g) == _outcome(theta_brute_force, g)
 
 
 def test_theta_solves_few_deletions(monkeypatch):
@@ -659,11 +648,11 @@ STAGED_CONFIGS = {
 }
 
 
-def _staged_runs(cfg, run, keeps_gram=False, pooled=(1, 2, 7, None)):
+def _staged_runs(cfg, run, pooled=(1, 2, 7, None)):
     """`run(workers)` with blocks of 1, 2 and 7 trials and of the whole run
     (None), with one worker, and with two at the lengths in `pooled`."""
     for length in (1, 2, 7, None):
-        budget = (length or cfg.trials) * _trial_bytes(cfg, keeps_gram)
+        budget = (length or cfg.trials) * _trial_bytes(cfg)
         with mock.patch.object(experiments, "BLOCK_BYTES", budget):
             yield run(1)
             if length in pooled:
@@ -685,13 +674,11 @@ def _concentration_bytes(result) -> list:
 @given(trials=st.integers(2, 40), seed=st.integers(0, 2**32 - 1))
 def test_concentration_bytes_do_not_depend_on_blocks_or_workers(name, trials, seed):
     cfg = ExperimentConfig(trials=trials, seed=seed, **STAGED_CONFIGS[name])
-    keeps_gram = bool(_keys(cfg).needs & GRAM_INPUTS)
-    assert keeps_gram == (name in ("kta-theta", "inner-kta"))
     # the pinned runs' exclusions pool one block length: the pool is the same
     # code for every config, and each pooled run costs a fork
     pooled = (1, 2, 7, None) if name in ("eigenvalue-topk", "kta-theta") else (7,)
     reference = _concentration_bytes(run_concentration(cfg))
-    for result in _staged_runs(cfg, lambda w: run_concentration(cfg, workers=w), keeps_gram, pooled):
+    for result in _staged_runs(cfg, lambda w: run_concentration(cfg, workers=w), pooled):
         assert _concentration_bytes(result) == reference
 
 

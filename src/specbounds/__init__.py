@@ -85,6 +85,7 @@ from .spectral import (
     PerturbationPair,
     Spectrum,
     eig_sym,
+    eigvals_sym,
     eigvec_first_order,
     gaps,
     gaps_from_eigenvalues,

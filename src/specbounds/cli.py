@@ -80,6 +80,17 @@ def _json(obj) -> str:
     return json.dumps(obj, indent=2, sort_keys=True) + "\n"
 
 
+def _nulled(obj, where: str, non_finite: list[str]):
+    """`obj`, nested dicts, with every non-finite float replaced by None and
+    its dotted key path appended to `non_finite`: JSON has no Infinity."""
+    if isinstance(obj, dict):
+        return {k: _nulled(v, f"{where}.{k}" if where else k, non_finite) for k, v in obj.items()}
+    if isinstance(obj, float) and not math.isfinite(obj):
+        non_finite.append(where)
+        return None
+    return obj
+
+
 def _write(path: Path, text: str) -> None:
     path.write_text(text, encoding="utf-8")
 
@@ -231,6 +242,10 @@ def _cmd_bounds(args) -> int:
         meta.setdefault("statistics", {})[f"{statistic}:{index}"] = report.metadata
     if skipped:
         meta["skipped_theorems"] = skipped
+    non_finite: list[str] = []
+    meta = _nulled(meta, "", non_finite)
+    if non_finite:
+        meta["non_finite"] = sorted(non_finite)
     files = {"metadata.json": _json(meta)}
     if skipped and not args.allow_degenerate:
         _write_files(out, files)

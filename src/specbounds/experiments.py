@@ -59,6 +59,7 @@ from .errors import ConfigError, SpecBoundsError
 from .kernels import GramMatrix, KernelSpec, diag_sup, gram, kernel_from_config, linear, lipschitz
 from .spectral import (
     eig_sym,
+    eigvals_sym,
     eigvec_first_order,
     gap_tolerance,
     gaps_from_eigenvalues,
@@ -685,8 +686,9 @@ class OracleTable:
 def _interlacing_trial(trial_seed: int) -> tuple[int, float]:
     """One random symmetric PSD matrix (dim 3..40), checked at every drop index.
 
-    The dim principal submatrices form one (dim, dim-1, dim-1) stack, solved
-    by one `eig_sym` call and checked by one broadcast `interlacing_check`.
+    Interlacing reads eigenvalues only: the matrix and the one (dim, dim-1,
+    dim-1) stack of its principal submatrices each take one `eigvals_sym`
+    call, and one broadcast `interlacing_check` compares them.
     """
     rng = np.random.default_rng(trial_seed)
     dim = int(rng.integers(3, 41))
@@ -694,8 +696,8 @@ def _interlacing_trial(trial_seed: int) -> tuple[int, float]:
     a = (b @ b.T) / dim
     # row d of `keep` lists the indices 0..dim-1 without d
     keep = np.arange(dim - 1) + (np.arange(dim - 1) >= np.arange(dim)[:, None])
-    children = eig_sym(a[keep[:, :, None], keep[:, None, :]])
-    ok, worst = interlacing_check(eig_sym(a), children)
+    children = eigvals_sym(a[keep[:, :, None], keep[:, None, :]])
+    ok, worst = interlacing_check(eigvals_sym(a), children)
     return int(np.count_nonzero(~ok)), float(np.max(worst))
 
 
@@ -814,7 +816,9 @@ def run_oracles(
 
     Row names: interlacing, eigenvalue_stability, perturbation_norm_printed,
     perturbation_norm_conservative, second_order_eigenvalue,
-    eigvec_expansion_residual, perturbation_norm_inner.
+    eigvec_expansion_residual, perturbation_norm_inner.  Interlacing and the
+    perturbation rows solve for eigenvalues only (`eigvals_sym`, `eigvalsh`);
+    the expansion residual reads eigenvectors from `eig_sym`.
     """
     if min(interlacing_matrices, perturbation_trials) < 100 or expansion_trials < 1:
         raise ConfigError("oracle trial counts must be >= 100 (expansion >= 1)")

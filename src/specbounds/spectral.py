@@ -121,14 +121,41 @@ def _member(a: np.ndarray, flat: int | None) -> str:
     return f"stack member {'unknown' if flat is None else flat} of {a.shape[:-2]}, n = {k}"
 
 
-def _first_unsolvable(members: np.ndarray) -> int | None:
-    """Index of the first of `members` (m, k, k) that `np.linalg.eigh` cannot solve alone."""
+def _first_unsolvable(solver, members: np.ndarray) -> int | None:
+    """Index of the first of `members` (m, k, k) that `solver` cannot solve alone."""
     for m, member in enumerate(members):
         try:
-            np.linalg.eigh(member)
+            solver(member)
         except np.linalg.LinAlgError:
             return m
     return None
+
+
+def _solve(solver, a: np.ndarray):
+    """`solver(a)` for `np.linalg.eigh` or `eigvalsh`; a failure raises
+    DegeneracyError naming the member of a stack that fails alone."""
+    try:
+        return solver(a)
+    except np.linalg.LinAlgError as exc:
+        members = a.reshape(-1, *a.shape[-2:])
+        bad = _first_unsolvable(solver, members)
+        scale = float(np.linalg.norm(a if bad is None else members[bad]))
+        raise DegeneracyError(
+            f"symmetric eigensolver failed to converge ({_member(a, bad)}, "
+            f"frobenius norm = {scale:.6g}): {exc}"
+        ) from exc
+
+
+def _check_members(a: np.ndarray, checks) -> None:
+    """Raise DegeneracyError naming the first member of `a` where a check's
+    value exceeds its limit; `checks` holds (value, limit, what) triples."""
+    for value, limit, what in checks:
+        failed = np.ravel(value > limit)
+        if failed.any():
+            bad = int(np.argmax(failed))
+            raise DegeneracyError(
+                f"{what} {float(np.ravel(value)[bad]):.3e} too large ({_member(a, bad)})"
+            )
 
 
 def eig_sym(g: GramMatrix | np.ndarray) -> Spectrum:
@@ -145,16 +172,7 @@ def eig_sym(g: GramMatrix | np.ndarray) -> Spectrum:
     naming its position in the stack.
     """
     a = _as_matrix(g)
-    try:
-        vals, vecs = np.linalg.eigh(a)
-    except np.linalg.LinAlgError as exc:
-        members = a.reshape(-1, *a.shape[-2:])
-        bad = _first_unsolvable(members)
-        scale = float(np.linalg.norm(a if bad is None else members[bad]))
-        raise DegeneracyError(
-            f"symmetric eigensolver failed to converge ({_member(a, bad)}, "
-            f"frobenius norm = {scale:.6g}): {exc}"
-        ) from exc
+    vals, vecs = _solve(np.linalg.eigh, a)
     vals = vals[..., ::-1].copy()
     vecs = vecs[..., ::-1].copy()
     anchor = np.argmax(np.abs(vecs), axis=-2)[..., None, :]
@@ -165,19 +183,38 @@ def eig_sym(g: GramMatrix | np.ndarray) -> Spectrum:
     ortho = np.max(np.abs(vecs_t @ vecs - np.eye(a.shape[-1])), axis=(-2, -1))
     fro = np.linalg.norm(a, ord="fro", axis=(-2, -1))
     recon = np.linalg.norm(a - (vecs * vals[..., None, :]) @ vecs_t, ord="fro", axis=(-2, -1))
-    for value, limit, what in (
+    _check_members(a, (
         (ortho, ORTHONORMALITY_TOL, "eigenvectors lost orthonormality: max deviation"),
         (recon, RECONSTRUCTION_RTOL * (1.0 + fro), "eigendecomposition reconstruction error"),
-    ):
-        failed = np.ravel(value > limit)
-        if failed.any():
-            bad = int(np.argmax(failed))
-            raise DegeneracyError(
-                f"{what} {float(np.ravel(value)[bad]):.3e} too large ({_member(a, bad)})"
-            )
+    ))
     vals.flags.writeable = False
     vecs.flags.writeable = False
     return Spectrum(eigenvalues=vals, eigenvectors=vecs)
+
+
+def eigvals_sym(g: GramMatrix | np.ndarray) -> np.ndarray:
+    """The eigenvalues of `eig_sym`, descending, without eigenvectors.
+
+    `g` may be a stack (..., k, k); one `np.linalg.eigvalsh` call solves it,
+    giving each member the bits of solving it alone, and returns (..., k).
+    Without eigenvectors, each member's eigenvalues are checked against two
+    invariants instead: their sum against the trace, and the root of their
+    sum of squares against the Frobenius norm, both within
+    RECONSTRUCTION_RTOL (1 + frobenius norm).  A member that misses either,
+    or fails the solver, raises DegeneracyError naming its position.
+    """
+    a = _as_matrix(g)
+    vals = _solve(np.linalg.eigvalsh, a)[..., ::-1].copy()
+    fro = np.linalg.norm(a, ord="fro", axis=(-2, -1))
+    limit = RECONSTRUCTION_RTOL * (1.0 + fro)
+    _check_members(a, (
+        (np.abs(np.sum(vals, axis=-1) - np.trace(a, axis1=-2, axis2=-1)), limit,
+         "eigenvalue sum misses the trace by"),
+        (np.abs(np.sqrt(np.sum(vals * vals, axis=-1)) - fro), limit,
+         "eigenvalue 2-norm misses the frobenius norm by"),
+    ))
+    vals.flags.writeable = False
+    return vals
 
 
 def gaps(spec: Spectrum, i: int) -> GapProfile:
@@ -263,19 +300,21 @@ def principal_submatrix(g: GramMatrix, drop: int) -> GramMatrix:
     return GramMatrix(entries=a[np.ix_(keep, keep)])
 
 
-def interlacing_check(parent: Spectrum, child: Spectrum) -> InterlacingResult:
+def interlacing_check(parent: np.ndarray, child: np.ndarray) -> InterlacingResult:
     """Check lambda_i(A) >= mu_i(B) >= lambda_{i+1}(A) for all i.
 
+    `parent` and `child` are descending eigenvalue arrays, as `eigvals_sym`
+    returns them, of A (k,) and of a principal submatrix B (k - 1,).
     Returns (ok, worst signed violation); negative violation means slack.
-    `child` may be a stack of spectra (from a stacked `eig_sym`); then both
-    fields are arrays over the stack, one entry per child.
+    `child` may be a stack (..., k - 1) of spectra; then both fields are
+    arrays over the stack, one entry per child.
     """
-    if child.n != parent.n - 1:
+    lam = np.asarray(parent, dtype=np.float64)
+    mu = np.asarray(child, dtype=np.float64)
+    if mu.shape[-1] != lam.shape[-1] - 1:
         raise DataError(
-            f"child must have dimension {parent.n - 1}, got {child.n}"
+            f"child must have dimension {lam.shape[-1] - 1}, got {mu.shape[-1]}"
         )
-    lam = parent.eigenvalues
-    mu = child.eigenvalues
     upper = mu - lam[:-1]       # > 0 violates mu_i <= lambda_i
     lower = lam[1:] - mu        # > 0 violates mu_i >= lambda_{i+1}
     worst = np.maximum(np.max(upper, axis=-1), np.max(lower, axis=-1))

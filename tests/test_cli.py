@@ -209,6 +209,31 @@ def test_bounds_skips_diag_uniform_on_a_zero_diagonal(tmp_path, capsys):
     assert meta["skipped_theorems"]["eigenvalue:1:diag_uniform"] == "diagonal supremum must be positive, got 0.0"
 
 
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_bounds_metadata_is_strict_json(tmp_path):
+    # the gap at eigen-order 1 of an all-zero linear Gram matrix is 0, so
+    # both gap sums are +inf: written as null and listed, never as Infinity
+    data = tmp_path / "zero.csv"
+    data.write_text("0,0\n0,0\n0,0\n0,0\n")
+    out = tmp_path / "o"
+    assert run_cli("bounds", "--data", str(data), "--kernel", "linear", "--stat", "eig:1",
+                   "--allow-degenerate", "--out", str(out)) == 0
+    meta = json.loads((out / "metadata.json").read_text(), parse_constant=_reject_constant)
+    assert meta["statistics"]["eigenvalue:1"] == {"gap_next": 0.0, "inv_gap_sq_sum": None,
+                                                   "resolvent_sum": None}
+    assert meta["non_finite"] == ["statistics.eigenvalue:1.inv_gap_sq_sum",
+                                  "statistics.eigenvalue:1.resolvent_sum"]
+    # a finite run has no list
+    finite = tmp_path / "f"
+    assert run_cli("bounds", "--data", _write_fixture(tmp_path), "--stat", "eig:1",
+                   "--out", str(finite)) == 0
+    meta = json.loads((finite / "metadata.json").read_text(), parse_constant=_reject_constant)
+    assert "non_finite" not in meta
+
+
 def test_bounds_reproduces_simulate_trial_bounds(tmp_path):
     # one simulate trial's samples through `bounds`: the same raw-spectrum
     # inputs, so the same bound values (eigh and eigvalsh eigenvalues differ
@@ -543,6 +568,17 @@ def test_readme_command_line_flags_are_accepted():
     accepted = {flag for sub in commands.values() for flag in sub._option_string_actions}
     assert {"--seed", "--workers", "--allow-degenerate", "--label-col"} <= named
     assert sorted(named - accepted) == []
+
+
+def test_readme_audit_table_lists_the_oracle_rows():
+    # the README's audit table names every row `run_oracles` returns, in order
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n### audit\n", 1)[1].split("\n### ", 1)[0]
+    listed = re.findall(r"^\| `(\w+)` \|", section, flags=re.MULTILINE)
+    cfg = ExperimentConfig(n=6, p=2, trials=2, seed=1, indices=(1,), bounds=())
+    table = experiments.run_oracles(cfg, interlacing_matrices=100, perturbation_trials=100,
+                                    expansion_trials=1)
+    assert listed == [row.name for row in table.rows]
 
 
 def test_align_theta_mode_flag(tmp_path):

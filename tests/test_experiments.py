@@ -9,7 +9,7 @@ from specbounds.bounds import theorem_values
 from specbounds.errors import ConfigError, SpecBoundsError
 from specbounds.dataset import SampleSet
 from specbounds.kernels import GramMatrix, gram, linear
-from specbounds.spectral import Spectrum, eig_sym, interlacing_check, principal_submatrix
+from specbounds.spectral import eig_sym, eigvals_sym, interlacing_check, principal_submatrix
 from specbounds.experiments import (
     KNOWN_BOUNDS,
     ExperimentConfig,
@@ -542,11 +542,11 @@ def _interlacing_per_drop(trial_seed: int) -> tuple[int, float]:
     dim = int(rng.integers(3, 41))
     b = rng.standard_normal((dim, dim))
     a = GramMatrix(entries=(b @ b.T) / dim)
-    parent = eig_sym(a)
+    parent = eigvals_sym(a)
     violations = 0
     worst = -np.inf
     for drop in range(1, dim + 1):
-        ok, violation = interlacing_check(parent, eig_sym(principal_submatrix(a, drop)))
+        ok, violation = interlacing_check(parent, eigvals_sym(principal_submatrix(a, drop)))
         worst = max(worst, violation)
         violations += not ok
     return violations, worst
@@ -559,26 +559,41 @@ def test_interlacing_trial_equals_per_drop_loop():
 
 
 def test_interlacing_counts_a_violating_child_in_a_stack(monkeypatch):
-    parent = Spectrum(eigenvalues=np.array([3.0, 2.0, 1.0]), eigenvectors=np.eye(3))
-    children = Spectrum(eigenvalues=np.array([[2.5, 1.5], [3.5, 1.0], [2.0, 1.0]]),
-                        eigenvectors=np.broadcast_to(np.eye(2), (3, 2, 2)))
+    parent = np.array([3.0, 2.0, 1.0])
+    children = np.array([[2.5, 1.5], [3.5, 1.0], [2.0, 1.0]])
     ok, worst = interlacing_check(parent, children)
     assert ok.tolist() == [True, False, True]
     assert worst.tolist() == [-0.5, 0.5, 0.0]
 
-    solve = experiments.eig_sym
+    solve = experiments.eigvals_sym
 
     def raise_second_child(a):
-        spec = solve(a)
-        if spec.eigenvalues.ndim == 1:
-            return spec
-        lam = spec.eigenvalues.copy()
+        lam = solve(a)
+        if lam.ndim == 1:
+            return lam
+        lam = lam.copy()
         lam[1, 0] = float(np.max(lam)) + 1.0
-        return Spectrum(eigenvalues=lam, eigenvectors=spec.eigenvectors)
+        return lam
 
-    monkeypatch.setattr(experiments, "eig_sym", raise_second_child)
+    monkeypatch.setattr(experiments, "eigvals_sym", raise_second_child)
     violations, worst = _interlacing_trial(subseed(11, 1_000_000))
     assert violations == 1 and worst > 0.0
+
+
+def test_interlacing_row_equals_eig_sym_reference(monkeypatch):
+    # the row `run_oracles` writes, against the same matrices solved with
+    # eigenvectors: eigvalsh and eigh round differently, and the row must not see it
+    reference = []
+    with monkeypatch.context() as m:
+        m.setattr(experiments, "eigvals_sym", lambda a: eig_sym(a).eigenvalues)
+        for seed in range(1, 21):
+            trials = [_interlacing_trial(subseed(seed, 1_000_000 + t)) for t in range(100)]
+            reference.append((sum(v for v, _ in trials), max(0.0, max(w for _, w in trials))))
+    for seed, want in zip(range(1, 21), reference):
+        cfg = _cfg(n=6, p=2, seed=seed)
+        row = run_oracles(cfg, interlacing_matrices=100, perturbation_trials=100,
+                          expansion_trials=1).row("interlacing")
+        assert (row.violations, row.max_violation) == want, seed
 
 
 def test_run_oracles_zero_perturbation_smoke():

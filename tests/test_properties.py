@@ -40,6 +40,7 @@ from specbounds.kernels import GramMatrix, gaussian, gram, linear, polynomial
 from specbounds.spectral import (
     FROBENIUS_MARGIN,
     eig_sym,
+    eigvals_sym,
     eigvec_first_order,
     gap_tolerance,
     gaps_from_eigenvalues,
@@ -249,6 +250,17 @@ def test_stacked_eig_sym_equals_per_member_bits(k, members, seed):
         alone = eig_sym(stack[m])
         assert np.array_equal(spec.eigenvalues[m], alone.eigenvalues)
         assert np.array_equal(spec.eigenvectors[m], alone.eigenvectors)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 40), members=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_stacked_eigvals_sym_equals_per_member_eigvalsh_bits(k, members, seed):
+    b = np.random.default_rng(seed).standard_normal((members, k, k))
+    stack = b @ np.swapaxes(b, -1, -2) / k
+    lam = eigvals_sym(stack)
+    assert lam.shape == (members, k)
+    for m in range(members):
+        assert np.array_equal(lam[m], np.linalg.eigvalsh(stack[m])[::-1])
 
 
 # --- theta against the exhaustive loop ----------------------------------------

@@ -7,6 +7,7 @@ from specbounds.kernels import GramMatrix, gaussian, linear, gram, polynomial
 from specbounds.spectral import (
     Spectrum,
     eig_sym,
+    eigvals_sym,
     eigvec_first_order,
     gaps,
     gaps_from_eigenvalues,
@@ -122,6 +123,57 @@ def test_eig_sym_stack_names_member_that_does_not_converge(monkeypatch):
     eig_sym(stack[:4])
 
 
+def test_eigvals_sym_matches_eig_sym():
+    stack = _psd_stack(4, 6, 34)
+    lam = eigvals_sym(stack)
+    assert lam.shape == (4, 6) and not lam.flags.writeable
+    assert np.max(np.abs(lam - eig_sym(stack).eigenvalues)) <= 1e-12
+    assert np.array_equal(eigvals_sym(_gram(np.diag([3.0, 1.0, 2.0]))), [3.0, 2.0, 1.0])
+    with pytest.raises(DataError):
+        eigvals_sym(np.zeros((4, 6, 5)))
+    with pytest.raises(DataError):
+        eigvals_sym(np.full((2, 2), np.nan))
+
+
+@pytest.mark.parametrize("shifted", [0, 1])
+def test_eigvals_sym_names_member_whose_eigenvalues_miss_the_invariants(monkeypatch, shifted):
+    # the largest eigenvalue of one member moves by 1e-3: its sum misses the
+    # trace, and when the shift keeps the sum, its 2-norm misses ||A||_F
+    stack = _psd_stack(5, 4, 35)
+    eigvalsh = np.linalg.eigvalsh
+
+    def shift_member_2(a):
+        vals = eigvalsh(a)
+        if a.ndim == 3:
+            vals[2, -1] += 1e-3
+            vals[2, 0] -= 1e-3 * shifted
+        return vals
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", shift_member_2)
+    what = "frobenius norm" if shifted else "trace"
+    with pytest.raises(DegeneracyError, match=rf"{what} by .*stack member 2 of \(5,\), n = 4"):
+        eigvals_sym(stack)
+    eigvals_sym(stack[2])  # a single matrix passes through the same checks
+
+
+def test_eigvals_sym_names_member_that_does_not_converge(monkeypatch):
+    stack = _psd_stack(6, 5, 36)
+    poison = stack[3]
+    eigvalsh = np.linalg.eigvalsh
+
+    def fail_on_poison(a):
+        if np.any(np.all(np.asarray(a) == poison, axis=(-2, -1))):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail_on_poison)
+    with pytest.raises(DegeneracyError, match=r"failed to converge \(stack member 3 of \(6,\), n = 5"):
+        eigvals_sym(stack)
+    with pytest.raises(DegeneracyError, match=r"failed to converge \(n = 5"):
+        eigvals_sym(poison)
+    eigvals_sym(np.delete(stack, 3, axis=0))
+
+
 def test_gaps_examples():
     spec = Spectrum(eigenvalues=np.array([3.0, 2.0, 1.0]), eigenvectors=np.eye(3))
     p = gaps(spec, 1)
@@ -170,14 +222,10 @@ def test_principal_submatrix():
 
 
 def test_interlacing_examples():
-    parent = Spectrum(eigenvalues=np.array([3.0, 2.0, 1.0]), eigenvectors=np.eye(3))
-    ok, violation = interlacing_check(
-        parent, Spectrum(eigenvalues=np.array([2.5, 1.5]), eigenvectors=np.eye(2))
-    )
+    parent = np.array([3.0, 2.0, 1.0])
+    ok, violation = interlacing_check(parent, np.array([2.5, 1.5]))
     assert ok and violation <= 0
-    ok, violation = interlacing_check(
-        parent, Spectrum(eigenvalues=np.array([3.5, 1.0]), eigenvectors=np.eye(2))
-    )
+    ok, violation = interlacing_check(parent, np.array([3.5, 1.0]))
     assert not ok
     assert violation == pytest.approx(0.5)
     with pytest.raises(DataError):
@@ -190,9 +238,9 @@ def test_interlacing_brute_force_small():
         dim = int(rng.integers(3, 12))
         b = rng.standard_normal((dim, dim))
         g = _gram(np.triu(b @ b.T) + np.triu(b @ b.T, 1).T)
-        parent = eig_sym(g)
+        parent = eigvals_sym(g)
         for drop in range(1, dim + 1):
-            ok, _ = interlacing_check(parent, eig_sym(principal_submatrix(g, drop)))
+            ok, _ = interlacing_check(parent, eigvals_sym(principal_submatrix(g, drop)))
             assert ok
 
 

@@ -73,7 +73,7 @@ from .kernels import (
     gaussian,
     gram,
     inner_product_kernel,
-    kernel_from_cli,
+    kernel_config,
     kernel_from_config,
     linear,
     lipschitz,

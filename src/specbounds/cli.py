@@ -47,11 +47,10 @@ from .experiments import (
     run_oracles,
     sample_inputs,
 )
-from .kernels import gram, kernel_from_cli
+from .kernels import gram, kernel_config, kernel_from_config
 from .spectral import eig_sym
 from .svgplot import LinePlot, render_boxplot
 
-PRESETS = ("example1-fig2-top", "example1-fig2-bottom", "fig1-boxplot")
 MODES = ("concentration", "boxplot")
 RESULTS_HEADER = "statistic,index,epsilon,theorem,kind,value,stderr,flags"
 AUDIT_HEADER = "inequality,trials,violations,skipped,max_violation"
@@ -190,7 +189,7 @@ def _parse_stats(text: str) -> list[tuple[str, int]]:
 def _cmd_bounds(args) -> int:
     out = Path(args.out)
     samples = load_csv(args.data, header=args.header)
-    spec = kernel_from_cli(args.kernel)
+    spec = kernel_from_config(kernel_config(args.kernel))
     epsilons = _parse_eps(args.eps)
     stats = _parse_stats(args.stat)
     if args.theta is not None and not 0.0 < args.theta <= 1.0:
@@ -272,77 +271,81 @@ def vars_config(args) -> dict:
 # --- simulate ----------------------------------------------------------------
 
 
-def preset_runs(name: str, seed: int, trials: int | None, epsilons) -> list[Run]:
-    """Built-in experiment presets; returns [(label, mode, config), ...]."""
-    common = {"n": 100, "trials": 1000 if trials is None else trials, "seed": seed}
-    if epsilons is not None:
-        common["epsilons"] = epsilons
-    if name == "example1-fig2-top":
-        return [("", "concentration", ExperimentConfig(p=1, **common))]
-    if name == "example1-fig2-bottom":
-        return [(f"p{p}", "concentration", ExperimentConfig(p=p, bounds=("covgap_distance",), **common))
-                for p in (2, 5)]
-    if name == "fig1-boxplot":
-        return [("", "boxplot", ExperimentConfig(p=5, indices=tuple(range(1, 16)), bounds=(), **common))]
-    raise ConfigError(f"unknown preset {name!r} (known: {PRESETS})")
+# each preset is a run list, read as a --config file's is
+PRESETS = {
+    "example1-fig2-top": [{"config": {"n": 100, "p": 1}}],
+    "example1-fig2-bottom": [{"label": f"p{p}", "config": {"n": 100, "p": p, "bounds": ["covgap_distance"]}}
+                             for p in (2, 5)],
+    "fig1-boxplot": [{"mode": "boxplot",
+                      "config": {"n": 100, "p": 5, "indices": list(range(1, 16)), "bounds": []}}],
+}
+# the flags that set a run's config fields, each with its parser
+RUN_FLAGS = {
+    "n": int,
+    "p": int,
+    "kernel": kernel_config,
+    "indices": _parse_indices,
+    "statistics": lambda text: text.split(","),
+    "bounds": lambda text: [b for b in text.split(",") if b],  # an empty --bounds runs no bound
+}
 
 
-def _config_runs(path: str, overrides: dict) -> list[Run]:
-    """The runs of a --config file (one config or {"runs": [...]}), each
-    config with `overrides` applied."""
+def _load_config(path: str):
+    """The run list of a --config file: its "runs", or its one config."""
     try:
         payload = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise DataError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    runs = payload["runs"] if isinstance(payload, dict) and "runs" in payload else [{"config": payload}]
+    return payload["runs"] if isinstance(payload, dict) and "runs" in payload else [{"config": payload}]
+
+
+def _runs(runs, source: str, overrides: dict) -> list[Run]:
+    """The runs of a run list [{"label", "mode", "config"}, ...], each config with
+    `overrides` applied: presets, --config files and the flags all end here."""
     if not isinstance(runs, list) or not all(isinstance(r, dict) and "config" in r for r in runs):
-        raise ConfigError(f'config {path}: "runs" must be a list of {{"label", "mode", "config"}} objects')
+        raise ConfigError(f'{source}: "runs" must be a list of {{"label", "mode", "config"}} objects')
+    if not runs:
+        raise ConfigError(f'{source}: "runs" is empty')
     out = []
     for run in runs:
         unknown = sorted(set(run) - {"label", "mode", "config"})
         if unknown:
-            raise ConfigError(f"config {path}: unknown run key(s) {unknown}")
+            raise ConfigError(f"{source}: unknown run key(s) {unknown}")
         mode = run.get("mode", "concentration")
         if mode not in MODES:
-            raise ConfigError(f"config {path}: unknown mode {mode!r} (known: {MODES})")
+            raise ConfigError(f"{source}: unknown mode {mode!r} (known: {MODES})")
         config = run["config"]
         if isinstance(config, dict):
             config = {**config, **overrides}
         label = run.get("label", "")
         if not isinstance(label, str):
-            raise ConfigError(f"config {path}: run label must be a string, got {label!r}")
+            raise ConfigError(f"{source}: run label must be a string, got {label!r}")
+        if label in (".", "..") or any(c in label for c in "/\\\0"):
+            raise ConfigError(f"{source}: run label {label!r} is not a file-name part (results_<label>.csv)")
         if any(label == other for other, _, _ in out):
-            raise ConfigError(f"config {path}: run label {label!r} is used more than once")
+            raise ConfigError(f"{source}: run label {label!r} is used more than once")
         out.append((label, mode, ExperimentConfig.from_dict(config)))
     return out
 
 
 def _runs_from_args(args, seed: int | None) -> list[Run]:
-    epsilons = _parse_eps(args.eps)
-    if args.preset:
-        return preset_runs(args.preset, seed, args.trials, epsilons)
-    if args.config:
-        given = {"trials": args.trials, "seed": args.seed, "epsilons": None if args.eps is None else epsilons}
-        return _config_runs(args.config, {k: v for k, v in given.items() if v is not None})
+    eps = None if args.eps is None else _parse_eps(args.eps)
+    overrides = {k: v for k, v in {"trials": args.trials, "seed": seed, "epsilons": eps}.items() if v is not None}
+    given = [name for name in (*RUN_FLAGS, "mode") if getattr(args, name) is not None]
+    if args.preset or args.config:
+        if given:
+            raise ConfigError(f"--{', --'.join(given)} cannot be combined with --preset or --config")
+        if args.preset:
+            return _runs(PRESETS[args.preset], f"preset {args.preset}", overrides)
+        return _runs(_load_config(args.config), f"config {args.config}", overrides)
     if args.n is None or args.p is None:
         raise ConfigError("simulate needs --preset, --config, or at least --n and --p")
-    fields = {
-        "epsilons": epsilons,
-        "kernel": _kernel_dict(args.kernel),
-        "indices": _parse_indices(args.indices),
-        "statistics": args.statistics.split(","),
-    }
-    if args.bounds is not None:  # an empty --bounds runs no bound
-        fields["bounds"] = [b for b in args.bounds.split(",") if b]
-    trials = 1000 if args.trials is None else args.trials
-    return [("", args.mode, ExperimentConfig(n=args.n, p=args.p, trials=trials, seed=seed, **fields))]
-
-
-def _kernel_dict(token: str) -> dict:
-    spec = kernel_from_cli(token)
-    return {"family": spec.name, **spec.params}
+    run = {"config": {name: RUN_FLAGS[name](getattr(args, name)) for name in given if name != "mode"}}
+    if args.mode is not None:
+        run["mode"] = args.mode
+    return _runs([run], "simulate flags", overrides)
 
 
 def _result_csv(result: ExperimentResult) -> str:
@@ -460,7 +463,7 @@ def _concentration_svg(results: list[tuple[str, ExperimentResult]]) -> str:
 
 def _cmd_simulate(args) -> int:
     # a --config run takes each run's seed from its file unless --seed is given
-    seed = args.seed if args.config and not args.preset else _resolve_seed(args)
+    seed = args.seed if args.config else _resolve_seed(args)
     runs = _runs_from_args(args, seed)
     files: dict[str, str] = {}
     summary_runs = []
@@ -510,7 +513,7 @@ def _cmd_align(args) -> int:
             raise DataError("labels required: pass --labels FILE or --label-col NAME")
         samples = load_csv(args.data, header=args.header)
         labels = load_labels(args.labels)
-    spec = kernel_from_cli(args.kernel)
+    spec = kernel_from_config(kernel_config(args.kernel))
     epsilons = _parse_eps(args.eps)
     g = gram(samples, spec)
     report = alignment_report(g, labels, epsilons)
@@ -561,7 +564,7 @@ def _cmd_audit(args) -> int:
         p=args.p,
         trials=2,  # unused by the oracles; config requires >= 2
         seed=seed,
-        kernel=_kernel_dict(args.kernel),
+        kernel=kernel_config(args.kernel),
         indices=(args.index,),
         bounds=(),
     )
@@ -617,16 +620,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("simulate", help="seeded Monte Carlo concentration experiments")
-    p.add_argument("--preset", choices=PRESETS, default=None)
-    p.add_argument("--config", default=None, help="JSON experiment config (single or {runs: [...]})")
+    runs = p.add_mutually_exclusive_group()
+    runs.add_argument("--preset", choices=PRESETS, default=None)
+    runs.add_argument("--config", default=None, help="JSON experiment config (single or {runs: [...]})")
+    # no run field has a default here: ExperimentConfig holds them
     p.add_argument("--n", type=int, default=None)
     p.add_argument("--p", type=int, default=None)
     p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--kernel", default="gaussian:1.0")
-    p.add_argument("--indices", default="1,2,3", help="comma list, ranges allowed (1..15)")
-    p.add_argument("--statistics", default="eigenvalue")
-    p.add_argument("--bounds", default="adjacent_gap")
-    p.add_argument("--mode", default="concentration", choices=("concentration", "boxplot"))
+    p.add_argument("--kernel", default=None, help="gaussian[:SIGMA] | linear | polynomial[:D[:C]]")
+    p.add_argument("--indices", default=None, help="comma list, ranges allowed (1..15)")
+    p.add_argument("--statistics", default=None)
+    p.add_argument("--bounds", default=None)
+    p.add_argument("--mode", default=None, choices=MODES)
     p.add_argument("--eps", default=None)
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--workers", type=int, default=1)
@@ -637,8 +642,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("align", help="kernel target-alignment report")
     p.add_argument("--data", required=True)
     p.add_argument("--header", action="store_true")
-    p.add_argument("--labels", default=None, help="one-column CSV of +/-1 labels")
-    p.add_argument("--label-col", default=None, help="label column name inside --data (implies header)")
+    labels = p.add_mutually_exclusive_group()
+    labels.add_argument("--labels", default=None, help="one-column CSV of +/-1 labels")
+    labels.add_argument("--label-col", default=None, help="label column name inside --data (implies header)")
     p.add_argument("--kernel", default="gaussian:1.0")
     p.add_argument("--eps", default=None)
     p.add_argument("--out", default="specbounds_out")

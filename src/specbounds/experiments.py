@@ -108,9 +108,9 @@ class ExperimentConfig:
 
     n: int
     p: int
-    trials: int
     seed: int
-    kernel: dict = field(default_factory=lambda: {"family": "gaussian", "sigma": 1.0})
+    trials: int = 1000
+    kernel: dict = field(default_factory=lambda: {"family": "gaussian"})
     generator: str = "gaussian"
     epsilons: tuple[float, ...] = field(default_factory=default_epsilons)
     indices: tuple[int, ...] = (1, 2, 3)
@@ -122,6 +122,7 @@ class ExperimentConfig:
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
         spec = kernel_from_config(self.kernel)  # validated eagerly, built once
         object.__setattr__(self, "_spec", spec)
+        object.__setattr__(self, "kernel", {"family": spec.name, **spec.params})
         kind = spec.kind
         flags = [e for e in self.epsilons if isinstance(e, (bool, np.bool_))]
         if flags:
@@ -130,7 +131,6 @@ class ExperimentConfig:
         object.__setattr__(self, "indices", tuple(_integer("indices", i, "hold integers") for i in self.indices))
         object.__setattr__(self, "statistics", tuple(self.statistics))
         object.__setattr__(self, "bounds", tuple(self.bounds))
-        object.__setattr__(self, "kernel", dict(self.kernel))
         for name in ("statistics", "indices", "bounds"):
             values = getattr(self, name)
             repeated = [v for j, v in enumerate(values) if v in values[:j]]
@@ -193,7 +193,7 @@ class ExperimentConfig:
         unknown = sorted(set(obj) - {f.name for f in fields(cls)} - {"scaling"})
         if unknown:
             raise ConfigError(f"experiment config has unknown key(s) {unknown}")
-        for name in ("n", "p", "trials", "seed"):
+        for name in ("n", "p", "seed"):
             if name not in obj:
                 raise ConfigError(f"experiment config is missing key {name!r}")
         try:

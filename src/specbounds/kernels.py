@@ -8,6 +8,8 @@ domain; custom profiles must declare one.
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
@@ -28,15 +30,14 @@ class KernelSpec:
     """A kernel family instance: profile, argument kind, Lipschitz data.
 
     `lip` is the declared Lipschitz constant of the profile, or None when it
-    depends on the data-induced domain (polynomial); `domain_bound` pins that
-    domain explicitly when known.
+    depends on the data-induced domain (polynomial), which `lipschitz`
+    computes from the samples.
     """
 
     name: str
     kind: str                                   # DISTANCE or INNER
     profile: Callable[[np.ndarray], np.ndarray]
     lip: float | None = None
-    domain_bound: float | None = None
     params: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -107,11 +108,11 @@ def linear() -> KernelSpec:
     return KernelSpec(name="linear", kind=INNER, profile=lambda t: np.asarray(t, dtype=np.float64), lip=1.0)
 
 
-def polynomial(degree: int, offset: float = 0.0, domain_bound: float | None = None) -> KernelSpec:
+def polynomial(degree: int, offset: float = 0.0) -> KernelSpec:
     """Polynomial kernel (x . y + offset)^degree.
 
-    Its Lipschitz constant depends on the data-induced domain |t| <= B; pass
-    `domain_bound` to pin B, otherwise `lipschitz` computes it from samples.
+    Its Lipschitz constant depends on the data-induced domain |t| <= B, so
+    `lipschitz` computes it from the samples.
     """
     if degree < 1 or int(degree) != degree:
         raise ConfigError(f"polynomial degree must be an integer >= 1, got {degree}")
@@ -122,8 +123,6 @@ def polynomial(degree: int, offset: float = 0.0, domain_bound: float | None = No
         name="polynomial",
         kind=INNER,
         profile=lambda t, _d=d, _c=c: (np.asarray(t, dtype=np.float64) + _c) ** _d,
-        lip=None,
-        domain_bound=domain_bound,
         params={"degree": d, "offset": c},
     )
 
@@ -138,42 +137,54 @@ def inner_product_kernel(profile: Callable, lipschitz_constant: float, name: str
     return KernelSpec(name=name, kind=INNER, profile=profile, lip=float(lipschitz_constant))
 
 
+# the kernel grammar: each family's builder and its parameters with their
+# defaults, in the order a `--kernel` token lists them
+_FAMILIES = {
+    "gaussian": (gaussian, {"sigma": 1.0}),
+    "linear": (linear, {}),
+    "polynomial": (polynomial, {"degree": 2, "offset": 0.0}),
+}
+
+
+def _family(name) -> tuple[Callable[..., KernelSpec], dict]:
+    if not isinstance(name, str) or name not in _FAMILIES:
+        raise ConfigError(f"unknown kernel family {name!r} (known: {list(_FAMILIES)})")
+    return _FAMILIES[name]
+
+
 def kernel_from_config(obj: dict) -> KernelSpec:
     """Build a KernelSpec from the config grammar, e.g.
     {"family": "gaussian", "sigma": 1.0} or {"family": "polynomial", "degree": 2, "offset": 1.0}.
+
+    A parameter left out takes its default; an unknown key, a value that is
+    not a finite number (a boolean included) or a fractional degree raises
+    ConfigError.  `{"family": spec.name, **spec.params}` is the canonical dict.
     """
     if not isinstance(obj, dict) or "family" not in obj:
         raise ConfigError(f"kernel config must be a dict with a 'family' key, got {obj!r}")
     family = obj["family"]
-    if family == "gaussian":
-        return gaussian(float(obj.get("sigma", 1.0)))
-    if family == "linear":
-        return linear()
-    if family == "polynomial":
-        return polynomial(
-            int(obj.get("degree", 2)),
-            float(obj.get("offset", 0.0)),
-            obj.get("domain_bound"),
-        )
-    raise ConfigError(f"unknown kernel family {family!r}")
+    build, defaults = _family(family)
+    unknown = sorted(set(obj) - {"family", *defaults})
+    if unknown:
+        raise ConfigError(f"{family} kernel has no key(s) {unknown} (its keys: {list(defaults)})")
+    params = {**defaults, **{k: v for k, v in obj.items() if k != "family"}}
+    for key, value in params.items():
+        if isinstance(value, bool) or not isinstance(value, numbers.Real) or not math.isfinite(value):
+            raise ConfigError(f"{family} kernel {key!r} must be a finite number, got {value!r}")
+    return build(**params)
 
 
-def kernel_from_cli(token: str) -> KernelSpec:
-    """Parse the CLI shorthand: 'gaussian:1.0', 'linear', 'polynomial:2:1.0'."""
-    parts = token.split(":")
-    family, args = parts[0], parts[1:]
+def kernel_config(token: str) -> dict:
+    """The config dict of a `--kernel` token, 'gaussian[:SIGMA]', 'linear' or
+    'polynomial[:DEGREE[:OFFSET]]', for `kernel_from_config` to validate."""
+    family, *fields = token.split(":")
+    names = list(_family(family)[1])
+    if len(fields) > len(names):
+        raise ConfigError(f"kernel {token!r} has {len(fields)} field(s); {family} takes {len(names)}")
     try:
-        if family == "gaussian":
-            return gaussian(float(args[0]) if args else 1.0)
-        if family == "linear":
-            return linear()
-        if family == "polynomial":
-            degree = int(args[0]) if args else 2
-            offset = float(args[1]) if len(args) > 1 else 0.0
-            return polynomial(degree, offset)
-    except (ValueError, IndexError) as exc:
+        return {"family": family, **{name: float(v) for name, v in zip(names, fields)}}
+    except ValueError as exc:
         raise ConfigError(f"cannot parse kernel spec {token!r}: {exc}") from exc
-    raise ConfigError(f"unknown kernel family {family!r} in {token!r}")
 
 
 def _pairwise_argument(x: np.ndarray, kind: str) -> np.ndarray:
@@ -223,21 +234,16 @@ def gram(s: SampleSet, spec: KernelSpec) -> GramMatrix:
 def lipschitz(spec: KernelSpec, s: SampleSet | None = None) -> float:
     """Lipschitz constant of the scalar profile on its (data-induced) domain.
 
-    Built-in families have closed forms; the polynomial family needs either a
-    declared domain bound or samples to compute B = max over pairs of the
-    profile argument.  Custom profiles must have declared their constant.
+    Built-in families have closed forms; the polynomial family needs samples
+    to compute B = max over pairs of |profile argument|.  Custom profiles must
+    have declared their constant.
     """
     if spec.name == "polynomial":
         d = spec.params["degree"]
         c = spec.params["offset"]
-        if spec.domain_bound is not None:
-            b = float(spec.domain_bound)
-        elif s is not None:
-            b = float(np.max(np.abs(_pairwise_argument(s.rows, spec.kind))))
-        else:
-            raise ConfigError(
-                "polynomial kernel needs a domain bound or samples to compute its Lipschitz constant"
-            )
+        if s is None:
+            raise ConfigError("polynomial kernel needs samples to compute its Lipschitz constant")
+        b = float(np.max(np.abs(_pairwise_argument(s.rows, spec.kind))))
         if d == 1:
             return 1.0
         return float(d * (b + c) ** (d - 1))

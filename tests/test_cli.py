@@ -11,6 +11,7 @@ import pytest
 
 from specbounds import bounds as bnd
 from specbounds import experiments
+from specbounds import cli
 from specbounds.cli import build_parser, main
 from specbounds.dataset import load_csv
 from specbounds.experiments import ExperimentConfig, _draw, _keys, _trial_inputs, subseed
@@ -435,6 +436,10 @@ def test_failed_runs_create_no_output_directory(tmp_path):
                {"config": {"n": 10, "p": 2, "trials": 3, "seed": 2}}]}, "label must be a string"),
     # a boolean is not read as 1
     ({"n": 10, "p": True, "trials": 3, "seed": 1}, "'p' must be an integer"),
+    # a label is a file-name suffix, results_<label>.csv, never a path
+    *(({"runs": [{"label": label, "config": {"n": 10, "p": 2, "trials": 3, "seed": 1}}]}, "not a file-name part")
+      for label in ("a/b", "a\\b", "a\0b", ".", "..")),
+    ({"runs": []}, '"runs" is empty'),
 ])
 def test_simulate_invalid_config_exit_2(tmp_path, capsys, payload, message):
     config = tmp_path / "c.json"
@@ -443,6 +448,87 @@ def test_simulate_invalid_config_exit_2(tmp_path, capsys, payload, message):
     assert run_cli("simulate", "--config", str(config), "--no-svg", "--out", str(out)) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def _exit_code(*argv):
+    try:
+        return main(list(argv))
+    except SystemExit as exc:  # argparse's usage errors
+        return exc.code
+
+
+SIZES = {"n": 10, "p": 2, "trials": 3, "seed": 1}
+
+
+@pytest.mark.parametrize("argv,config", [
+    (("simulate", "--config", "{c}"), {**SIZES, "kernel": {"family": "gaussian", "sigmaa": 5.0}}),
+    (("simulate", "--config", "{c}"), {**SIZES, "kernel": {"family": "polynomial", "degree": 2.5}}),
+    (("simulate", "--config", "{c}"), {**SIZES, "kernel": {"family": "gaussian", "sigma": True}}),
+    (("simulate", "--config", "{c}"), {**SIZES, "kernel": {"family": "polynomial", "domain_bound": "abc"}}),
+    (("simulate", "--config", "{c}"), {**SIZES, "kernel": {"family": "polynomial", "domain_bound": 0.5}}),
+    (("simulate", "--config", "{c}"), {"runs": [{"label": "a/b", "config": SIZES}]}),
+    (("simulate", "--config", "{c}"), {"runs": []}),
+    (("simulate", "--config", "{c}", "--n", "50", "--kernel", "linear"), SIZES),
+    (("simulate", "--config", "{c}", "--mode", "boxplot"), SIZES),
+    (("simulate", "--preset", "fig1-boxplot", "--indices", "1"), None),
+    (("simulate", "--preset", "example1-fig2-top", "--config", "{c}"), SIZES),
+    *((("simulate", "--n", "10", "--p", "2", "--trials", "3", "--seed", "1", "--kernel", token), None)
+      for token in ("linear:7", "gaussian:1:2", "gaussian:inf", "polynomial:2:nan", "polynomial:2.5")),
+    (("bounds", "--data", "{d}", "--header", "--kernel", "gaussian:nan"), None),
+    (("align", "--data", "{d}", "--labels", "{y}", "--label-col", "lab"), None),
+])
+def test_rejected_run_definitions_exit_2(tmp_path, capsys, argv, config):
+    # each exits 2 with one error line, no traceback and no output directory
+    # (before, each ran, ignored part of its input or failed later)
+    paths = {"c": tmp_path / "c.json", "d": tmp_path / "d.csv", "y": tmp_path / "y.csv"}
+    paths["c"].write_text(json.dumps(config))
+    paths["d"].write_text("lab,x\n" + "".join(f"{(-1) ** i},{i}\n" for i in range(10)))
+    paths["y"].write_text("1\n-1\n" * 6)  # 12 labels for 10 rows
+    out = tmp_path / "o"
+    argv = [a.format(**paths) for a in argv]
+    assert _exit_code(*argv, "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert len([line for line in err.splitlines() if "error:" in line]) == 1
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("token,kernel", [
+    ("gaussian", {"family": "gaussian"}),
+    ("gaussian:0.5", {"family": "gaussian", "sigma": 0.5}),
+    ("linear", {"family": "linear"}),
+    ("polynomial", {"family": "polynomial"}),
+    ("polynomial:3", {"family": "polynomial", "degree": 3}),
+    ("polynomial:2:1.5", {"family": "polynomial", "degree": 2, "offset": 1.5}),
+])
+def test_kernel_flag_and_config_dict_build_one_config(tmp_path, token, kernel):
+    # a --kernel token and its config dict go through one validator and come
+    # out as one canonical config
+    config = tmp_path / "c.json"
+    config.write_text(json.dumps({**SIZES, "kernel": kernel}))
+    by_flag = cli._runs_from_args(build_parser().parse_args(
+        ["simulate", "--n", "10", "--p", "2", "--trials", "3", "--kernel", token]), 1)
+    by_config = cli._runs_from_args(build_parser().parse_args(["simulate", "--config", str(config)]), None)
+    assert by_flag == by_config
+    ((_, _, cfg),) = by_flag
+    assert cfg.kernel == {"family": cfg.kernel_spec().name, **cfg.kernel_spec().params}
+
+
+def test_simulate_config_with_kernel_defaults_reruns_identically(tmp_path):
+    # a kernel dict that leaves out sigma, or writes an int for a float, is
+    # written back in canonical form, and that form re-runs byte for byte
+    first, second = tmp_path / "r1", tmp_path / "r2"
+    for kernel, canonical in (({"family": "gaussian"}, '{"family": "gaussian", "sigma": 1.0}'),
+                              ({"family": "polynomial", "offset": 1},
+                               '{"degree": 2, "family": "polynomial", "offset": 1.0}')):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({**SIZES, "kernel": kernel}))
+        assert run_cli("simulate", "--config", str(config), "--out", str(first)) == 0
+        assert run_cli("simulate", "--config", str(first / "config.json"), "--out", str(second)) == 0
+        for name in ("config.json", "results.csv", "summary.json", "plot.svg"):
+            assert (first / name).read_bytes() == (second / name).read_bytes()
+        (run,) = json.loads((first / "config.json").read_text())["runs"]
+        assert json.dumps(run["config"]["kernel"], sort_keys=True) == canonical
 
 
 def test_simulate_empty_bounds_runs_no_bound(tmp_path):
@@ -568,6 +654,18 @@ def test_readme_command_line_flags_are_accepted():
     accepted = {flag for sub in commands.values() for flag in sub._option_string_actions}
     assert {"--seed", "--workers", "--allow-degenerate", "--label-col"} <= named
     assert sorted(named - accepted) == []
+
+
+def test_readme_kernel_grammar_lines_round_trip():
+    # every JSON line of the README's kernel grammar is a canonical kernel:
+    # it loads, and a run's config writes it back unchanged, types included
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n### Kernel config grammar (JSON)\n", 1)[1]
+    lines = section.split("```json\n", 1)[1].split("```", 1)[0].splitlines()
+    assert [json.loads(line)["kernel"]["family"] for line in lines] == ["gaussian", "linear", "polynomial"]
+    for line in lines:
+        cfg = ExperimentConfig.from_dict({**SIZES, **json.loads(line)})
+        assert json.dumps({"kernel": cfg.to_dict()["kernel"]}) == line
 
 
 def test_readme_audit_table_lists_the_oracle_rows():

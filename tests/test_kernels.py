@@ -12,7 +12,7 @@ from specbounds.kernels import (
     gaussian,
     gram,
     inner_product_kernel,
-    kernel_from_cli,
+    kernel_config,
     kernel_from_config,
     linear,
     lipschitz,
@@ -138,12 +138,11 @@ def test_lipschitz_builtins():
 
 
 def test_lipschitz_polynomial_domain_dependent():
-    spec = polynomial(2, 0.0, domain_bound=3.0)
-    assert lipschitz(spec) == pytest.approx(6.0)  # 2B with B = 3
     s = _samples([[3.0, 4.0], [0.0, 1.0]])
     # B = max |<x_i, x_j>| = 25
     assert lipschitz(polynomial(2, 0.0), s) == pytest.approx(50.0)
-    with pytest.raises(ConfigError):
+    # the domain comes from the samples only: without them there is no constant
+    with pytest.raises(ConfigError, match="needs samples"):
         lipschitz(polynomial(2, 0.0))
 
 
@@ -186,21 +185,50 @@ def test_kernel_from_config():
     spec = kernel_from_config({"family": "polynomial", "degree": 3, "offset": 1.0})
     assert spec.params == {"degree": 3, "offset": 1.0}
     assert kernel_from_config({"family": "linear"}).name == "linear"
-    with pytest.raises(ConfigError):
-        kernel_from_config({"family": "rbf"})
-    with pytest.raises(ConfigError):
-        kernel_from_config({"sigma": 1.0})
+    # a parameter left out takes its default, and an int where a float
+    # belongs comes back as the float
+    assert kernel_from_config({"family": "gaussian"}).params == {"sigma": 1.0}
+    assert kernel_from_config({"family": "polynomial", "offset": 1}).params == {"degree": 2, "offset": 1.0}
+    assert kernel_from_config({"family": "polynomial", "degree": 3.0}).params["degree"] == 3
+
+
+@pytest.mark.parametrize("obj,match", [
+    ({"family": "rbf"}, "unknown kernel family"),
+    ({"family": ["gaussian"]}, "unknown kernel family"),
+    ({"sigma": 1.0}, "'family' key"),
+    ("gaussian", "'family' key"),
+    ({"family": "gaussian", "sigmaa": 5.0}, r"no key\(s\) \['sigmaa'\]"),
+    ({"family": "linear", "sigma": 1.0}, r"no key\(s\) \['sigma'\]"),
+    ({"family": "polynomial", "degree": 2, "domain_bound": 9.0}, r"no key\(s\) \['domain_bound'\]"),
+    ({"family": "gaussian", "sigma": True}, "'sigma' must be a finite number, got True"),
+    ({"family": "gaussian", "sigma": "2"}, "'sigma' must be a finite number"),
+    ({"family": "gaussian", "sigma": None}, "'sigma' must be a finite number"),
+    ({"family": "gaussian", "sigma": float("inf")}, "'sigma' must be a finite number"),
+    ({"family": "polynomial", "offset": float("nan")}, "'offset' must be a finite number"),
+    ({"family": "polynomial", "degree": 2.5}, "degree must be an integer"),
+    ({"family": "polynomial", "degree": False}, "'degree' must be a finite number"),
+])
+def test_kernel_from_config_rejects(obj, match):
+    with pytest.raises(ConfigError, match=match):
+        kernel_from_config(obj)
 
 
 def test_kernel_from_cli():
-    assert kernel_from_cli("gaussian:0.5").params["sigma"] == 0.5
-    assert kernel_from_cli("linear").name == "linear"
-    spec = kernel_from_cli("polynomial:2:1.5")
+    # a --kernel token is split into the config dict, which is validated as a config is
+    assert kernel_config("gaussian") == {"family": "gaussian"}
+    assert kernel_config("gaussian:0.5") == {"family": "gaussian", "sigma": 0.5}
+    assert kernel_config("linear") == {"family": "linear"}
+    assert kernel_config("polynomial:3") == {"family": "polynomial", "degree": 3.0}
+    spec = kernel_from_config(kernel_config("polynomial:2:1.5"))
     assert spec.params == {"degree": 2, "offset": 1.5}
-    with pytest.raises(ConfigError):
-        kernel_from_cli("spline:3")
-    with pytest.raises(ConfigError):
-        kernel_from_cli("gaussian:abc")
+    for token, match in (("spline:3", "unknown kernel family"), ("gaussian:abc", "cannot parse"),
+                         ("linear:7", "takes 0"), ("gaussian:1:2", "takes 1"),
+                         ("polynomial:2:1:0", "takes 2")):
+        with pytest.raises(ConfigError, match=match):
+            kernel_config(token)
+    for token in ("gaussian:inf", "gaussian:nan", "polynomial:2:nan", "polynomial:2.5"):
+        with pytest.raises(ConfigError):
+            kernel_from_config(kernel_config(token))
 
 
 def test_kernel_validation():

@@ -55,12 +55,18 @@ def theta_statistic(g: GramMatrix, spectrum: Spectrum | None = None) -> float:
     is too close to zero for the ratios to be meaningful.  Pass `spectrum`
     only if it is `eig_sym(g)` of this very matrix; it is computed otherwise.
 
-    Only deletions that might attain the max are solved.  With
-    K = U diag(lambda) U^T, the eigenvalues mu of K^s are the roots of the
-    secular function f_s(x) = sum_j U_sj^2 / (lambda_j - x), which increases
-    on each interval (lambda_{i+1}, lambda_i) and has mu_i as its one root
-    there, so f_s(x) > 0 proves mu_i(K^s) < x.  Whenever the running max
-    `best` rises, each deletion not yet solved is tested at
+    Only deletions that might attain the max are solved, and they are
+    visited in decreasing order of U_sn^2, the weight of point s on the
+    eigenvector of the smallest eigenvalue lambda_n (ties in index order).
+    Deleting the point that carries that eigenvector removes lambda_n and
+    leaves the others almost unmoved, so the first deletion visited is
+    almost always the maximiser, and the test below then skips the rest.
+
+    With K = U diag(lambda) U^T, the eigenvalues mu of K^s are the roots of
+    the secular function f_s(x) = sum_j U_sj^2 / (lambda_j - x), which
+    increases on each interval (lambda_{i+1}, lambda_i) and has mu_i as its
+    one root there, so f_s(x) > 0 proves mu_i(K^s) < x.  Whenever the
+    running max `best` rises, each deletion not yet solved is tested at
     x_i = best * lambda_i - tol for every i whose x_i is positive and lies at
     least tol inside its interval; it is skipped when some f_s(x_i) exceeds
     the rounding bound c n eps sum_j (U_sj^2 + |U_sj|) / |lambda_j - x_i|
@@ -68,9 +74,10 @@ def theta_statistic(g: GramMatrix, spectrum: Spectrum | None = None) -> float:
     backward error of the eigensolvers, so a skipped deletion's computed
     ratio lies strictly below `best`.
     A deletion that is not skipped runs the same `eigvalsh` call on the same
-    matrix as the exhaustive loop, and the max over those is the max over
-    all s: the result is bit-identical to solving every deletion, which
-    remains the worst case.
+    matrix as the exhaustive loop.  A skipped one lies strictly below a
+    solved ratio, so the max over the solved deletions is the max over all
+    s whatever the visiting order: the result is bit-identical to solving
+    every deletion, which remains the worst case.
     """
     n = g.n
     if n < 3:
@@ -92,7 +99,7 @@ def theta_statistic(g: GramMatrix, spectrum: Spectrum | None = None) -> float:
     a = g.entries
     unsolved = np.ones(n, dtype=bool)
     best = -math.inf
-    for s in range(n):
+    for s in np.argsort(-weight[:, n - 1], kind="stable"):
         if not unsolved[s]:
             continue
         unsolved[s] = False

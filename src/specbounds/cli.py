@@ -56,6 +56,7 @@ RESULTS_HEADER = "statistic,index,epsilon,theorem,kind,value,stderr,flags"
 AUDIT_HEADER = "inequality,trials,violations,skipped,max_violation"
 
 Run = tuple[str, str, ExperimentConfig]  # (label, mode, config) of one simulate run
+NAME_MAX = 255  # bytes in one file name on common file systems (ext4, XFS, APFS, NTFS)
 
 
 # --- small IO helpers --------------------------------------------------------
@@ -324,6 +325,10 @@ def _runs(runs, source: str, overrides: dict) -> list[Run]:
             raise ConfigError(f"{source}: run label must be a string, got {label!r}")
         if label in (".", "..") or any(c in label for c in "/\\\0"):
             raise ConfigError(f"{source}: run label {label!r} is not a file-name part (results_<label>.csv)")
+        longest = len(f"results_{label}.csv".encode("utf-8"))  # as long as boxplot_<label>.svg
+        if longest > NAME_MAX:
+            raise ConfigError(f"{source}: run label {label[:20]!r}... makes a {longest}-byte file name "
+                              f"(results_<label>.csv); the limit is {NAME_MAX} bytes")
         if any(label == other for other, _, _ in out):
             raise ConfigError(f"{source}: run label {label!r} is used more than once")
         out.append((label, mode, ExperimentConfig.from_dict(config)))

@@ -476,6 +476,9 @@ SIZES = {"n": 10, "p": 2, "trials": 3, "seed": 1}
       for token in ("linear:7", "gaussian:1:2", "gaussian:inf", "polynomial:2:nan", "polynomial:2.5")),
     (("bounds", "--data", "{d}", "--header", "--kernel", "gaussian:nan"), None),
     (("align", "--data", "{d}", "--labels", "{y}", "--label-col", "lab"), None),
+    # results_<label>.csv above 255 bytes (before: every trial ran, then OSError, exit 1)
+    *((("simulate", "--config", "{c}"), {"runs": [{"label": label, "config": SIZES}]})
+      for label in ("x" * 300, "x" * 244, "é" * 122)),
 ])
 def test_rejected_run_definitions_exit_2(tmp_path, capsys, argv, config):
     # each exits 2 with one error line, no traceback and no output directory
@@ -491,6 +494,18 @@ def test_rejected_run_definitions_exit_2(tmp_path, capsys, argv, config):
     assert len([line for line in err.splitlines() if "error:" in line]) == 1
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_run_label_at_the_file_name_limit_runs(tmp_path):
+    # 243 bytes of label make the 255-byte results_<label>.csv and boxplot_<label>.svg
+    config = tmp_path / "c.json"
+    runs = [{"label": "x" * 243, "config": SIZES},
+            {"label": "é" * 121 + "x", "mode": "boxplot", "config": {**SIZES, "indices": [1]}}]
+    config.write_text(json.dumps({"runs": runs}))
+    out = tmp_path / "o"
+    assert run_cli("simulate", "--config", str(config), "--out", str(out)) == 0
+    assert (out / f"results_{'x' * 243}.csv").exists()
+    assert (out / f"boxplot_{'é' * 121}x.svg").exists()
 
 
 @pytest.mark.parametrize("token,kernel", [

@@ -300,6 +300,15 @@ KERNELS = {"gaussian": gaussian(1.0), "gaussian_narrow": gaussian(0.3), "linear"
            "polynomial": polynomial(2, 1.0)}
 
 
+def _one_negative(rng, n):
+    """A symmetric matrix where only lambda_n < 0, so theta is defined and
+    some ratios are negative."""
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    lam = np.concatenate([rng.uniform(0.05, 3.0, n - 1), [-rng.uniform(0.01, 2.0)]])
+    a = (q * lam) @ q.T
+    return np.triu(a) + np.triu(a, 1).T
+
+
 @st.composite
 def theta_grams(draw):
     """Gram matrices of random samples with duplicated or near-duplicate rows,
@@ -312,11 +321,7 @@ def theta_grams(draw):
         a = rng.standard_normal((n, n))
         entries = (a + a.T) / 2
     elif kind == "one_negative":
-        # only lambda_n < 0, so theta is defined and some ratios are negative
-        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        lam = np.concatenate([rng.uniform(0.05, 3.0, n - 1), [-rng.uniform(0.01, 2.0)]])
-        a = (q * lam) @ q.T
-        entries = np.triu(a) + np.triu(a, 1).T
+        entries = _one_negative(rng, n)
     else:
         rows = rng.standard_normal((n, draw(st.integers(1, 5))))
         copies = draw(st.integers(0, n - 1))
@@ -336,10 +341,8 @@ def test_theta_equals_exhaustive_loop(g):
     assert _outcome(theta_statistic, g) == _outcome(theta_brute_force, g)
 
 
-def test_theta_solves_few_deletions(monkeypatch):
-    rng = np.random.default_rng(57)
-    g = gram(SampleSet(rows=rng.standard_normal((200, 5)), provenance="seeded"), gaussian(1.0))
-    expected = theta_brute_force(g)
+def _solves(monkeypatch):
+    """The list that records each np.linalg.eigvalsh call from now on."""
     calls = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -348,8 +351,48 @@ def test_theta_solves_few_deletions(monkeypatch):
         return eigvalsh(a)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return calls
+
+
+def _gaussian_gram(seed, n, p):
+    rng = np.random.default_rng(seed)
+    return gram(SampleSet(rows=rng.standard_normal((n, p)), provenance="seeded"), gaussian(1.0))
+
+
+def _assert_one_solve(monkeypatch, g):
+    # the deletion with the largest weight on the last eigenvector is the
+    # maximiser, and the sign test then skips all the others
+    expected = theta_brute_force(g)
+    calls = _solves(monkeypatch)
     assert theta_statistic(g) == expected
-    assert 1 <= len(calls) <= 20
+    assert calls == [(g.n - 1, g.n - 1)]
+
+
+def test_theta_solves_few_deletions(monkeypatch):
+    _assert_one_solve(monkeypatch, _gaussian_gram(57, 200, 5))
+
+
+def test_theta_solves_one_deletion_on_theta_single_data(monkeypatch):
+    # the data and the G/n scaling of the theta-single benchmark at seed 1
+    g = _gaussian_gram(1, 300, 5)
+    _assert_one_solve(monkeypatch, GramMatrix(entries=g.entries / 300))
+
+
+@pytest.mark.parametrize("kind,seed,n", [("gaussian", 9, 30), ("one_negative", 52, 12)])
+def test_theta_after_a_wrong_first_deletion(monkeypatch, kind, seed, n):
+    # the first deletion visited is not the maximiser: theta keeps solving
+    # until the sign test skips the rest, and the max stays exact
+    g = _gaussian_gram(seed, n, 5) if kind == "gaussian" else GramMatrix(
+        entries=_one_negative(np.random.default_rng(seed), n))
+    expected = theta_brute_force(g)
+    spectrum = eig_sym(g)
+    first = int(np.argsort(-spectrum.eigenvectors[:, n - 1] ** 2, kind="stable")[0])
+    first_ratio = np.min(np.linalg.eigvalsh(principal_submatrix(g, first + 1).entries)[::-1]
+                         / spectrum.eigenvalues[: n - 1])
+    assert 1.0 - first_ratio > expected
+    calls = _solves(monkeypatch)
+    assert theta_statistic(g) == expected
+    assert 1 < len(calls) < n
 
 
 @settings(max_examples=100, deadline=None)

@@ -2,8 +2,8 @@
 
 A change that means to keep every output byte (a speed-up, a refactor)
 must leave these digests as they are; a change that moves any bit of a
-Monte Carlo, boxplot or oracle result fails here, in tier-1, and not only
-in the benchmark's digests.  A change that alters outputs on purpose
+Monte Carlo, boxplot or oracle result, or of a file that `bounds` or `align`
+writes, fails here, in tier-1, and not only in the benchmark's digests.  A change that alters outputs on purpose
 records the new digests and says why in CHANGES.md.  The digests were
 recorded with numpy 2.4 and its bundled OpenBLAS on x86-64; another LAPACK
 build may round the eigensolves differently.
@@ -91,3 +91,41 @@ def test_oracle_outputs_are_pinned():
     table = run_oracles(cfg, interlacing_matrices=100, perturbation_trials=100, expansion_trials=3)
     rows = [(r.name, r.trials, r.violations, r.skipped, r.max_violation) for r in table.rows]
     assert _digest(rows) == "eb4f23855b94951dcfce2d9f0b8a2203a9f26315bd5f68b8d6209b556a7d728c"
+
+
+def _write_dataset(tmp_path):
+    """A seeded 60-point, p = 5 CSV with +-1 labels, written with repr so
+    the CLI reads back the very floats drawn."""
+    rng = np.random.default_rng(21)
+    x = rng.standard_normal((60, 5))
+    y = rng.choice([-1, 1], size=60)
+    data = tmp_path / "data.csv"
+    data.write_text("".join(",".join(repr(float(v)) for v in row) + "\n" for row in x))
+    labels = tmp_path / "labels.csv"
+    labels.write_text("".join(f"{int(v)}\n" for v in y))
+    return str(data), str(labels)
+
+
+# the benchmark's theta-single statistics, and both kta cases: theta defined
+# (gaussian) and undefined (linear on p = 5, so kta_theta is skipped and
+# alignment.csv writes nan)
+CLI_OUTPUTS = {
+    "bounds": (("bounds", "--stat", "eig:1,eig:2,topk:2,tail:2,eigvec:1"), ("report.csv", "metadata.json"),
+               "239d2a9d2a0f62ff0ce05220c223518088b088265546b73ecf0b5cfe26e65677"),
+    "align-gaussian": (("align", "--kernel", "gaussian:1.0"), ("alignment.csv", "alignment.json"),
+                       "9b98685efe68e6119859a77e46fdb80ff0da20da0889d389cdfe0ce11932a349"),
+    "align-linear": (("align", "--kernel", "linear"), ("alignment.csv", "alignment.json"),
+                     "8fcba736eb57eb10657c7fe9a8cf42337dfb925c2a01dc04ce90513f07f7df47"),
+}
+
+
+@pytest.mark.parametrize("name", list(CLI_OUTPUTS))
+def test_cli_outputs_are_pinned(tmp_path, name):
+    from specbounds.cli import main
+
+    argv, files, pinned = CLI_OUTPUTS[name]
+    data, labels = _write_dataset(tmp_path)
+    out = tmp_path / "out"
+    extra = ("--labels", labels) if argv[0] == "align" else ()
+    assert main([*argv, "--data", data, *extra, "--out", str(out)]) == 0
+    assert _digest(*((out / f).read_bytes() for f in files)) == pinned

@@ -6,12 +6,7 @@ machinery that validates them empirically.
 __version__ = "0.1.0"
 
 from .alignment import (
-    AlignmentReport,
-    alignment_report,
-    c_theta,
     kta,
-    kta_bound_spectral,
-    kta_bound_theta,
     middle_spectrum_norm,
     theta_statistic,
 )
@@ -30,6 +25,7 @@ from .bounds import (
     bound_theta,
     bound_topk_sum,
     bound_trace_uniform,
+    c_theta,
     error_norm_bound,
     evaluate_bounds,
     second_order_gamma,

@@ -1,5 +1,6 @@
 """Kernel target-alignment, the leave-one-out shrinkage statistic theta, and
-both alignment concentration bounds.
+the spectral norms the alignment bounds read.  The bounds themselves are the
+`kta_*` entries of `bounds.THEOREMS`.
 
 Alignment quantities, and so the bounds that read them, follow the raw
 kernel-matrix convention; the alignment value itself is scale-invariant.
@@ -8,18 +9,9 @@ kernel-matrix convention; the alignment value itself is scale-invariant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import bounds as bnd
-from .bounds import (  # noqa: F401  (c_theta and the kta_* formulas are also public here)
-    c_theta,
-    kta_bound_spectral,
-    kta_bound_theta,
-    kta_spectral_denominator,
-    validate_epsilons,
-)
 from .errors import DataError, DegeneracyError
 from .kernels import GramMatrix
 from .spectral import Spectrum, eig_sym, gap_tolerance
@@ -131,57 +123,3 @@ def top_eigenvalue_ratio(eigenvalues: np.ndarray) -> float:
     lam2 = float(eigenvalues[1])
     return float(eigenvalues[0]) / lam2 if abs(lam2) > 0 else math.inf
 
-
-@dataclass(frozen=True)
-class AlignmentReport:
-    """All alignment statistics plus per-epsilon bound values."""
-
-    a_kn: float
-    l_mid: float
-    frob: float
-    ratio: float                # ||K||_F / L
-    ratio_approx: float         # lambda_1 / lambda_2
-    theta: float
-    c_theta: float
-    epsilons: tuple[float, ...]
-    bounds: dict = field(default_factory=dict)   # theorem id -> list of raw values
-    skipped: dict = field(default_factory=dict)  # theorem id -> reason
-
-
-def alignment_report(g: GramMatrix, y: np.ndarray, epsilons: tuple[float, ...]) -> AlignmentReport:
-    """Compute A(K), theta, L, and all alignment bounds over an epsilon grid
-    for a raw Gram matrix."""
-    epsilons = validate_epsilons(epsilons)
-    n = g.n
-    a_kn = kta(g, y)
-    spectrum = eig_sym(g)
-    lam = spectrum.eigenvalues
-    frob = float(np.linalg.norm(g.entries, ord="fro"))
-    l_mid = middle_spectrum_norm(lam)
-    ratio = frob / l_mid if l_mid > 0 else math.inf
-    ratio_approx = top_eigenvalue_ratio(lam)
-    missing: dict[str, str] = {}
-    try:
-        theta = theta_statistic(g, spectrum=spectrum)
-        c = c_theta(a_kn, theta, n, frob)
-    except (DegeneracyError, DataError) as exc:
-        theta = c = math.nan
-        missing["theta"] = str(exc)
-    x = bnd.BoundInputs(n=n, theta=None if missing else theta, a_kn=a_kn, frob=frob, l_mid=l_mid,
-                        ratio=ratio_approx, missing=missing)
-    report = bnd.evaluate_bounds(x, bnd.STAT_KTA, None, epsilons)
-    bounds: dict[str, list[float]] = {}
-    for row in report.rows:
-        bounds.setdefault(row.theorem, []).append(row.raw)
-    return AlignmentReport(
-        a_kn=a_kn,
-        l_mid=l_mid,
-        frob=frob,
-        ratio=ratio,
-        ratio_approx=ratio_approx,
-        theta=theta,
-        c_theta=c,
-        epsilons=epsilons,
-        bounds=bounds,
-        skipped=report.skipped,
-    )

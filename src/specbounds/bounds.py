@@ -385,11 +385,6 @@ def _kta_theta_params(a_kn: float, theta: float, n: int, frob: float, reject=_ra
     return (n - 1.0) ** 2, n * c * c
 
 
-def kta_bound_theta(eps, *, a_kn: float, theta: float, n: int, frob: float):
-    """Alignment bound via C(theta):  2 exp(-2 eps^2 (n-1)^2 / (n C(theta)^2))."""
-    return theorem_grid("kta_theta", _kta_theta_params(a_kn, theta, n, frob), eps)
-
-
 def kta_spectral_denominator(
     *, a_kn: float, n: int, l_mid: float, frob: float | None = None, ratio: float | None = None,
     reject=_raise,
@@ -410,29 +405,9 @@ def kta_spectral_denominator(
 
 def _kta_spectral_params(a_kn: float, n: int, l_mid: float, frob: float | None, ratio: float | None,
                          variant: str, reject=_raise) -> tuple[float, float]:
-    if variant not in ("printed", "bdiff"):
-        raise ConfigError(f"variant must be 'printed' or 'bdiff', got {variant!r}")
     d = kta_spectral_denominator(a_kn=a_kn, n=n, l_mid=l_mid, frob=frob, ratio=ratio, reject=reject)
     reject(d <= 0.0, DegeneracyError, "spectral alignment denominator D is zero; bound is vacuous")
     return -2.0, d if variant == "printed" else n * d * d
-
-
-def kta_bound_spectral(
-    eps,
-    *,
-    a_kn: float,
-    n: int,
-    l_mid: float,
-    frob: float | None = None,
-    ratio: float | None = None,
-    variant: str = "printed",
-):
-    """Alignment bound from the kernel spectrum.
-
-    variant="printed" is 2 exp(-2 eps^2 / D) as stated; variant="bdiff" is the
-    bounded-difference-consistent form 2 exp(-2 eps^2 / (n D^2)).
-    """
-    return theorem_grid("kta_spectral", _kta_spectral_params(a_kn, n, l_mid, frob, ratio, variant), eps)
 
 
 # --- the theorem registry ----------------------------------------------------
@@ -568,7 +543,8 @@ THEOREMS: dict[str, Theorem] = {
                               grid=_offset_quadratic, prefactor=2.0, describe=_eigvec_metadata),
     "kta_theta": Theorem(STAT_KTA, ("a_kn", "theta", "frob"),
                          lambda x, i, reject: _kta_theta_params(x.a_kn, x.theta, x.n, x.frob, reject),
-                         grid=_kta_theta_exponent, prefactor=2.0),
+                         grid=_kta_theta_exponent, prefactor=2.0,
+                         describe=lambda x, i: {"c_theta": c_theta(x.a_kn, x.theta, x.n, x.frob)}),
     "kta_spectral": Theorem(STAT_KTA, _KTA_FROB,
                             lambda x, i, reject: _kta_spectral_params(x.a_kn, x.n, x.l_mid, x.frob, None, "printed",
                                                                       reject),

@@ -34,7 +34,7 @@ from . import __version__
 from . import bounds as bnd
 # theta_statistic and covariance_stats go unused here (experiments.sample_inputs
 # computes the bound inputs), but the benchmark's tracer patches them by name
-from .alignment import alignment_report, theta_statistic  # noqa: F401
+from .alignment import kta, theta_statistic  # noqa: F401
 from .dataset import covariance_stats, load_csv, load_csv_with_labels, load_labels  # noqa: F401
 from .errors import ConfigError, DataError, DegeneracyError, SpecBoundsError
 from .experiments import (
@@ -181,6 +181,8 @@ def _parse_stats(text: str) -> list[tuple[str, int]]:
             stat = (_STAT_ALIASES[parts[0]], int(parts[1]))
         except ValueError as exc:
             raise ConfigError(f"bad index in statistic {tok!r}") from exc
+        if stat[1] < 1:  # an order above n is a data error, found once the data is read
+            raise ConfigError(f"statistic {tok!r} needs an order of at least 1")
         if stat in stats:
             raise ConfigError(f"--stat lists {tok!r} more than once")
         stats.append(stat)
@@ -521,23 +523,31 @@ def _cmd_align(args) -> int:
     spec = kernel_from_config(kernel_config(args.kernel))
     epsilons = _parse_eps(args.eps)
     g = gram(samples, spec)
-    report = alignment_report(g, labels, epsilons)
+    a_kn = kta(g, labels)
+    if samples.n < 3:  # each kta theorem reads L or theta, and both need n >= 3
+        raise DataError("need n >= 3 eigenvalues for the middle-spectrum norm")
+    spectrum = eig_sym(g)
+    needs = {name for t in bnd.theorems_for(bnd.STAT_KTA) for name in bnd.THEOREMS[t].needs}
+    x = sample_inputs(samples, spec, g, spectrum.eigenvalues, needs, spectrum=spectrum, a_kn=a_kn)
+    report = bnd.evaluate_bounds(x, bnd.STAT_KTA, None, epsilons)
+    bounds: dict[str, list[float]] = {}
+    for row in report.rows:
+        bounds.setdefault(row.theorem, []).append(row.raw)
 
     statistics = {
-        "a_kn": report.a_kn,
-        "theta": report.theta,
-        "c_theta": report.c_theta,
-        "l_mid": report.l_mid,
-        "frob": report.frob,
-        "ratio": report.ratio,
-        "ratio_approx": report.ratio_approx,
+        "a_kn": a_kn,
+        "theta": math.nan if x.theta is None else x.theta,
+        "c_theta": report.metadata.get("c_theta", math.nan),
+        "l_mid": x.l_mid,
+        "frob": x.frob,
+        "ratio": x.frob / x.l_mid if x.l_mid > 0 else math.inf,
+        "ratio_approx": x.ratio,
     }
     rows = [["kta", "", "", "", kind, _fval(value), "", ""] for kind, value in statistics.items()]
-    for theorem, values in sorted(report.bounds.items()):
-        rows.extend(
-            ["kta", "", _fval(e), theorem, "bound", _fval(v), "", "vacuous" if v >= 1.0 else ""]
-            for e, v in zip(report.epsilons, values)
-        )
+    rows.extend(  # theorems by name; the stable sort keeps each one's epsilons in order
+        ["kta", "", _fval(row.epsilon), row.theorem, "bound", _fval(row.raw), "", "vacuous" if row.vacuous else ""]
+        for row in sorted(report.rows, key=lambda row: row.theorem)
+    )
 
     payload = {
         "n": samples.n,
@@ -546,8 +556,8 @@ def _cmd_align(args) -> int:
         "m": samples.n,  # C(theta)'s m is n
         "population_alignment": None,  # not computable from a single sample
         **{kind: float(v) if np.isfinite(v) else None for kind, v in statistics.items()},
-        "epsilons": list(report.epsilons),
-        "bounds": report.bounds,
+        "epsilons": list(epsilons),
+        "bounds": bounds,
         "skipped": report.skipped,
     }
     files = {"alignment.csv": _csv(rows), "alignment.json": _json(payload)}

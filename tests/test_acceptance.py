@@ -38,6 +38,11 @@ def _cli(*args):
     return proc
 
 
+def _kta_bound(theorem, eps, **inputs):
+    """Raw value of the registry theorem `theorem` for one sample's inputs."""
+    return sb.bounds.theorem_values(theorem, sb.BoundInputs(**inputs), None, eps)
+
+
 def _parse_results_csv(path):
     """-> (freq[(index, eps)] = (value, stderr), bounds[(theorem, index, eps)] = value)"""
     freq, bounds = {}, {}
@@ -231,11 +236,11 @@ def test_criterion_8_closed_form_regression():
     close("bound_eigvec_uniform", sb.bound_eigvec_uniform(1, unit_cov, 1.0, eigvec_profile, 2.0),
           float(2 * mp.exp(-2)))
 
-    close("kta_bound_theta fixture",
-          sb.kta_bound_theta(1.0, a_kn=0.8, theta=0.5, n=10, frob=5.0),
+    close("kta_theta fixture",
+          _kta_bound("kta_theta", 1.0, a_kn=0.8, theta=0.5, n=10, frob=5.0),
           float(2 * mp.exp(-2 * 81 / (10 * mp.mpf("14.88") ** 2))))
-    close("kta_bound_spectral fixture",
-          sb.kta_bound_spectral(1.0, a_kn=0.0, n=11, l_mid=1.0, frob=3.0),
+    close("kta_spectral fixture",
+          _kta_bound("kta_spectral", 1.0, a_kn=0.0, n=11, l_mid=1.0, frob=3.0),
           float(2 * mp.exp(-2 / mp.mpf("2.1"))))
 
     y = np.array([1.0, -1.0, 1.0, 1.0, -1.0, -1.0])
@@ -315,10 +320,10 @@ def test_criterion_9_monotonicity():
         check(lambda e: sb.bound_second_order(n, cov, lip, profile, e))
         check(lambda e: sb.bound_eigvec_pointwise(cov, lip, profile, e))
         check(lambda e: sb.bound_eigvec_uniform(min(n, 40), cov, lip, profile, e))
-        check(lambda e: sb.kta_bound_theta(e, a_kn=a_signed, theta=theta,
-                                           n=max(n, 3), frob=r2))
-        check(lambda e: sb.kta_bound_spectral(e, a_kn=a_positive, n=max(n, 3),
-                                              l_mid=r2, frob=2 * r2))
+        check(lambda e: _kta_bound("kta_theta", e, a_kn=a_signed, theta=theta,
+                                   n=max(n, 3), frob=r2))
+        check(lambda e: _kta_bound("kta_spectral", e, a_kn=a_positive, n=max(n, 3),
+                                   l_mid=r2, frob=2 * r2))
     _report(9, "bound values nonincreasing in epsilon", violations == 0,
             f"{tuples} random tuples x 12 bounds, {violations} violations")
 

@@ -4,19 +4,19 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from specbounds.alignment import (
-    alignment_report,
+from specbounds.alignment import kta, middle_spectrum_norm, theta_statistic
+from specbounds.bounds import (
+    STAT_KTA,
+    BoundInputs,
     c_theta,
-    kta,
-    kta_bound_spectral,
-    kta_bound_theta,
+    evaluate_bounds,
     kta_spectral_denominator,
-    middle_spectrum_norm,
-    theta_statistic,
+    theorem_values,
 )
 from specbounds.dataset import gen_gaussian
 from specbounds.errors import ConfigError, DataError, DegeneracyError
-from specbounds.kernels import GramMatrix, gram, linear
+from specbounds.experiments import sample_inputs
+from specbounds.kernels import GramMatrix, gaussian, gram, linear
 from specbounds.spectral import eig_sym
 
 mp.mp.dps = 50
@@ -24,6 +24,20 @@ mp.mp.dps = 50
 
 def _gram(entries):
     return GramMatrix(entries=np.asarray(entries, dtype=float))
+
+
+def _kta_bound(theorem, eps, **inputs):
+    """Raw value of the registry theorem `theorem` for one sample's inputs."""
+    return theorem_values(theorem, BoundInputs(**inputs), None, eps)
+
+
+def _kta_report(samples, spec, y, epsilons):
+    """One sample's inputs and kta report, built as the `align` command does."""
+    g = gram(samples, spec)
+    spectrum = eig_sym(g)
+    x = sample_inputs(samples, spec, g, spectrum.eigenvalues, {"theta", "frob", "l_mid", "ratio"},
+                      spectrum=spectrum, a_kn=kta(g, y))
+    return x, evaluate_bounds(x, STAT_KTA, None, epsilons)
 
 
 def _random_psd_gram(rng, n):
@@ -129,17 +143,17 @@ def test_c_theta_and_theta_bound_fixture():
     c = c_theta(0.8, 0.5, 10, 5.0)
     assert c == pytest.approx(14.88, rel=1e-12)
     expected = float(2 * mp.exp(-2 * 81 / (10 * mp.mpf("14.88") ** 2)))
-    value = kta_bound_theta(1.0, a_kn=0.8, theta=0.5, n=10, frob=5.0)
+    value = _kta_bound("kta_theta", 1.0, a_kn=0.8, theta=0.5, n=10, frob=5.0)
     assert value == pytest.approx(expected, rel=1e-12)
     assert value >= 1.0  # vacuous at this operating point
-    assert kta_bound_theta(1e9, a_kn=0.8, theta=0.5, n=10, frob=5.0) == 0.0
-    values = [kta_bound_theta(e, a_kn=0.8, theta=0.5, n=10, frob=5.0) for e in (0.5, 1, 2, 4)]
+    assert _kta_bound("kta_theta", 1e9, a_kn=0.8, theta=0.5, n=10, frob=5.0) == 0.0
+    values = [_kta_bound("kta_theta", e, a_kn=0.8, theta=0.5, n=10, frob=5.0) for e in (0.5, 1, 2, 4)]
     assert all(b <= a for a, b in zip(values, values[1:]))
 
 
 def test_theta_bound_errors():
     with pytest.raises(DegeneracyError):
-        kta_bound_theta(1.0, a_kn=0.5, theta=0.0, n=10, frob=5.0)
+        _kta_bound("kta_theta", 1.0, a_kn=0.5, theta=0.0, n=10, frob=5.0)
 
 
 def test_spectral_bound_fixture():
@@ -147,26 +161,26 @@ def test_spectral_bound_fixture():
     d = kta_spectral_denominator(a_kn=0.0, n=11, l_mid=1.0, frob=3.0)
     assert d == pytest.approx(2.1, rel=1e-12)
     expected = float(2 * mp.exp(-2 / mp.mpf("2.1")))
-    assert kta_bound_spectral(1.0, a_kn=0.0, n=11, l_mid=1.0, frob=3.0) == pytest.approx(
+    assert _kta_bound("kta_spectral", 1.0, a_kn=0.0, n=11, l_mid=1.0, frob=3.0) == pytest.approx(
         expected, rel=1e-12
     )
 
 
 def test_spectral_bound_limits_and_variants():
     # large L with a vanishing alignment term drives the bound to zero
-    assert kta_bound_spectral(1.0, a_kn=0.0, n=11, l_mid=1e12, frob=1e12) < 1e-300
+    assert _kta_bound("kta_spectral", 1.0, a_kn=0.0, n=11, l_mid=1e12, frob=1e12) < 1e-300
     d = kta_spectral_denominator(a_kn=0.3, n=11, l_mid=2.0, frob=5.0)
     assert d >= 0.0
-    printed = kta_bound_spectral(0.5, a_kn=0.3, n=11, l_mid=2.0, frob=5.0)
-    bdiff = kta_bound_spectral(0.5, a_kn=0.3, n=11, l_mid=2.0, frob=5.0, variant="bdiff")
+    printed = _kta_bound("kta_spectral", 0.5, a_kn=0.3, n=11, l_mid=2.0, frob=5.0)
+    bdiff = _kta_bound("kta_spectral_bdiff", 0.5, a_kn=0.3, n=11, l_mid=2.0, frob=5.0)
     assert printed == pytest.approx(2 * math.exp(-2 * 0.25 / d), rel=1e-12)
     assert bdiff == pytest.approx(2 * math.exp(-2 * 0.25 / (11 * d * d)), rel=1e-12)
     # approximate ratio path
-    approx = kta_bound_spectral(0.5, a_kn=0.3, n=11, l_mid=2.0, ratio=2.5)
+    approx = _kta_bound("kta_spectral_approx", 0.5, a_kn=0.3, n=11, l_mid=2.0, ratio=2.5)
     d_approx = 0.3 * abs(1.0 / 10.0 - 2.5) + (2 + 0.1) / 2.0
     assert approx == pytest.approx(2 * math.exp(-2 * 0.25 / d_approx), rel=1e-12)
     with pytest.raises(DegeneracyError):
-        kta_bound_spectral(1.0, a_kn=0.1, n=11, l_mid=0.0, frob=1.0)
+        _kta_bound("kta_spectral", 1.0, a_kn=0.1, n=11, l_mid=0.0, frob=1.0)
 
 
 def test_spectral_denominator_nonnegative_on_psd():
@@ -193,38 +207,32 @@ def test_ratio_approx_agreement_decaying_spectrum():
     assert abs(ratio - ratio_approx) <= 0.1 * ratio_approx
 
 
-def test_alignment_report_full():
+def test_kta_report_full():
     s = gen_gaussian(20, 3, 60)
-    g = gram(s, linear())
     rng = np.random.default_rng(61)
     y = rng.choice([-1.0, 1.0], size=20)
-    report = alignment_report(g, y, epsilons=(0.5, 1.0))
-    assert abs(report.a_kn) <= 1.0
-    assert report.l_mid <= report.frob
+    x, report = _kta_report(s, linear(), y, (0.5, 1.0))
+    assert abs(x.a_kn) <= 1.0
+    assert x.l_mid <= x.frob
     # linear kernel on 3-d data is rank 3: theta degrades gracefully
     assert "kta_theta" in report.skipped
     for label in ("kta_spectral", "kta_spectral_approx", "kta_spectral_bdiff"):
-        assert len(report.bounds[label]) == 2
+        assert len([row for row in report.rows if row.theorem == label]) == 2
 
 
-def test_alignment_report_gaussian_kernel_has_theta():
+def test_kta_report_gaussian_kernel_has_theta():
     s = gen_gaussian(12, 2, 62)
-    from specbounds.kernels import gaussian
-
-    g = gram(s, gaussian(1.0))
     rng = np.random.default_rng(63)
     y = rng.choice([-1.0, 1.0], size=12)
-    report = alignment_report(g, y, epsilons=(0.5, 1.0))
-    assert 0.0 <= report.theta <= 1.0
-    assert "kta_theta" in report.bounds
-    assert np.isfinite(report.c_theta)
+    x, report = _kta_report(s, gaussian(1.0), y, (0.5, 1.0))
+    assert 0.0 <= x.theta <= 1.0
+    assert "kta_theta" in {row.theorem for row in report.rows}
+    assert np.isfinite(report.metadata["c_theta"])
 
 
-def test_alignment_report_validates_epsilon_grid():
+def test_kta_report_validates_epsilon_grid():
     s = gen_gaussian(12, 2, 64)
-    g = gram(s, linear())
     y = np.random.default_rng(65).choice([-1.0, 1.0], size=12)
     for grid in ((0.5, 0.1), (0.1, float("nan")), (float("inf"),), (), (0.0, 0.1)):
         with pytest.raises(ConfigError):
-            alignment_report(g, y, epsilons=grid)
-
+            _kta_report(s, linear(), y, grid)

@@ -195,6 +195,15 @@ def test_bounds_skips_theta_top_when_theta_is_undefined(tmp_path, capsys):
         assert meta["skipped_theorems"]["eigenvalue:1:theta_top"] == meta["theta_skipped"]
         theorems = {line.split(",")[3] for line in (out / "report.csv").read_text().splitlines()[1:]}
         assert "theta_top" not in theorems and {"diag_uniform", "adjacent_gap"} <= theorems
+        # align skips kta_theta by the same rule, with the same reason
+        labels = tmp_path / "y.csv"
+        labels.write_text("".join("1\n" if i % 2 else "-1\n" for i in range(len(data.read_text().splitlines()))))
+        out = tmp_path / "al"
+        assert run_cli("align", "--data", str(data), "--labels", str(labels), "--kernel", "linear",
+                       "--eps", "0.1", "--out", str(out)) == 0
+        payload = json.loads((out / "alignment.json").read_text())
+        assert payload["skipped"]["kta_theta"] == meta["theta_skipped"]
+        assert payload["theta"] is None and payload["c_theta"] is None
 
 
 def test_bounds_skips_diag_uniform_on_a_zero_diagonal(tmp_path, capsys):
@@ -295,6 +304,10 @@ def test_bounds_config_errors_exit_2(tmp_path):
     # a repeated statistic would write every row twice
     assert run_cli("bounds", "--data", data, "--stat", "eig:1,topk:2,eig:1",
                    "--out", str(tmp_path / "o")) == 2
+    # an order below 1 is refused as the flag is parsed; one above n is a data error
+    for stat in ("eig:0", "eigvec:0", "topk:0", "tail:-1"):
+        assert run_cli("bounds", "--data", data, "--stat", stat, "--out", str(tmp_path / "o")) == 2
+    assert run_cli("bounds", "--data", data, "--stat", "eig:5", "--out", str(tmp_path / "o")) == 3
 
 
 @pytest.mark.parametrize("eps", ["nan", "0.1,inf", "inf"])
@@ -712,6 +725,18 @@ def test_align_theta_mode_flag(tmp_path):
     payload = json.loads((out / "alignment.json").read_text())
     assert "theta_mode" not in payload
     assert 0.0 <= payload["theta"] <= 1.0
+
+
+def test_align_needs_three_samples_exit_3(tmp_path, capsys):
+    # every kta theorem reads L or theta, so two samples stop the run with no output
+    data = tmp_path / "d.csv"
+    data.write_text("1,0\n0,2\n")
+    labels = tmp_path / "y.csv"
+    labels.write_text("1\n-1\n")
+    out = tmp_path / "al"
+    assert run_cli("align", "--data", str(data), "--labels", str(labels), "--out", str(out)) == 3
+    assert "need n >= 3 eigenvalues for the middle-spectrum norm" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_align_label_col(tmp_path):

@@ -464,9 +464,7 @@ class Theorem:
     pair of floats, or of (B,) columns for a block.  `grid(params, eps)` is
     the exponent at those parameters, and the raw bound is `prefactor`
     times its exp (see `theorem_grid`).  `describe(x, i)` is the metadata `evaluate_bounds`
-    echoes; `kernel` restricts the theorem to one kernel kind; `ordered` is
-    False for a theorem of an eigen-order whose parameters do not depend on
-    it, so one evaluation serves every order."""
+    echoes; `kernel` restricts the theorem to one kernel kind."""
 
     statistic: str
     needs: tuple[str, ...]
@@ -476,7 +474,6 @@ class Theorem:
     describe: Callable | None = None
     kernel: str | None = None
     flags: tuple[str, ...] = ()
-    ordered: bool = True
 
 
 _SPEC_COV = ("spectrum", "cov", "lip")
@@ -512,20 +509,16 @@ def _eigvec_metadata(x: BoundInputs, i: int) -> dict:
 # Registry order is the order of report rows and of skipped theorems.
 THEOREMS: dict[str, Theorem] = {
     "diag_uniform": Theorem(STAT_EIGENVALUE, ("diag_sup_sq",),
-                            lambda x, i, reject: _trace_uniform_params(x.n, x.diag_sup_sq, reject), prefactor=2.0,
-                            ordered=False),
+                            lambda x, i, reject: _trace_uniform_params(x.n, x.diag_sup_sq, reject), prefactor=2.0),
     "theta_top": Theorem(STAT_EIGENVALUE, ("spectrum", "theta"),
                          lambda x, i, reject: _theta_params(x.theta, float_or_column(x.spectrum.T[0]), reject),
-                         prefactor=2.0, describe=lambda x, i: {"theta": x.theta, "theta_estimated": x.theta_estimated},
-                         ordered=False),
+                         prefactor=2.0, describe=lambda x, i: {"theta": x.theta, "theta_estimated": x.theta_estimated}),
     "adjacent_gap": Theorem(STAT_EIGENVALUE, ("spectrum",),
                             lambda x, i, reject: _gap_params(x.n, _profile(x, i), reject), describe=_gap_metadata),
     "covgap_distance": Theorem(STAT_EIGENVALUE, ("cov", "lip"),
-                               lambda x, i, reject: _covgap_params(x.n, x.cov, x.lip, 18.0, reject), kernel=DISTANCE,
-                               ordered=False),
+                               lambda x, i, reject: _covgap_params(x.n, x.cov, x.lip, 18.0, reject), kernel=DISTANCE),
     "covgap_inner": Theorem(STAT_EIGENVALUE, ("cov", "lip"),
-                            lambda x, i, reject: _covgap_params(x.n, x.cov, x.lip, 4.0, reject), kernel=INNER,
-                            ordered=False),
+                            lambda x, i, reject: _covgap_params(x.n, x.cov, x.lip, 4.0, reject), kernel=INNER),
     "covgap_second_order": _second_order("printed"),
     "covgap_second_order_alt": _second_order("alt"),
     "topk_gap": Theorem(STAT_TOPK, ("spectrum",),
@@ -563,6 +556,11 @@ THEOREMS: dict[str, Theorem] = {
 def theorems_for(statistic: str) -> list[str]:
     """Theorem ids that bound `statistic`, in registry order."""
     return [name for name, t in THEOREMS.items() if t.statistic == statistic]
+
+
+def theorem_needs(theorems) -> frozenset:
+    """The inputs that the theorem ids in `theorems` read."""
+    return frozenset(name for theorem in theorems for name in THEOREMS[theorem].needs)
 
 
 def theorem_params(theorem: str, x: BoundInputs, i: int | None, reasons: list | None = None):

@@ -7,6 +7,9 @@ Subcommands:
   audit      brute-force oracle suite; violation rates per inequality
 
 Exit codes: 0 ok, 2 config error, 3 data error, 4 numerical degeneracy.
+Each subcommand checks every flag before it reads a file, so a bad flag is
+exit code 2 whatever the data.  Every JSON file goes through `_json`, which
+writes a non-finite float as null.
 
 CSV columns: RESULTS_HEADER for bounds, simulate and align; AUDIT_HEADER
 for audit.
@@ -77,14 +80,19 @@ def _csv(rows, header: str = RESULTS_HEADER) -> str:
 
 
 def _json(obj) -> str:
-    return json.dumps(obj, indent=2, sort_keys=True) + "\n"
+    """The strict JSON text of `obj`: every non-finite float is written as
+    null, since JSON has no NaN or Infinity."""
+    return json.dumps(_nulled(obj, "", []), indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
 def _nulled(obj, where: str, non_finite: list[str]):
-    """`obj`, nested dicts, with every non-finite float replaced by None and
-    its dotted key path appended to `non_finite`: JSON has no Infinity."""
+    """`obj`, nested dicts and lists, with every non-finite float replaced by
+    None and its dotted path (a list item by its position) appended to
+    `non_finite`."""
     if isinstance(obj, dict):
         return {k: _nulled(v, f"{where}.{k}" if where else k, non_finite) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_nulled(v, f"{where}[{j}]", non_finite) for j, v in enumerate(obj)]
     if isinstance(obj, float) and not math.isfinite(obj):
         non_finite.append(where)
         return None
@@ -191,20 +199,19 @@ def _parse_stats(text: str) -> list[tuple[str, int]]:
 
 def _cmd_bounds(args) -> int:
     out = Path(args.out)
-    samples = load_csv(args.data, header=args.header)
     spec = kernel_from_config(kernel_config(args.kernel))
     epsilons = _parse_eps(args.eps)
     stats = _parse_stats(args.stat)
     if args.theta is not None and not 0.0 < args.theta <= 1.0:
         raise ConfigError(f"--theta must lie in (0, 1], got {args.theta}")
+    # the covariance, Lipschitz constant and diagonal sup go into the
+    # metadata whichever theorems run; a given --theta is not estimated
+    needs = bnd.theorem_needs(t for stat, _ in stats for t in bnd.theorems_for(stat)) | {"diag_sup_sq", "cov", "lip"}
+    if args.theta is not None:
+        needs -= {"theta"}
+    samples = load_csv(args.data, header=args.header)
     g = gram(samples, spec)
     spectrum = eig_sym(g)
-    # the covariance, Lipschitz constant and diagonal sup go into the
-    # metadata whichever theorems run; theta is estimated only when read
-    needs = {"diag_sup_sq", "cov", "lip"}
-    if args.theta is None and any("theta" in bnd.THEOREMS[t].needs
-                                  for stat, _ in stats for t in bnd.theorems_for(stat)):
-        needs.add("theta")
     x = sample_inputs(samples, spec, g, spectrum.eigenvalues, needs, spectrum=spectrum,
                       centered=args.centered)
     if args.theta is not None:
@@ -245,7 +252,7 @@ def _cmd_bounds(args) -> int:
     if skipped:
         meta["skipped_theorems"] = skipped
     non_finite: list[str] = []
-    meta = _nulled(meta, "", non_finite)
+    _nulled(meta, "", non_finite)  # only for the paths: `_json` writes the values as null
     if non_finite:
         meta["non_finite"] = sorted(non_finite)
     files = {"metadata.json": _json(meta)}
@@ -421,12 +428,8 @@ def _result_summary(result: ExperimentResult) -> dict:
                 "excluded": b.excluded,
                 "reason": b.reason,
                 "values": [
-                    {
-                        "epsilon": e,
-                        "mean": None if not np.isfinite(m) else float(m),
-                        "p10": None if not np.isfinite(q) else float(q),
-                    }
-                    for e, m, q in zip(eps, b.mean, b.p10)
+                    {"epsilon": e, "mean": m, "p10": q}
+                    for e, m, q in zip(eps, b.mean.tolist(), b.p10.tolist())
                 ],
             }
             for b in result.bound_series
@@ -513,6 +516,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_align(args) -> int:
+    spec = kernel_from_config(kernel_config(args.kernel))
+    epsilons = _parse_eps(args.eps)
     if args.label_col:
         samples, labels = load_csv_with_labels(args.data, args.label_col)
     else:
@@ -520,14 +525,12 @@ def _cmd_align(args) -> int:
             raise DataError("labels required: pass --labels FILE or --label-col NAME")
         samples = load_csv(args.data, header=args.header)
         labels = load_labels(args.labels)
-    spec = kernel_from_config(kernel_config(args.kernel))
-    epsilons = _parse_eps(args.eps)
     g = gram(samples, spec)
     a_kn = kta(g, labels)
     if samples.n < 3:  # each kta theorem reads L or theta, and both need n >= 3
         raise DataError("need n >= 3 eigenvalues for the middle-spectrum norm")
     spectrum = eig_sym(g)
-    needs = {name for t in bnd.theorems_for(bnd.STAT_KTA) for name in bnd.THEOREMS[t].needs}
+    needs = bnd.theorem_needs(bnd.theorems_for(bnd.STAT_KTA))
     x = sample_inputs(samples, spec, g, spectrum.eigenvalues, needs, spectrum=spectrum, a_kn=a_kn)
     report = bnd.evaluate_bounds(x, bnd.STAT_KTA, None, epsilons)
     bounds: dict[str, list[float]] = {}
@@ -555,7 +558,7 @@ def _cmd_align(args) -> int:
         "kernel": spec.describe(),
         "m": samples.n,  # C(theta)'s m is n
         "population_alignment": None,  # not computable from a single sample
-        **{kind: float(v) if np.isfinite(v) else None for kind, v in statistics.items()},
+        **statistics,
         "epsilons": list(epsilons),
         "bounds": bounds,
         "skipped": report.skipped,
@@ -573,16 +576,11 @@ def _cmd_align(args) -> int:
 
 
 def _cmd_audit(args) -> int:
+    kernel = {} if args.kernel is None else {"kernel": kernel_config(args.kernel)}
     seed = _resolve_seed(args)
-    cfg = ExperimentConfig(
-        n=args.n,
-        p=args.p,
-        trials=2,  # unused by the oracles; config requires >= 2
-        seed=seed,
-        kernel=kernel_config(args.kernel),
-        indices=(args.index,),
-        bounds=(),
-    )
+    # trials is unused by the oracles; the config requires at least 2
+    cfg = ExperimentConfig.from_dict({"n": args.n, "p": args.p, "trials": 2, "seed": seed, **kernel,
+                                      "indices": [args.index], "bounds": []})
     oracle_params = {
         "interlacing_matrices": args.interlacing_matrices,
         "perturbation_trials": args.oracle_trials,
@@ -668,7 +666,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("audit", help="brute-force oracle suite")
     p.add_argument("--n", type=int, default=100)
     p.add_argument("--p", type=int, default=5)
-    p.add_argument("--kernel", default="gaussian:1.0")
+    p.add_argument("--kernel", default=None, help="gaussian[:SIGMA] | linear | polynomial[:D[:C]]")
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--oracle-trials", type=int, default=500, help="replace-one perturbation trials")
     p.add_argument("--interlacing-matrices", type=int, default=200)

@@ -34,9 +34,7 @@ on powers), so no output bit depends on the block length, and the
 small-array work of stage 3 runs with warm caches, as numpy calls over the
 block instead of Python calls per trial.  A block holds as many trials as
 keep what it carries between stages within BLOCK_BYTES, by one rule for
-every run (`_trial_bytes`); a theorem of an eigen-order whose parameters
-do not read the order (`bounds.Theorem.ordered`) is evaluated once for
-every order of a block.
+every run (`_trial_bytes`).
 
 `run_concentration` stacks the trials' rows, statistic values and then each
 bound key's parameter pair, and evaluates each bound once over its kept
@@ -266,8 +264,7 @@ def _keys(cfg: ExperimentConfig) -> _Keys:
         stat = bnd.THEOREMS[theorem].statistic
         if stat in cfg.statistics:
             bound_keys += [(theorem, *key) for key in expand(stat)]
-    needs = frozenset(name for theorem, _, _ in bound_keys for name in bnd.THEOREMS[theorem].needs)
-    return _Keys(stat_keys, bound_keys, needs)
+    return _Keys(stat_keys, bound_keys, bnd.theorem_needs(theorem for theorem, _, _ in bound_keys))
 
 
 def _draw(cfg: ExperimentConfig, trial_seed: int):
@@ -428,13 +425,9 @@ def _finish(cfg: ExperimentConfig, keys: _Keys, solved: list) -> _Finished:
     x = bnd.BoundInputs(n=cfg.n, spectrum=lam, a_kn=a_kn, kernel=cfg.kernel_spec().kind, missing=missing,
                         theta_estimated="theta" in inputs, **inputs)
     excluded: list[dict] = [{} for _ in solved]
-    evaluated: dict = {}  # (theorem, order) -> (params, reasons), one order for an unordered theorem
     for k, (theorem, _, i) in enumerate(keys.bounds):
-        at = (theorem, i if bnd.THEOREMS[theorem].ordered else None)
-        if at not in evaluated:
-            reasons = [None] * size
-            evaluated[at] = bnd.theorem_params(theorem, x, i, reasons), reasons
-        params, reasons = evaluated[at]
+        reasons = [None] * size
+        params = bnd.theorem_params(theorem, x, i, reasons)
         if reasons.count(None) < size:
             for r, why in enumerate(reasons):
                 if why is not None:

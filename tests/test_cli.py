@@ -201,7 +201,7 @@ def test_bounds_skips_theta_top_when_theta_is_undefined(tmp_path, capsys):
         out = tmp_path / "al"
         assert run_cli("align", "--data", str(data), "--labels", str(labels), "--kernel", "linear",
                        "--eps", "0.1", "--out", str(out)) == 0
-        payload = json.loads((out / "alignment.json").read_text())
+        payload = _strict_json_files(out)["alignment.json"]
         assert payload["skipped"]["kta_theta"] == meta["theta_skipped"]
         assert payload["theta"] is None and payload["c_theta"] is None
 
@@ -221,6 +221,11 @@ def test_bounds_skips_diag_uniform_on_a_zero_diagonal(tmp_path, capsys):
 
 def _reject_constant(name):
     raise ValueError(f"{name} is not JSON")
+
+
+def _strict_json_files(out: Path) -> dict:
+    """Every JSON file a run wrote into `out`, parsed with NaN and Infinity refused."""
+    return {f.name: json.loads(f.read_text(), parse_constant=_reject_constant) for f in sorted(out.glob("*.json"))}
 
 
 def test_bounds_metadata_is_strict_json(tmp_path):
@@ -310,6 +315,23 @@ def test_bounds_config_errors_exit_2(tmp_path):
     assert run_cli("bounds", "--data", data, "--stat", "eig:5", "--out", str(tmp_path / "o")) == 3
 
 
+@pytest.mark.parametrize("argv", [
+    ("bounds", "--stat", "eig:0"),
+    ("bounds", "--kernel", "rbf:1"),
+    ("bounds", "--eps", "0.2,0.1"),
+    ("align", "--labels", "{missing}", "--kernel", "rbf:1"),
+    ("align", "--labels", "{missing}", "--eps", "nan"),
+])
+def test_bad_flags_exit_2_before_any_file_is_read(tmp_path, argv):
+    # every flag is checked before the data is read: a bad flag is a config
+    # error even when the data file cannot be read
+    missing = str(tmp_path / "nope.csv")
+    out = tmp_path / "o"
+    command, *flags = (a.format(missing=missing) for a in argv)
+    assert run_cli(command, "--data", missing, *flags, "--out", str(out)) == 2
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("eps", ["nan", "0.1,inf", "inf"])
 def test_non_finite_epsilons_exit_2(tmp_path, eps):
     data = _write_fixture(tmp_path)
@@ -370,6 +392,17 @@ def test_simulate_fig1_preset_boxplot(tmp_path):
     kinds = {line.split(",")[4] for line in lines[1:]}
     assert {"min", "q1", "median", "q3", "max", "iqr", "mean_gap", "spearman_gap_iqr"} <= kinds
     assert (out / "boxplot.svg").exists()
+
+
+def test_simulate_boxplot_summary_is_strict_json(tmp_path):
+    # order n has no next gap, so its mean gap and the gap-IQR rank
+    # correlation are undefined: both are written as null, never as NaN
+    out = tmp_path / "bx"
+    assert run_cli("simulate", "--n", "10", "--p", "2", "--trials", "5", "--seed", "1", "--mode", "boxplot",
+                   "--indices", "9,10", "--out", str(out)) == 0
+    (run,) = _strict_json_files(out)["summary.json"]["runs"]
+    assert run["boxplot"]["mean_gaps"][0] is not None and run["boxplot"]["mean_gaps"][1] is None
+    assert run["boxplot"]["spearman_gap_iqr"] is None
 
 
 def test_simulate_emitted_config_reruns_identically(tmp_path):
@@ -632,7 +665,8 @@ def test_simulate_invalid_flags_exit_2(tmp_path, flags):
     assert not (out / "results.csv").exists()
 
 
-@pytest.mark.parametrize("flags", [("--p", "0"), ("--n", "1", "--index", "1"), ("--workers", "0")])
+@pytest.mark.parametrize("flags", [("--p", "0"), ("--n", "1", "--index", "1"), ("--workers", "0"),
+                                   ("--kernel", "rbf:1")])
 def test_audit_invalid_sizes_exit_2(tmp_path, flags):
     out = tmp_path / "o"
     assert run_cli("audit", "--n", "10", "--seed", "1", *flags, "--out", str(out)) == 2
@@ -787,6 +821,10 @@ def test_audit_trial_count_scales(tmp_path):
     lines = (out / "audit.csv").read_text().splitlines()
     stability = [l for l in lines if l.startswith("eigenvalue_stability")][0]
     assert int(stability.split(",")[1]) == 120
+    # without --kernel the run takes the config's default kernel
+    written = _strict_json_files(out)
+    assert written["summary.json"]["config"]["kernel"] == {"family": "gaussian", "sigma": 1.0}
+    assert written["manifest.json"]["config"] == written["summary.json"]["config"]
 
 
 def test_module_entrypoint_runs():

@@ -316,20 +316,11 @@ def test_gap_profiles_computed_once_per_trial_and_order(monkeypatch):
     assert sorted(calls) == [(1, 5), (2, 5), (3, 5)]
 
 
-def test_theorems_that_read_no_order_are_evaluated_once_per_block(monkeypatch):
-    # covgap_distance has the same parameters at every order; its three keys
-    # share one evaluation of the block, and each key still reports it
-    calls = []
-    original = bounds._covgap_params
-
-    def counting(n, cov, *args):
-        calls.append(np.shape(cov.gap_1p))
-        return original(n, cov, *args)
-
-    monkeypatch.setattr(bounds, "_covgap_params", counting)
+def test_theorems_that_read_no_order_report_one_bound_at_every_order():
+    # covgap_distance has the same parameters at every order, so each of its
+    # three keys reports the same bound
     cfg = _cfg(trials=5, p=3, indices=(1, 2, 3), bounds=("adjacent_gap", "covgap_distance"))
     result = run_concentration(cfg)
-    assert calls == [(5,)]
     covgap = [b for b in result.bound_series if b.theorem == "covgap_distance"]
     assert [b.index for b in covgap] == [1, 2, 3]
     assert all(np.array_equal(b.mean, covgap[0].mean, equal_nan=True) for b in covgap)

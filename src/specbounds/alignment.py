@@ -95,8 +95,7 @@ def theta_statistic(g: GramMatrix, spectrum: Spectrum | None = None) -> float:
         if not unsolved[s]:
             continue
         unsolved[s] = False
-        keep = np.arange(n) != s
-        sub_lam = np.linalg.eigvalsh(a[np.ix_(keep, keep)])[::-1]
+        sub_lam = np.linalg.eigvalsh(np.delete(np.delete(a, s, 0), s, 1))[::-1]
         ratio = float(np.min(sub_lam / denom))
         if ratio > best:
             best = ratio

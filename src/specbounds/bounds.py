@@ -257,12 +257,17 @@ def error_norm_bound(kind: str, cov: CovarianceStats, lip: float, n: int) -> Err
 
     printed:       c M^2 lip gap_1p / sqrt(n), c = 6 (distance) or 2 (inner)
     conservative:  12 M^2 lip lambda_1 / sqrt(n)
+
+    `cov` and `lip` may hold a block's (B,) columns; both bounds are then
+    (B,) columns, each with its sample's bits, and the first
+    nonpositive Lipschitz constant raises.
     """
     if kind not in ("distance", "inner"):
         raise ConfigError(f"kind must be 'distance' or 'inner', got {kind!r}")
-    if lip <= 0:
-        raise ConfigError(f"Lipschitz constant must be positive, got {lip}")
-    m2 = cov.whitened_radius**2
+    for v in np.ravel(lip).tolist():
+        if v <= 0:
+            raise ConfigError(f"Lipschitz constant must be positive, got {v}")
+    m2 = _pow(cov.whitened_radius, 2)
     factor = 6.0 if kind == "distance" else 2.0
     printed = factor * m2 * lip * cov.gap_1p / math.sqrt(n)
     conservative = 12.0 * m2 * lip * cov.lambda_1 / math.sqrt(n)

@@ -45,6 +45,7 @@ from .experiments import (
     ExperimentConfig,
     ExperimentResult,
     boxplot_stats,
+    check_oracle_counts,
     default_epsilons,
     run_concentration,
     run_oracles,
@@ -133,14 +134,18 @@ def _write_outputs(command: str, args, files: dict[str, str], seed, config, inpu
     _write_files(Path(args.out), {**files, "manifest.json": _json(manifest)})
 
 
-def _resolve_seed(args) -> int:
+def _seeded(args, build):
+    """(seed, build(seed)) with --seed, or with a generated seed that is
+    printed only once `build` has accepted it, so a bad flag exits 2 with
+    nothing on stdout."""
     if args.seed is not None:
-        return args.seed
+        return args.seed, build(args.seed)
     import secrets  # only a run without a seed needs it
 
     seed = secrets.randbits(63)
+    built = build(seed)
     print(f"generated seed: {seed}")
-    return seed
+    return seed, built
 
 
 def _parse_eps(text: str | None) -> tuple[float, ...]:
@@ -473,8 +478,10 @@ def _concentration_svg(results: list[tuple[str, ExperimentResult]]) -> str:
 
 def _cmd_simulate(args) -> int:
     # a --config run takes each run's seed from its file unless --seed is given
-    seed = args.seed if args.config else _resolve_seed(args)
-    runs = _runs_from_args(args, seed)
+    if args.config:
+        seed, runs = args.seed, _runs_from_args(args, args.seed)
+    else:
+        seed, runs = _seeded(args, lambda s: _runs_from_args(args, s))
     files: dict[str, str] = {}
     summary_runs = []
     concentration = []
@@ -518,11 +525,11 @@ def _cmd_simulate(args) -> int:
 def _cmd_align(args) -> int:
     spec = kernel_from_config(kernel_config(args.kernel))
     epsilons = _parse_eps(args.eps)
+    if not (args.label_col or args.labels):
+        raise ConfigError("labels required: pass --labels FILE or --label-col NAME")
     if args.label_col:
         samples, labels = load_csv_with_labels(args.data, args.label_col)
     else:
-        if not args.labels:
-            raise DataError("labels required: pass --labels FILE or --label-col NAME")
         samples = load_csv(args.data, header=args.header)
         labels = load_labels(args.labels)
     g = gram(samples, spec)
@@ -577,10 +584,10 @@ def _cmd_align(args) -> int:
 
 def _cmd_audit(args) -> int:
     kernel = {} if args.kernel is None else {"kernel": kernel_config(args.kernel)}
-    seed = _resolve_seed(args)
+    check_oracle_counts(args.interlacing_matrices, args.oracle_trials, args.expansion_trials)
     # trials is unused by the oracles; the config requires at least 2
-    cfg = ExperimentConfig.from_dict({"n": args.n, "p": args.p, "trials": 2, "seed": seed, **kernel,
-                                      "indices": [args.index], "bounds": []})
+    seed, cfg = _seeded(args, lambda s: ExperimentConfig.from_dict(
+        {"n": args.n, "p": args.p, "trials": 2, "seed": s, **kernel, "indices": [args.index], "bounds": []}))
     oracle_params = {
         "interlacing_matrices": args.interlacing_matrices,
         "perturbation_trials": args.oracle_trials,

@@ -8,6 +8,7 @@ bound downstream.
 from __future__ import annotations
 
 import contextlib
+import math
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -106,6 +107,18 @@ class CovarianceStats:
     def p(self) -> int:
         return self.sigma.shape[-1]
 
+    def member(self, b: int) -> "CovarianceStats":
+        """Member b of a block's statistics, with the arrays and floats that
+        `covariance_stats` gives that sample alone."""
+        return CovarianceStats(
+            sigma=self.sigma[b],
+            eigs_sigma=self.eigs_sigma[b],
+            gap_1p=float(self.gap_1p[b]),
+            whitened_radius=float(self.whitened_radius[b]),
+            centered=self.centered,
+            eigvecs_sigma=None if self.eigvecs_sigma is None else self.eigvecs_sigma[b],
+        )
+
 
 def _parse_line(text: str, lineno: int) -> list[float]:
     parts = text.split(",") if "," in text else text.split()
@@ -118,7 +131,7 @@ def _parse_line(text: str, lineno: int) -> list[float]:
             v = float(tok)
         except ValueError:
             raise ParseError(f"line {lineno}: non-numeric token {tok!r}") from None
-        if not np.isfinite(v):
+        if not math.isfinite(v):
             raise ParseError(f"line {lineno}: non-finite value {tok!r}")
         values.append(v)
     return values

@@ -20,15 +20,22 @@ perturbation-oracle loops:
      alignment and the per-sample bound inputs (`_per_sample_inputs`:
      theta, ||K||_F, the Lipschitz constant, ...), keeping only the
      samples, the spectrum and scalars, so no block carries G;
-  3. finish: for the concentration loop, once per block (`_finish`): the
-     block's spectra as one (B, n) array give the statistic columns, the
-     trials' per-sample inputs are stacked into (B,) columns next to one
-     stacked `covariance_stats` and one stacked gap profile per
-     eigen-order, and `bounds.theorem_params` gives each bound key's
-     parameters as (B,) columns with each trial's exclusion reason;
-     `_concentration_trial` then hands on each trial's row.  The boxplot
-     and perturbation loops finish once per trial, `_boxplot_trial` and
-     `_perturbation_trial`.
+  3. finish, once per block for the concentration and perturbation loops:
+     - concentration (`_finish`): the block's spectra as one (B, n) array
+       give the statistic columns, the trials' per-sample inputs are
+       stacked into (B,) columns next to one stacked `covariance_stats`
+       and one stacked gap profile per eigen-order, and
+       `bounds.theorem_params` gives each bound key's parameters as (B,)
+       columns with each trial's exclusion reason;
+     - perturbation oracle (`_finish_perturbed`): both spectra of each
+       replace-one pair as (B, n) arrays, one stacked `covariance_stats`
+       and one stacked gap profile at the oracle's order give every oracle
+       row's (lhs, rhs) as (B,) columns, with the BLAS norms
+       (`whitened_norm`, the linear-kernel perturbation norm) one per
+       trial;
+     `_concentration_trial` and `_perturbation_trial` then hand on each
+     trial's share.  The boxplot loop finishes once per trial
+     (`_boxplot_trial`), slicing its spectrum.
 Every stacked step gives each trial the bits it has alone (see `bounds`
 on powers), so no output bit depends on the block length, and the
 small-array work of stage 3 runs with warm caches, as numpy calls over the
@@ -46,6 +53,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields, replace
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -53,7 +61,7 @@ import numpy as np
 from . import bounds as bnd
 from .alignment import kta, middle_spectrum_norm, theta_statistic, top_eigenvalue_ratio
 from .dataset import SampleSet, covariance_stats, whitened_norm
-from .errors import ConfigError, SpecBoundsError
+from .errors import ConfigError, SingularCovarianceError, SpecBoundsError
 from .kernels import GramMatrix, KernelSpec, diag_sup, gram, kernel_from_config, linear, lipschitz
 from .spectral import (
     eig_sym,
@@ -676,20 +684,33 @@ class OracleTable:
         raise KeyError(name)
 
 
+@lru_cache(maxsize=64)
+def _child_index(dim: int) -> np.ndarray:
+    """The read-only (dim, dim-1, dim-1) flat indices into a C-ordered
+    dim x dim matrix of its principal submatrices, member d without row
+    and column d, in the smallest unsigned type that holds them: for the
+    oracle's dims 3..40 all 38 indices take 1.3 MB as uint16, 5 MB as intp."""
+    # row d of `keep` lists the indices 0..dim-1 without d
+    keep = np.arange(dim - 1) + (np.arange(dim - 1) >= np.arange(dim)[:, None])
+    flat = (keep[:, :, None] * dim + keep[:, None, :]).astype(np.min_scalar_type(dim * dim - 1))
+    flat.flags.writeable = False
+    return flat
+
+
 def _interlacing_trial(trial_seed: int) -> tuple[int, float]:
     """One random symmetric PSD matrix (dim 3..40), checked at every drop index.
 
     Interlacing reads eigenvalues only: the matrix and the one (dim, dim-1,
-    dim-1) stack of its principal submatrices each take one `eigvals_sym`
-    call, and one broadcast `interlacing_check` compares them.
+    dim-1) stack of its principal submatrices, gathered from the flat
+    matrix through one cached index, each take one `eigvals_sym` call, and
+    one broadcast `interlacing_check` compares them.
     """
     rng = np.random.default_rng(trial_seed)
     dim = int(rng.integers(3, 41))
     b = rng.standard_normal((dim, dim))
     a = (b @ b.T) / dim
-    # row d of `keep` lists the indices 0..dim-1 without d
-    keep = np.arange(dim - 1) + (np.arange(dim - 1) >= np.arange(dim)[:, None])
-    children = eigvals_sym(a[keep[:, :, None], keep[:, None, :]])
+    # indexing with the compact index: np.take would first copy it to intp
+    children = eigvals_sym(a.ravel()[_child_index(dim)])
     ok, worst = interlacing_check(eigvals_sym(a), children)
     return int(np.count_nonzero(~ok)), float(np.max(worst))
 
@@ -724,45 +745,69 @@ def _solve_perturbed(cfg: ExperimentConfig, samples: SampleSet, replace_at: int,
     return _Perturbed(samples, replace_at, replacement, lam, lam_pert, pair.spectral_norm_e)
 
 
-def _perturbation_trial(args: tuple[ExperimentConfig, int, _Perturbed]) -> dict:
-    """Stage 3 of a replace-one trial: eigenvalue stability and
-    perturbation-norm checks."""
-    cfg, index, t = args
-    spec, samples, lam, lam_pert, norm_e = cfg.kernel_spec(), t.samples, t.lam, t.lam_pert, t.norm_e
+def _finish_perturbed(cfg: ExperimentConfig, index: int, solved: list) -> dict:
+    """Stage 3 of a block of replace-one trials, once for the block:
+    eigenvalue stability and perturbation-norm checks.
 
-    out: dict[str, tuple[float, float] | None] = {}
+    Maps each oracle row to its trials' (lhs, rhs) pairs, None where the row
+    skips a trial.  The sides are (B,) columns of the stacked spectra, one
+    stacked `covariance_stats` and one stacked gap profile; the norms that
+    BLAS computes (`whitened_norm`, the linear-kernel perturbation norm)
+    stay one per trial, so every pair has the bits of its trial alone.
+    """
+    spec = cfg.kernel_spec()
+    lam = np.array([t.lam for t in solved])
+    lam_pert = np.array([t.lam_pert for t in solved])
+    norm_e = np.array([t.norm_e for t in solved])
+
+    sides: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     # Weyl-type stability: every eigenvalue moves at most ||E||.
-    out["eigenvalue_stability"] = (float(np.max(np.abs(lam_pert - lam))), norm_e + 1e-9)
+    sides["eigenvalue_stability"] = (np.max(np.abs(lam_pert - lam), axis=1), norm_e + 1e-9)
 
-    cov = covariance_stats(samples)
-    radius = max(cov.whitened_radius, whitened_norm(cov, t.replacement))
-    cov = replace(cov, whitened_radius=radius)  # boundedness covers the replacement
-    lip = lipschitz(spec, samples)
+    cov = covariance_stats([t.samples for t in solved])
+    singular = [why for why in cov.singular if why is not None]
+    if singular:
+        raise SingularCovarianceError(singular[0])
+    # boundedness covers the replacement
+    radius = [max(r, whitened_norm(cov.member(b), t.replacement))
+              for b, (r, t) in enumerate(zip(cov.whitened_radius.tolist(), solved))]
+    cov = replace(cov, whitened_radius=np.array(radius))
+    lip = np.array([lipschitz(spec, t.samples) for t in solved])
     norms = bnd.error_norm_bound(spec.kind, cov, lip, cfg.n)
-    out["perturbation_norm_printed"] = (norm_e, norms.printed)
-    out["perturbation_norm_conservative"] = (norm_e, norms.conservative)
+    sides["perturbation_norm_printed"] = (norm_e, norms.printed)
+    sides["perturbation_norm_conservative"] = (norm_e, norms.conservative)
 
-    lin_norm = perturb_replace_norm(samples, linear(), t.replace_at, t.replacement)
-    lin_bound = bnd.error_norm_bound("inner", cov, 1.0, cfg.n)
-    out["perturbation_norm_inner"] = (lin_norm, lin_bound.printed)
+    lin = linear()
+    lin_norm = np.array([perturb_replace_norm(t.samples, lin, t.replace_at, t.replacement) for t in solved])
+    sides["perturbation_norm_inner"] = (lin_norm, bnd.error_norm_bound("inner", cov, 1.0, cfg.n).printed)
 
     # Second-order eigenvalue bound, only where the expansion is valid.
     profile = gaps_from_eigenvalues(lam, index)
-    others = np.abs(np.delete(lam - lam[index - 1], index - 1))
-    min_gap = float(np.min(others))
-    if profile.degenerate or norm_e >= 0.5 * min_gap:
-        out["second_order_eigenvalue"] = None
-    else:
-        lhs = float(np.abs(lam_pert[index - 1] - lam[index - 1]))
-        out["second_order_eigenvalue"] = (lhs, norm_e + norm_e**2 * profile.resolvent_sum + 1e-9)
-    return out
+    min_gap = np.min(np.abs(np.delete(lam - lam[:, index - 1 : index], index - 1, axis=1)), axis=1)
+    kept = ~(profile.degenerate | (norm_e >= 0.5 * min_gap))
+    with np.errstate(invalid="ignore"):  # 0 * inf, in a degenerate trial that is skipped
+        rhs = norm_e + bnd._pow(norm_e, 2) * profile.resolvent_sum + 1e-9
+    sides["second_order_eigenvalue"] = (np.abs(lam_pert[:, index - 1] - lam[:, index - 1]), rhs)
+
+    pairs = {name: list(zip(lhs.tolist(), rhs.tolist())) for name, (lhs, rhs) in sides.items()}
+    second = pairs["second_order_eigenvalue"]
+    pairs["second_order_eigenvalue"] = [pair if ok else None for pair, ok in zip(second, kept.tolist())]
+    return pairs
+
+
+def _perturbation_trial(args: tuple[dict, int]) -> dict:
+    """One trial's share of its block's finish: each oracle row's (lhs,
+    rhs), or None where the row skips the trial."""
+    finished, t = args
+    return {name: pairs[t] for name, pairs in finished.items()}
 
 
 def _perturbation_block(args) -> list:
     (cfg, index, zero_perturbation), seeds = args
     draws = [_draw_replacement(cfg, s, zero_perturbation) for s in seeds]
     solved = [_solve_perturbed(cfg, *d) for d in draws]
-    return [_perturbation_trial((cfg, index, t)) for t in solved]
+    finished = _finish_perturbed(cfg, index, solved)
+    return [_perturbation_trial((finished, t)) for t in range(len(solved))]
 
 
 def _expansion_trial(args: tuple[ExperimentConfig, int, int, bool]) -> tuple[float, float] | None:
@@ -796,6 +841,12 @@ def _expansion_trial(args: tuple[ExperimentConfig, int, int, bool]) -> tuple[flo
     return (residual(0.5 * t), 0.35 * r_t)
 
 
+def check_oracle_counts(interlacing_matrices: int, perturbation_trials: int, expansion_trials: int) -> None:
+    """Raise ConfigError unless `run_oracles` can run these trial counts."""
+    if min(interlacing_matrices, perturbation_trials) < 100 or expansion_trials < 1:
+        raise ConfigError("oracle trial counts must be >= 100 (expansion >= 1)")
+
+
 def run_oracles(
     cfg: ExperimentConfig,
     interlacing_matrices: int = 200,
@@ -813,8 +864,7 @@ def run_oracles(
     perturbation rows solve for eigenvalues only (`eigvals_sym`, `eigvalsh`);
     the expansion residual reads eigenvectors from `eig_sym`.
     """
-    if min(interlacing_matrices, perturbation_trials) < 100 or expansion_trials < 1:
-        raise ConfigError("oracle trial counts must be >= 100 (expansion >= 1)")
+    check_oracle_counts(interlacing_matrices, perturbation_trials, expansion_trials)
 
     seeds = [subseed(cfg.seed, 1_000_000 + t) for t in range(interlacing_matrices)]
     results = _map_trials(_each, _interlacing_trial, seeds, workers)

@@ -8,6 +8,7 @@ mathematical convention used throughout the reports.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -92,14 +93,22 @@ class PerturbationPair:
     """The 1/n-scaled Gram matrix G/n and its replace-one perturbation.
 
     `e` = perturbed - original is symmetric and nonzero only in the replaced
-    row/column; `spectral_norm_e` is computed exactly from that rank-<=2
-    structure (dense fallback for tiny matrices).
+    row/column: `delta` is that row, at the 1-based sample `index`, and the
+    dense `e` is built from it on first read.  `spectral_norm_e` is computed
+    exactly from that rank-<=2 structure (dense fallback for tiny matrices).
     """
 
     original: GramMatrix
     perturbed: GramMatrix
-    e: np.ndarray
+    delta: np.ndarray
+    index: int
     spectral_norm_e: float
+
+    @cached_property
+    def e(self) -> np.ndarray:
+        e = _replace_one_matrix(self.delta, self.index - 1)
+        e.flags.writeable = False
+        return e
 
 
 def _as_matrix(g) -> np.ndarray:
@@ -362,13 +371,13 @@ def _replace_one_delta(s: SampleSet, spec: KernelSpec, index: int, replacement: 
     def row_against(point: np.ndarray) -> np.ndarray:
         if spec.kind == DISTANCE:
             diff = s.rows - point
-            t = np.sum(diff * diff, axis=1)
+            t = np.add.reduce(diff * diff, axis=1)  # np.sum's reduction, without its wrapper
             t[idx0] = 0.0  # kernel argument at the replaced position is k(x', x')
         else:
             t = s.rows @ point
             t[idx0] = float(point @ point)
         row = np.asarray(spec.profile(t), dtype=np.float64)
-        if not np.all(np.isfinite(row)):
+        if not np.isfinite(row).all():
             j = int(np.argwhere(~np.isfinite(row))[0])
             raise DataError(f"kernel value is not finite at pair ({index}, {j + 1})")
         return row / s.n
@@ -381,16 +390,22 @@ def perturb_replace(s: SampleSet, spec: KernelSpec, index: int, replacement: np.
     """Replace sample `index` (1-based) and return the pair of G/n, the
     matrix whose perturbation norm `bounds.error_norm_bound` bounds."""
     delta = _replace_one_delta(s, spec, index, replacement)
-    # G is exactly symmetric, and so are G/n and G/n + e, so neither
-    # GramMatrix check below can fail
-    original = GramMatrix(entries=gram(s, spec).entries / s.n)
-    e = _replace_one_matrix(delta, index - 1)
-    perturbed = GramMatrix(entries=original.entries + e)
+    delta.flags.writeable = False
+    idx0 = index - 1
+    # G is exactly symmetric, and so are G/n and G/n + e: the perturbed
+    # matrix has the bits of original + e, -0.0 + 0.0 = +0.0 off the
+    # replaced row and column included, and row and column idx0 both
+    # hold original[idx0] + delta
+    original = gram(s, spec).entries / s.n
+    perturbed = original + 0.0
+    perturbed[idx0] = original[idx0] + delta
+    perturbed[:, idx0] = perturbed[idx0]
     return PerturbationPair(
-        original=original,
-        perturbed=perturbed,
-        e=e,
-        spectral_norm_e=_replace_one_norm(delta, index - 1),
+        original=GramMatrix._owned(original),
+        perturbed=GramMatrix._owned(perturbed),
+        delta=delta,
+        index=index,
+        spectral_norm_e=_replace_one_norm(delta, idx0),
     )
 
 

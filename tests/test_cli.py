@@ -460,7 +460,8 @@ def test_failed_runs_create_no_output_directory(tmp_path):
     data = _write_fixture(tmp_path)
     assert run_cli("bounds", "--data", data, "--theta", "1.5", "--out", str(out)) == 2
     assert run_cli("bounds", "--data", str(tmp_path / "nope.csv"), "--out", str(out)) == 3
-    assert run_cli("align", "--data", data, "--out", str(out)) == 3
+    assert run_cli("align", "--data", data, "--out", str(out)) == 2
+    assert run_cli("align", "--data", data, "--labels", str(tmp_path / "nope.csv"), "--out", str(out)) == 3
     assert not out.exists()
 
 
@@ -781,9 +782,31 @@ def test_align_label_col(tmp_path):
                    "--kernel", "gaussian:1.0", "--out", str(out)) == 0
 
 
-def test_align_missing_labels_exit_3(tmp_path):
+def test_align_without_labels_exits_2_before_reading(tmp_path, capsys):
+    # a missing flag: no file is read, so a data path that does not exist
+    # changes nothing
+    for data in (_write_fixture(tmp_path), str(tmp_path / "absent.csv")):
+        assert run_cli("align", "--data", data, "--out", str(tmp_path / "o")) == 2
+        assert "labels required: pass --labels FILE or --label-col NAME" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ("audit", "--p", "0"),
+    ("audit", "--n", "1"),
+    ("audit", "--oracle-trials", "99"),
+    ("simulate", "--n", "10", "--p", "0"),
+])
+def test_rejected_sizes_print_no_generated_seed(tmp_path, capsys, argv):
+    # without --seed a seed is generated, but printed only for a run that starts
+    out = tmp_path / "o"
+    assert run_cli(*argv, "--out", str(out)) == 2
+    assert capsys.readouterr().out == ""
+    assert not out.exists()
+
+
+def test_align_bad_labels_file_exit_3(tmp_path):
     data = _write_fixture(tmp_path)
-    assert run_cli("align", "--data", data, "--out", str(tmp_path / "o")) == 3
     bad = tmp_path / "y.csv"
     bad.write_text("1\n2\n1\n-1\n")
     assert run_cli("align", "--data", data, "--labels", str(bad),

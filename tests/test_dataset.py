@@ -57,6 +57,14 @@ def test_load_csv_rejects_nonfinite(tmp_path):
         load_csv(str(path))
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf", "1e999", "NaN", "-Infinity"])
+def test_load_csv_nonfinite_tokens_name_their_line(tmp_path, token):
+    path = tmp_path / "d.csv"
+    path.write_text(f"1,2\n3,4\n5,{token}\n")
+    with pytest.raises(ParseError, match=f"^line 3: non-finite value {token!r}$"):
+        load_csv(str(path))
+
+
 def test_load_labels(tmp_path):
     path = tmp_path / "y.csv"
     path.write_text("1\n-1\n1\n")

@@ -571,6 +571,21 @@ def test_interlacing_counts_a_violating_child_in_a_stack(monkeypatch):
     assert violations == 1 and worst > 0.0
 
 
+def test_child_index_gathers_the_fancy_index_stack():
+    # the flat matrix read through the cached index, and np.take with it,
+    # against the (dim, dim-1, dim-1) fancy-indexed stack they replaced, at
+    # every dim the oracle draws
+    rng = np.random.default_rng(3)
+    for dim in range(3, 41):
+        a = rng.standard_normal((dim, dim))
+        keep = np.arange(dim - 1) + (np.arange(dim - 1) >= np.arange(dim)[:, None])
+        want = a[keep[:, :, None], keep[:, None, :]]
+        index = experiments._child_index(dim)
+        assert index.itemsize <= 2 and not index.flags.writeable and index is experiments._child_index(dim)
+        for got in (a.ravel()[index], np.take(a.ravel(), index)):
+            assert got.shape == want.shape and got.tobytes() == want.tobytes(), dim
+
+
 def test_interlacing_row_equals_eig_sym_reference(monkeypatch):
     # the row `run_oracles` writes, against the same matrices solved with
     # eigenvectors: eigvalsh and eigh round differently, and the row must not see it

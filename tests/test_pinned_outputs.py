@@ -86,11 +86,22 @@ def test_boxplot_outputs_are_pinned():
     assert digest == "2a8db7f8ea18236f2f48cafcba196fc791f1241f862db9ea6839e838d25e98d6"
 
 
+def _oracle_digest(cfg: ExperimentConfig) -> str:
+    table = run_oracles(cfg, interlacing_matrices=100, perturbation_trials=100, expansion_trials=3)
+    return _digest([(r.name, r.trials, r.violations, r.skipped, r.max_violation) for r in table.rows])
+
+
 def test_oracle_outputs_are_pinned():
     cfg = ExperimentConfig(n=30, p=5, trials=2, seed=13, indices=(1,), bounds=())
-    table = run_oracles(cfg, interlacing_matrices=100, perturbation_trials=100, expansion_trials=3)
-    rows = [(r.name, r.trials, r.violations, r.skipped, r.max_violation) for r in table.rows]
-    assert _digest(rows) == "eb4f23855b94951dcfce2d9f0b8a2203a9f26315bd5f68b8d6209b556a7d728c"
+    assert _oracle_digest(cfg) == "eb4f23855b94951dcfce2d9f0b8a2203a9f26315bd5f68b8d6209b556a7d728c"
+
+
+def test_violating_oracle_outputs_are_pinned():
+    # gaussian, sigma = 1, at p = 2: perturbation_norm_inner fails in about
+    # one trial in ten, so max_violation carries the bits of lhs - rhs
+    cfg = ExperimentConfig(n=100, p=2, trials=2, seed=21, indices=(1,), bounds=(),
+                           kernel={"family": "gaussian", "sigma": 1.0})
+    assert _oracle_digest(cfg) == "0b6569c4f1ff7f3beb9002bf503f2ddd914f6ef4f8e03a18a2d24afcb44573b6"
 
 
 def _write_dataset(tmp_path):

@@ -2,12 +2,14 @@
 theta statistic against the exhaustive leave-one-out loop, of the
 alignment statistics' scale invariance, of the rewritten per-trial
 helpers against the formulas they replaced, bit for bit, of the stacked
-block forms (covariance statistics, gap profiles, theorem parameters)
-against one sample at a time, bit for bit, and of seeded runs against their
-block length and worker count."""
+block forms (covariance statistics, gap profiles, theorem parameters, the
+replace-one oracle's finish) against one sample at a time, bit for bit, and
+of seeded runs against their block length and worker count."""
 
+import dataclasses
 import functools
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -20,6 +22,7 @@ from specbounds.alignment import kta, theta_statistic
 from specbounds.bounds import THEOREMS, BoundInputs
 from specbounds.dataset import SINGULAR_TOL_FACTOR, CovarianceStats, SampleSet, covariance_stats, whitened_norm
 from specbounds.errors import (
+    ConfigError,
     DataError,
     DegeneracyError,
     SingularCovarianceError,
@@ -35,8 +38,9 @@ from specbounds.experiments import (
     boxplot_stats,
     run_concentration,
     run_oracles,
+    subseed,
 )
-from specbounds.kernels import GramMatrix, gaussian, gram, linear, polynomial
+from specbounds.kernels import GramMatrix, gaussian, gram, linear, lipschitz, polynomial
 from specbounds.spectral import (
     FROBENIUS_MARGIN,
     eig_sym,
@@ -44,6 +48,7 @@ from specbounds.spectral import (
     eigvec_first_order,
     gap_tolerance,
     gaps_from_eigenvalues,
+    perturb_replace_norm,
     principal_submatrix,
 )
 
@@ -581,13 +586,11 @@ def _block_inputs(size=24, n=6):
 
 def _member(x: BoundInputs, r: int) -> BoundInputs:
     """Row r of a block's inputs as one sample's, with Python floats."""
-    cov = x.cov
-    one = CovarianceStats(sigma=cov.sigma[r], eigs_sigma=cov.eigs_sigma[r], gap_1p=float(cov.gap_1p[r]),
-                          whitened_radius=float(cov.whitened_radius[r]), centered=cov.centered)
     missing = {name: why[r] for name, why in x.missing.items() if why[r] is not None}
     floats = {name: None if name in missing else float(getattr(x, name)[r])
               for name in ("lip", "diag_sup_sq", "theta", "a_kn", "frob", "l_mid", "ratio")}
-    return BoundInputs(n=x.n, spectrum=x.spectrum[r], cov=one, kernel=x.kernel, missing=missing, **floats)
+    return BoundInputs(n=x.n, spectrum=x.spectrum[r], cov=x.cov.member(r), kernel=x.kernel, missing=missing,
+                       **floats)
 
 
 def test_block_inputs_are_pow_sensitive():
@@ -617,6 +620,95 @@ def test_block_params_equal_one_sample_params(theorem):
             kept += 1
             assert [_bits(np.broadcast_to(c, (len(reasons),))[r]) for c in columns] == [_bits(v) for v in params]
         assert (columns is None) == (kept == 0)
+
+
+def test_block_error_norm_bounds_equal_one_sample_bounds():
+    # radii whose squares numpy rounds differently from Python's pow, and
+    # the covariance gaps of the block fixture
+    x = _block_inputs()
+    radius = x.cov.whitened_radius.copy()
+    sensitive = _pow_sensitive(0.5, 3.0, 2, 8)
+    radius[: sensitive.size] = sensitive
+    assert _bits(np.square(radius)) != _bits([v**2 for v in radius.tolist()])
+    cov = dataclasses.replace(x.cov, whitened_radius=radius)
+    for kind in ("distance", "inner"):
+        block = bounds.error_norm_bound(kind, cov, x.lip, x.n)
+        for r in range(radius.size):
+            alone = bounds.error_norm_bound(kind, cov.member(r), float(x.lip[r]), x.n)
+            assert _bits(block.printed[r]) == _bits(alone.printed)
+            assert _bits(block.conservative[r]) == _bits(alone.conservative)
+    lip = x.lip.copy()
+    lip[[3, 5]] = (0.0, -1.0)
+    with pytest.raises(ConfigError, match=r"^Lipschitz constant must be positive, got 0\.0$"):
+        bounds.error_norm_bound("distance", cov, lip, x.n)
+
+
+def _perturbation_alone(cfg, index, t) -> dict:
+    """One replace-one trial's oracle pairs, computed by itself with the
+    scalar formulas that the block finish replaced."""
+    spec, lam, lam_pert, norm_e = cfg.kernel_spec(), t.lam, t.lam_pert, t.norm_e
+    out = {"eigenvalue_stability": (float(np.max(np.abs(lam_pert - lam))), norm_e + 1e-9)}
+    cov = covariance_stats(t.samples)
+    cov = dataclasses.replace(cov, whitened_radius=max(cov.whitened_radius, whitened_norm(cov, t.replacement)))
+    lip = lipschitz(spec, t.samples)
+    m2 = cov.whitened_radius**2
+    factor = 6.0 if spec.kind == "distance" else 2.0
+    out["perturbation_norm_printed"] = (norm_e, factor * m2 * lip * cov.gap_1p / math.sqrt(cfg.n))
+    out["perturbation_norm_conservative"] = (norm_e, 12.0 * m2 * lip * cov.lambda_1 / math.sqrt(cfg.n))
+    lin_norm = perturb_replace_norm(t.samples, linear(), t.replace_at, t.replacement)
+    out["perturbation_norm_inner"] = (lin_norm, 2.0 * m2 * 1.0 * cov.gap_1p / math.sqrt(cfg.n))
+    profile = gaps_from_eigenvalues(lam, index)
+    min_gap = float(np.min(np.abs(np.delete(lam - lam[index - 1], index - 1))))
+    if profile.degenerate or norm_e >= 0.5 * min_gap:
+        out["second_order_eigenvalue"] = None
+    else:
+        lhs = float(np.abs(lam_pert[index - 1] - lam[index - 1]))
+        out["second_order_eigenvalue"] = (lhs, norm_e + norm_e**2 * profile.resolvent_sum + 1e-9)
+    return out
+
+
+@pytest.mark.parametrize("kernel,index", [
+    ({"family": "gaussian", "sigma": 1.0}, 1),
+    ({"family": "polynomial", "degree": 2, "offset": 1.0}, 2),
+    ({"family": "linear"}, 12),  # rank 2 at p = 2: degenerate at order 12, so the row skips
+], ids=["gaussian", "polynomial", "linear-degenerate"])
+def test_perturbation_finish_equals_each_trial_alone(kernel, index):
+    cfg = ExperimentConfig(n=12, p=2, trials=2, seed=5, kernel=kernel, indices=(1,), bounds=())
+    solved = [experiments._solve_perturbed(cfg, *experiments._draw_replacement(cfg, subseed(cfg.seed, t), t % 5 == 0))
+              for t in range(24)]
+    # norms whose squares numpy rounds differently from Python's pow, small
+    # enough for the second-order row to keep them where the gap is not degenerate
+    sensitive = _pow_sensitive(1e-4, 1e-3, 2, 6)
+    assert sensitive.size
+    for r, v in enumerate(sensitive.tolist()):
+        solved[1 + 3 * r] = solved[1 + 3 * r]._replace(norm_e=v)
+    finished = experiments._finish_perturbed(cfg, index, solved)
+    skipped = set()
+    for t, trial in enumerate(solved):
+        share = experiments._perturbation_trial((finished, t))
+        alone = _perturbation_alone(cfg, index, trial)
+        assert list(share) == list(alone)
+        for name, pair in alone.items():
+            assert (share[name] is None) == (pair is None), (t, name)
+            if pair is not None:
+                assert _bits(share[name]) == _bits(pair), (t, name)
+        if alone["second_order_eigenvalue"] is None:
+            skipped.add(t)
+    if kernel["family"] == "linear":
+        assert skipped == set(range(len(solved)))
+    else:
+        assert not skipped & {1 + 3 * r for r in range(sensitive.size)}
+
+
+def test_perturbation_finish_raises_the_first_singular_covariance():
+    # p > n: every sample covariance is singular, as one trial alone would raise
+    cfg = ExperimentConfig(n=4, p=6, trials=2, seed=8, indices=(1,), bounds=())
+    solved = [experiments._solve_perturbed(cfg, *experiments._draw_replacement(cfg, subseed(cfg.seed, t), False))
+              for t in range(3)]
+    with pytest.raises(SingularCovarianceError) as alone:
+        covariance_stats(solved[0].samples)
+    with pytest.raises(SingularCovarianceError, match=f"^{re.escape(str(alone.value))}$"):
+        experiments._finish_perturbed(cfg, 1, solved)
 
 
 @settings(max_examples=12, deadline=None)
@@ -759,11 +851,29 @@ def test_oracle_bytes_do_not_depend_on_blocks_or_workers(perturbation_trials, se
     # and a pool seconds when BLAS is multithreaded, so this draws one example
     # and pools one block length
     cfg = ExperimentConfig(n=10, p=2, trials=2, seed=seed, indices=(1,), bounds=())
+    map_trials = experiments._map_trials
 
     def run(w):
-        table = run_oracles(cfg, interlacing_matrices=100, perturbation_trials=perturbation_trials,
-                            expansion_trials=1, workers=w)
-        return repr(table.rows)
+        # each perturbation trial's share as the runner hands it back, so
+        # every row's (lhs, rhs) columns are compared byte for byte
+        shares = []
+
+        def spy(run_block, *args):
+            results = map_trials(run_block, *args)
+            if run_block is experiments._perturbation_block:
+                shares.extend(results)
+            return results
+
+        with mock.patch.object(experiments, "_map_trials", spy):
+            table = run_oracles(cfg, interlacing_matrices=100, perturbation_trials=perturbation_trials,
+                                expansion_trials=1, workers=w)
+        assert len(shares) == perturbation_trials
+        columns = []
+        for name in shares[0]:
+            pairs = [share[name] for share in shares]
+            columns.append((name, [pair is None for pair in pairs],
+                            _bits([(math.nan, math.nan) if pair is None else pair for pair in pairs])))
+        return repr(table.rows), columns
 
     reference = run(1)
     for rows in _staged_runs(cfg, run, pooled=(7,)):

@@ -287,6 +287,26 @@ def test_perturb_replace_pair_is_gram_over_n(kernel, n):
         assert np.array_equal(pair.perturbed.entries, pair.original.entries + pair.e)
 
 
+@pytest.mark.parametrize("kernel", [gaussian(0.7), linear(), polynomial(2, 1.0), polynomial(3, 0.0)],
+                         ids=["gaussian", "linear", "poly2", "poly3"])
+def test_perturbed_matrix_has_the_bits_of_original_plus_e(kernel):
+    # the perturbed matrix is written as original + 0.0 with row and column
+    # `index` replaced: compare bytes, so the sign of every zero counts
+    rng = np.random.default_rng(71)
+    for _ in range(40):
+        n = int(rng.integers(2, 40))
+        rows = rng.standard_normal((n, 3))
+        rows[rng.integers(0, n)] = 0.0  # zero kernel values under the inner-product kernels
+        s = SampleSet(rows=rows, provenance="t")
+        idx = int(rng.integers(1, n + 1))
+        replacement = s.rows[idx - 1] if rng.random() < 0.2 else rng.standard_normal(3)
+        pair = perturb_replace(s, kernel, idx, replacement)
+        want = pair.original.entries + pair.e
+        assert pair.perturbed.entries.tobytes() == want.tobytes()
+        assert pair.e is pair.e and not pair.e.flags.writeable
+        assert not pair.original.entries.flags.writeable and not pair.perturbed.entries.flags.writeable
+
+
 def test_perturb_replace_validation():
     s = gen_gaussian(5, 2, 22)
     with pytest.raises(DataError):

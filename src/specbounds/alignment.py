@@ -89,13 +89,14 @@ def theta_statistic(g: GramMatrix, spectrum: Spectrum | None = None) -> float:
     weight = u * u
     slack = _SECULAR_ROUNDING * n * np.finfo(np.float64).eps * (weight + np.abs(u))
     a = g.entries
+    sub = np.empty((n - 1, n - 1))
     unsolved = np.ones(n, dtype=bool)
     best = -math.inf
     for s in np.argsort(-weight[:, n - 1], kind="stable"):
         if not unsolved[s]:
             continue
         unsolved[s] = False
-        sub_lam = np.linalg.eigvalsh(np.delete(np.delete(a, s, 0), s, 1))[::-1]
+        sub_lam = np.linalg.eigvalsh(_leave_one_out(a, s, sub))[::-1]
         ratio = float(np.min(sub_lam / denom))
         if ratio > best:
             best = ratio
@@ -107,6 +108,17 @@ def theta_statistic(g: GramMatrix, spectrum: Spectrum | None = None) -> float:
                 below = weight[rest] @ r > slack[rest] @ np.abs(r)
                 unsolved[rest[below.any(axis=1)]] = False
     return 1.0 - best
+
+
+def _leave_one_out(a: np.ndarray, s: int, out: np.ndarray) -> np.ndarray:
+    """`a` (n, n) without row and column s (0-based), written into `out`
+    (n - 1, n - 1) from four blocks: the array that
+    `np.delete(np.delete(a, s, 0), s, 1)` builds."""
+    out[:s, :s] = a[:s, :s]
+    out[:s, s:] = a[:s, s + 1:]
+    out[s:, :s] = a[s + 1:, :s]
+    out[s:, s:] = a[s + 1:, s + 1:]
+    return out
 
 
 def middle_spectrum_norm(eigenvalues: np.ndarray) -> float:

@@ -76,7 +76,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -626,8 +626,7 @@ def theorem_values(theorem: str, x: BoundInputs, i: int | None, eps):
 # --- report assembly ---------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BoundRow:
+class BoundRow(NamedTuple):
     statistic: str
     index: int | None
     epsilon: float

@@ -29,6 +29,7 @@ import json
 import math
 import sys
 from dataclasses import replace
+from json.encoder import encode_basestring_ascii as _quoted
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +68,10 @@ NAME_MAX = 255  # bytes in one file name on common file systems (ext4, XFS, APFS
 
 
 def _fval(v) -> str:
+    """One CSV field: empty for None, the digits of an integer, or the repr
+    of a float."""
+    if type(v) is float:
+        return repr(v)
     if v is None:
         return ""
     if isinstance(v, (int, np.integer)) and not isinstance(v, bool):
@@ -75,29 +80,65 @@ def _fval(v) -> str:
 
 
 def _csv(rows, header: str = RESULTS_HEADER) -> str:
-    """CSV text: the header, then one line per row (None is an empty field)."""
-    lines = [header] + [",".join("" if f is None else str(f) for f in row) for row in rows]
-    return "\n".join(lines) + "\n"
+    """CSV text: the header, then one line per row of string fields."""
+    return "\n".join([header, *map(",".join, rows)]) + "\n"
 
 
-def _json(obj) -> str:
-    """The strict JSON text of `obj`: every non-finite float is written as
-    null, since JSON has no NaN or Infinity."""
-    return json.dumps(_nulled(obj, "", []), indent=2, sort_keys=True, allow_nan=False) + "\n"
+def _json(obj, non_finite: list[str] | None = None) -> str:
+    """The strict JSON text of `obj` (nested dicts, lists and tuples), as
+    `json.dumps(obj, indent=2, sort_keys=True)` writes it, except that every
+    non-finite float is written as null, since JSON has no NaN or Infinity.
+    The dotted path of each such value (a list item by its position) is
+    appended to `non_finite` when it is given."""
+    parts: list[str] = []
+    _encode(obj, "", "\n", parts, [] if non_finite is None else non_finite)
+    parts.append("\n")
+    return "".join(parts)
 
 
-def _nulled(obj, where: str, non_finite: list[str]):
-    """`obj`, nested dicts and lists, with every non-finite float replaced by
-    None and its dotted path (a list item by its position) appended to
-    `non_finite`."""
-    if isinstance(obj, dict):
-        return {k: _nulled(v, f"{where}.{k}" if where else k, non_finite) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_nulled(v, f"{where}[{j}]", non_finite) for j, v in enumerate(obj)]
-    if isinstance(obj, float) and not math.isfinite(obj):
-        non_finite.append(where)
-        return None
-    return obj
+def _encode(obj, where: str, newline: str, parts: list[str], non_finite: list[str]) -> None:
+    """Append the JSON text of `obj` to `parts`; `newline` is the line break
+    and indent of the line that `obj` starts on."""
+    if isinstance(obj, float):
+        if math.isfinite(obj):
+            parts.append(float.__repr__(obj))
+        else:
+            parts.append("null")
+            non_finite.append(where)
+    elif isinstance(obj, str):
+        parts.append(_quoted(obj))
+    elif obj is None:
+        parts.append("null")
+    elif obj is True:
+        parts.append("true")
+    elif obj is False:
+        parts.append("false")
+    elif isinstance(obj, int):
+        parts.append(int.__repr__(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            parts.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for k, v in sorted(obj.items()):
+            parts.append(f"{sep}{_quoted(k)}: ")
+            _encode(v, f"{where}.{k}" if where else k, inner, parts, non_finite)
+            sep = "," + inner
+        parts.append(newline + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            parts.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for j, v in enumerate(obj):
+            parts.append(sep)
+            _encode(v, f"{where}[{j}]", inner, parts, non_finite)
+            sep = "," + inner
+        parts.append(newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def _write(path: Path, text: str) -> None:
@@ -257,10 +298,11 @@ def _cmd_bounds(args) -> int:
     if skipped:
         meta["skipped_theorems"] = skipped
     non_finite: list[str] = []
-    _nulled(meta, "", non_finite)  # only for the paths: `_json` writes the values as null
-    if non_finite:
+    text = _json(meta, non_finite)
+    if non_finite:  # list the paths of the values written as null
         meta["non_finite"] = sorted(non_finite)
-    files = {"metadata.json": _json(meta)}
+        text = _json(meta)
+    files = {"metadata.json": text}
     if skipped and not args.allow_degenerate:
         _write_files(out, files)
         listed = "; ".join(f"{key}: {reason}" for key, reason in skipped.items())
@@ -269,7 +311,7 @@ def _cmd_bounds(args) -> int:
         )
 
     files["report.csv"] = _csv(
-        [row.statistic, row.index, _fval(row.epsilon), row.theorem, "bound", _fval(row.raw), "",
+        [row.statistic, _fval(row.index), _fval(row.epsilon), row.theorem, "bound", _fval(row.raw), "",
          ";".join(row.flags + (("vacuous",) if row.vacuous else ()))]
         for row in rows
     )
@@ -371,13 +413,15 @@ def _result_csv(result: ExperimentResult) -> str:
     eps = result.config.epsilons
     rows = []
     for s in result.series:
-        rows.append([s.statistic, s.index, "", "", "mc_mean", _fval(s.mc_mean), _fval(s.mc_se), ""])
+        index = _fval(s.index)
+        rows.append([s.statistic, index, "", "", "mc_mean", _fval(s.mc_mean), _fval(s.mc_se), ""])
         rows.extend(
-            [s.statistic, s.index, _fval(e), "", "empirical_freq", _fval(f), _fval(se), ""]
+            [s.statistic, index, _fval(e), "", "empirical_freq", _fval(f), _fval(se), ""]
             for e, f, se in zip(eps, s.frequencies.tolist(), s.frequency_se.tolist())
         )
     for b in result.bound_series:
         excluded = [f"excluded={b.excluded}"] if b.excluded else []
+        index = _fval(b.index)
         for e, mean, p10 in zip(eps, b.mean.tolist(), b.p10.tolist()):
             for kind, v in (("bound_mean", mean), ("bound_p10", p10)):
                 if not math.isfinite(v):
@@ -386,7 +430,7 @@ def _result_csv(result: ExperimentResult) -> str:
                     flags = excluded + ["vacuous"]
                 else:
                     flags = excluded
-                rows.append([b.statistic, b.index, _fval(e), b.theorem, kind, _fval(v), "", ";".join(flags)])
+                rows.append([b.statistic, index, _fval(e), b.theorem, kind, _fval(v), "", ";".join(flags)])
     return _csv(rows)
 
 
@@ -395,7 +439,7 @@ def _boxplot_csv(result: BoxplotResult) -> str:
     names = ("min", "q1", "median", "q3", "max", "iqr", "mean_gap")
     for i, five, iqr, mg in zip(result.indices, result.five_numbers, result.iqrs, result.mean_gaps):
         rows.extend(
-            ["eigenvalue", i, "", "", name, _fval(v), "", ""] for name, v in zip(names, (*five, iqr, mg))
+            ["eigenvalue", _fval(i), "", "", name, _fval(v), "", ""] for name, v in zip(names, (*five, iqr, mg))
         )
     rows.append(["eigenvalue", "", "", "", "spearman_gap_iqr", _fval(result.spearman_gap_iqr), "", ""])
     return _csv(rows)
@@ -603,7 +647,7 @@ def _cmd_audit(args) -> int:
         "rows": [dict(zip(AUDIT_HEADER.split(","), row)) for row in rows],
     }
     files = {
-        "audit.csv": _csv(([*row[:4], _fval(row[4])] for row in rows), AUDIT_HEADER),
+        "audit.csv": _csv(([row[0], *map(_fval, row[1:])] for row in rows), AUDIT_HEADER),
         "summary.json": _json(summary),
     }
     _write_outputs("audit", args, files, seed, cfg.to_dict(), {})

@@ -116,7 +116,7 @@ def _as_matrix(g) -> np.ndarray:
     a = g.entries if isinstance(g, GramMatrix) else np.asarray(g, dtype=np.float64)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DataError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise DataError("matrix entries must be finite")
     return a
 
@@ -159,12 +159,19 @@ def _check_members(a: np.ndarray, checks) -> None:
     """Raise DegeneracyError naming the first member of `a` where a check's
     value exceeds its limit; `checks` holds (value, limit, what) triples."""
     for value, limit, what in checks:
-        failed = np.ravel(value > limit)
+        failed = value > limit
         if failed.any():
-            bad = int(np.argmax(failed))
+            bad = int(np.argmax(np.ravel(failed)))
             raise DegeneracyError(
                 f"{what} {float(np.ravel(value)[bad]):.3e} too large ({_member(a, bad)})"
             )
+
+
+def _frobenius(a: np.ndarray) -> np.ndarray:
+    """Frobenius norm of `a` (k, k), or of each member of a stack (..., k, k):
+    one dot over each member's flat buffer."""
+    flat = a.reshape(*a.shape[:-2], 1, a.shape[-2] * a.shape[-1])
+    return np.sqrt((flat @ np.swapaxes(flat, -1, -2))[..., 0, 0])
 
 
 def eig_sym(g: GramMatrix | np.ndarray) -> Spectrum:
@@ -178,23 +185,38 @@ def eig_sym(g: GramMatrix | np.ndarray) -> Spectrum:
     returned arrays keep the leading axes: (..., k) and (..., k, k).
     Orthonormality and reconstruction are checked for every member, and a
     member that fails either check, or the solver, raises DegeneracyError
-    naming its position in the stack.
+    naming its position in the stack.  The reconstruction V diag(lambda) V^T
+    is formed as W W^T with W = V sqrt|lambda|, a symmetric rank-k update,
+    less twice the negative eigenvalues' share W_- W_-^T when there are any.
     """
     a = _as_matrix(g)
-    vals, vecs = _solve(np.linalg.eigh, a)
+    vals, ascending = _solve(np.linalg.eigh, a)  # eigenvectors in ascending order
     vals = vals[..., ::-1].copy()
-    vecs = vecs[..., ::-1].copy()
-    anchor = np.argmax(np.abs(vecs), axis=-2)[..., None, :]
-    signs = np.sign(np.take_along_axis(vecs, anchor, axis=-2))
+    anchor = np.argmax(np.abs(ascending), axis=-2)[..., None, :]
+    signs = np.sign(np.take_along_axis(ascending, anchor, axis=-2))
     signs[signs == 0] = 1.0
-    vecs *= signs
-    vecs_t = np.swapaxes(vecs, -1, -2)
-    ortho = np.max(np.abs(vecs_t @ vecs - np.eye(a.shape[-1])), axis=(-2, -1))
-    fro = np.linalg.norm(a, ord="fro", axis=(-2, -1))
-    recon = np.linalg.norm(a - (vecs * vals[..., None, :]) @ vecs_t, ord="fro", axis=(-2, -1))
+    # the reversed, sign-fixed eigenvectors in one pass, as a new C-ordered array
+    vecs = ascending[..., ::-1] * signs[..., ::-1]
+    del ascending
+    k = a.shape[-1]
+    # V^T V - I in place: the diagonal is every (k + 1)-th entry of each member
+    deviation = np.swapaxes(vecs, -1, -2) @ vecs
+    deviation.reshape(*a.shape[:-2], k * k)[..., :: k + 1] -= 1.0
+    ortho = np.max(np.abs(deviation, out=deviation), axis=(-2, -1))
+    del deviation
+    w = vecs * np.sqrt(np.abs(vals))[..., None, :]
+    residual = w @ np.swapaxes(w, -1, -2)
+    negative = vals < 0.0
+    if negative.any():  # descending, so each member's negative columns are its last
+        m = int(np.max(np.count_nonzero(negative, axis=-1)))
+        w_neg = w[..., -m:] * negative[..., None, -m:]
+        residual -= 2.0 * (w_neg @ np.swapaxes(w_neg, -1, -2))
+    del w
+    np.subtract(a, residual, out=residual)
     _check_members(a, (
         (ortho, ORTHONORMALITY_TOL, "eigenvectors lost orthonormality: max deviation"),
-        (recon, RECONSTRUCTION_RTOL * (1.0 + fro), "eigendecomposition reconstruction error"),
+        (_frobenius(residual), RECONSTRUCTION_RTOL * (1.0 + _frobenius(a)),
+         "eigendecomposition reconstruction error"),
     ))
     vals.flags.writeable = False
     vecs.flags.writeable = False
@@ -213,15 +235,17 @@ def eigvals_sym(g: GramMatrix | np.ndarray) -> np.ndarray:
     or fails the solver, raises DegeneracyError naming its position.
     """
     a = _as_matrix(g)
-    vals = _solve(np.linalg.eigvalsh, a)[..., ::-1].copy()
-    fro = np.linalg.norm(a, ord="fro", axis=(-2, -1))
+    ascending = _solve(np.linalg.eigvalsh, a)
+    fro = _frobenius(a)
     limit = RECONSTRUCTION_RTOL * (1.0 + fro)
+    # each spectrum's 2-norm is the Frobenius norm of its (k, 1) column
     _check_members(a, (
-        (np.abs(np.sum(vals, axis=-1) - np.trace(a, axis1=-2, axis2=-1)), limit,
+        (np.abs(np.add.reduce(ascending, axis=-1) - np.trace(a, axis1=-2, axis2=-1)), limit,
          "eigenvalue sum misses the trace by"),
-        (np.abs(np.sqrt(np.sum(vals * vals, axis=-1)) - fro), limit,
+        (np.abs(_frobenius(ascending[..., None]) - fro), limit,
          "eigenvalue 2-norm misses the frobenius norm by"),
     ))
+    vals = ascending[..., ::-1].copy()
     vals.flags.writeable = False
     return vals
 

@@ -4,7 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from specbounds.alignment import kta, middle_spectrum_norm, theta_statistic
+from specbounds.alignment import _leave_one_out, kta, middle_spectrum_norm, theta_statistic
 from specbounds.bounds import (
     STAT_KTA,
     BoundInputs,
@@ -124,6 +124,16 @@ def test_theta_range_on_random_psd():
 def test_theta_needs_n_at_least_3():
     with pytest.raises(DataError):
         theta_statistic(_gram(np.eye(2)))
+
+
+@pytest.mark.parametrize("s", [0, 6, 12])
+def test_leave_one_out_buffer_equals_double_delete(s):
+    # a non-symmetric matrix, so a block read from the wrong side shows; the
+    # buffer already holds another deletion, as it does inside theta's loop
+    a = np.random.default_rng(s).standard_normal((13, 13))
+    out = np.full((12, 12), np.nan)
+    _leave_one_out(a, (s + 5) % 13, out)
+    assert _leave_one_out(a, s, out).tobytes() == np.delete(np.delete(a, s, 0), s, 1).tobytes()
 
 
 def test_middle_spectrum_norm_consistency():

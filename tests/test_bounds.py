@@ -8,6 +8,7 @@ import pytest
 
 from specbounds.bounds import (
     BoundInputs,
+    BoundRow,
     bound_distance,
     bound_eigvec_pointwise,
     bound_eigvec_uniform,
@@ -322,6 +323,13 @@ def test_evaluate_bounds_report():
         assert theorems & {"covgap_distance", "covgap_inner"} == expected
         assert "covgap_second_order" in theorems
         assert not report.skipped
+
+
+def test_bound_row_fields():
+    row = BoundRow("eigenvalue", 1, 0.1, "diag_uniform", 2.5, 1.0, True)
+    assert row._fields == ("statistic", "index", "epsilon", "theorem", "raw", "value", "vacuous", "flags")
+    assert (row.index, row.raw, row.vacuous, row.flags) == (1, 2.5, True, ())
+    assert row._replace(flags=("estimated_theta",)).flags == ("estimated_theta",)
 
 
 def test_evaluate_bounds_eigvec_and_sums():

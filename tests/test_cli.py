@@ -405,6 +405,27 @@ def test_simulate_boxplot_summary_is_strict_json(tmp_path):
     assert run["boxplot"]["spearman_gap_iqr"] is None
 
 
+def test_json_writes_the_text_of_json_dumps_with_non_finite_floats_as_null():
+    finite = {
+        "b": [1, -0.0, 1e-300, 2.5e300, np.float64(0.1), 2**70, True, False, None, (), {}, [],
+              "\u00e9\"\\\n\t\x01\u2028\U0001f600"],
+        "a": {"z": 3, "y": {"x": [{"w": 0.30000000000000004}, [[]]]}, "\u00e9": "key"},
+        "": 7,
+        "c": (4, "x"),
+    }
+    assert cli._json(finite) == json.dumps(finite, indent=2, sort_keys=True) + "\n"
+    assert cli._json([]) == "[]\n" and cli._json(1.5) == "1.5\n"
+    paths: list[str] = []
+    text = cli._json({"c": -math.inf, "a": [1.0, math.nan, {"b": math.inf}], "d": "nan"}, paths)
+    assert text == json.dumps({"a": [1.0, None, {"b": None}], "c": None, "d": "nan"},
+                              indent=2, sort_keys=True) + "\n"
+    assert sorted(paths) == ["a[1]", "a[2].b", "c"]
+    assert cli._json([[math.nan]], paths) == "[\n  [\n    null\n  ]\n]\n" and paths[-1] == "[0][0]"
+    for unsupported in ({"a": np.int64(1)}, [np.bool_(True)], {1: "int key"}, {"a": {1, 2}}):
+        with pytest.raises(TypeError):
+            cli._json(unsupported)
+
+
 def test_simulate_emitted_config_reruns_identically(tmp_path):
     first, second = tmp_path / "r1", tmp_path / "r2"
     assert run_cli("simulate", "--preset", "example1-fig2-top", "--seed", "11",

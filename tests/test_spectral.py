@@ -123,6 +123,67 @@ def test_eig_sym_stack_names_member_that_does_not_converge(monkeypatch):
     eig_sym(stack[:4])
 
 
+def _spectrum_stack(spectra, seed):
+    """Exactly symmetric Q diag(lambda) Q^T, one per row of `spectra`."""
+    lam = np.asarray(spectra, dtype=float)
+    q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((*lam.shape, lam.shape[-1])))
+    a = (q * lam[..., None, :]) @ np.swapaxes(q, -1, -2)
+    return (a + np.swapaxes(a, -1, -2)) / 2.0
+
+
+# members with 0 to 4 negative eigenvalues, so each masks W_- differently
+_MIXED_SIGNS = [[3.0, 2.0, 1.0, 0.5], [3.0, 2.0, 1.0, -0.5], [3.0, 2.0, -1.0, -0.5],
+                [3.0, -2.0, -1.0, -0.5], [-3.0, -2.0, -1.0, -0.5]]
+
+
+def _reference_eigenpairs(a):
+    """np.linalg.eigh's eigenpairs, descending, each vector's entry of
+    largest magnitude (the first, on ties) made positive."""
+    vals, vecs = np.linalg.eigh(a)
+    vals, vecs = vals[..., ::-1], vecs[..., ::-1]
+    anchor = np.argmax(np.abs(vecs), axis=-2)[..., None, :]
+    return vals, vecs * np.where(np.take_along_axis(vecs, anchor, axis=-2) < 0, -1.0, 1.0)
+
+
+@pytest.mark.parametrize("stacked", [False, True])
+def test_eig_sym_indefinite_eigenpairs_equal_reversed_eigh(stacked):
+    a = _spectrum_stack(_MIXED_SIGNS, 37)
+    if not stacked:
+        a = _spectrum_stack([5.0, 2.0, 0.3, -0.1, -1.5, -4.0], 38)
+    spec = eig_sym(a)
+    vals, vecs = _reference_eigenpairs(a)
+    assert np.any(spec.eigenvalues < 0)
+    assert spec.eigenvalues.tobytes() == vals.tobytes()
+    assert spec.eigenvectors.tobytes() == vecs.tobytes()
+
+
+@pytest.mark.parametrize("indefinite", [False, True])
+@pytest.mark.parametrize("corrupt, what", [
+    ("vector", "eigenvectors lost orthonormality"),
+    ("value", "eigendecomposition reconstruction error"),
+])
+def test_eig_sym_names_member_with_one_corrupt_eigenpair(monkeypatch, corrupt, what, indefinite):
+    # one entry of one eigenvector of member 2 moves by 1e-6, or one of its
+    # eigenvalues by 1e-3: each fails its own check, named at member 2
+    stack = _spectrum_stack(_MIXED_SIGNS, 39) if indefinite else _psd_stack(5, 4, 39)
+    eigh = np.linalg.eigh
+
+    def corrupt_one(a):
+        vals, vecs = eigh(a)
+        member = (2,) if a.ndim == 3 else ()
+        if corrupt == "vector":
+            vecs[member + (0, 1)] += 1e-6
+        else:
+            vals[member + (1,)] += 1e-3
+        return vals, vecs
+
+    monkeypatch.setattr(np.linalg, "eigh", corrupt_one)
+    with pytest.raises(DegeneracyError, match=rf"^{what}.*\(stack member 2 of \(5,\), n = 4\)$"):
+        eig_sym(stack)
+    with pytest.raises(DegeneracyError, match=rf"^{what}.*\(n = 4\)$"):
+        eig_sym(stack[2])
+
+
 def test_eigvals_sym_matches_eig_sym():
     stack = _psd_stack(4, 6, 34)
     lam = eigvals_sym(stack)

@@ -83,7 +83,6 @@ from .spectral import (
     eig_sym,
     eigvals_sym,
     eigvec_first_order,
-    gaps,
     gaps_from_eigenvalues,
     interlacing_check,
     perturb_replace,

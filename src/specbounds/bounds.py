@@ -83,7 +83,7 @@ import numpy as np
 from .dataset import CovarianceStats, float_or_column
 from .errors import ConfigError, DataError, DegeneracyError, DegenerateGapError, SpecBoundsError
 from .kernels import DISTANCE, INNER
-from .spectral import GapProfile, Spectrum, gap_tolerance, gaps_from_eigenvalues, range_gap_tail, range_gap_top
+from .spectral import GapProfile, gap_tolerance, gaps_from_eigenvalues, range_gap_tail, range_gap_top
 
 DEGENERATE_GAP_MESSAGE = "theorem assumes distinct eigenvalues"
 
@@ -221,25 +221,22 @@ def bound_gap(n: int, gap_profile: GapProfile, eps):
     return theorem_grid("adjacent_gap", _gap_params(n, gap_profile), eps)
 
 
-def _range_gap_params(n: int, g: float, spectrum, reject=_raise) -> tuple[float, float]:
-    lam = np.asarray(spectrum.eigenvalues if isinstance(spectrum, Spectrum) else spectrum)
-    reject(g <= gap_tolerance(float_or_column(lam.T[0])), DegenerateGapError, DEGENERATE_GAP_MESSAGE)
+def _range_gap_params(n: int, g: float, eigenvalues, reject=_raise) -> tuple[float, float]:
+    lambda_1 = float_or_column(np.asarray(eigenvalues).T[0])
+    reject(g <= gap_tolerance(lambda_1), DegenerateGapError, DEGENERATE_GAP_MESSAGE)
     return -2.0 * n, g * g
 
 
-def bound_topk_sum(n: int, spectrum, k: int, eps):
-    """Bound for the sum of the top k eigenvalues, via lambda_1 - lambda_{k+1}.
-
-    `spectrum` may be a Spectrum or a descending eigenvalue array.
-    """
+def bound_topk_sum(n: int, eigenvalues, k: int, eps):
+    """Bound for the sum of the top k eigenvalues, via lambda_1 - lambda_{k+1}."""
     eps = _check_eps(eps)
-    return theorem_grid("topk_gap", _range_gap_params(n, range_gap_top(spectrum, k), spectrum), eps)
+    return theorem_grid("topk_gap", _range_gap_params(n, range_gap_top(eigenvalues, k), eigenvalues), eps)
 
 
-def bound_tail_sum(n: int, spectrum, k: int, eps):
+def bound_tail_sum(n: int, eigenvalues, k: int, eps):
     """Bound for the sum of eigenvalues k..n, via lambda_k - lambda_n."""
     eps = _check_eps(eps)
-    return theorem_grid("tail_gap", _range_gap_params(n, range_gap_tail(spectrum, k), spectrum), eps)
+    return theorem_grid("tail_gap", _range_gap_params(n, range_gap_tail(eigenvalues, k), eigenvalues), eps)
 
 
 @dataclass(frozen=True)

@@ -47,6 +47,7 @@ from .experiments import (
     ExperimentResult,
     boxplot_stats,
     check_oracle_counts,
+    check_workers,
     default_epsilons,
     run_concentration,
     run_oracles,
@@ -521,6 +522,7 @@ def _concentration_svg(results: list[tuple[str, ExperimentResult]]) -> str:
 
 
 def _cmd_simulate(args) -> int:
+    check_workers(args.workers)
     # a --config run takes each run's seed from its file unless --seed is given
     if args.config:
         seed, runs = args.seed, _runs_from_args(args, args.seed)
@@ -629,6 +631,7 @@ def _cmd_align(args) -> int:
 def _cmd_audit(args) -> int:
     kernel = {} if args.kernel is None else {"kernel": kernel_config(args.kernel)}
     check_oracle_counts(args.interlacing_matrices, args.oracle_trials, args.expansion_trials)
+    check_workers(args.workers)
     # trials is unused by the oracles; the config requires at least 2
     seed, cfg = _seeded(args, lambda s: ExperimentConfig.from_dict(
         {"n": args.n, "p": args.p, "trials": 2, "seed": s, **kernel, "indices": [args.index], "bounds": []}))

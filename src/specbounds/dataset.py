@@ -7,7 +7,6 @@ bound downstream.
 
 from __future__ import annotations
 
-import contextlib
 import math
 from collections.abc import Iterator
 from dataclasses import dataclass
@@ -244,9 +243,14 @@ def covariance_stats(s, centered: bool = False) -> CovarianceStats:
     `s` may also be a block, a sequence of B SampleSets of one shape: it is
     solved as one (B, n, p) stack, every member with the bits it has alone,
     and a singular member raises nothing; its message goes into `singular`.
+    One SampleSet is solved as a block of one.
     """
-    block = not isinstance(s, SampleSet)
-    x = np.stack([member.rows for member in s]) if block else s.rows
+    if isinstance(s, SampleSet):
+        cov = covariance_stats([s], centered)
+        if cov.singular[0] is not None:
+            raise SingularCovarianceError(cov.singular[0])
+        return cov.member(0)
+    x = np.stack([member.rows for member in s])
     if centered:
         x = x - x.mean(axis=-2, keepdims=True)
     sigma = (np.swapaxes(x, -1, -2) @ x) / x.shape[-2]
@@ -254,34 +258,27 @@ def covariance_stats(s, centered: bool = False) -> CovarianceStats:
     eigvals, eigvecs = np.linalg.eigh(sigma)
     eigvals = eigvals[..., ::-1].copy()
     eigvecs = eigvecs[..., ::-1]
-    lam1, lamp = eigvals.T[0], eigvals.T[-1]  # floats, or (B,) columns
-    if block:
-        # Python's max per member, as for one sample, so a tolerance of -0.0 stays -0.0
-        tols = [SINGULAR_TOL_FACTOR * max(v, 0.0) for v in lam1.tolist()]
-        singular = tuple(_singular(vp, t) for vp, t in zip(lamp.tolist(), tols))
-        tol = np.array(tols)[:, None]
-    else:
-        tol = SINGULAR_TOL_FACTOR * max(float(lam1), 0.0)
-        singular = ()
-        if lamp <= tol:
-            raise SingularCovarianceError(_singular(float(lamp), tol))
+    lam1, lamp = eigvals.T[0], eigvals.T[-1]  # (B,) columns
+    # Python's max per member, so a tolerance of -0.0 stays -0.0
+    tols = [SINGULAR_TOL_FACTOR * max(v, 0.0) for v in lam1.tolist()]
+    singular = tuple(_singular(vp, t) for vp, t in zip(lamp.tolist(), tols))
+    tol = np.array(tols)[:, None]
     # Symmetric inverse square root, eigenvalues clipped at the tolerance:
     # V diag(w) V^T, with V diag(w) formed as the column scaling V * w.  A
-    # singular member of a block is whitened too, with unused values
-    with np.errstate(all="ignore") if block else contextlib.nullcontext():
+    # singular member is whitened too, with unused values
+    with np.errstate(all="ignore"):
         scale = 1.0 / np.sqrt(np.maximum(eigvals, tol))
         inv_sqrt = (eigvecs * scale[..., None, :]) @ np.swapaxes(eigvecs, -1, -2)
         whitened = x @ np.swapaxes(inv_sqrt, -1, -2)
         radius = np.sqrt((whitened * whitened).sum(axis=-1).max(axis=-1))
     for a in (eigvals, eigvecs, sigma):
         a.flags.writeable = False
-    gap = lam1 - lamp
     return CovarianceStats(
         sigma=sigma,
         eigs_sigma=eigvals,
         eigvecs_sigma=eigvecs,
-        gap_1p=float_or_column(gap),
-        whitened_radius=float_or_column(radius),
+        gap_1p=lam1 - lamp,
+        whitened_radius=radius,
         centered=centered,
         singular=singular,
     )

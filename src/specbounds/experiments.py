@@ -52,6 +52,7 @@ precondition, in the order one sample checks them.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass, field, fields, replace
 from functools import lru_cache
 from typing import NamedTuple
@@ -79,6 +80,9 @@ KNOWN_STATISTICS = ("eigenvalue", "topk_sum", "tail_sum", "kta")
 KNOWN_BOUNDS = tuple(name for name, t in bnd.THEOREMS.items() if t.statistic in KNOWN_STATISTICS)
 # what one block of trials may carry from one stage to the next
 BLOCK_BYTES = 256 * 1024
+# keys of older configs, loaded only at the value now fixed: key -> (value, why)
+_RETIRED_KEYS = {"scaling": ("one_over_n", "the statistic is lambda_i(G)/n"),
+                "generator": ("gaussian", "every trial draws standard-normal samples")}
 
 
 def splitmix64(state: int) -> int:
@@ -117,7 +121,6 @@ class ExperimentConfig:
     seed: int
     trials: int = 1000
     kernel: dict = field(default_factory=lambda: {"family": "gaussian"})
-    generator: str = "gaussian"
     epsilons: tuple[float, ...] = field(default_factory=default_epsilons)
     indices: tuple[int, ...] = (1, 2, 3)
     statistics: tuple[str, ...] = ("eigenvalue",)
@@ -148,8 +151,6 @@ class ExperimentConfig:
             raise ConfigError(f"need at least one feature column, got p = {self.p}")
         if self.trials < 2:
             raise ConfigError(f"need at least 2 trials, got {self.trials}")
-        if self.generator != "gaussian":
-            raise ConfigError(f"unknown generator {self.generator!r}")
         if not self.indices or any(not 1 <= i <= self.n for i in self.indices):
             raise ConfigError(f"indices must lie in 1..{self.n}")
         for s in self.statistics:
@@ -174,29 +175,17 @@ class ExperimentConfig:
         self.__dict__.update(state, _spec=kernel_from_config(state["kernel"]))
 
     def to_dict(self) -> dict:
-        return {
-            "generator": self.generator,
-            "n": self.n,
-            "p": self.p,
-            "trials": self.trials,
-            "seed": self.seed,
-            "kernel": dict(self.kernel),
-            "epsilons": list(self.epsilons),
-            "indices": list(self.indices),
-            "statistics": list(self.statistics),
-            "bounds": list(self.bounds),
-        }
+        return {name: list(v) if isinstance(v, tuple) else dict(v) if isinstance(v, dict) else v
+                for name, v in self.__getstate__().items()}
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
         if not isinstance(obj, dict):
             raise ConfigError(f"experiment config must be a JSON object, got {obj!r}")
-        # configs written before the statistic scale was fixed carry it
-        if obj.get("scaling", "one_over_n") != "one_over_n":
-            raise ConfigError(
-                f"scaling {obj['scaling']!r} is no longer supported: the statistic is lambda_i(G)/n"
-            )
-        unknown = sorted(set(obj) - {f.name for f in fields(cls)} - {"scaling"})
+        for key, (value, why) in _RETIRED_KEYS.items():
+            if obj.get(key, value) != value:
+                raise ConfigError(f"{key} {obj[key]!r} is no longer supported: {why}")
+        unknown = sorted(set(obj) - {f.name for f in fields(cls)} - set(_RETIRED_KEYS))
         if unknown:
             raise ConfigError(f"experiment config has unknown key(s) {unknown}")
         for name in ("n", "p", "seed"):
@@ -276,11 +265,11 @@ def _keys(cfg: ExperimentConfig) -> _Keys:
 
 
 def _draw(cfg: ExperimentConfig, trial_seed: int):
-    """A trial's kernel, its generator, and n standard-normal samples in R^p."""
+    """A trial's generator and its n standard-normal samples in R^p."""
     rng = np.random.default_rng(trial_seed)
     # standard-normal draws are finite, and the config has checked n and p
     samples = SampleSet._owned(rng.standard_normal((cfg.n, cfg.p)), f"gaussian(seed={trial_seed})")
-    return cfg.kernel_spec(), rng, samples
+    return rng, samples
 
 
 _ZERO_THETA = "estimated theta is 0; the theta bound is undefined"
@@ -313,22 +302,6 @@ def _per_sample_inputs(samples, spec: KernelSpec, g, lam: np.ndarray, needs, spe
     return values, missing
 
 
-def _one_sample_inputs(samples, spec: KernelSpec, lam: np.ndarray, needs, per_sample: tuple[dict, dict],
-                       centered: bool, a_kn) -> bnd.BoundInputs:
-    """One sample's BoundInputs from its `_per_sample_inputs` pair, with
-    its covariance statistics when `needs` names them."""
-    values, missing = per_sample
-    inputs = {name: v for name, v in values.items() if name not in missing}
-    missing = dict(missing)
-    if "cov" in needs:
-        try:
-            inputs["cov"] = covariance_stats(samples, centered=centered)
-        except SpecBoundsError as exc:
-            missing["cov"] = str(exc)
-    return bnd.BoundInputs(n=lam.shape[-1], spectrum=lam, a_kn=a_kn, kernel=spec.kind, missing=missing,
-                           theta_estimated="theta" in inputs, **inputs)
-
-
 def sample_inputs(samples: SampleSet, spec: KernelSpec, g: GramMatrix, lam: np.ndarray, needs,
                   spectrum=None, centered: bool = False, a_kn=None) -> bnd.BoundInputs:
     """The BoundInputs of one sample with raw Gram matrix g and its
@@ -340,14 +313,21 @@ def sample_inputs(samples: SampleSet, spec: KernelSpec, g: GramMatrix, lam: np.n
     if given, is `eig_sym(g)`, which theta reuses; `centered` mean-centres
     the samples before the covariance.
     """
-    per_sample = _per_sample_inputs(samples, spec, g, lam, needs, spectrum)
-    return _one_sample_inputs(samples, spec, lam, needs, per_sample, centered, a_kn)
+    values, missing = _per_sample_inputs(samples, spec, g, lam, needs, spectrum)
+    inputs = {name: v for name, v in values.items() if name not in missing}
+    if "cov" in needs:
+        try:
+            inputs["cov"] = covariance_stats(samples, centered=centered)
+        except SpecBoundsError as exc:
+            missing["cov"] = str(exc)
+    return bnd.BoundInputs(n=lam.shape[-1], spectrum=lam, a_kn=a_kn, kernel=spec.kind, missing=missing,
+                           theta_estimated="theta" in inputs, **inputs)
 
 
 def _draw_labelled(cfg: ExperimentConfig, trial_seed: int):
     """Stage 1 of a concentration trial: its samples, and its +-1 labels
     when the run has the kta statistic (else None)."""
-    _, rng, samples = _draw(cfg, trial_seed)
+    rng, samples = _draw(cfg, trial_seed)
     labels = rng.choice([-1.0, 1.0], size=cfg.n) if "kta" in cfg.statistics else None
     return samples, labels
 
@@ -395,8 +375,9 @@ def _trial_inputs(cfg: ExperimentConfig, trial_seed: int, keys: _Keys):
     BoundInputs its bound keys read, computed by the trial alone."""
     solved = _solve(cfg, keys, *_draw_labelled(cfg, trial_seed))
     stats = [float(v) for v in _statistics(cfg, keys, solved.lam, solved.a_kn)]
-    return stats, _one_sample_inputs(solved.samples, cfg.kernel_spec(), solved.lam, keys.needs, solved.per_sample,
-                                     centered=False, a_kn=solved.a_kn)
+    spec = cfg.kernel_spec()
+    return stats, sample_inputs(solved.samples, spec, gram(solved.samples, spec), solved.lam, keys.needs,
+                                a_kn=solved.a_kn)
 
 
 class _Finished(NamedTuple):
@@ -474,6 +455,12 @@ def _each(args) -> list:
     return [fn(item) for item in items]
 
 
+def check_workers(workers: int) -> None:
+    """Raise ConfigError unless a run can use `workers` worker processes."""
+    if workers < 1:
+        raise ConfigError(f"need at least 1 worker, got {workers}")
+
+
 def _map_trials(run_block, common, items, workers: int, item_bytes: int | None = None) -> list:
     """Every item's result, in order: `run_block((common, block))` maps the
     consecutive blocks of `items` to their items' results.
@@ -481,13 +468,15 @@ def _map_trials(run_block, common, items, workers: int, item_bytes: int | None =
     A block holds as many items as fit into BLOCK_BYTES at `item_bytes`
     each, and at least one; `item_bytes=None` makes every block one item.
     With `workers > 1` the blocks go to a process pool, a few blocks per
-    task; the results do not depend on the worker count.
+    task; the results do not depend on the worker count.  The pool starts
+    all its processes at once, so it has no more than the blocks or the CPUs.
     """
-    if workers < 1:
-        raise ConfigError(f"need at least 1 worker, got {workers}")
+    check_workers(workers)
     size = 1 if item_bytes is None else max(1, BLOCK_BYTES // item_bytes)
     blocks = [(common, items[k : k + size]) for k in range(0, len(items), size)]
-    if workers == 1:
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    workers = min(workers, len(blocks), cpus)
+    if workers <= 1:
         results = [run_block(b) for b in blocks]
     else:
         from concurrent.futures import ProcessPoolExecutor  # loads multiprocessing; only pools pay for it
@@ -626,7 +615,7 @@ def _boxplot_trial(args: tuple[ExperimentConfig, np.ndarray]) -> np.ndarray:
 def _boxplot_block(args) -> list:
     cfg, seeds = args
     spec = cfg.kernel_spec()
-    draws = [_draw(cfg, s)[2] for s in seeds]
+    draws = [_draw(cfg, s)[1] for s in seeds]
     spectra = [np.linalg.eigvalsh(gram(samples, spec).entries) for samples in draws]
     return [_boxplot_trial((cfg, lam)) for lam in spectra]
 
@@ -718,7 +707,7 @@ def _interlacing_trial(trial_seed: int) -> tuple[int, float]:
 def _draw_replacement(cfg: ExperimentConfig, trial_seed: int, zero_perturbation: bool):
     """A trial's samples, the 1-based index of the row to replace and its
     replacement (the row itself under `zero_perturbation`)."""
-    _, rng, samples = _draw(cfg, trial_seed)
+    rng, samples = _draw(cfg, trial_seed)
     replacement = rng.standard_normal(cfg.p)
     replace_at = int(rng.integers(1, cfg.n + 1))
     if zero_perturbation:

@@ -37,7 +37,7 @@ class Spectrum:
     """Descending eigenvalues with orthonormal eigenvectors (column i <-> lambda_i).
 
     From a stacked `eig_sym` both arrays carry the stack's leading axes; the
-    1-based accessors are for a single spectrum.
+    1-based accessor is for a single spectrum.
     """
 
     eigenvalues: np.ndarray
@@ -47,10 +47,6 @@ class Spectrum:
     def n(self) -> int:
         """Matrix size (of each member, for a stack)."""
         return self.eigenvalues.shape[-1]
-
-    def eigenvalue(self, i: int) -> float:
-        """1-based accessor."""
-        return float(self.eigenvalues[i - 1])
 
     def eigenvector(self, i: int) -> np.ndarray:
         """1-based accessor."""
@@ -250,13 +246,8 @@ def eigvals_sym(g: GramMatrix | np.ndarray) -> np.ndarray:
     return vals
 
 
-def gaps(spec: Spectrum, i: int) -> GapProfile:
-    """Gap statistics of `spec` around the i-th eigenvalue (1-based)."""
-    return gaps_from_eigenvalues(spec.eigenvalues, i)
-
-
 def gaps_from_eigenvalues(eigenvalues: np.ndarray, i: int) -> GapProfile:
-    """Like `gaps`, but from a descending eigenvalue array alone.
+    """Gap statistics of descending eigenvalues around the i-th (1-based).
 
     A (B, n) stack of spectra gives one profile of the B spectra: its
     lambda_i, gap, sums and `degenerate` are (B,) columns, each row with the
@@ -298,24 +289,18 @@ def gaps_from_eigenvalues(eigenvalues: np.ndarray, i: int) -> GapProfile:
     )
 
 
-def _eigenvalues_of(spec_or_values) -> np.ndarray:
-    if isinstance(spec_or_values, Spectrum):
-        return spec_or_values.eigenvalues
-    return np.asarray(spec_or_values, dtype=np.float64)
-
-
-def range_gap_top(spec: Spectrum | np.ndarray, k: int) -> float:
+def range_gap_top(eigenvalues: np.ndarray, k: int) -> float:
     """lambda_1 - lambda_{k+1} (1-based k, requires k < n); a (B,) column
     for a (B, n) stack of spectra."""
-    lam = _eigenvalues_of(spec)
+    lam = np.asarray(eigenvalues, dtype=np.float64)
     if not 1 <= k < lam.shape[-1]:
         raise DataError(f"k must be in 1..{lam.shape[-1] - 1}, got {k}")
     return float_or_column(lam.T[0] - lam.T[k])
 
 
-def range_gap_tail(spec: Spectrum | np.ndarray, k: int) -> float:
+def range_gap_tail(eigenvalues: np.ndarray, k: int) -> float:
     """lambda_k - lambda_n (1-based k); a (B,) column for a stack."""
-    lam = _eigenvalues_of(spec)
+    lam = np.asarray(eigenvalues, dtype=np.float64)
     if not 1 <= k <= lam.shape[-1]:
         raise DataError(f"k must be in 1..{lam.shape[-1]}, got {k}")
     return float_or_column(lam.T[k - 1] - lam.T[-1])

@@ -27,7 +27,7 @@ from specbounds.bounds import (
 from specbounds.dataset import CovarianceStats, covariance_stats, gen_gaussian
 from specbounds.errors import ConfigError, DegeneracyError, DegenerateGapError
 from specbounds.kernels import gaussian, gram, lipschitz, diag_sup
-from specbounds.spectral import GapProfile, Spectrum, eig_sym, gaps_from_eigenvalues
+from specbounds.spectral import GapProfile, eig_sym, gaps_from_eigenvalues
 
 mp.mp.dps = 50
 
@@ -104,16 +104,15 @@ def test_gap_eps_zero_and_degenerate():
 
 def test_topk_tail_fixture():
     lam = np.array([3.0, 2.0, 1.0])
-    spec = Spectrum(eigenvalues=lam, eigenvectors=np.eye(3))
-    assert bound_topk_sum(3, spec, 1, 1.0) == pytest.approx(_mpf(mp.exp(-6)), rel=1e-12)
-    assert bound_tail_sum(3, spec, 1, 1.0) == pytest.approx(_mpf(mp.exp(-1.5)), rel=1e-12)
+    assert bound_topk_sum(3, lam, 1, 1.0) == pytest.approx(_mpf(mp.exp(-6)), rel=1e-12)
+    assert bound_tail_sum(3, lam, 1, 1.0) == pytest.approx(_mpf(mp.exp(-1.5)), rel=1e-12)
     # definition identity: the exponent uses exactly the top range gap
     k = 2
     g = lam[0] - lam[k]
-    assert bound_topk_sum(3, spec, k, 0.7) == pytest.approx(
+    assert bound_topk_sum(3, lam, k, 0.7) == pytest.approx(
         math.exp(-2 * 3 * 0.49 / (g * g)), rel=1e-12
     )
-    degenerate = Spectrum(eigenvalues=np.array([3.0, 1.0, 1.0]), eigenvectors=np.eye(3))
+    degenerate = np.array([3.0, 1.0, 1.0])
     with pytest.raises(DegenerateGapError):
         bound_tail_sum(3, degenerate, 2, 0.5)
 
@@ -269,12 +268,12 @@ def test_prefactors_at_eps_zero():
         index=1, n=10, lambda_i=1.0, _gap_next=0.5,
         resolvent_sum=0.4, inv_gap_sq_sum=0.3, degenerate=False,
     )
-    spec = Spectrum(eigenvalues=np.array([3.0, 2.0, 1.0]), eigenvectors=np.eye(3))
+    lam = np.array([3.0, 2.0, 1.0])
     assert bound_trace_uniform(10, 1.0, 0.0) == 2.0
     assert bound_theta(0.5, 1.0, 0.0) == 2.0
     assert bound_gap(10, profile, 0.0) == 1.0
-    assert bound_topk_sum(3, spec, 1, 0.0) == 1.0
-    assert bound_tail_sum(3, spec, 1, 0.0) == 1.0
+    assert bound_topk_sum(3, lam, 1, 0.0) == 1.0
+    assert bound_tail_sum(3, lam, 1, 0.0) == 1.0
     assert bound_distance(10, cov, 1.0, 0.0) == 1.0
     assert bound_inner(10, cov, 1.0, 0.0) == 1.0
     assert bound_second_order(10, cov, 1.0, profile, 0.0) == 1.0

@@ -257,7 +257,7 @@ def test_bounds_reproduces_simulate_trial_bounds(tmp_path):
                            statistics=("eigenvalue", "topk_sum", "tail_sum"),
                            bounds=("adjacent_gap", "topk_gap", "tail_gap", "covgap_distance"))
     trial_seed = subseed(cfg.seed, 1)
-    _, _, samples = _draw(cfg, trial_seed)
+    _, samples = _draw(cfg, trial_seed)
     data = tmp_path / "trial.csv"
     data.write_text("".join(",".join(repr(float(v)) for v in row) + "\n" for row in samples.rows))
     keys = _keys(cfg)
@@ -442,15 +442,16 @@ def test_simulate_emitted_config_reruns_identically(tmp_path):
                    "--no-svg", "--out", str(tmp_path / "r4")) == 0
     (run,) = json.loads((tmp_path / "r4" / "config.json").read_text())["runs"]
     assert run["config"]["epsilons"] == [0.1, 0.2]
-    # a config written when the scale was an option reruns at the fixed scale,
-    # and one asking for another scale is refused
+    # a config written when the scale or the generator was an option reruns
+    # with the fixed one, and one asking for another is refused
     payload = json.loads((first / "config.json").read_text())
-    assert "scaling" not in payload["runs"][0]["config"]
-    for scaling, code in (("one_over_n", 0), ("raw", 2)):
-        payload["runs"][0]["config"]["scaling"] = scaling
-        old = tmp_path / f"{scaling}.json"
-        old.write_text(json.dumps(payload))
-        out = tmp_path / scaling
+    (run,) = payload["runs"]
+    assert "scaling" not in run["config"]
+    for key, value, code in (("scaling", "one_over_n", 0), ("scaling", "raw", 2),
+                             ("generator", "gaussian", 0), ("generator", "uniform", 2)):
+        old = tmp_path / f"{value}.json"
+        old.write_text(json.dumps({"runs": [{**run, "config": {**run["config"], key: value}}]}))
+        out = tmp_path / value
         assert run_cli("simulate", "--config", str(old), "--out", str(out)) == code
         if code == 0:
             assert (out / "results.csv").read_bytes() == (first / "results.csv").read_bytes()
@@ -645,7 +646,7 @@ def test_bounds_and_simulate_share_the_singular_covariance_reason(tmp_path):
     # trial's samples reports the reason `simulate` records for that trial
     cfg = ExperimentConfig(n=4, p=6, trials=2, seed=1, epsilons=(0.1,), indices=(1,),
                            bounds=("covgap_distance",))
-    _, _, samples = _draw(cfg, subseed(cfg.seed, 0))
+    _, samples = _draw(cfg, subseed(cfg.seed, 0))
     data = tmp_path / "trial.csv"
     data.write_text("".join(",".join(repr(float(v)) for v in row) + "\n" for row in samples.rows))
     assert run_cli("bounds", "--data", str(data), "--allow-degenerate", "--out", str(tmp_path / "b")) == 0
@@ -817,6 +818,8 @@ def test_align_without_labels_exits_2_before_reading(tmp_path, capsys):
     ("audit", "--n", "1"),
     ("audit", "--oracle-trials", "99"),
     ("simulate", "--n", "10", "--p", "0"),
+    ("simulate", "--n", "10", "--p", "2", "--trials", "5", "--workers", "0"),
+    ("audit", "--n", "10", "--p", "2", "--workers", "0"),
 ])
 def test_rejected_sizes_print_no_generated_seed(tmp_path, capsys, argv):
     # without --seed a seed is generated, but printed only for a run that starts

@@ -81,11 +81,13 @@ def test_config_from_dict_defaults_and_sizes():
                        ({**sizes, "trials": 2.7}, "'trials' must be an integer"),
                        ({**sizes, "n": 10.5}, "'n' must be an integer"),
                        ({**sizes, "p": 2.25}, "'p' must be an integer"),
-                       ({**sizes, "seed": 1.5}, "'seed' must be an integer")):
+                       ({**sizes, "seed": 1.5}, "'seed' must be an integer"),
+                       ({**sizes, "generator": "uniform"}, "generator 'uniform'")):
         with pytest.raises(ConfigError, match=match):
             ExperimentConfig.from_dict(bad)
-    # a config written when the scale was an option still loads
+    # a config written when the scale or the generator was an option still loads
     assert ExperimentConfig.from_dict({**sizes, "scaling": "one_over_n"}) == ExperimentConfig.from_dict(sizes)
+    assert ExperimentConfig.from_dict({**sizes, "generator": "gaussian"}) == ExperimentConfig.from_dict(sizes)
 
 
 @pytest.mark.parametrize("key,value,match", [
@@ -338,6 +340,45 @@ def test_map_trials_cuts_blocks_by_the_byte_budget(monkeypatch):
     assert out == [("c", 7, i) for i in range(14)] + [("c", 3, i) for i in range(14, 17)]
     for item_bytes in (None, 70, 100):  # one item per block
         assert _map_trials(run_block, "c", items, 1, item_bytes) == [("c", 1, i) for i in items]
+
+
+def test_map_trials_pool_has_no_more_processes_than_blocks_or_cpus(monkeypatch):
+    # a pool starts every process with its first task; this one records its
+    # size and maps in the test's process
+    import concurrent.futures
+    import os
+
+    sizes = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, blocks, chunksize=1):
+            return map(fn, blocks)
+
+    def run_block(args):
+        common, block = args
+        return [(common, item) for item in block]
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+    # (workers, items): one item per block
+    for workers, count in ((64, 5), (2, 5), (64, 2), (64, 1), (2, 1)):
+        items = list(range(count))
+        assert _map_trials(run_block, "c", items, workers) == [("c", i) for i in items]
+    assert sizes == [3, 2, 2]  # the one-block runs start no pool
+    # without an affinity mask, the CPU count
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    assert _map_trials(run_block, "c", list(range(9)), 64) == [("c", i) for i in range(9)]
+    assert sizes[-1] == 4
 
 
 def _carried_per_block(monkeypatch, cfg) -> list[list]:

@@ -5,11 +5,9 @@ from specbounds.dataset import SampleSet, gen_gaussian
 from specbounds.errors import DataError, DegeneracyError, DegenerateGapError, ValidityConditionError
 from specbounds.kernels import GramMatrix, gaussian, linear, gram, polynomial
 from specbounds.spectral import (
-    Spectrum,
     eig_sym,
     eigvals_sym,
     eigvec_first_order,
-    gaps,
     gaps_from_eigenvalues,
     interlacing_check,
     perturb_replace,
@@ -236,8 +234,7 @@ def test_eigvals_sym_names_member_that_does_not_converge(monkeypatch):
 
 
 def test_gaps_examples():
-    spec = Spectrum(eigenvalues=np.array([3.0, 2.0, 1.0]), eigenvectors=np.eye(3))
-    p = gaps(spec, 1)
+    p = gaps_from_eigenvalues(np.array([3.0, 2.0, 1.0]), 1)
     assert p.gap_next == pytest.approx(1.0)
     assert p.resolvent_sum == pytest.approx(1.0 / 1.0 + 1.0 / 2.0)
     assert not p.degenerate

@@ -6,7 +6,8 @@ Subcommands:
   align      kernel target-alignment report with both bounds
   audit      brute-force oracle suite; violation rates per inequality
 
-Exit codes: 0 ok, 2 config error, 3 data error, 4 numerical degeneracy.
+Exit codes: 0 ok, else the raised error class's `exit_code` (2 config error,
+3 data error, 4 numerical degeneracy), or 2 for an argparse usage error.
 Each subcommand checks every flag before it reads a file, so a bad flag is
 exit code 2 whatever the data.  Every JSON file goes through `_json`, which
 writes a non-finite float as null.
@@ -27,6 +28,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import replace
 from json.encoder import encode_basestring_ascii as _quoted
@@ -148,9 +150,12 @@ def _write(path: Path, text: str) -> None:
 
 def _write_files(out: Path, files: dict[str, str]) -> None:
     """Write each name -> text into `out`, creating it first."""
-    out.mkdir(parents=True, exist_ok=True)
-    for name, text in files.items():
-        _write(out / name, text)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        for name, text in files.items():
+            _write(out / name, text)
+    except OSError as exc:
+        raise DataError(f"cannot write to {out}: {exc}") from exc
 
 
 def _sha256(path: str) -> str:
@@ -205,8 +210,10 @@ def _parse_indices(text: str) -> tuple[int, ...]:
         out: list[int] = []
         for tok in text.split(","):
             if ".." in tok:
-                lo, hi = tok.split("..")
-                out.extend(range(int(lo), int(hi) + 1))
+                lo, hi = map(int, tok.split(".."))
+                if hi < lo:
+                    raise ConfigError(f"index range {tok!r} in {text!r} runs backwards")
+                out.extend(range(lo, hi + 1))
             else:
                 out.append(int(tok))
         return tuple(out)
@@ -244,6 +251,12 @@ def _parse_stats(text: str) -> list[tuple[str, int]]:
     return stats
 
 
+def _inputs(samples, spec, g, needs, **kw) -> bnd.BoundInputs:
+    """`sample_inputs` from the full eigendecomposition of g, which theta reuses."""
+    spectrum = eig_sym(g)
+    return sample_inputs(samples, spec, g, spectrum.eigenvalues, needs, spectrum=spectrum, **kw)
+
+
 def _cmd_bounds(args) -> int:
     out = Path(args.out)
     spec = kernel_from_config(kernel_config(args.kernel))
@@ -257,10 +270,7 @@ def _cmd_bounds(args) -> int:
     if args.theta is not None:
         needs -= {"theta"}
     samples = load_csv(args.data, header=args.header)
-    g = gram(samples, spec)
-    spectrum = eig_sym(g)
-    x = sample_inputs(samples, spec, g, spectrum.eigenvalues, needs, spectrum=spectrum,
-                      centered=args.centered)
+    x = _inputs(samples, spec, gram(samples, spec), needs, centered=args.centered)
     if args.theta is not None:
         x = replace(x, theta=args.theta)
     meta: dict = {
@@ -337,14 +347,14 @@ PRESETS = {
     "fig1-boxplot": [{"mode": "boxplot",
                       "config": {"n": 100, "p": 5, "indices": list(range(1, 16)), "bounds": []}}],
 }
-# the flags that set a run's config fields, each with its parser
+# the flags that set a run's config fields, each with its argparse arguments
 RUN_FLAGS = {
-    "n": int,
-    "p": int,
-    "kernel": kernel_config,
-    "indices": _parse_indices,
-    "statistics": lambda text: text.split(","),
-    "bounds": lambda text: [b for b in text.split(",") if b],  # an empty --bounds runs no bound
+    "n": {"type": int},
+    "p": {"type": int},
+    "kernel": {"type": kernel_config, "help": "gaussian[:SIGMA] | linear | polynomial[:D[:C]]"},
+    "indices": {"type": _parse_indices, "help": "comma list, ranges allowed (1..15)"},
+    "statistics": {"type": lambda text: text.split(",")},
+    "bounds": {"type": lambda text: [b for b in text.split(",") if b]},  # an empty --bounds runs no bound
 }
 
 
@@ -404,7 +414,7 @@ def _runs_from_args(args, seed: int | None) -> list[Run]:
         return _runs(_load_config(args.config), f"config {args.config}", overrides)
     if args.n is None or args.p is None:
         raise ConfigError("simulate needs --preset, --config, or at least --n and --p")
-    run = {"config": {name: RUN_FLAGS[name](getattr(args, name)) for name in given if name != "mode"}}
+    run = {"config": {name: getattr(args, name) for name in given if name != "mode"}}
     if args.mode is not None:
         run["mode"] = args.mode
     return _runs([run], "simulate flags", overrides)
@@ -582,9 +592,7 @@ def _cmd_align(args) -> int:
     a_kn = kta(g, labels)
     if samples.n < 3:  # each kta theorem reads L or theta, and both need n >= 3
         raise DataError("need n >= 3 eigenvalues for the middle-spectrum norm")
-    spectrum = eig_sym(g)
-    needs = bnd.theorem_needs(bnd.theorems_for(bnd.STAT_KTA))
-    x = sample_inputs(samples, spec, g, spectrum.eigenvalues, needs, spectrum=spectrum, a_kn=a_kn)
+    x = _inputs(samples, spec, g, bnd.theorem_needs(bnd.theorems_for(bnd.STAT_KTA)), a_kn=a_kn)
     report = bnd.evaluate_bounds(x, bnd.STAT_KTA, None, epsilons)
     bounds: dict[str, list[float]] = {}
     for row in report.rows:
@@ -629,7 +637,7 @@ def _cmd_align(args) -> int:
 
 
 def _cmd_audit(args) -> int:
-    kernel = {} if args.kernel is None else {"kernel": kernel_config(args.kernel)}
+    kernel = {} if args.kernel is None else {"kernel": args.kernel}
     check_oracle_counts(args.interlacing_matrices, args.oracle_trials, args.expansion_trials)
     check_workers(args.workers)
     # trials is unused by the oracles; the config requires at least 2
@@ -691,13 +699,9 @@ def build_parser() -> argparse.ArgumentParser:
     runs.add_argument("--preset", choices=PRESETS, default=None)
     runs.add_argument("--config", default=None, help="JSON experiment config (single or {runs: [...]})")
     # no run field has a default here: ExperimentConfig holds them
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--p", type=int, default=None)
+    for name, flag in RUN_FLAGS.items():
+        p.add_argument(f"--{name}", default=None, **flag)
     p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--kernel", default=None, help="gaussian[:SIGMA] | linear | polynomial[:D[:C]]")
-    p.add_argument("--indices", default=None, help="comma list, ranges allowed (1..15)")
-    p.add_argument("--statistics", default=None)
-    p.add_argument("--bounds", default=None)
     p.add_argument("--mode", default=None, choices=MODES)
     p.add_argument("--eps", default=None)
     p.add_argument("--seed", type=int, default=None)
@@ -718,9 +722,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_align)
 
     p = sub.add_parser("audit", help="brute-force oracle suite")
-    p.add_argument("--n", type=int, default=100)
-    p.add_argument("--p", type=int, default=5)
-    p.add_argument("--kernel", default=None, help="gaussian[:SIGMA] | linear | polynomial[:D[:C]]")
+    for name, default in (("n", 100), ("p", 5), ("kernel", None)):
+        p.add_argument(f"--{name}", default=default, **RUN_FLAGS[name])
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--oracle-trials", type=int, default=500, help="replace-one perturbation trials")
     p.add_argument("--interlacing-matrices", type=int, default=200)
@@ -735,22 +738,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
+    try:  # parsing too: the run flags' parsers raise ConfigError
+        args = build_parser().parse_args(argv)
+        if os.path.exists(args.out) and not os.path.isdir(args.out):
+            raise ConfigError(f"--out {args.out} exists and is not a directory")
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except DegeneracyError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except SpecBoundsError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -102,10 +102,6 @@ class CovarianceStats:
     def lambda_p(self):
         return float_or_column(self.eigs_sigma.T[-1])
 
-    @property
-    def p(self) -> int:
-        return self.sigma.shape[-1]
-
     def member(self, b: int) -> "CovarianceStats":
         """Member b of a block's statistics, with the arrays and floats that
         `covariance_stats` gives that sample alone."""

@@ -1,12 +1,14 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto exit codes: ConfigError -> 2, DataError -> 3,
-DegeneracyError (and subclasses) -> 4.
+Each class carries the exit code the CLI returns for it, and a subclass
+inherits its parent's: ConfigError 2, DataError 3, DegeneracyError 4.
 """
 
 
 class SpecBoundsError(Exception):
     """Base class for all package errors."""
+
+    exit_code = 2
 
 
 class ConfigError(SpecBoundsError):
@@ -16,6 +18,8 @@ class ConfigError(SpecBoundsError):
 class DataError(SpecBoundsError):
     """Invalid input data: unreadable files, parse failures, bad labels."""
 
+    exit_code = 3
+
 
 class ParseError(DataError):
     """A file failed to parse; message names the offending line."""
@@ -23,6 +27,8 @@ class ParseError(DataError):
 
 class DegeneracyError(SpecBoundsError):
     """A numerical precondition of a bound failed (degenerate spectrum etc.)."""
+
+    exit_code = 4
 
 
 class DegenerateGapError(DegeneracyError):

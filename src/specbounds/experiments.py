@@ -140,11 +140,6 @@ class ExperimentConfig:
         object.__setattr__(self, "indices", tuple(_integer("indices", i, "hold integers") for i in self.indices))
         object.__setattr__(self, "statistics", tuple(self.statistics))
         object.__setattr__(self, "bounds", tuple(self.bounds))
-        for name in ("statistics", "indices", "bounds"):
-            values = getattr(self, name)
-            repeated = [v for j, v in enumerate(values) if v in values[:j]]
-            if repeated:
-                raise ConfigError(f"{name} lists {repeated[0]!r} more than once")
         if self.n < 2:
             raise ConfigError(f"need at least 2 samples, got n = {self.n}")
         if self.p < 1:
@@ -161,6 +156,12 @@ class ExperimentConfig:
                 raise ConfigError(f"unknown bound {b!r} (known: {KNOWN_BOUNDS})")
             if bnd.THEOREMS[b].kernel not in (None, kind):
                 raise ConfigError(f"bound {b!r} applies to {bnd.THEOREMS[b].kernel} kernels, not {kind}")
+        for name in ("statistics", "indices", "bounds"):  # every entry is hashable by now
+            seen = set()
+            for v in getattr(self, name):
+                if v in seen:
+                    raise ConfigError(f"{name} lists {v!r} more than once")
+                seen.add(v)
 
     def kernel_spec(self) -> KernelSpec:
         """The kernel, built from `kernel` when the config was made."""
@@ -630,7 +631,7 @@ def boxplot_stats(cfg: ExperimentConfig, workers: int = 1) -> BoxplotResult:
         fns = five_number_summary(values)
         fives.append(fns)
         iqrs.append(fns[3] - fns[1])
-        if i < cfg.n and i < spectra.shape[1]:
+        if i < cfg.n:
             mean_gaps.append(float(np.mean(spectra[:, i - 1] - spectra[:, i])))
         else:
             mean_gaps.append(float("nan"))

@@ -244,8 +244,6 @@ def lipschitz(spec: KernelSpec, s: SampleSet | None = None) -> float:
         if s is None:
             raise ConfigError("polynomial kernel needs samples to compute its Lipschitz constant")
         b = float(np.max(np.abs(_pairwise_argument(s.rows, spec.kind))))
-        if d == 1:
-            return 1.0
         return float(d * (b + c) ** (d - 1))
     if spec.lip is not None:
         return spec.lip

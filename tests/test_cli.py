@@ -12,8 +12,9 @@ import pytest
 from specbounds import bounds as bnd
 from specbounds import experiments
 from specbounds import cli
+from specbounds import errors
 from specbounds.cli import build_parser, main
-from specbounds.dataset import load_csv
+from specbounds.dataset import covariance_stats, load_csv
 from specbounds.experiments import ExperimentConfig, _draw, _keys, _trial_inputs, subseed
 from specbounds.kernels import gaussian, gram
 from test_properties import theta_brute_force
@@ -175,6 +176,37 @@ def test_bounds_estimates_theta_only_when_a_theorem_reads_it(tmp_path, monkeypat
     reported = json.loads((out / "metadata.json").read_text())["statistics"]["eigenvalue:1"]
     expected = theta_brute_force(gram(load_csv(str(data)), gaussian(1.0)))
     assert reported["theta"] == expected and reported["theta_estimated"] is True
+    flags = _theta_top_flags(out)
+    assert flags and all("estimated_theta" in f for f in flags)
+    # a given --theta is used as it is: not estimated, and not flagged as estimated
+    out = tmp_path / "given"
+    assert run_cli("bounds", "--data", str(data), "--stat", "eig:1", "--theta", "0.5", "--out", str(out)) == 0
+    assert len(calls) == 1
+    reported = json.loads((out / "metadata.json").read_text())["statistics"]["eigenvalue:1"]
+    assert reported["theta"] == 0.5 and reported["theta_estimated"] is False
+    flags = _theta_top_flags(out)
+    assert flags and not any("estimated_theta" in f for f in flags)
+
+
+def _theta_top_flags(out: Path) -> list[set]:
+    """The flags of each theta_top row of out/report.csv."""
+    rows = [line.split(",") for line in (out / "report.csv").read_text().splitlines()[1:]]
+    return [set(f[7].split(";")) for f in rows if f[3] == "theta_top"]
+
+
+def test_bounds_centered_covariance(tmp_path):
+    # the covariance statistics of --centered are those of the mean-centred samples
+    data = tmp_path / "shifted.csv"
+    rows = np.random.default_rng(85).standard_normal((30, 3)) + 3.0
+    data.write_text("".join(",".join(repr(float(v)) for v in r) + "\n" for r in rows))
+    samples = load_csv(str(data))
+    for centered in (False, True):
+        out = tmp_path / f"c{centered:d}"
+        flags = ("--centered",) if centered else ()
+        assert run_cli("bounds", "--data", str(data), *flags, "--allow-degenerate", "--out", str(out)) == 0
+        meta = json.loads((out / "metadata.json").read_text())
+        assert meta["cov_lambda_1"] == covariance_stats(samples, centered=centered).lambda_1
+    assert covariance_stats(samples).lambda_1 != covariance_stats(samples, centered=True).lambda_1
 
 
 def test_bounds_skips_theta_top_when_theta_is_undefined(tmp_path, capsys):
@@ -484,6 +516,8 @@ def test_failed_runs_create_no_output_directory(tmp_path):
     assert run_cli("bounds", "--data", str(tmp_path / "nope.csv"), "--out", str(out)) == 3
     assert run_cli("align", "--data", data, "--out", str(out)) == 2
     assert run_cli("align", "--data", data, "--labels", str(tmp_path / "nope.csv"), "--out", str(out)) == 3
+    assert run_cli("simulate", "--config", str(tmp_path / "nope.json"), "--out", str(out)) == 3
+    assert run_cli("simulate", "--config", data, "--out", str(out)) == 2  # a CSV file is not JSON
     assert not out.exists()
 
 
@@ -624,6 +658,19 @@ def test_simulate_empty_bounds_runs_no_bound(tmp_path):
         assert run["config"]["bounds"] == []
 
 
+def test_simulate_index_column_follows_the_index_flags(tmp_path):
+    # a range of --indices names every order in it; kta has no order, so its
+    # rows leave the index column empty
+    for flags, indices, column in ((("--indices", "1..3"), [1, 2, 3], {"1", "2", "3"}),
+                                   (("--statistics", "kta", "--bounds", "kta_spectral"), [1, 2, 3], {""})):
+        out = tmp_path / flags[1]
+        assert run_cli("simulate", "--n", "10", "--p", "2", "--trials", "3", "--seed", "1", *flags,
+                       "--eps", "0.1", "--no-svg", "--out", str(out)) == 0
+        (run,) = json.loads((out / "config.json").read_text())["runs"]
+        assert run["config"]["indices"] == indices
+        assert {line.split(",")[1] for line in (out / "results.csv").read_text().splitlines()[1:]} == column
+
+
 def test_simulate_config_without_seed_reruns_identically(tmp_path, capsys):
     # each run's seed is in its config, so none is generated and the
     # manifest records none
@@ -678,6 +725,7 @@ def test_simulate_kernel_restricted_bound_exit_2(tmp_path, kernel, bound):
     ("--p", "0"),
     ("--n", "1", "--indices", "1"),
     ("--workers", "0"),
+    ("--indices", "1,5..3"),  # a reversed range (before: silently dropped, leaving [1])
 ])
 def test_simulate_invalid_flags_exit_2(tmp_path, flags):
     # a repeated entry, zero trials, an empty grid, an impossible size or no
@@ -694,6 +742,42 @@ def test_audit_invalid_sizes_exit_2(tmp_path, flags):
     out = tmp_path / "o"
     assert run_cli("audit", "--n", "10", "--seed", "1", *flags, "--out", str(out)) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("cls,code", [
+    (errors.SpecBoundsError, 2), (errors.ConfigError, 2), (errors.DataError, 3), (errors.ParseError, 3),
+    (errors.DegeneracyError, 4), (errors.DegenerateGapError, 4), (errors.SingularCovarianceError, 4),
+    (errors.ValidityConditionError, 4),
+])
+def test_error_classes_carry_their_exit_codes(tmp_path, capsys, monkeypatch, cls, code):
+    def failing(args):
+        raise cls("boom")
+
+    monkeypatch.setattr(cli, "_cmd_bounds", failing)
+    assert cls.exit_code == code
+    assert run_cli("bounds", "--data", "d.csv", "--out", str(tmp_path / "o")) == code
+    assert capsys.readouterr().err == "error: boom\n"
+
+
+@pytest.mark.parametrize("argv,sub,code", [
+    (("bounds", "--data", "{d}", "--allow-degenerate"), "", 2),
+    (("align", "--data", "{d}", "--labels", "{y}"), "", 2),
+    (("simulate", "--n", "10", "--p", "2", "--trials", "3", "--seed", "1"), "", 2),
+    (("audit", "--n", "10", "--p", "2", "--seed", "1", "--oracle-trials", "100",
+      "--interlacing-matrices", "100", "--expansion-trials", "1"), "", 2),
+    # a directory inside a file cannot be created: found at the first write
+    (("simulate", "--n", "10", "--p", "2", "--trials", "3", "--seed", "1"), "sub", 3),
+])
+def test_out_naming_a_file_exits_without_writing(tmp_path, capsys, argv, sub, code):
+    # before: FileExistsError or NotADirectoryError, a traceback and exit 1
+    paths = {"d": _write_fixture(tmp_path), "y": tmp_path / "y.csv"}
+    paths["y"].write_text("1\n-1\n1\n-1\n")
+    taken = tmp_path / "taken"
+    taken.write_bytes(b"not a directory\n")
+    assert run_cli(*(a.format(**paths) for a in argv), "--out", str(taken / sub)) == code
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert taken.read_bytes() == b"not a directory\n"
 
 
 def test_benchmark_tracer_sees_every_trial(tmp_path, monkeypatch):

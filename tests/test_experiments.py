@@ -1,4 +1,5 @@
 import pickle
+import time
 import warnings
 
 import numpy as np
@@ -136,6 +137,12 @@ def test_config_validation():
                               ("bounds", ("adjacent_gap", "adjacent_gap"))):
         with pytest.raises(ConfigError, match=f"{field_name} lists"):
             _cfg(**{field_name: value})
+    # the range is checked before repeats, and repeats in one pass
+    with pytest.raises(ConfigError, match=r"indices must lie in 1\.\.5"):
+        _cfg(n=5, indices=(1, 9, 9))
+    start = time.perf_counter()
+    _cfg(n=32_000, indices=tuple(range(1, 32_001)))
+    assert time.perf_counter() - start < 1.0
 
 
 def test_config_rejects_impossible_sizes_and_workers():

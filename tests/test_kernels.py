@@ -141,6 +141,7 @@ def test_lipschitz_polynomial_domain_dependent():
     s = _samples([[3.0, 4.0], [0.0, 1.0]])
     # B = max |<x_i, x_j>| = 25
     assert lipschitz(polynomial(2, 0.0), s) == pytest.approx(50.0)
+    assert lipschitz(polynomial(1, 0.0), s) == 1.0  # d (B + c)^(d - 1) at d = 1
     # the domain comes from the samples only: without them there is no constant
     with pytest.raises(ConfigError, match="needs samples"):
         lipschitz(polynomial(2, 0.0))

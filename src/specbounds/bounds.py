@@ -35,7 +35,8 @@ gap_1p^2, R_i^2) is still taken with it at every point (`_pow`): numpy's
 power and square round some inputs differently from libm's pow, so each
 row of a column has its sample's bits.
 
-THEOREMS is the one table of theorem ids; this list mirrors it.  M is the
+THEOREMS is the one table of theorem ids, each bounding a key of
+STATISTICS, the one table of statistics; this list mirrors it.  M is the
 whitened radius, lip the kernel's Lipschitz constant, gap_1p the covariance
 gap, R_i the resolvent sum of lambda(G)/n at eigen-order i (n R_i(G)).
 
@@ -412,13 +413,25 @@ def _kta_spectral_params(a_kn: float, n: int, l_mid: float, frob: float | None, 
     return -2.0, d if variant == "printed" else n * d * d
 
 
-# --- the theorem registry ----------------------------------------------------
+# --- the statistic and theorem registries ------------------------------------
 
-STAT_EIGENVALUE = "eigenvalue"
-STAT_TOPK = "topk_sum"
-STAT_TAIL = "tail_sum"
-STAT_EIGVEC = "eigenvector"
-STAT_KTA = "kta"
+
+class Statistic(NamedTuple):
+    """A statistic: its `--stat` token alias:order (order None for kta, which reads labels instead)
+    and value(lam, i, a_kn) over lambda(G)/n spectra and alignments (None: no Monte Carlo value)."""
+
+    alias: str
+    order: str | None
+    value: Callable | None
+
+
+STATISTICS: dict[str, Statistic] = {
+    "eigenvalue": Statistic("eig", "i", lambda lam, i, a_kn: lam[..., i - 1]),
+    "topk_sum": Statistic("topk", "k", lambda lam, i, a_kn: lam[..., :i].sum(axis=-1)),
+    "tail_sum": Statistic("tail", "k", lambda lam, i, a_kn: lam[..., i - 1 :].sum(axis=-1)),
+    "eigenvector": Statistic("eigvec", "i", None),
+    "kta": Statistic("kta", None, lambda lam, i, a_kn: a_kn),
+}
 
 
 @dataclass(frozen=True, eq=False)
@@ -459,7 +472,7 @@ class BoundInputs:
 
 @dataclass(frozen=True)
 class Theorem:
-    """One registry entry, evaluated in two phases.  `params(x, i, reject)`
+    """An entry bounding STATISTICS[statistic], in two phases.  `params(x, i, reject)`
     reads inputs x at eigen-order i (k for the top/tail sums; None for
     alignment), passes each precondition to `reject` (which raises
     DegeneracyError for one sample, see `theorem_params`), and returns a
@@ -498,7 +511,7 @@ def _gap_metadata(x: BoundInputs, i: int) -> dict:
 
 def _second_order(variant: str) -> Theorem:
     return Theorem(
-        STAT_EIGENVALUE, _SPEC_COV,
+        "eigenvalue", _SPEC_COV,
         lambda x, i, reject: _second_order_params(x.n, x.cov, x.lip, _profile(x, i), variant, reject),
         describe=lambda x, i: {f"gamma_{variant}": second_order_gamma(x.n, x.cov, x.lip, _profile(x, i), variant)},
     )
@@ -510,45 +523,45 @@ def _eigvec_metadata(x: BoundInputs, i: int) -> dict:
 
 # Registry order is the order of report rows and of skipped theorems.
 THEOREMS: dict[str, Theorem] = {
-    "diag_uniform": Theorem(STAT_EIGENVALUE, ("diag_sup_sq",),
+    "diag_uniform": Theorem("eigenvalue", ("diag_sup_sq",),
                             lambda x, i, reject: _trace_uniform_params(x.n, x.diag_sup_sq, reject), prefactor=2.0),
-    "theta_top": Theorem(STAT_EIGENVALUE, ("spectrum", "theta"),
+    "theta_top": Theorem("eigenvalue", ("spectrum", "theta"),
                          lambda x, i, reject: _theta_params(x.theta, float_or_column(x.spectrum.T[0]), reject),
                          prefactor=2.0, describe=lambda x, i: {"theta": x.theta, "theta_estimated": x.theta_estimated}),
-    "adjacent_gap": Theorem(STAT_EIGENVALUE, ("spectrum",),
+    "adjacent_gap": Theorem("eigenvalue", ("spectrum",),
                             lambda x, i, reject: _gap_params(x.n, _profile(x, i), reject), describe=_gap_metadata),
-    "covgap_distance": Theorem(STAT_EIGENVALUE, ("cov", "lip"),
+    "covgap_distance": Theorem("eigenvalue", ("cov", "lip"),
                                lambda x, i, reject: _covgap_params(x.n, x.cov, x.lip, 18.0, reject), kernel=DISTANCE),
-    "covgap_inner": Theorem(STAT_EIGENVALUE, ("cov", "lip"),
+    "covgap_inner": Theorem("eigenvalue", ("cov", "lip"),
                             lambda x, i, reject: _covgap_params(x.n, x.cov, x.lip, 4.0, reject), kernel=INNER),
     "covgap_second_order": _second_order("printed"),
     "covgap_second_order_alt": _second_order("alt"),
-    "topk_gap": Theorem(STAT_TOPK, ("spectrum",),
+    "topk_gap": Theorem("topk_sum", ("spectrum",),
                         lambda x, i, reject: _range_gap_params(x.n, range_gap_top(x.spectrum, i), x.spectrum, reject),
                         describe=lambda x, i: {"range_gap": range_gap_top(x.spectrum, i)}),
-    "tail_gap": Theorem(STAT_TAIL, ("spectrum",),
+    "tail_gap": Theorem("tail_sum", ("spectrum",),
                         lambda x, i, reject: _range_gap_params(x.n, range_gap_tail(x.spectrum, i), x.spectrum, reject),
                         describe=lambda x, i: {"range_gap": range_gap_tail(x.spectrum, i)}),
-    "eigvec_pointwise": Theorem(STAT_EIGVEC, _SPEC_COV,
+    "eigvec_pointwise": Theorem("eigenvector", _SPEC_COV,
                                 lambda x, i, reject: _eigvec_pointwise_params(x.cov, x.lip, _profile(x, i), reject),
                                 describe=lambda x, i: {"resolvent_sum": _profile(x, i).resolvent_sum},
                                 flags=("direction_free",)),
-    "eigvec_uniform": Theorem(STAT_EIGVEC, _SPEC_COV,
+    "eigvec_uniform": Theorem("eigenvector", _SPEC_COV,
                               lambda x, i, reject: _eigvec_uniform_params(x.n, x.cov, x.lip, _profile(x, i), reject),
                               grid=_offset_quadratic, prefactor=2.0, describe=_eigvec_metadata),
-    "kta_theta": Theorem(STAT_KTA, ("a_kn", "theta", "frob"),
+    "kta_theta": Theorem("kta", ("a_kn", "theta", "frob"),
                          lambda x, i, reject: _kta_theta_params(x.a_kn, x.theta, x.n, x.frob, reject),
                          grid=_kta_theta_exponent, prefactor=2.0,
                          describe=lambda x, i: {"c_theta": c_theta(x.a_kn, x.theta, x.n, x.frob)}),
-    "kta_spectral": Theorem(STAT_KTA, _KTA_FROB,
+    "kta_spectral": Theorem("kta", _KTA_FROB,
                             lambda x, i, reject: _kta_spectral_params(x.a_kn, x.n, x.l_mid, x.frob, None, "printed",
                                                                       reject),
                             prefactor=2.0),
-    "kta_spectral_approx": Theorem(STAT_KTA, ("a_kn", "l_mid", "ratio"),
+    "kta_spectral_approx": Theorem("kta", ("a_kn", "l_mid", "ratio"),
                                    lambda x, i, reject: _kta_spectral_params(x.a_kn, x.n, x.l_mid, None, x.ratio,
                                                                              "printed", reject),
                                    prefactor=2.0),
-    "kta_spectral_bdiff": Theorem(STAT_KTA, _KTA_FROB,
+    "kta_spectral_bdiff": Theorem("kta", _KTA_FROB,
                                   lambda x, i, reject: _kta_spectral_params(x.a_kn, x.n, x.l_mid, x.frob, None, "bdiff",
                                                                             reject),
                                   prefactor=2.0),

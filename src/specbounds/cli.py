@@ -47,6 +47,7 @@ from .experiments import (
     BoxplotResult,
     ExperimentConfig,
     ExperimentResult,
+    KNOWN_STATISTICS,
     boxplot_stats,
     check_oracle_counts,
     check_workers,
@@ -223,12 +224,9 @@ def _parse_indices(text: str) -> tuple[int, ...]:
 
 # --- bounds ------------------------------------------------------------------
 
-_STAT_ALIASES = {
-    "eig": bnd.STAT_EIGENVALUE,
-    "topk": bnd.STAT_TOPK,
-    "tail": bnd.STAT_TAIL,
-    "eigvec": bnd.STAT_EIGVEC,
-}
+# each statistic with an order is a --stat token alias:order
+_STAT_ALIASES = {s.alias: name for name, s in bnd.STATISTICS.items() if s.order}
+_STAT_TOKENS = [f"{s.alias}:{s.order}" for s in bnd.STATISTICS.values() if s.order]
 
 
 def _parse_stats(text: str) -> list[tuple[str, int]]:
@@ -236,9 +234,8 @@ def _parse_stats(text: str) -> list[tuple[str, int]]:
     for tok in text.split(","):
         parts = tok.split(":")
         if len(parts) != 2 or parts[0] not in _STAT_ALIASES:
-            raise ConfigError(
-                f"cannot parse statistic {tok!r}; expected eig:i, topk:k, tail:k, or eigvec:i"
-            )
+            raise ConfigError(f"cannot parse statistic {tok!r}; expected "
+                              f"{', '.join(_STAT_TOKENS[:-1])}, or {_STAT_TOKENS[-1]}")
         try:
             stat = (_STAT_ALIASES[parts[0]], int(parts[1]))
         except ValueError as exc:
@@ -353,7 +350,7 @@ RUN_FLAGS = {
     "p": {"type": int},
     "kernel": {"type": kernel_config, "help": "gaussian[:SIGMA] | linear | polynomial[:D[:C]]"},
     "indices": {"type": _parse_indices, "help": "comma list, ranges allowed (1..15)"},
-    "statistics": {"type": lambda text: text.split(",")},
+    "statistics": {"type": lambda text: text.split(","), "help": f"comma list of {', '.join(KNOWN_STATISTICS)}"},
     "bounds": {"type": lambda text: [b for b in text.split(",") if b]},  # an empty --bounds runs no bound
 }
 
@@ -592,8 +589,8 @@ def _cmd_align(args) -> int:
     a_kn = kta(g, labels)
     if samples.n < 3:  # each kta theorem reads L or theta, and both need n >= 3
         raise DataError("need n >= 3 eigenvalues for the middle-spectrum norm")
-    x = _inputs(samples, spec, g, bnd.theorem_needs(bnd.theorems_for(bnd.STAT_KTA)), a_kn=a_kn)
-    report = bnd.evaluate_bounds(x, bnd.STAT_KTA, None, epsilons)
+    x = _inputs(samples, spec, g, bnd.theorem_needs(bnd.theorems_for("kta")), a_kn=a_kn)
+    report = bnd.evaluate_bounds(x, "kta", None, epsilons)
     bounds: dict[str, list[float]] = {}
     for row in report.rows:
         bounds.setdefault(row.theorem, []).append(row.raw)
@@ -685,8 +682,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="CSV of samples, one per line")
     p.add_argument("--header", action="store_true", help="skip the first line of --data")
     p.add_argument("--centered", action="store_true", help="mean-center before the covariance")
-    p.add_argument("--kernel", default="gaussian:1.0", help="gaussian:SIGMA | linear | polynomial:D:C")
-    p.add_argument("--stat", default="eig:1", help="comma list of eig:i, topk:k, tail:k, eigvec:i")
+    p.add_argument("--kernel", default="gaussian:1.0", help=RUN_FLAGS["kernel"]["help"])
+    p.add_argument("--stat", default="eig:1", help=f"comma list of {', '.join(_STAT_TOKENS)}")
     p.add_argument("--eps", default=None, help="comma list of epsilons (default: 40 log-spaced in [1e-4, 1])")
     p.add_argument("--theta", type=float, default=None, help="use this theta instead of estimating it")
     p.add_argument("--allow-degenerate", action="store_true",
@@ -716,7 +713,7 @@ def build_parser() -> argparse.ArgumentParser:
     labels = p.add_mutually_exclusive_group()
     labels.add_argument("--labels", default=None, help="one-column CSV of +/-1 labels")
     labels.add_argument("--label-col", default=None, help="label column name inside --data (implies header)")
-    p.add_argument("--kernel", default="gaussian:1.0")
+    p.add_argument("--kernel", default="gaussian:1.0", help=RUN_FLAGS["kernel"]["help"])
     p.add_argument("--eps", default=None)
     p.add_argument("--out", default="specbounds_out")
     p.set_defaults(func=_cmd_align)
@@ -740,8 +737,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:  # parsing too: the run flags' parsers raise ConfigError
         args = build_parser().parse_args(argv)
-        if os.path.exists(args.out) and not os.path.isdir(args.out):
-            raise ConfigError(f"--out {args.out} exists and is not a directory")
+        out = Path(args.out)
+        base = next(p for p in (out, *out.parents) if os.path.exists(p))
+        if not os.path.isdir(base):  # then no write can succeed: stop before any work
+            raise ConfigError(f"--out {args.out} exists and is not a directory" if base == out
+                              else f"--out {args.out} is below {base}, which is not a directory")
         return args.func(args)
     except SpecBoundsError as exc:
         print(f"error: {exc}", file=sys.stderr)

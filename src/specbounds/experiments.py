@@ -76,7 +76,7 @@ from .spectral import (
     sign_align,
 )
 
-KNOWN_STATISTICS = ("eigenvalue", "topk_sum", "tail_sum", "kta")
+KNOWN_STATISTICS = tuple(name for name, s in bnd.STATISTICS.items() if s.value is not None)
 KNOWN_BOUNDS = tuple(name for name, t in bnd.THEOREMS.items() if t.statistic in KNOWN_STATISTICS)
 # what one block of trials may carry from one stage to the next
 BLOCK_BYTES = 256 * 1024
@@ -133,13 +133,15 @@ class ExperimentConfig:
         object.__setattr__(self, "_spec", spec)
         object.__setattr__(self, "kernel", {"family": spec.name, **spec.params})
         kind = spec.kind
+        for name in ("epsilons", "indices", "statistics", "bounds"):
+            if isinstance(getattr(self, name), str):  # else read one character at a time
+                raise ConfigError(f"experiment config key {name!r} must be a list, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, tuple(getattr(self, name)))
         flags = [e for e in self.epsilons if isinstance(e, (bool, np.bool_))]
         if flags:
             raise ConfigError(f"experiment config key 'epsilons' must hold numbers, got {flags[0]!r}")
         object.__setattr__(self, "epsilons", bnd.validate_epsilons(self.epsilons))
         object.__setattr__(self, "indices", tuple(_integer("indices", i, "hold integers") for i in self.indices))
-        object.__setattr__(self, "statistics", tuple(self.statistics))
-        object.__setattr__(self, "bounds", tuple(self.bounds))
         if self.n < 2:
             raise ConfigError(f"need at least 2 samples, got n = {self.n}")
         if self.p < 1:
@@ -251,17 +253,12 @@ class _Keys(NamedTuple):
 
 
 def _keys(cfg: ExperimentConfig) -> _Keys:
-    """The run's keys; a bound covers every index of its statistic."""
-
-    def expand(stat: str) -> list[tuple[str, int | None]]:
-        return [(stat, None)] if stat == "kta" else [(stat, i) for i in cfg.indices]
-
-    stat_keys = [key for stat in cfg.statistics for key in expand(stat)]
-    bound_keys = []
-    for theorem in cfg.bounds:
-        stat = bnd.THEOREMS[theorem].statistic
-        if stat in cfg.statistics:
-            bound_keys += [(theorem, *key) for key in expand(stat)]
+    """The run's keys: a statistic with no order has the one index None,
+    and a bound covers every key of its statistic."""
+    stat_keys = [(stat, i) for stat in cfg.statistics
+                 for i in ((None,) if bnd.STATISTICS[stat].order is None else cfg.indices)]
+    bound_keys = [(theorem, *key) for theorem in cfg.bounds for key in stat_keys
+                  if key[0] == bnd.THEOREMS[theorem].statistic]
     return _Keys(stat_keys, bound_keys, bnd.theorem_needs(theorem for theorem, _, _ in bound_keys))
 
 
@@ -327,9 +324,9 @@ def sample_inputs(samples: SampleSet, spec: KernelSpec, g: GramMatrix, lam: np.n
 
 def _draw_labelled(cfg: ExperimentConfig, trial_seed: int):
     """Stage 1 of a concentration trial: its samples, and its +-1 labels
-    when the run has the kta statistic (else None)."""
+    when the run has a statistic with no order, kta (else None)."""
     rng, samples = _draw(cfg, trial_seed)
-    labels = rng.choice([-1.0, 1.0], size=cfg.n) if "kta" in cfg.statistics else None
+    labels = None if all(bnd.STATISTICS[s].order for s in cfg.statistics) else rng.choice([-1.0, 1.0], size=cfg.n)
     return samples, labels
 
 
@@ -358,17 +355,7 @@ def _statistics(cfg: ExperimentConfig, keys: _Keys, lam: np.ndarray, a_kn) -> li
     alignment, or the (B,) columns of B trials' (B, n) spectra and (B,)
     alignments."""
     lam_stat = lam / cfg.n
-    values = []
-    for stat, i in keys.stats:
-        if stat == "eigenvalue":
-            values.append(lam_stat[..., i - 1])
-        elif stat == "topk_sum":
-            values.append(lam_stat[..., :i].sum(axis=-1))
-        elif stat == "tail_sum":
-            values.append(lam_stat[..., i - 1 :].sum(axis=-1))
-        else:
-            values.append(a_kn)
-    return values
+    return [bnd.STATISTICS[stat].value(lam_stat, i, a_kn) for stat, i in keys.stats]
 
 
 def _trial_inputs(cfg: ExperimentConfig, trial_seed: int, keys: _Keys):
@@ -398,7 +385,7 @@ def _finish(cfg: ExperimentConfig, keys: _Keys, solved: list) -> _Finished:
     `bounds.BoundInputs`), and each bound key's parameter columns."""
     size = len(solved)
     lam = np.array([s.lam for s in solved])
-    a_kn = np.array([s.a_kn for s in solved]) if "kta" in cfg.statistics else None
+    a_kn = np.array([s.a_kn for s in solved]) if solved[0].a_kn is not None else None
     values = _statistics(cfg, keys, lam, a_kn)
     inputs: dict = {}
     missing: dict = {}

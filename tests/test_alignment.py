@@ -6,7 +6,6 @@ import pytest
 
 from specbounds.alignment import _leave_one_out, kta, middle_spectrum_norm, theta_statistic
 from specbounds.bounds import (
-    STAT_KTA,
     BoundInputs,
     c_theta,
     evaluate_bounds,
@@ -37,7 +36,7 @@ def _kta_report(samples, spec, y, epsilons):
     spectrum = eig_sym(g)
     x = sample_inputs(samples, spec, g, spectrum.eigenvalues, {"theta", "frob", "l_mid", "ratio"},
                       spectrum=spectrum, a_kn=kta(g, y))
-    return x, evaluate_bounds(x, STAT_KTA, None, epsilons)
+    return x, evaluate_bounds(x, "kta", None, epsilons)
 
 
 def _random_psd_gram(rng, n):

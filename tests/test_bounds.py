@@ -7,6 +7,8 @@ import numpy as np
 import pytest
 
 from specbounds.bounds import (
+    STATISTICS,
+    THEOREMS,
     BoundInputs,
     BoundRow,
     bound_distance,
@@ -26,6 +28,7 @@ from specbounds.bounds import (
 )
 from specbounds.dataset import CovarianceStats, covariance_stats, gen_gaussian
 from specbounds.errors import ConfigError, DegeneracyError, DegenerateGapError
+from specbounds.experiments import KNOWN_BOUNDS, KNOWN_STATISTICS
 from specbounds.kernels import gaussian, gram, lipschitz, diag_sup
 from specbounds.spectral import GapProfile, eig_sym, gaps_from_eigenvalues
 
@@ -423,3 +426,22 @@ def test_theorem_grid_overflow_is_silent_inf():
         grid = theorem_grid("eigvec_uniform", (710.0, 1.0), np.array([0.5, 0.9]))
     assert scalar == math.inf and grid[0] == scalar
     assert grid.tolist() == [theorem_grid("eigvec_uniform", (710.0, 1.0), e) for e in (0.5, 0.9)]
+
+
+def test_statistic_registry_names_every_theorem_statistic_once():
+    # each theorem bounds a registered statistic, and each --stat alias names one statistic
+    assert {t.statistic for t in THEOREMS.values()} == set(STATISTICS)
+    aliases = [s.alias for s in STATISTICS.values()]
+    assert len(set(aliases)) == len(aliases)
+    # kta alone has no order: it reads labels, and `bounds --stat` cannot name it
+    assert [name for name, s in STATISTICS.items() if s.order is None] == ["kta"]
+
+
+def test_monte_carlo_statistics_and_bounds_are_unchanged():
+    # the statistics with a Monte Carlo value, and the bounds a run may request
+    assert KNOWN_STATISTICS == ("eigenvalue", "topk_sum", "tail_sum", "kta")
+    assert KNOWN_BOUNDS == (
+        "diag_uniform", "theta_top", "adjacent_gap", "covgap_distance", "covgap_inner", "covgap_second_order",
+        "covgap_second_order_alt", "topk_gap", "tail_gap", "kta_theta", "kta_spectral", "kta_spectral_approx",
+        "kta_spectral_bdiff",
+    )

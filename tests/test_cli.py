@@ -543,6 +543,14 @@ def test_failed_runs_create_no_output_directory(tmp_path):
     *(({"runs": [{"label": label, "config": {"n": 10, "p": 2, "trials": 3, "seed": 1}}]}, "not a file-name part")
       for label in ("a/b", "a\\b", "a\0b", ".", "..")),
     ({"runs": []}, '"runs" is empty'),
+    # a string where a list belongs (before: read one character at a time, so
+    # "12" ran indices 1 and 2 and "kta" reported statistic 'k')
+    *(({"n": 20, "p": 2, "trials": 3, "seed": 1, key: value}, f"key {key!r} must be a list, got {value!r}")
+      for key, value in (("indices", "12"), ("indices", "3"), ("statistics", "kta"), ("bounds", "adjacent_gap"),
+                         ("epsilons", "0.1"))),
+    # eigenvector has theorems but no Monte Carlo value
+    ({"n": 10, "p": 2, "trials": 3, "seed": 1, "statistics": ["eigenvector"]},
+     "unknown statistic 'eigenvector' (known: ('eigenvalue', 'topk_sum', 'tail_sum', 'kta'))"),
 ])
 def test_simulate_invalid_config_exit_2(tmp_path, capsys, payload, message):
     config = tmp_path / "c.json"
@@ -765,8 +773,9 @@ def test_error_classes_carry_their_exit_codes(tmp_path, capsys, monkeypatch, cls
     (("simulate", "--n", "10", "--p", "2", "--trials", "3", "--seed", "1"), "", 2),
     (("audit", "--n", "10", "--p", "2", "--seed", "1", "--oracle-trials", "100",
       "--interlacing-matrices", "100", "--expansion-trials", "1"), "", 2),
-    # a directory inside a file cannot be created: found at the first write
-    (("simulate", "--n", "10", "--p", "2", "--trials", "3", "--seed", "1"), "sub", 3),
+    # a directory inside a file cannot be created: found before any trial runs
+    # (before: every trial ran, then the first write failed with exit 3)
+    (("simulate", "--n", "10", "--p", "2", "--trials", "3", "--seed", "1"), "sub", 2),
 ])
 def test_out_naming_a_file_exits_without_writing(tmp_path, capsys, argv, sub, code):
     # before: FileExistsError or NotADirectoryError, a traceback and exit 1
@@ -778,6 +787,30 @@ def test_out_naming_a_file_exits_without_writing(tmp_path, capsys, argv, sub, co
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err.startswith("error: ")
     assert taken.read_bytes() == b"not a directory\n"
+
+
+@pytest.mark.parametrize("argv,err", [
+    (("bounds", "--data", "d.csv", "--stat", "foo:1"),
+     "error: cannot parse statistic 'foo:1'; expected eig:i, topk:k, tail:k, or eigvec:i\n"),
+    (("simulate", "--n", "10", "--p", "2", "--trials", "3", "--seed", "1", "--statistics", "eigenvector"),
+     "error: unknown statistic 'eigenvector' (known: ('eigenvalue', 'topk_sum', 'tail_sum', 'kta'))\n"),
+])
+def test_statistic_errors_list_the_registry(tmp_path, capsys, argv, err):
+    # the texts built from `bounds.STATISTICS`, pinned byte for byte
+    out = tmp_path / "o"
+    assert run_cli(*argv, "--out", str(out)) == 2
+    assert capsys.readouterr().err == err
+    assert not out.exists()
+
+
+def test_help_strings_come_from_the_registries():
+    # --stat and --statistics list the registry's names; every --kernel shows the run flag's grammar
+    commands = next(a for a in build_parser()._actions if a.choices and "bounds" in a.choices).choices
+    helps = {(command, flag): action.help
+             for command, sub in commands.items() for flag, action in sub._option_string_actions.items()}
+    assert helps["bounds", "--stat"] == "comma list of eig:i, topk:k, tail:k, eigvec:i"
+    assert helps["simulate", "--statistics"] == "comma list of eigenvalue, topk_sum, tail_sum, kta"
+    assert {helps[command, "--kernel"] for command in commands} == {"gaussian[:SIGMA] | linear | polynomial[:D[:C]]"}
 
 
 def test_benchmark_tracer_sees_every_trial(tmp_path, monkeypatch):
@@ -835,6 +868,19 @@ def test_readme_kernel_grammar_lines_round_trip():
     for line in lines:
         cfg = ExperimentConfig.from_dict({**SIZES, **json.loads(line)})
         assert json.dumps({"kernel": cfg.to_dict()["kernel"]}) == line
+
+
+def test_readme_statistics_match_the_registry():
+    # the bounds section lists exactly the --stat tokens of `bounds.STATISTICS`,
+    # and the simulate section exactly the statistics a run may list
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n### bounds\n", 1)[1].split("\n### ", 1)[0]
+    line = section.split("\nStatistics: ", 1)[1].split(". ", 1)[0]
+    tokens = [f"{s.alias}:{s.order}" for s in bnd.STATISTICS.values() if s.order]
+    assert re.findall(r"`([^`]+)`", line) == tokens
+    section = readme.split("\n### simulate\n", 1)[1].split("\n### ", 1)[0]
+    sentence = section.split("The statistics a run may list", 1)[1].split(";", 1)[0]
+    assert tuple(re.findall(r"`(\w+)`", sentence)) == experiments.KNOWN_STATISTICS
 
 
 def test_readme_audit_table_lists_the_oracle_rows():

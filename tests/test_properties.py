@@ -489,6 +489,30 @@ def test_gap_profile_bits_equal_the_concatenate_formula(spectrum):
             assert (a is None and b is None) or _same_bits(a, b)
 
 
+def _statistic_reference(stat, lam_stat, i, a_kn):
+    """A statistic's value by the if-chain that `bounds.STATISTICS` replaced."""
+    if stat == "eigenvalue":
+        return lam_stat[..., i - 1]
+    if stat == "topk_sum":
+        return lam_stat[..., :i].sum(axis=-1)
+    if stat == "tail_sum":
+        return lam_stat[..., i - 1 :].sum(axis=-1)
+    return a_kn
+
+
+@settings(max_examples=200, deadline=None)
+@given(spectra())
+def test_statistic_values_equal_the_if_chain(spectrum):
+    lam, i = spectrum
+    # one trial's spectrum and alignment, and a block of three as (3, n) and (3,)
+    for lam_stat, a_kn in ((lam / lam.shape[0], 0.25), (np.array([lam, 2.0 * lam, lam / 3.0]) / lam.shape[0],
+                                                       np.array([0.25, -0.5, 1.0]))):
+        for stat in experiments.KNOWN_STATISTICS:
+            got = np.asarray(bounds.STATISTICS[stat].value(lam_stat, i, a_kn))
+            expected = np.asarray(_statistic_reference(stat, lam_stat, i, a_kn))
+            assert got.shape == expected.shape and got.tobytes() == expected.tobytes()
+
+
 # --- stacked forms of a block of samples against one sample at a time ------------
 
 

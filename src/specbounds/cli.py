@@ -31,7 +31,6 @@ import math
 import os
 import sys
 from dataclasses import replace
-from json.encoder import encode_basestring_ascii as _quoted
 from pathlib import Path
 
 import numpy as np
@@ -89,60 +88,31 @@ def _csv(rows, header: str = RESULTS_HEADER) -> str:
 
 
 def _json(obj, non_finite: list[str] | None = None) -> str:
-    """The strict JSON text of `obj` (nested dicts, lists and tuples), as
-    `json.dumps(obj, indent=2, sort_keys=True)` writes it, except that every
-    non-finite float is written as null, since JSON has no NaN or Infinity.
-    The dotted path of each such value (a list item by its position) is
-    appended to `non_finite` when it is given."""
-    parts: list[str] = []
-    _encode(obj, "", "\n", parts, [] if non_finite is None else non_finite)
-    parts.append("\n")
-    return "".join(parts)
+    """The strict JSON text of `obj` (nested dicts, lists and tuples):
+    `json.dumps(obj, indent=2, sort_keys=True)` with every non-finite float
+    written as null, since JSON has no NaN or Infinity.  The dotted path of
+    each such value (a list item by its position) is appended to
+    `non_finite` when it is given."""
+    nulled = _nulled(obj, "", [] if non_finite is None else non_finite)
+    return json.dumps(nulled, indent=2, sort_keys=True, allow_nan=False) + "\n"
 
 
-def _encode(obj, where: str, newline: str, parts: list[str], non_finite: list[str]) -> None:
-    """Append the JSON text of `obj` to `parts`; `newline` is the line break
-    and indent of the line that `obj` starts on."""
+def _nulled(obj, where: str, found: list[str]):
+    """`obj` with each non-finite float replaced by None and its path appended
+    to `found`; a dict key that is not a string is a TypeError, where
+    json.dumps would write it as one."""
     if isinstance(obj, float):
         if math.isfinite(obj):
-            parts.append(float.__repr__(obj))
-        else:
-            parts.append("null")
-            non_finite.append(where)
-    elif isinstance(obj, str):
-        parts.append(_quoted(obj))
-    elif obj is None:
-        parts.append("null")
-    elif obj is True:
-        parts.append("true")
-    elif obj is False:
-        parts.append("false")
-    elif isinstance(obj, int):
-        parts.append(int.__repr__(obj))
-    elif isinstance(obj, dict):
-        if not obj:
-            parts.append("{}")
-            return
-        inner = newline + "  "
-        sep = "{" + inner
-        for k, v in sorted(obj.items()):
-            parts.append(f"{sep}{_quoted(k)}: ")
-            _encode(v, f"{where}.{k}" if where else k, inner, parts, non_finite)
-            sep = "," + inner
-        parts.append(newline + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            parts.append("[]")
-            return
-        inner = newline + "  "
-        sep = "[" + inner
-        for j, v in enumerate(obj):
-            parts.append(sep)
-            _encode(v, f"{where}[{j}]", inner, parts, non_finite)
-            sep = "," + inner
-        parts.append(newline + "]")
-    else:
-        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+            return obj
+        found.append(where)
+        return None
+    if isinstance(obj, dict):
+        if not all(isinstance(k, str) for k in obj):
+            raise TypeError("JSON object keys must be strings")
+        return {k: _nulled(v, f"{where}.{k}" if where else k, found) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_nulled(v, f"{where}[{j}]", found) for j, v in enumerate(obj)]
+    return obj
 
 
 def _write(path: Path, text: str) -> None:
@@ -508,6 +478,12 @@ def _boxplot_summary(result: BoxplotResult) -> dict:
     }
 
 
+def _series_tag(statistic: str, index: int | None) -> str:
+    """A plot series' statistic as its --stat token (eig:2, topk:2), or kta."""
+    alias = bnd.STATISTICS[statistic].alias
+    return alias if index is None else f"{alias}:{index}"
+
+
 def _concentration_svg(results: list[tuple[str, ExperimentResult]]) -> str:
     plot = LinePlot(
         title="Empirical deviation frequency vs. bound",
@@ -519,12 +495,11 @@ def _concentration_svg(results: list[tuple[str, ExperimentResult]]) -> str:
         eps = list(result.config.epsilons)
         prefix = f"{label} " if label else ""
         for s in result.series:
-            tag = f"i={s.index}" if s.index is not None else s.statistic
-            plot.add(f"{prefix}freq {tag}", eps, list(s.frequencies))
+            plot.add(f"{prefix}freq {_series_tag(s.statistic, s.index)}", eps, list(s.frequencies))
         for k, b in enumerate(result.bound_series):
-            tag = f"i={b.index}" if b.index is not None else b.statistic
             ys = [min(v, 1.0) if np.isfinite(v) else float("nan") for v in b.mean]
-            plot.add(f"{prefix}{b.theorem} {tag}", eps, ys, marker=markers[k % len(markers)])
+            plot.add(f"{prefix}{b.theorem} {_series_tag(b.statistic, b.index)}", eps, ys,
+                     marker=markers[k % len(markers)])
     return plot.render()
 
 
@@ -670,73 +645,81 @@ def _cmd_audit(args) -> int:
 # --- parser ------------------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of `command` alone when it names one
+    (`main` builds only the parser of the subcommand it runs)."""
     parser = argparse.ArgumentParser(
         prog="specbounds",
         description="Concentration bounds for kernel matrix spectra, with Monte Carlo validation.",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    every = command not in ("bounds", "simulate", "align", "audit")
 
-    p = sub.add_parser("bounds", help="closed-form bound report for a dataset")
-    p.add_argument("--data", required=True, help="CSV of samples, one per line")
-    p.add_argument("--header", action="store_true", help="skip the first line of --data")
-    p.add_argument("--centered", action="store_true", help="mean-center before the covariance")
-    p.add_argument("--kernel", default="gaussian:1.0", help=RUN_FLAGS["kernel"]["help"])
-    p.add_argument("--stat", default="eig:1", help=f"comma list of {', '.join(_STAT_TOKENS)}")
-    p.add_argument("--eps", default=None, help="comma list of epsilons (default: 40 log-spaced in [1e-4, 1])")
-    p.add_argument("--theta", type=float, default=None, help="use this theta instead of estimating it")
-    p.add_argument("--allow-degenerate", action="store_true",
-                   help="report around degenerate theorems instead of exiting 4")
-    p.add_argument("--out", default="specbounds_out", help="output directory")
-    p.set_defaults(func=_cmd_bounds)
+    if every or command == "bounds":
+        p = sub.add_parser("bounds", help="closed-form bound report for a dataset")
+        p.add_argument("--data", required=True, help="CSV of samples, one per line")
+        p.add_argument("--header", action="store_true", help="skip the first line of --data")
+        p.add_argument("--centered", action="store_true", help="mean-center before the covariance")
+        p.add_argument("--kernel", default="gaussian:1.0", help=RUN_FLAGS["kernel"]["help"])
+        p.add_argument("--stat", default="eig:1", help=f"comma list of {', '.join(_STAT_TOKENS)}")
+        p.add_argument("--eps", default=None, help="comma list of epsilons (default: 40 log-spaced in [1e-4, 1])")
+        p.add_argument("--theta", type=float, default=None, help="use this theta instead of estimating it")
+        p.add_argument("--allow-degenerate", action="store_true",
+                       help="report around degenerate theorems instead of exiting 4")
+        p.add_argument("--out", default="specbounds_out", help="output directory")
+        p.set_defaults(func=_cmd_bounds)
 
-    p = sub.add_parser("simulate", help="seeded Monte Carlo concentration experiments")
-    runs = p.add_mutually_exclusive_group()
-    runs.add_argument("--preset", choices=PRESETS, default=None)
-    runs.add_argument("--config", default=None, help="JSON experiment config (single or {runs: [...]})")
-    # no run field has a default here: ExperimentConfig holds them
-    for name, flag in RUN_FLAGS.items():
-        p.add_argument(f"--{name}", default=None, **flag)
-    p.add_argument("--trials", type=int, default=None)
-    p.add_argument("--mode", default=None, choices=MODES)
-    p.add_argument("--eps", default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--no-svg", action="store_true")
-    p.add_argument("--out", default="specbounds_out")
-    p.set_defaults(func=_cmd_simulate)
+    if every or command == "simulate":
+        p = sub.add_parser("simulate", help="seeded Monte Carlo concentration experiments")
+        runs = p.add_mutually_exclusive_group()
+        runs.add_argument("--preset", choices=PRESETS, default=None)
+        runs.add_argument("--config", default=None, help="JSON experiment config (single or {runs: [...]})")
+        # no run field has a default here: ExperimentConfig holds them
+        for name, flag in RUN_FLAGS.items():
+            p.add_argument(f"--{name}", default=None, **flag)
+        p.add_argument("--trials", type=int, default=None)
+        p.add_argument("--mode", default=None, choices=MODES)
+        p.add_argument("--eps", default=None)
+        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--no-svg", action="store_true")
+        p.add_argument("--out", default="specbounds_out")
+        p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("align", help="kernel target-alignment report")
-    p.add_argument("--data", required=True)
-    p.add_argument("--header", action="store_true")
-    labels = p.add_mutually_exclusive_group()
-    labels.add_argument("--labels", default=None, help="one-column CSV of +/-1 labels")
-    labels.add_argument("--label-col", default=None, help="label column name inside --data (implies header)")
-    p.add_argument("--kernel", default="gaussian:1.0", help=RUN_FLAGS["kernel"]["help"])
-    p.add_argument("--eps", default=None)
-    p.add_argument("--out", default="specbounds_out")
-    p.set_defaults(func=_cmd_align)
+    if every or command == "align":
+        p = sub.add_parser("align", help="kernel target-alignment report")
+        p.add_argument("--data", required=True)
+        p.add_argument("--header", action="store_true")
+        labels = p.add_mutually_exclusive_group()
+        labels.add_argument("--labels", default=None, help="one-column CSV of +/-1 labels")
+        labels.add_argument("--label-col", default=None, help="label column name inside --data (implies header)")
+        p.add_argument("--kernel", default="gaussian:1.0", help=RUN_FLAGS["kernel"]["help"])
+        p.add_argument("--eps", default=None)
+        p.add_argument("--out", default="specbounds_out")
+        p.set_defaults(func=_cmd_align)
 
-    p = sub.add_parser("audit", help="brute-force oracle suite")
-    for name, default in (("n", 100), ("p", 5), ("kernel", None)):
-        p.add_argument(f"--{name}", default=default, **RUN_FLAGS[name])
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--oracle-trials", type=int, default=500, help="replace-one perturbation trials")
-    p.add_argument("--interlacing-matrices", type=int, default=200)
-    p.add_argument("--expansion-trials", type=int, default=50)
-    p.add_argument("--index", type=int, default=1, help="eigen-order checked by the expansion oracles")
-    p.add_argument("--zero-perturbation", action="store_true",
-                   help="replace each sample with itself (smoke test: zero violations)")
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--out", default="specbounds_out")
-    p.set_defaults(func=_cmd_audit)
+    if every or command == "audit":
+        p = sub.add_parser("audit", help="brute-force oracle suite")
+        for name, default in (("n", 100), ("p", 5), ("kernel", None)):
+            p.add_argument(f"--{name}", default=default, **RUN_FLAGS[name])
+        p.add_argument("--seed", type=int, default=None)
+        p.add_argument("--oracle-trials", type=int, default=500, help="replace-one perturbation trials")
+        p.add_argument("--interlacing-matrices", type=int, default=200)
+        p.add_argument("--expansion-trials", type=int, default=50)
+        p.add_argument("--index", type=int, default=1, help="eigen-order checked by the expansion oracles")
+        p.add_argument("--zero-perturbation", action="store_true",
+                       help="replace each sample with itself (smoke test: zero violations)")
+        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--out", default="specbounds_out")
+        p.set_defaults(func=_cmd_audit)
     return parser
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:  # parsing too: the run flags' parsers raise ConfigError
-        args = build_parser().parse_args(argv)
+        args = build_parser(argv[0] if argv else None).parse_args(argv)
         out = Path(args.out)
         base = next(p for p in (out, *out.parents) if os.path.exists(p))
         if not os.path.isdir(base):  # then no write can succeed: stop before any work

@@ -406,6 +406,19 @@ def test_simulate_svg_pure_formatting(tmp_path):
     assert svg.startswith("<svg") and "polyline" in svg
 
 
+def test_simulate_plot_legend_names_each_series_once(tmp_path):
+    # an eigenvalue and a top-k sum at the same order: each legend entry
+    # carries its --stat token, so no two entries read alike
+    out = tmp_path / "lg"
+    assert run_cli("simulate", "--n", "20", "--p", "2", "--trials", "5", "--seed", "1",
+                   "--statistics", "eigenvalue,topk_sum", "--indices", "2",
+                   "--bounds", "adjacent_gap,topk_gap", "--out", str(out)) == 0
+    texts = re.findall(r"<text [^>]*>([^<]*)</text>", (out / "plot.svg").read_text())
+    legend = texts[-4:]  # the legend is drawn last, one entry per series
+    assert legend == ["freq eig:2", "freq topk:2", "adjacent_gap eig:2", "topk_gap topk:2"]
+    assert len(set(legend)) == len(legend)
+
+
 def test_simulate_bottom_preset_two_runs(tmp_path):
     out = tmp_path / "sb"
     assert run_cli("simulate", "--preset", "example1-fig2-bottom", "--seed", "5",
@@ -811,6 +824,25 @@ def test_help_strings_come_from_the_registries():
     assert helps["bounds", "--stat"] == "comma list of eig:i, topk:k, tail:k, eigvec:i"
     assert helps["simulate", "--statistics"] == "comma list of eigenvalue, topk_sum, tail_sum, kta"
     assert {helps[command, "--kernel"] for command in commands} == {"gaussian[:SIGMA] | linear | polynomial[:D[:C]]"}
+
+
+@pytest.mark.parametrize("argv", [
+    ["bounds", "--data", "d.csv", "--stat", "eig:1,topk:2", "--theta", "0.5", "--allow-degenerate"],
+    ["simulate", "--n", "10", "--p", "2", "--indices", "1..3", "--kernel", "linear", "--bounds", "", "--no-svg"],
+    ["align", "--data", "d.csv", "--labels", "y.csv", "--kernel", "polynomial:2"],
+    ["audit", "--n", "30", "--kernel", "gaussian:2", "--zero-perturbation", "--workers", "2"],
+])
+def test_one_subcommand_parser_equals_the_full_parser(capsys, argv):
+    # main builds only the parser of the subcommand it runs: its help and
+    # its parse of a valid command line are the full parser's
+    command = argv[0]
+    helps = []
+    for parser in (build_parser(command), build_parser()):
+        with pytest.raises(SystemExit):
+            parser.parse_args([command, "--help"])
+        helps.append(capsys.readouterr().out)
+    assert helps[0] == helps[1] and helps[0].startswith(f"usage: specbounds {command} ")
+    assert build_parser(command).parse_args(argv) == build_parser().parse_args(argv)
 
 
 def test_benchmark_tracer_sees_every_trial(tmp_path, monkeypatch):

@@ -2,7 +2,7 @@
 
 A change that means to keep every output byte (a speed-up, a refactor)
 must leave these digests as they are; a change that moves any bit of a
-Monte Carlo, boxplot or oracle result, or of a file that `bounds` or `align`
+Monte Carlo, boxplot or oracle result, or of a CSV or JSON file that a command
 writes, fails here, in tier-1, and not only in the benchmark's digests.  A change that alters outputs on purpose
 records the new digests and says why in CHANGES.md.  The digests were
 recorded with numpy 2.4 and its bundled OpenBLAS on x86-64; another LAPACK
@@ -140,3 +140,35 @@ def test_cli_outputs_are_pinned(tmp_path, name):
     extra = ("--labels", labels) if argv[0] == "align" else ()
     assert main([*argv, "--data", data, *extra, "--out", str(out)]) == 0
     assert _digest(*((out / f).read_bytes() for f in files)) == pinned
+
+
+# simulate and audit through the CLI, so the pins cover the JSON and CSV
+# writers as well as the results; plot.svg and boxplot.svg are not pinned
+RUN_OUTPUTS = {
+    # adjacent_gap at order n = 12 has no next gap, so every trial is
+    # excluded and summary.json writes that bound's means as null
+    "simulate-excluded": (("simulate", "--n", "12", "--p", "2", "--trials", "6", "--seed", "3", "--indices", "1,12",
+                           "--bounds", "adjacent_gap,diag_uniform"),
+                          ("results.csv", "summary.json", "config.json", "manifest.json"),
+                          "1ab0e9a143328290dcbcf95751b5d8b1cacf613f2c69991d5478afa554c5b2d4"),
+    "simulate-fig1-boxplot": (("simulate", "--preset", "fig1-boxplot", "--trials", "8", "--seed", "5"),
+                              ("results.csv", "summary.json", "config.json", "manifest.json"),
+                              "f75d8e3ccced1a4a0a4973007116032e7827233ad6c5d897e46352f308a392c8"),
+    "audit": (("audit", "--n", "30", "--seed", "13", "--interlacing-matrices", "100", "--oracle-trials", "100",
+               "--expansion-trials", "1"),
+              ("audit.csv", "summary.json", "manifest.json"),
+              "fd72f5b6c7a880b0eda8fc2679a2405bfeba1062d7c40cb9a76bd64eb0c705dd"),
+}
+
+
+@pytest.mark.parametrize("name", list(RUN_OUTPUTS))
+def test_run_outputs_are_pinned(tmp_path, name):
+    from specbounds.cli import main
+
+    argv, files, pinned = RUN_OUTPUTS[name]
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 0
+    written = [(out / f).read_bytes() for f in files]
+    if name == "simulate-excluded":
+        assert b"null" in written[1]
+    assert _digest(*written) == pinned

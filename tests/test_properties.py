@@ -3,11 +3,13 @@ theta statistic against the exhaustive leave-one-out loop, of the
 alignment statistics' scale invariance, of the rewritten per-trial
 helpers against the formulas they replaced, bit for bit, of the stacked
 block forms (covariance statistics, gap profiles, theorem parameters, the
-replace-one oracle's finish) against one sample at a time, bit for bit, and
-of seeded runs against their block length and worker count."""
+replace-one oracle's finish) against one sample at a time, bit for bit, of
+seeded runs against their block length and worker count, and of the CLI's
+JSON writer against json.dumps."""
 
 import dataclasses
 import functools
+import json
 import math
 import re
 from unittest import mock
@@ -902,3 +904,48 @@ def test_oracle_bytes_do_not_depend_on_blocks_or_workers(perturbation_trials, se
     reference = run(1)
     for rows in _staged_runs(cfg, run, pooled=(7,)):
         assert rows == reference
+
+
+# --- the CLI's JSON writer against json.dumps -----------------------------------
+
+_JSON_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+    st.floats(allow_nan=True, allow_infinity=True).map(np.float64),
+    st.sampled_from([-0.0, 5e-324, -math.inf, math.inf, math.nan]),
+)
+# strings with escapes and text outside ASCII
+_JSON_LEAVES = st.one_of(st.integers(), st.booleans(), st.none(), _JSON_FLOATS, st.text(max_size=8),
+                         st.sampled_from(['"\\\n\t\x01', "\u00e9\u2028\U0001f600"]))
+_JSON_TREES = st.recursive(
+    _JSON_LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(children, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), children, max_size=4),
+    ),
+    max_leaves=30,
+)
+
+
+def _non_finite_paths(obj, where=""):
+    """The dotted path of every non-finite float in `obj` (a list item by its position)."""
+    if isinstance(obj, float) and not math.isfinite(obj):
+        yield where
+    elif isinstance(obj, dict):
+        for k, v in obj.items():
+            yield from _non_finite_paths(v, f"{where}.{k}" if where else k)
+    elif isinstance(obj, (list, tuple)):
+        for j, v in enumerate(obj):
+            yield from _non_finite_paths(v, f"{where}[{j}]")
+
+
+@settings(max_examples=300, deadline=None)
+@given(_JSON_TREES)
+def test_json_is_json_dumps_with_non_finite_floats_as_null(tree):
+    from specbounds.cli import _json
+
+    # json.dumps writes NaN and Infinity, which json.loads reads back as null here
+    nulled = json.loads(json.dumps(tree), parse_constant=lambda _: None)
+    paths: list[str] = []
+    assert _json(tree, paths) == json.dumps(nulled, indent=2, sort_keys=True) + "\n"
+    assert sorted(paths) == sorted(_non_finite_paths(tree))

@@ -645,81 +645,73 @@ def _cmd_audit(args) -> int:
 # --- parser ------------------------------------------------------------------
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or of `command` alone when it names one
-    (`main` builds only the parser of the subcommand it runs)."""
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="specbounds",
         description="Concentration bounds for kernel matrix spectra, with Monte Carlo validation.",
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    every = command not in ("bounds", "simulate", "align", "audit")
 
-    if every or command == "bounds":
-        p = sub.add_parser("bounds", help="closed-form bound report for a dataset")
-        p.add_argument("--data", required=True, help="CSV of samples, one per line")
-        p.add_argument("--header", action="store_true", help="skip the first line of --data")
-        p.add_argument("--centered", action="store_true", help="mean-center before the covariance")
-        p.add_argument("--kernel", default="gaussian:1.0", help=RUN_FLAGS["kernel"]["help"])
-        p.add_argument("--stat", default="eig:1", help=f"comma list of {', '.join(_STAT_TOKENS)}")
-        p.add_argument("--eps", default=None, help="comma list of epsilons (default: 40 log-spaced in [1e-4, 1])")
-        p.add_argument("--theta", type=float, default=None, help="use this theta instead of estimating it")
-        p.add_argument("--allow-degenerate", action="store_true",
-                       help="report around degenerate theorems instead of exiting 4")
-        p.add_argument("--out", default="specbounds_out", help="output directory")
-        p.set_defaults(func=_cmd_bounds)
+    p = sub.add_parser("bounds", help="closed-form bound report for a dataset")
+    p.add_argument("--data", required=True, help="CSV of samples, one per line")
+    p.add_argument("--header", action="store_true", help="skip the first line of --data")
+    p.add_argument("--centered", action="store_true", help="mean-center before the covariance")
+    p.add_argument("--kernel", default="gaussian:1.0", help=RUN_FLAGS["kernel"]["help"])
+    p.add_argument("--stat", default="eig:1", help=f"comma list of {', '.join(_STAT_TOKENS)}")
+    p.add_argument("--eps", default=None, help="comma list of epsilons (default: 40 log-spaced in [1e-4, 1])")
+    p.add_argument("--theta", type=float, default=None, help="use this theta instead of estimating it")
+    p.add_argument("--allow-degenerate", action="store_true",
+                   help="report around degenerate theorems instead of exiting 4")
+    p.add_argument("--out", default="specbounds_out", help="output directory")
+    p.set_defaults(func=_cmd_bounds)
 
-    if every or command == "simulate":
-        p = sub.add_parser("simulate", help="seeded Monte Carlo concentration experiments")
-        runs = p.add_mutually_exclusive_group()
-        runs.add_argument("--preset", choices=PRESETS, default=None)
-        runs.add_argument("--config", default=None, help="JSON experiment config (single or {runs: [...]})")
-        # no run field has a default here: ExperimentConfig holds them
-        for name, flag in RUN_FLAGS.items():
-            p.add_argument(f"--{name}", default=None, **flag)
-        p.add_argument("--trials", type=int, default=None)
-        p.add_argument("--mode", default=None, choices=MODES)
-        p.add_argument("--eps", default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--workers", type=int, default=1)
-        p.add_argument("--no-svg", action="store_true")
-        p.add_argument("--out", default="specbounds_out")
-        p.set_defaults(func=_cmd_simulate)
+    p = sub.add_parser("simulate", help="seeded Monte Carlo concentration experiments")
+    runs = p.add_mutually_exclusive_group()
+    runs.add_argument("--preset", choices=PRESETS, default=None)
+    runs.add_argument("--config", default=None, help="JSON experiment config (single or {runs: [...]})")
+    # no run field has a default here: ExperimentConfig holds them
+    for name, flag in RUN_FLAGS.items():
+        p.add_argument(f"--{name}", default=None, **flag)
+    p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--mode", default=None, choices=MODES)
+    p.add_argument("--eps", default=None)
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--no-svg", action="store_true")
+    p.add_argument("--out", default="specbounds_out")
+    p.set_defaults(func=_cmd_simulate)
 
-    if every or command == "align":
-        p = sub.add_parser("align", help="kernel target-alignment report")
-        p.add_argument("--data", required=True)
-        p.add_argument("--header", action="store_true")
-        labels = p.add_mutually_exclusive_group()
-        labels.add_argument("--labels", default=None, help="one-column CSV of +/-1 labels")
-        labels.add_argument("--label-col", default=None, help="label column name inside --data (implies header)")
-        p.add_argument("--kernel", default="gaussian:1.0", help=RUN_FLAGS["kernel"]["help"])
-        p.add_argument("--eps", default=None)
-        p.add_argument("--out", default="specbounds_out")
-        p.set_defaults(func=_cmd_align)
+    p = sub.add_parser("align", help="kernel target-alignment report")
+    p.add_argument("--data", required=True)
+    p.add_argument("--header", action="store_true")
+    labels = p.add_mutually_exclusive_group()
+    labels.add_argument("--labels", default=None, help="one-column CSV of +/-1 labels")
+    labels.add_argument("--label-col", default=None, help="label column name inside --data (implies header)")
+    p.add_argument("--kernel", default="gaussian:1.0", help=RUN_FLAGS["kernel"]["help"])
+    p.add_argument("--eps", default=None)
+    p.add_argument("--out", default="specbounds_out")
+    p.set_defaults(func=_cmd_align)
 
-    if every or command == "audit":
-        p = sub.add_parser("audit", help="brute-force oracle suite")
-        for name, default in (("n", 100), ("p", 5), ("kernel", None)):
-            p.add_argument(f"--{name}", default=default, **RUN_FLAGS[name])
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--oracle-trials", type=int, default=500, help="replace-one perturbation trials")
-        p.add_argument("--interlacing-matrices", type=int, default=200)
-        p.add_argument("--expansion-trials", type=int, default=50)
-        p.add_argument("--index", type=int, default=1, help="eigen-order checked by the expansion oracles")
-        p.add_argument("--zero-perturbation", action="store_true",
-                       help="replace each sample with itself (smoke test: zero violations)")
-        p.add_argument("--workers", type=int, default=1)
-        p.add_argument("--out", default="specbounds_out")
-        p.set_defaults(func=_cmd_audit)
+    p = sub.add_parser("audit", help="brute-force oracle suite")
+    for name, default in (("n", 100), ("p", 5), ("kernel", None)):
+        p.add_argument(f"--{name}", default=default, **RUN_FLAGS[name])
+    p.add_argument("--seed", type=int, default=None)
+    p.add_argument("--oracle-trials", type=int, default=500, help="replace-one perturbation trials")
+    p.add_argument("--interlacing-matrices", type=int, default=200)
+    p.add_argument("--expansion-trials", type=int, default=50)
+    p.add_argument("--index", type=int, default=1, help="eigen-order checked by the expansion oracles")
+    p.add_argument("--zero-perturbation", action="store_true",
+                   help="replace each sample with itself (smoke test: zero violations)")
+    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--out", default="specbounds_out")
+    p.set_defaults(func=_cmd_audit)
     return parser
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
     try:  # parsing too: the run flags' parsers raise ConfigError
-        args = build_parser(argv[0] if argv else None).parse_args(argv)
+        args = build_parser().parse_args(argv)
         out = Path(args.out)
         base = next(p for p in (out, *out.parents) if os.path.exists(p))
         if not os.path.isdir(base):  # then no write can succeed: stop before any work

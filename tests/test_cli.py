@@ -826,25 +826,6 @@ def test_help_strings_come_from_the_registries():
     assert {helps[command, "--kernel"] for command in commands} == {"gaussian[:SIGMA] | linear | polynomial[:D[:C]]"}
 
 
-@pytest.mark.parametrize("argv", [
-    ["bounds", "--data", "d.csv", "--stat", "eig:1,topk:2", "--theta", "0.5", "--allow-degenerate"],
-    ["simulate", "--n", "10", "--p", "2", "--indices", "1..3", "--kernel", "linear", "--bounds", "", "--no-svg"],
-    ["align", "--data", "d.csv", "--labels", "y.csv", "--kernel", "polynomial:2"],
-    ["audit", "--n", "30", "--kernel", "gaussian:2", "--zero-perturbation", "--workers", "2"],
-])
-def test_one_subcommand_parser_equals_the_full_parser(capsys, argv):
-    # main builds only the parser of the subcommand it runs: its help and
-    # its parse of a valid command line are the full parser's
-    command = argv[0]
-    helps = []
-    for parser in (build_parser(command), build_parser()):
-        with pytest.raises(SystemExit):
-            parser.parse_args([command, "--help"])
-        helps.append(capsys.readouterr().out)
-    assert helps[0] == helps[1] and helps[0].startswith(f"usage: specbounds {command} ")
-    assert build_parser(command).parse_args(argv) == build_parser().parse_args(argv)
-
-
 def test_benchmark_tracer_sees_every_trial(tmp_path, monkeypatch):
     # the benchmark's tracer patches module attributes by name; a renamed or
     # bypassed hook shows up here as a missing count

@@ -63,7 +63,8 @@ excluded from that bound's mean):
 
   diag_uniform             diag_sup^2 > 0
   adjacent_gap             i < n, distinct eigenvalues at i and gap_{i,i+1} above tolerance
-  topk_gap, tail_gap       range gap above tolerance
+  topk_gap                 k < n and range gap above tolerance
+  tail_gap                 range gap above tolerance
   covgap_*                 gap_1p above tolerance (not isotropic); second order also needs
                            distinct eigenvalues at i and gamma > 0
   eigvec_*                 distinct eigenvalues at i and gap_1p above tolerance
@@ -509,6 +510,16 @@ def _gap_metadata(x: BoundInputs, i: int) -> dict:
     return {"gap_next": gap_next, "resolvent_sum": p.resolvent_sum, "inv_gap_sq_sum": p.inv_gap_sq_sum}
 
 
+def _topk_gap_params(x: BoundInputs, k: int, reject) -> tuple[float, float]:
+    # a block's `reject` only records the reason; `theorem_params` catches range_gap_top's DataError
+    reject(k == x.spectrum.shape[-1], DegenerateGapError, "the top-k gap is undefined for k = n")
+    return _range_gap_params(x.n, range_gap_top(x.spectrum, k), x.spectrum, reject)
+
+
+def _topk_gap_metadata(x: BoundInputs, k: int) -> dict:
+    return {"range_gap": range_gap_top(x.spectrum, k) if k < x.spectrum.shape[-1] else None}
+
+
 def _second_order(variant: str) -> Theorem:
     return Theorem(
         "eigenvalue", _SPEC_COV,
@@ -536,9 +547,7 @@ THEOREMS: dict[str, Theorem] = {
                             lambda x, i, reject: _covgap_params(x.n, x.cov, x.lip, 4.0, reject), kernel=INNER),
     "covgap_second_order": _second_order("printed"),
     "covgap_second_order_alt": _second_order("alt"),
-    "topk_gap": Theorem("topk_sum", ("spectrum",),
-                        lambda x, i, reject: _range_gap_params(x.n, range_gap_top(x.spectrum, i), x.spectrum, reject),
-                        describe=lambda x, i: {"range_gap": range_gap_top(x.spectrum, i)}),
+    "topk_gap": Theorem("topk_sum", ("spectrum",), _topk_gap_params, describe=_topk_gap_metadata),
     "tail_gap": Theorem("tail_sum", ("spectrum",),
                         lambda x, i, reject: _range_gap_params(x.n, range_gap_tail(x.spectrum, i), x.spectrum, reject),
                         describe=lambda x, i: {"range_gap": range_gap_tail(x.spectrum, i)}),

@@ -354,6 +354,13 @@ def _runs(runs, source: str, overrides: dict) -> list[Run]:
         config = run["config"]
         if isinstance(config, dict):
             config = {**config, **overrides}
+            if mode == "boxplot":  # checked before the defaults fill in the keys the config leaves out
+                named = config.get("statistics")  # from_dict rejects a value that is not a list
+                others = [s for s in named if s != "eigenvalue"] if isinstance(named, list) else []
+                if others:
+                    raise ConfigError(f"{source}: a boxplot run reads only the eigenvalue statistic, got {others}")
+                if config.get("bounds"):
+                    raise ConfigError(f"{source}: a boxplot run evaluates no bound, got {config['bounds']}")
         label = run.get("label", "")
         if not isinstance(label, str):
             raise ConfigError(f"{source}: run label must be a string, got {label!r}")

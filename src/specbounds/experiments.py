@@ -8,8 +8,7 @@ matrix; bound inputs come from G as in every command (see `bounds`).
 Per-trial RNG: subseed = splitmix64(master seed, trial index), so results are
 identical for any worker count, scheduling order or block length.  Every
 trial that samples data draws its generator and samples from the
-ExperimentConfig (frozen and picklable) and its subseed through `_draw`; the
-config builds its KernelSpec once, and again wherever it is unpickled.
+ExperimentConfig (frozen and picklable) and its subseed through `_draw`.
 
 Staged trial blocks: `_map_trials` cuts a loop's seeds into blocks and runs
 each block one stage at a time, for the concentration, boxplot and
@@ -129,8 +128,7 @@ class ExperimentConfig:
     def __post_init__(self):
         for name in ("n", "p", "trials", "seed"):
             object.__setattr__(self, name, _integer(name, getattr(self, name)))
-        spec = kernel_from_config(self.kernel)  # validated eagerly, built once
-        object.__setattr__(self, "_spec", spec)
+        spec = kernel_from_config(self.kernel)  # validated eagerly
         object.__setattr__(self, "kernel", {"family": spec.name, **spec.params})
         kind = spec.kind
         for name in ("epsilons", "indices", "statistics", "bounds"):
@@ -156,6 +154,9 @@ class ExperimentConfig:
         for b in self.bounds:
             if b not in KNOWN_BOUNDS:
                 raise ConfigError(f"unknown bound {b!r} (known: {KNOWN_BOUNDS})")
+            if bnd.THEOREMS[b].statistic not in self.statistics:
+                raise ConfigError(f"bound {b!r} bounds the {bnd.THEOREMS[b].statistic} statistic, "
+                                  f"which statistics {list(self.statistics)} does not list")
             if bnd.THEOREMS[b].kernel not in (None, kind):
                 raise ConfigError(f"bound {b!r} applies to {bnd.THEOREMS[b].kernel} kernels, not {kind}")
         for name in ("statistics", "indices", "bounds"):  # every entry is hashable by now
@@ -166,20 +167,13 @@ class ExperimentConfig:
                 seen.add(v)
 
     def kernel_spec(self) -> KernelSpec:
-        """The kernel, built from `kernel` when the config was made."""
-        return self._spec
-
-    # a KernelSpec holds lambdas, which do not pickle: a worker process
-    # receives the fields and builds the kernel again
-    def __getstate__(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state, _spec=kernel_from_config(state["kernel"]))
+        """The kernel that `kernel` describes, built on each call."""
+        return kernel_from_config(self.kernel)
 
     def to_dict(self) -> dict:
+        values = {f.name: getattr(self, f.name) for f in fields(self)}
         return {name: list(v) if isinstance(v, tuple) else dict(v) if isinstance(v, dict) else v
-                for name, v in self.__getstate__().items()}
+                for name, v in values.items()}
 
     @classmethod
     def from_dict(cls, obj: dict) -> "ExperimentConfig":
@@ -340,10 +334,9 @@ class _Solved(NamedTuple):
     per_sample: tuple[dict, dict]  # its `_per_sample_inputs` pair
 
 
-def _solve(cfg: ExperimentConfig, keys: _Keys, samples: SampleSet, labels) -> _Solved:
+def _solve(spec: KernelSpec, keys: _Keys, samples: SampleSet, labels) -> _Solved:
     """Stage 2 of a concentration trial, the last to read its Gram matrix:
     the spectrum, the alignment and the per-sample bound inputs."""
-    spec = cfg.kernel_spec()
     g_raw = gram(samples, spec)
     lam = np.linalg.eigvalsh(g_raw.entries)[::-1].copy()  # descending and contiguous
     a_kn = kta(g_raw, labels) if labels is not None else None
@@ -361,9 +354,9 @@ def _statistics(cfg: ExperimentConfig, keys: _Keys, lam: np.ndarray, a_kn) -> li
 def _trial_inputs(cfg: ExperimentConfig, trial_seed: int, keys: _Keys):
     """One seeded trial's statistic values in `_keys` order and the
     BoundInputs its bound keys read, computed by the trial alone."""
-    solved = _solve(cfg, keys, *_draw_labelled(cfg, trial_seed))
-    stats = [float(v) for v in _statistics(cfg, keys, solved.lam, solved.a_kn)]
     spec = cfg.kernel_spec()
+    solved = _solve(spec, keys, *_draw_labelled(cfg, trial_seed))
+    stats = [float(v) for v in _statistics(cfg, keys, solved.lam, solved.a_kn)]
     return stats, sample_inputs(solved.samples, spec, gram(solved.samples, spec), solved.lam, keys.needs,
                                 a_kn=solved.a_kn)
 
@@ -425,8 +418,9 @@ def _concentration_trial(args: tuple[_Finished, int]) -> tuple[np.ndarray, dict]
 
 def _concentration_block(args) -> list:
     (cfg, keys), seeds = args
+    spec = cfg.kernel_spec()
     draws = [_draw_labelled(cfg, s) for s in seeds]
-    solved = [_solve(cfg, keys, samples, labels) for samples, labels in draws]
+    solved = [_solve(spec, keys, samples, labels) for samples, labels in draws]
     finished = _finish(cfg, keys, solved)
     return [_concentration_trial((finished, t)) for t in range(len(solved))]
 
@@ -714,9 +708,9 @@ class _Perturbed(NamedTuple):
     norm_e: float               # ||E||
 
 
-def _solve_perturbed(cfg: ExperimentConfig, samples: SampleSet, replace_at: int, replacement) -> _Perturbed:
+def _solve_perturbed(spec: KernelSpec, samples: SampleSet, replace_at: int, replacement) -> _Perturbed:
     """Stage 2 of a perturbation trial: both spectra of the replace-one pair."""
-    pair = perturb_replace(samples, cfg.kernel_spec(), replace_at, replacement)
+    pair = perturb_replace(samples, spec, replace_at, replacement)
     lam = np.linalg.eigvalsh(pair.original.entries)[::-1]
     lam_pert = np.linalg.eigvalsh(pair.perturbed.entries)[::-1]
     return _Perturbed(samples, replace_at, replacement, lam, lam_pert, pair.spectral_norm_e)
@@ -781,8 +775,9 @@ def _perturbation_trial(args: tuple[dict, int]) -> dict:
 
 def _perturbation_block(args) -> list:
     (cfg, index, zero_perturbation), seeds = args
+    spec = cfg.kernel_spec()
     draws = [_draw_replacement(cfg, s, zero_perturbation) for s in seeds]
-    solved = [_solve_perturbed(cfg, *d) for d in draws]
+    solved = [_solve_perturbed(spec, *d) for d in draws]
     finished = _finish_perturbed(cfg, index, solved)
     return [_perturbation_trial((finished, t)) for t in range(len(solved))]
 

@@ -259,24 +259,11 @@ def gaps_from_eigenvalues(eigenvalues: np.ndarray, i: int) -> GapProfile:
         raise DataError(f"eigen-order i must be in 1..{n}, got {i}")
     # lam.T[k] is eigenvalue k + 1 of one spectrum, or the (B,) column of a stack's
     tol = gap_tolerance(lam.T[0])
-    # |lambda_i - lambda_j| for j != i, then one scratch buffer for the sums
-    diffs = np.empty(lam.shape[:-1] + (n - 1,))
-    diffs[..., : i - 1] = lam[..., : i - 1]
-    diffs[..., i - 1 :] = lam[..., i:]
-    np.subtract(lam[..., i - 1 : i], diffs, out=diffs)
-    np.abs(diffs, out=diffs)
-    # the ufunc reductions that `min` and `sum` wrap, without their Python wrappers
-    degenerate = np.minimum.reduce(diffs, axis=-1, initial=np.inf) < tol
-    some_degenerate = degenerate.any() if degenerate.ndim else bool(degenerate)
-    if some_degenerate:  # their sums are inf: sum placeholder gaps without zero division
-        diffs[degenerate] = 1.0
-    scratch = np.divide(1.0, diffs)
-    resolvent = np.add.reduce(scratch, axis=-1)
-    np.multiply(diffs, diffs, out=scratch)
-    inv_sq = np.add.reduce(np.divide(1.0, scratch, out=scratch), axis=-1)
-    if some_degenerate:
-        resolvent = np.where(degenerate, np.inf, resolvent)
-        inv_sq = np.where(degenerate, np.inf, inv_sq)
+    diffs = np.abs(lam[..., i - 1 : i] - np.delete(lam, i - 1, axis=-1))  # |lambda_i - lambda_j|, j != i
+    degenerate = np.min(diffs, axis=-1, initial=np.inf) < tol
+    with np.errstate(divide="ignore", over="ignore"):  # 1/0 or 1/tiny in a degenerate row, whose sums are inf
+        resolvent = np.where(degenerate, np.inf, np.sum(1.0 / diffs, axis=-1))
+        inv_sq = np.where(degenerate, np.inf, np.sum(1.0 / diffs**2, axis=-1))
     lambda_i = lam.T[i - 1]
     return GapProfile(
         index=i,

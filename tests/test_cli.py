@@ -152,6 +152,26 @@ def test_bounds_singular_covariance_exit_4(tmp_path, capsys):
     assert sorted(meta["skipped_theorems"]) == ["eigenvalue:3:adjacent_gap", "tail_sum:3:tail_gap"]
 
 
+def test_bounds_skips_topk_at_order_n(tmp_path, capsys):
+    # lambda_{n+1} does not exist: topk:n is a skipped theorem, as eig:n and
+    # tail:n are, not a data error that drops the whole report
+    rng = np.random.default_rng(84)
+    data = tmp_path / "ten.csv"
+    data.write_text("".join(",".join(repr(float(v)) for v in r) + "\n" for r in rng.standard_normal((10, 3))))
+    reason = "the top-k gap is undefined for k = n"
+    assert run_cli("bounds", "--data", str(data), "--stat", "eig:1,topk:10", "--out", str(tmp_path / "o")) == 4
+    assert f"topk_sum:10:topk_gap: {reason}" in capsys.readouterr().err
+    out = tmp_path / "o2"
+    assert run_cli("bounds", "--data", str(data), "--stat", "eig:1,topk:10", "--allow-degenerate",
+                   "--out", str(out)) == 0
+    meta = json.loads((out / "metadata.json").read_text())
+    assert meta["skipped_theorems"] == {"topk_sum:10:topk_gap": reason}
+    assert meta["statistics"]["topk_sum:10"] == {"range_gap": None}
+    assert {line.split(",")[0] for line in (out / "report.csv").read_text().splitlines()[1:]} == {"eigenvalue"}
+    # an order above n is still a data error
+    assert run_cli("bounds", "--data", str(data), "--stat", "topk:11", "--out", str(tmp_path / "o3")) == 3
+
+
 def test_bounds_estimates_theta_only_when_a_theorem_reads_it(tmp_path, monkeypatch):
     rng = np.random.default_rng(83)
     data = tmp_path / "g.csv"
@@ -564,6 +584,15 @@ def test_failed_runs_create_no_output_directory(tmp_path):
     # eigenvector has theorems but no Monte Carlo value
     ({"n": 10, "p": 2, "trials": 3, "seed": 1, "statistics": ["eigenvector"]},
      "unknown statistic 'eigenvector' (known: ('eigenvalue', 'topk_sum', 'tail_sum', 'kta'))"),
+    # a bound of a statistic the run does not list would write no row
+    ({"n": 10, "p": 2, "trials": 3, "seed": 1, "bounds": ["kta_theta", "topk_gap"]},
+     "bound 'kta_theta' bounds the kta statistic, which statistics ['eigenvalue'] does not list"),
+    # a boxplot run reads the eigenvalue statistic and no bound, whatever the config names
+    ({"runs": [{"mode": "boxplot", "config": {"n": 10, "p": 2, "trials": 3, "seed": 1, "statistics": ["kta"],
+                                              "bounds": ["adjacent_gap"]}}]},
+     "a boxplot run reads only the eigenvalue statistic, got ['kta']"),
+    ({"runs": [{"mode": "boxplot", "config": {"n": 10, "p": 2, "trials": 3, "seed": 1, "bounds": ["adjacent_gap"]}}]},
+     "a boxplot run evaluates no bound, got ['adjacent_gap']"),
 ])
 def test_simulate_invalid_config_exit_2(tmp_path, capsys, payload, message):
     config = tmp_path / "c.json"
@@ -747,6 +776,9 @@ def test_simulate_kernel_restricted_bound_exit_2(tmp_path, kernel, bound):
     ("--n", "1", "--indices", "1"),
     ("--workers", "0"),
     ("--indices", "1,5..3"),  # a reversed range (before: silently dropped, leaving [1])
+    # bounds and statistics the run would never evaluate (before: exit 0 with no row for them)
+    ("--statistics", "eigenvalue", "--bounds", "kta_theta,topk_gap"),
+    ("--mode", "boxplot", "--statistics", "kta", "--bounds", "adjacent_gap"),
 ])
 def test_simulate_invalid_flags_exit_2(tmp_path, flags):
     # a repeated entry, zero trials, an empty grid, an impossible size or no

@@ -55,7 +55,7 @@ CONCENTRATION = {
     "singular-cov": (dict(n=4, p=6, trials=30, seed=16, indices=(1, 2, 4),
                           statistics=("eigenvalue", "topk_sum", "tail_sum"),
                           bounds=("covgap_distance", "covgap_second_order", "adjacent_gap", "topk_gap", "tail_gap")),
-                     "572bf2c14ae17d6bb46c76195b9e217cae6754aa8007d1e03ef4ed6b0f220b46"),
+                     "9ec237fbdeed4a3e4dccbaa28822a08f5e1d3df80bd33fb3273a329be00f2940"),
     # p = 1: a zero covariance gap (gamma = 0), and deep orders where some
     # trials' gaps are degenerate and others' are not
     "low-p-gaps": (dict(n=12, p=1, trials=40, seed=17, indices=(1, 9, 10, 11),

@@ -700,7 +700,8 @@ def _perturbation_alone(cfg, index, t) -> dict:
 ], ids=["gaussian", "polynomial", "linear-degenerate"])
 def test_perturbation_finish_equals_each_trial_alone(kernel, index):
     cfg = ExperimentConfig(n=12, p=2, trials=2, seed=5, kernel=kernel, indices=(1,), bounds=())
-    solved = [experiments._solve_perturbed(cfg, *experiments._draw_replacement(cfg, subseed(cfg.seed, t), t % 5 == 0))
+    solved = [experiments._solve_perturbed(cfg.kernel_spec(),
+                                           *experiments._draw_replacement(cfg, subseed(cfg.seed, t), t % 5 == 0))
               for t in range(24)]
     # norms whose squares numpy rounds differently from Python's pow, small
     # enough for the second-order row to keep them where the gap is not degenerate
@@ -729,7 +730,8 @@ def test_perturbation_finish_equals_each_trial_alone(kernel, index):
 def test_perturbation_finish_raises_the_first_singular_covariance():
     # p > n: every sample covariance is singular, as one trial alone would raise
     cfg = ExperimentConfig(n=4, p=6, trials=2, seed=8, indices=(1,), bounds=())
-    solved = [experiments._solve_perturbed(cfg, *experiments._draw_replacement(cfg, subseed(cfg.seed, t), False))
+    solved = [experiments._solve_perturbed(cfg.kernel_spec(),
+                                           *experiments._draw_replacement(cfg, subseed(cfg.seed, t), False))
               for t in range(3)]
     with pytest.raises(SingularCovarianceError) as alone:
         covariance_stats(solved[0].samples)

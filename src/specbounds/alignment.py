@@ -62,7 +62,8 @@ def theta_statistic(g: GramMatrix, spectrum: Spectrum | None = None) -> float:
     x_i = best * lambda_i - tol for every i whose x_i is positive and lies at
     least tol inside its interval; it is skipped when some f_s(x_i) exceeds
     the rounding bound c n eps sum_j (U_sj^2 + |U_sj|) / |lambda_j - x_i|
-    (c = _SECULAR_ROUNDING).  tol = gap_tolerance(lambda_1) is far above the
+    (c = _SECULAR_ROUNDING), which any summation order of the n-term sum
+    meets.  tol = gap_tolerance(lambda_1) is far above the
     backward error of the eigensolvers, so a skipped deletion's computed
     ratio lies strictly below `best`.
     A deletion that is not skipped runs the same `eigvalsh` call on the same
@@ -86,13 +87,13 @@ def theta_statistic(g: GramMatrix, spectrum: Spectrum | None = None) -> float:
         )
     denom = lam[: n - 1]
     u = spectrum.eigenvectors
-    weight = u * u
-    slack = _SECULAR_ROUNDING * n * np.finfo(np.float64).eps * (weight + np.abs(u))
+    last = u[:, n - 1]
     a = g.entries
     sub = np.empty((n - 1, n - 1))
     unsolved = np.ones(n, dtype=bool)
+    weight = slack = None  # the test's n x n terms, built when it first runs
     best = -math.inf
-    for s in np.argsort(-weight[:, n - 1], kind="stable"):
+    for s in np.argsort(-(last * last), kind="stable"):
         if not unsolved[s]:
             continue
         unsolved[s] = False
@@ -102,11 +103,15 @@ def theta_statistic(g: GramMatrix, spectrum: Spectrum | None = None) -> float:
             best = ratio
             x = best * denom - tol
             inside = (x > 0.0) & (x >= lam[1:] + tol) & (x <= denom - tol)
-            rest = np.flatnonzero(unsolved)
-            if inside.any() and rest.size:
+            if inside.any() and unsolved.any():
+                if weight is None:
+                    weight = u * u
+                    slack = np.abs(u)
+                    slack += weight
+                    slack *= _SECULAR_ROUNDING * n * np.finfo(np.float64).eps
                 r = 1.0 / (lam[:, None] - x[inside])
-                below = weight[rest] @ r > slack[rest] @ np.abs(r)
-                unsolved[rest[below.any(axis=1)]] = False
+                # every row is tested; only the unsolved rows' answers are kept
+                unsolved &= ~(weight @ r > slack @ np.abs(r)).any(axis=1)
     return 1.0 - best
 
 
@@ -130,7 +135,8 @@ def middle_spectrum_norm(eigenvalues: np.ndarray) -> float:
 
 
 def top_eigenvalue_ratio(eigenvalues: np.ndarray) -> float:
-    """lambda_1 / lambda_2 of a descending spectrum, inf when lambda_2 is 0."""
-    lam2 = float(eigenvalues[1])
-    return float(eigenvalues[0]) / lam2 if abs(lam2) > 0 else math.inf
+    """lambda_1 / lambda_2 of a descending spectrum, inf when |lambda_2| is
+    within gap_tolerance(lambda_1) of zero (rounding noise, as from a rank-one G)."""
+    lam1, lam2 = float(eigenvalues[0]), float(eigenvalues[1])
+    return lam1 / lam2 if abs(lam2) > gap_tolerance(lam1) else math.inf
 

@@ -69,7 +69,7 @@ excluded from that bound's mean):
                            distinct eigenvalues at i and gamma > 0
   eigvec_*                 distinct eigenvalues at i and gap_1p above tolerance
   kta_theta                theta in (0, 1] and C(theta) > 0
-  kta_spectral*            L > 0 and D > 0
+  kta_spectral*            L above tolerance (gap_tolerance(lambda_1)) and D > 0
 
 An exponent that overflows (eigvec_uniform for n >= 355) gives raw = inf.
 """
@@ -88,6 +88,7 @@ from .kernels import DISTANCE, INNER
 from .spectral import GapProfile, gap_tolerance, gaps_from_eigenvalues, range_gap_tail, range_gap_top
 
 DEGENERATE_GAP_MESSAGE = "theorem assumes distinct eigenvalues"
+L_ZERO_MESSAGE = "middle-spectrum norm L is zero (needs at least two nonzero interior eigenvalues)"
 
 
 def validate_epsilons(epsilons) -> tuple[float, ...]:
@@ -398,8 +399,7 @@ def kta_spectral_denominator(
     Pass `ratio` to use an approximation of ||K||_F / L (e.g. lambda_1/lambda_2)
     instead of the exact Frobenius ratio.
     """
-    reject(l_mid <= 0.0, DegeneracyError,
-           "middle-spectrum norm L is zero (needs at least two nonzero interior eigenvalues)")
+    reject(l_mid <= 0.0, DegeneracyError, L_ZERO_MESSAGE)
     if ratio is None:
         if frob is None:
             raise ConfigError("need either frob or ratio")
@@ -407,11 +407,15 @@ def kta_spectral_denominator(
     return a_kn * abs(1.0 / (n - 1.0) - ratio) + (2.0 + 1.0 / (n - 1.0)) / l_mid
 
 
-def _kta_spectral_params(a_kn: float, n: int, l_mid: float, frob: float | None, ratio: float | None,
-                         variant: str, reject=_raise) -> tuple[float, float]:
-    d = kta_spectral_denominator(a_kn=a_kn, n=n, l_mid=l_mid, frob=frob, ratio=ratio, reject=reject)
+def _kta_spectral_params(x: BoundInputs, frob: float | None, ratio: float | None, variant: str,
+                         reject=_raise) -> tuple[float, float]:
+    # an L within gap_tolerance(lambda_1) of zero is rounding noise, as from a
+    # rank-one G; inputs given without a spectrum take lambda_1 as 0
+    lambda_1 = 0.0 if x.spectrum is None else float_or_column(np.asarray(x.spectrum).T[0])
+    reject(x.l_mid <= gap_tolerance(lambda_1), DegeneracyError, L_ZERO_MESSAGE)
+    d = kta_spectral_denominator(a_kn=x.a_kn, n=x.n, l_mid=x.l_mid, frob=frob, ratio=ratio, reject=reject)
     reject(d <= 0.0, DegeneracyError, "spectral alignment denominator D is zero; bound is vacuous")
-    return -2.0, d if variant == "printed" else n * d * d
+    return -2.0, d if variant == "printed" else x.n * d * d
 
 
 # --- the statistic and theorem registries ------------------------------------
@@ -563,16 +567,13 @@ THEOREMS: dict[str, Theorem] = {
                          grid=_kta_theta_exponent, prefactor=2.0,
                          describe=lambda x, i: {"c_theta": c_theta(x.a_kn, x.theta, x.n, x.frob)}),
     "kta_spectral": Theorem("kta", _KTA_FROB,
-                            lambda x, i, reject: _kta_spectral_params(x.a_kn, x.n, x.l_mid, x.frob, None, "printed",
-                                                                      reject),
+                            lambda x, i, reject: _kta_spectral_params(x, x.frob, None, "printed", reject),
                             prefactor=2.0),
     "kta_spectral_approx": Theorem("kta", ("a_kn", "l_mid", "ratio"),
-                                   lambda x, i, reject: _kta_spectral_params(x.a_kn, x.n, x.l_mid, None, x.ratio,
-                                                                             "printed", reject),
+                                   lambda x, i, reject: _kta_spectral_params(x, None, x.ratio, "printed", reject),
                                    prefactor=2.0),
     "kta_spectral_bdiff": Theorem("kta", _KTA_FROB,
-                                  lambda x, i, reject: _kta_spectral_params(x.a_kn, x.n, x.l_mid, x.frob, None, "bdiff",
-                                                                            reject),
+                                  lambda x, i, reject: _kta_spectral_params(x, x.frob, None, "bdiff", reject),
                                   prefactor=2.0),
 }
 

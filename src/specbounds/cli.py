@@ -31,6 +31,7 @@ import math
 import os
 import sys
 from dataclasses import replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -56,7 +57,7 @@ from .experiments import (
     sample_inputs,
 )
 from .kernels import gram, kernel_config, kernel_from_config
-from .spectral import eig_sym
+from .spectral import eig_sym, gap_tolerance
 from .svgplot import LinePlot, render_boxplot
 
 MODES = ("concentration", "boxplot")
@@ -293,14 +294,9 @@ def _cmd_bounds(args) -> int:
          ";".join(row.flags + (("vacuous",) if row.vacuous else ()))]
         for row in rows
     )
-    _write_outputs("bounds", args, files, None, vars_config(args), {"data": args.data})
+    _write_outputs("bounds", args, files, None, vars(args), {"data": args.data})
     print(f"wrote {out / 'report.csv'}")
     return 0
-
-
-def vars_config(args) -> dict:
-    skip = {"func"}
-    return {k: v for k, v in vars(args).items() if k not in skip}
 
 
 # --- simulate ----------------------------------------------------------------
@@ -583,7 +579,7 @@ def _cmd_align(args) -> int:
         "c_theta": report.metadata.get("c_theta", math.nan),
         "l_mid": x.l_mid,
         "frob": x.frob,
-        "ratio": x.frob / x.l_mid if x.l_mid > 0 else math.inf,
+        "ratio": x.frob / x.l_mid if x.l_mid > gap_tolerance(float(x.spectrum[0])) else math.inf,
         "ratio_approx": x.ratio,
     }
     rows = [["kta", "", "", "", kind, _fval(value), "", ""] for kind, value in statistics.items()]
@@ -607,7 +603,7 @@ def _cmd_align(args) -> int:
     inputs = {"data": args.data}
     if args.labels:
         inputs["labels"] = args.labels
-    _write_outputs("align", args, files, None, vars_config(args), inputs)
+    _write_outputs("align", args, files, None, vars(args), inputs)
     print(f"wrote {Path(args.out) / 'alignment.csv'}")
     return 0
 
@@ -652,7 +648,11 @@ def _cmd_audit(args) -> int:
 # --- parser ------------------------------------------------------------------
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later
+    call, so nothing may mutate it.  It binds no command function: `main`
+    looks up `_cmd_<command>` when it runs."""
     parser = argparse.ArgumentParser(
         prog="specbounds",
         description="Concentration bounds for kernel matrix spectra, with Monte Carlo validation.",
@@ -671,7 +671,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--allow-degenerate", action="store_true",
                    help="report around degenerate theorems instead of exiting 4")
     p.add_argument("--out", default="specbounds_out", help="output directory")
-    p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("simulate", help="seeded Monte Carlo concentration experiments")
     runs = p.add_mutually_exclusive_group()
@@ -687,7 +686,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--no-svg", action="store_true")
     p.add_argument("--out", default="specbounds_out")
-    p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("align", help="kernel target-alignment report")
     p.add_argument("--data", required=True)
@@ -698,7 +696,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--kernel", default="gaussian:1.0", help=RUN_FLAGS["kernel"]["help"])
     p.add_argument("--eps", default=None)
     p.add_argument("--out", default="specbounds_out")
-    p.set_defaults(func=_cmd_align)
 
     p = sub.add_parser("audit", help="brute-force oracle suite")
     for name, default in (("n", 100), ("p", 5), ("kernel", None)):
@@ -712,7 +709,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="replace each sample with itself (smoke test: zero violations)")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default="specbounds_out")
-    p.set_defaults(func=_cmd_audit)
     return parser
 
 
@@ -724,7 +720,7 @@ def main(argv=None) -> int:
         if not os.path.isdir(base):  # then no write can succeed: stop before any work
             raise ConfigError(f"--out {args.out} exists and is not a directory" if base == out
                               else f"--out {args.out} is below {base}, which is not a directory")
-        return args.func(args)
+        return globals()[f"_cmd_{args.command}"](args)
     except SpecBoundsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.exit_code

@@ -34,7 +34,7 @@ perturbation-oracle loops:
        trial;
      `_concentration_trial` and `_perturbation_trial` then hand on each
      trial's share.  The boxplot loop finishes once per trial
-     (`_boxplot_trial`), slicing its spectrum.
+     (`_boxplot_trial`), keeping only the orders it reports.
 Every stacked step gives each trial the bits it has alone (see `bounds`
 on powers), so no output bit depends on the block length, and the
 small-array work of stage 3 runs with warm caches, as numpy calls over the
@@ -123,7 +123,7 @@ class ExperimentConfig:
     epsilons: tuple[float, ...] = field(default_factory=default_epsilons)
     indices: tuple[int, ...] = (1, 2, 3)
     statistics: tuple[str, ...] = ("eigenvalue",)
-    bounds: tuple[str, ...] = ("adjacent_gap",)
+    bounds: tuple[str, ...] | None = None  # None: ("adjacent_gap",) when statistics lists eigenvalue, else ()
 
     def __post_init__(self):
         for name in ("n", "p", "trials", "seed"):
@@ -131,6 +131,8 @@ class ExperimentConfig:
         spec = kernel_from_config(self.kernel)  # validated eagerly
         object.__setattr__(self, "kernel", {"family": spec.name, **spec.params})
         kind = spec.kind
+        if self.bounds is None:
+            object.__setattr__(self, "bounds", ("adjacent_gap",) if "eigenvalue" in self.statistics else ())
         for name in ("epsilons", "indices", "statistics", "bounds"):
             if isinstance(getattr(self, name), str):  # else read one character at a time
                 raise ConfigError(f"experiment config key {name!r} must be a list, got {getattr(self, name)!r}")
@@ -188,6 +190,8 @@ class ExperimentConfig:
         for name in ("n", "p", "seed"):
             if name not in obj:
                 raise ConfigError(f"experiment config is missing key {name!r}")
+        if "bounds" in obj and obj["bounds"] is None:  # the default is had by leaving the key out
+            raise ConfigError("experiment config key 'bounds' must be a list, got None")
         try:
             # a field the dict leaves out takes its dataclass default
             return cls(**{f.name: obj[f.name] for f in fields(cls) if f.name in obj})
@@ -588,10 +592,11 @@ def spearman(a, b) -> float:
 
 def _boxplot_trial(args: tuple[ExperimentConfig, np.ndarray]) -> np.ndarray:
     """Stage 3 of a boxplot trial: the leading statistics from the raw
-    spectrum `eigvalsh` returned (ascending)."""
+    spectrum `eigvalsh` returned (ascending), as a new array of only the
+    orders the run reports, so no trial keeps its whole spectrum alive."""
     cfg, lam = args
     top = max(cfg.indices) + 1
-    return (lam[::-1] / cfg.n)[: min(top, cfg.n)]
+    return lam[::-1][: min(top, cfg.n)] / cfg.n
 
 
 def _boxplot_block(args) -> list:

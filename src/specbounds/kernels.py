@@ -220,8 +220,9 @@ def gram(s: SampleSet, spec: KernelSpec) -> GramMatrix:
     """
     t = _pairwise_argument(s.rows, spec.kind)
     k = np.asarray(spec.profile(t), dtype=np.float64)
-    if k.shape != t.shape:
-        raise ConfigError(f"kernel profile returned shape {k.shape}, expected {t.shape}")
+    del t  # the profile's argument is not needed past here: one n x n array fewer below
+    if k.shape != (s.n, s.n):
+        raise ConfigError(f"kernel profile returned shape {k.shape}, expected {(s.n, s.n)}")
     if not np.isfinite(k).all():
         i, j = np.argwhere(~np.isfinite(k))[0]
         raise DataError(f"kernel value is not finite at pair ({i + 1}, {j + 1})")

@@ -4,7 +4,7 @@ import mpmath as mp
 import numpy as np
 import pytest
 
-from specbounds.alignment import _leave_one_out, kta, middle_spectrum_norm, theta_statistic
+from specbounds.alignment import _leave_one_out, kta, middle_spectrum_norm, theta_statistic, top_eigenvalue_ratio
 from specbounds.bounds import (
     BoundInputs,
     c_theta,
@@ -16,7 +16,8 @@ from specbounds.dataset import gen_gaussian
 from specbounds.errors import ConfigError, DataError, DegeneracyError
 from specbounds.experiments import sample_inputs
 from specbounds.kernels import GramMatrix, gaussian, gram, linear
-from specbounds.spectral import eig_sym
+from specbounds.spectral import eig_sym, gap_tolerance
+from test_kernels import peak_square_arrays
 
 mp.mp.dps = 50
 
@@ -245,3 +246,30 @@ def test_kta_report_validates_epsilon_grid():
     for grid in ((0.5, 0.1), (0.1, float("nan")), (float("inf"),), (), (0.0, 0.1)):
         with pytest.raises(ConfigError):
             _kta_report(s, linear(), y, grid)
+
+
+def test_theta_peak_holds_one_test_array_per_term():
+    # weight and slack, built in place when the first prune test runs, and
+    # the leave-one-out buffer; before: three arrays for slack and copies of
+    # both terms' unsolved rows, 4.64 arrays
+    g = gram(gen_gaussian(200, 5, 0), gaussian(1.0))
+    spectrum = eig_sym(g)
+    expected = theta_statistic(g, spectrum=spectrum)
+    assert peak_square_arrays(lambda: theta_statistic(g, spectrum=spectrum), 200) < 4.1
+    assert theta_statistic(g, spectrum=spectrum) == expected
+
+
+def test_spectral_kta_theorems_read_rounding_noise_as_zero():
+    # a rank-one G's eigh gives lambda_2 and L of order 1e-17 (before: each
+    # kta_spectral row read 2.0 from that noise, and lambda_1 / lambda_2 was
+    # about -1.9e17); L and |lambda_2| within gap_tolerance(lambda_1) count as 0
+    lam = np.array([3.0, 1.6e-17, -1.9e-17])
+    assert top_eigenvalue_ratio(lam) == math.inf
+    assert top_eigenvalue_ratio(np.array([3.0, 1e-9, 0.0])) == 3e9
+    for theorem in ("kta_spectral", "kta_spectral_approx", "kta_spectral_bdiff"):
+        with pytest.raises(DegeneracyError, match="middle-spectrum norm L is zero"):
+            _kta_bound(theorem, 0.5, n=3, spectrum=lam, a_kn=1 / 9, l_mid=1.6e-17, frob=3.0, ratio=math.inf)
+        # inputs given without a spectrum are held to the tolerance at lambda_1 = 0
+        with pytest.raises(DegeneracyError, match="middle-spectrum norm L is zero"):
+            _kta_bound(theorem, 0.5, n=3, a_kn=1 / 9, l_mid=1e-10, frob=3.0, ratio=2.0)
+        assert _kta_bound(theorem, 0.5, n=3, a_kn=1 / 9, l_mid=1e-9, frob=3.0, ratio=2.0) > 0.0

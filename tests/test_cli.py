@@ -708,6 +708,55 @@ def test_simulate_empty_bounds_runs_no_bound(tmp_path):
         assert run["config"]["bounds"] == []
 
 
+
+def test_simulate_kta_alone_runs_no_bound(tmp_path):
+    # the default bound follows the statistics: adjacent_gap only when
+    # eigenvalue is listed (before: --statistics kta alone exited 2)
+    out = tmp_path / "kta"
+    assert run_cli("simulate", "--n", "10", "--p", "3", "--trials", "3", "--seed", "1",
+                   "--statistics", "kta", "--no-svg", "--out", str(out)) == 0
+    (run,) = json.loads((out / "config.json").read_text())["runs"]
+    assert run["config"]["bounds"] == []
+    assert {line.split(",")[4] for line in (out / "results.csv").read_text().splitlines()[1:]} == {
+        "mc_mean", "empirical_freq"}
+    assert run_cli("simulate", "--n", "10", "--p", "3", "--trials", "3", "--seed", "1", "--no-svg",
+                   "--out", str(tmp_path / "default")) == 0
+    (run,) = json.loads((tmp_path / "default" / "config.json").read_text())["runs"]
+    assert run["config"]["bounds"] == ["adjacent_gap"]
+
+
+def test_simulate_rank_one_gram_excludes_the_spectral_kta_bounds(tmp_path):
+    # p = 1 with the linear kernel: every G has rank one, and L is rounding
+    # noise (before: no trial excluded, bound_mean 2.0 at every epsilon)
+    out = tmp_path / "o"
+    assert run_cli("simulate", "--n", "20", "--p", "1", "--trials", "5", "--seed", "1", "--kernel", "linear",
+                   "--statistics", "kta", "--bounds", "kta_spectral,kta_spectral_approx", "--no-svg",
+                   "--out", str(out)) == 0
+    (run,) = json.loads((out / "summary.json").read_text())["runs"]
+    assert [(b["theorem"], b["excluded"]) for b in run["bounds"]] == [("kta_spectral", 5),
+                                                                    ("kta_spectral_approx", 5)]
+    for b in run["bounds"]:
+        assert b["reason"] == bnd.L_ZERO_MESSAGE
+        assert {v["mean"] for v in b["values"]} == {None}
+
+
+def test_align_rank_one_gram_skips_the_spectral_kta_theorems(tmp_path):
+    # three identical rows make G all ones; L (1.58e-17 here) and lambda_2 are
+    # rounding noise (before: the kta_spectral rows read 2.0 and ratio_approx
+    # was -1.89e17)
+    data, labels = tmp_path / "x.csv", tmp_path / "y.csv"
+    data.write_text("1,2\n1,2\n1,2\n")
+    labels.write_text("1\n-1\n1\n")
+    out = tmp_path / "al"
+    assert run_cli("align", "--data", str(data), "--labels", str(labels), "--out", str(out)) == 0
+    payload = json.loads((out / "alignment.json").read_text())
+    assert payload["bounds"] == {}
+    assert payload["ratio"] is None and payload["ratio_approx"] is None
+    assert payload["l_mid"] < 1e-10
+    assert {payload["skipped"][t] for t in ("kta_spectral", "kta_spectral_approx", "kta_spectral_bdiff")} == {
+        bnd.L_ZERO_MESSAGE}
+    assert ",bound," not in (out / "alignment.csv").read_text()
+
 def test_simulate_index_column_follows_the_index_flags(tmp_path):
     # a range of --indices names every order in it; kta has no order, so its
     # rows leave the index column empty
@@ -847,6 +896,18 @@ def test_statistic_errors_list_the_registry(tmp_path, capsys, argv, err):
     assert capsys.readouterr().err == err
     assert not out.exists()
 
+
+
+def test_parser_is_built_once(tmp_path, monkeypatch):
+    # main reuses one parser, and its namespaces bind no command function:
+    # main looks up _cmd_<command> at each call, so a patched one runs
+    assert build_parser() is build_parser()
+    assert "func" not in vars(build_parser().parse_args(["bounds", "--data", "d.csv"]))
+    seen = []
+    monkeypatch.setattr(cli, "_cmd_audit", lambda args: seen.append(args.n) or 0)
+    assert run_cli("audit", "--n", "7", "--out", str(tmp_path / "a")) == 0
+    assert run_cli("audit", "--n", "9", "--out", str(tmp_path / "a")) == 0
+    assert seen == [7, 9]
 
 def test_help_strings_come_from_the_registries():
     # --stat and --statistics list the registry's names; every --kernel shows the run flag's grammar

@@ -14,6 +14,7 @@ from specbounds.spectral import eig_sym, eigvals_sym, interlacing_check, princip
 from specbounds.experiments import (
     KNOWN_BOUNDS,
     ExperimentConfig,
+    _boxplot_trial,
     _interlacing_trial,
     _keys,
     _map_trials,
@@ -594,6 +595,28 @@ def test_boxplot_stats_and_spearman():
     assert box.five_numbers == again.five_numbers
     assert box.spearman_gap_iqr == again.spearman_gap_iqr
 
+
+
+@pytest.mark.parametrize("indices,kept", [((1, 5, 7), 8), ((2, 30), 30), ((30,), 30)])
+def test_boxplot_trial_keeps_only_the_reported_orders(indices, kept):
+    # a fresh array of min(max(indices) + 1, n) orders, so the trial's whole
+    # spectrum can be freed (before: a view that kept all n alive)
+    cfg = _cfg(indices=indices)
+    lam = np.sort(np.random.default_rng(4).standard_normal(cfg.n))
+    out = _boxplot_trial((cfg, lam))
+    assert out.base is None and out.shape == (kept,)
+    assert out.tobytes() == (lam[::-1] / cfg.n)[:kept].tobytes()
+
+
+def test_default_bound_follows_the_statistics():
+    # adjacent_gap bounds eigenvalue, so it is the default only when eigenvalue is listed
+    assert ExperimentConfig(n=10, p=2, seed=1).bounds == ("adjacent_gap",)
+    assert ExperimentConfig(n=10, p=2, seed=1, statistics=("topk_sum", "eigenvalue")).bounds == ("adjacent_gap",)
+    assert ExperimentConfig(n=10, p=2, seed=1, statistics=("kta",)).bounds == ()
+    assert ExperimentConfig.from_dict({"n": 10, "p": 2, "seed": 1, "statistics": ["tail_sum"]}).bounds == ()
+    # the default is had by leaving the key out; null is not a list
+    with pytest.raises(ConfigError, match="'bounds' must be a list, got None"):
+        ExperimentConfig.from_dict({"n": 10, "p": 2, "seed": 1, "bounds": None})
 
 def test_spearman_of_monotone_pairing_is_one():
     x = np.array([0.1, 0.2, 0.5, 0.9, 2.0])

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -239,3 +241,29 @@ def test_kernel_validation():
         polynomial(0)
     with pytest.raises(ConfigError):
         polynomial(2, -1.0)
+
+
+def peak_square_arrays(f, n):
+    """The tracemalloc peak of f() above the memory traced when it starts,
+    in n x n float64 arrays."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        f()
+        return (tracemalloc.get_traced_memory()[1] - start) / (8.0 * n * n)
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
+def test_gram_peak_holds_three_square_arrays():
+    # the profile's value, the fresh copy and numpy's buffer of its transpose;
+    # before: the pairwise-argument array too, 4.0 arrays (4.13 with the mask)
+    s = _samples(np.random.default_rng(0).standard_normal((200, 5)))
+    spec = gaussian(1.0)
+    expected = gram(s, spec).entries  # also caches the strict-lower mask for n = 200
+    assert peak_square_arrays(lambda: gram(s, spec), 200) < 3.5
+    assert np.array_equal(gram(s, spec).entries, expected)

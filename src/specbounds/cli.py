@@ -10,7 +10,8 @@ Exit codes: 0 ok, else the raised error class's `exit_code` (2 config error,
 3 data error, 4 numerical degeneracy), or 2 for an argparse usage error.
 Each subcommand checks every flag before it reads a file, so a bad flag is
 exit code 2 whatever the data.  Every JSON file goes through `_json`, which
-writes a non-finite float as null.
+writes a non-finite float as null and hands its text to `_write` as the
+encoder's chunks, never joined into one string.
 
 CSV columns: RESULTS_HEADER for bounds, simulate and align; AUDIT_HEADER
 for audit.
@@ -26,6 +27,7 @@ so a run that fails before it leaves nothing behind.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import os
@@ -88,20 +90,26 @@ def _csv(rows, header: str = RESULTS_HEADER) -> str:
     return "\n".join([header, *map(",".join, rows)]) + "\n"
 
 
-def _json(obj, non_finite: list[str] | None = None) -> str:
-    """The strict JSON text of `obj` (nested dicts, lists and tuples):
-    `json.dumps(obj, indent=2, sort_keys=True)` with every non-finite float
-    written as null, since JSON has no NaN or Infinity.  The dotted path of
-    each such value (a list item by its position) is appended to
-    `non_finite` when it is given."""
+def _json(obj, non_finite: list[str] | None = None):
+    """The strict JSON text of `obj` (nested dicts, lists and tuples) as an
+    iterator of chunks, for `_write` to write as they come: the text of
+    `json.dumps(obj, indent=2, sort_keys=True)` and a newline, with every
+    non-finite float written as null, since JSON has no NaN or Infinity.
+
+    The tree is checked and copied when `_json` is called, not when the
+    chunks are read: a value json.dumps would reject is a TypeError here,
+    so a write never stops halfway.  The dotted path of each non-finite
+    float (a list item by its position) is appended to `non_finite` when
+    it is given."""
     nulled = _nulled(obj, "", [] if non_finite is None else non_finite)
-    return json.dumps(nulled, indent=2, sort_keys=True, allow_nan=False) + "\n"
+    encoder = json.JSONEncoder(indent=2, sort_keys=True, allow_nan=False)
+    return itertools.chain(encoder.iterencode(nulled), ("\n",))
 
 
 def _nulled(obj, where: str, found: list[str]):
     """`obj` with each non-finite float replaced by None and its path appended
-    to `found`; a dict key that is not a string is a TypeError, where
-    json.dumps would write it as one."""
+    to `found`.  Every value json.dumps would reject is a TypeError, and so
+    is a dict key that is not a string, which json.dumps would write as one."""
     if isinstance(obj, float):
         if math.isfinite(obj):
             return obj
@@ -113,15 +121,24 @@ def _nulled(obj, where: str, found: list[str]):
         return {k: _nulled(v, f"{where}.{k}" if where else k, found) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_nulled(v, f"{where}[{j}]", found) for j, v in enumerate(obj)]
-    return obj
+    if obj is None or isinstance(obj, (str, int)):  # bool is an int
+        return obj
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable (at {where or 'the top'})")
 
 
-def _write(path: Path, text: str) -> None:
-    path.write_text(text, encoding="utf-8")
+def _write(path: Path, text) -> None:
+    """Write `text`, one string or an iterable of string chunks such as
+    `_json` returns, to `path` as UTF-8."""
+    with open(path, "w", encoding="utf-8") as fh:
+        if isinstance(text, str):
+            fh.write(text)
+        else:
+            fh.writelines(text)
 
 
-def _write_files(out: Path, files: dict[str, str]) -> None:
-    """Write each name -> text into `out`, creating it first."""
+def _write_files(out: Path, files: dict) -> None:
+    """Write each name -> text (a string or `_json`'s chunks) into `out`,
+    creating it first."""
     try:
         out.mkdir(parents=True, exist_ok=True)
         for name, text in files.items():
@@ -140,7 +157,7 @@ def _sha256(path: str) -> str:
     return h.hexdigest()
 
 
-def _write_outputs(command: str, args, files: dict[str, str], seed, config, inputs: dict) -> None:
+def _write_outputs(command: str, args, files: dict, seed, config, inputs: dict) -> None:
     """Write `files` and a manifest listing them into --out."""
     manifest = {
         "command": command,
@@ -513,7 +530,7 @@ def _cmd_simulate(args) -> int:
         seed, runs = args.seed, _runs_from_args(args, args.seed)
     else:
         seed, runs = _seeded(args, lambda s: _runs_from_args(args, s))
-    files: dict[str, str] = {}
+    files: dict = {}
     summary_runs = []
     concentration = []
     for label, mode, cfg in runs:

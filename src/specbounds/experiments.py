@@ -45,7 +45,12 @@ every run (`_trial_bytes`).
 `run_concentration` stacks the trials' rows, statistic values and then each
 bound key's parameter pair, and evaluates each bound once over its kept
 trials x epsilons grid; an excluded trial's reason is the first failed
-precondition, in the order one sample checks them.
+precondition, in the order one sample checks them.  The grid is evaluated
+in blocks of consecutive epsilon columns, each as wide as keeps its few
+(T, w) arrays within BLOCK_BYTES and at least 2 columns wide (a 1-column
+remainder joins the block before it; one epsilon is one block), so no
+whole (T, E) grid of bound values is ever held and every mean and
+quantile has the bits of the whole grid's.
 """
 
 from __future__ import annotations
@@ -79,6 +84,8 @@ KNOWN_STATISTICS = tuple(name for name, s in bnd.STATISTICS.items() if s.value i
 KNOWN_BOUNDS = tuple(name for name, t in bnd.THEOREMS.items() if t.statistic in KNOWN_STATISTICS)
 # what one block of trials may carry from one stage to the next
 BLOCK_BYTES = 256 * 1024
+# about how many (T, w) arrays one epsilon block of a bound grid holds at once
+_GRID_ARRAYS = 4
 # keys of older configs, loaded only at the value now fixed: key -> (value, why)
 _RETIRED_KEYS = {"scaling": ("one_over_n", "the statistic is lambda_i(G)/n"),
                 "generator": ("gaussian", "every trial draws standard-normal samples")}
@@ -375,11 +382,12 @@ class _Finished(NamedTuple):
     excluded: list
 
 
-def _finish(cfg: ExperimentConfig, keys: _Keys, solved: list) -> _Finished:
+def _finish(cfg: ExperimentConfig, spec: KernelSpec, keys: _Keys, solved: list) -> _Finished:
     """Stage 3 of a block of concentration trials, once for the block: the
     statistic columns of the stacked spectra, the trials' bound inputs as
     (B,) columns with one stacked `covariance_stats` (see
-    `bounds.BoundInputs`), and each bound key's parameter columns."""
+    `bounds.BoundInputs`), and each bound key's parameter columns.  `spec`
+    is the block's kernel, `cfg.kernel_spec()`."""
     size = len(solved)
     lam = np.array([s.lam for s in solved])
     a_kn = np.array([s.a_kn for s in solved]) if solved[0].a_kn is not None else None
@@ -396,7 +404,7 @@ def _finish(cfg: ExperimentConfig, keys: _Keys, solved: list) -> _Finished:
         reasons = [why.get(name) for _, why in per_sample]
         if any(why is not None for why in reasons):
             missing[name] = reasons
-    x = bnd.BoundInputs(n=cfg.n, spectrum=lam, a_kn=a_kn, kernel=cfg.kernel_spec().kind, missing=missing,
+    x = bnd.BoundInputs(n=cfg.n, spectrum=lam, a_kn=a_kn, kernel=spec.kind, missing=missing,
                         theta_estimated="theta" in inputs, **inputs)
     excluded: list[dict] = [{} for _ in solved]
     for k, (theorem, _, i) in enumerate(keys.bounds):
@@ -425,7 +433,7 @@ def _concentration_block(args) -> list:
     spec = cfg.kernel_spec()
     draws = [_draw_labelled(cfg, s) for s in seeds]
     solved = [_solve(spec, keys, samples, labels) for samples, labels in draws]
-    finished = _finish(cfg, keys, solved)
+    finished = _finish(cfg, spec, keys, solved)
     return [_concentration_trial((finished, t)) for t in range(len(solved))]
 
 
@@ -483,6 +491,13 @@ def run_concentration(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResu
     (covgap_distance at every order, adjacent_gap at 1 and topk_gap at 1)
     share one evaluation: their `mean` and `p10` are the same read-only
     arrays.
+
+    A grid is evaluated in blocks of consecutive epsilon columns
+    (`_grid_blocks`), each reduced into its columns of the preallocated
+    `mean` and `p10` rows, so a grid takes a few (T, w) arrays, not (T, E)
+    ones: a block is at least 2 columns wide (8 at T = 1000), and a
+    1-column remainder joins the block before it, so every mean has the
+    row-by-row sum of the whole grid.
     """
     seeds = tuple(subseed(cfg.seed, t) for t in range(cfg.trials))
     keys = _keys(cfg)
@@ -514,9 +529,9 @@ def run_concentration(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResu
             )
         )
 
-    # each key's kept parameter pairs as (T, 1) columns against the (1, E)
-    # epsilon row; `grids` maps (exponent, prefactor, the columns' shape and
-    # bytes) to the (mean, p10) pair
+    # each key's kept parameter pairs as (T, 1) columns against (1, w)
+    # epsilon blocks; `grids` maps (exponent, prefactor, the columns' shape
+    # and bytes) to the (mean, p10) pair
     kept = np.ones((len(keys.bounds), t_count), dtype=bool)
     reasons: list[list[str]] = [[] for _ in keys.bounds]
     for t, (_, excluded) in enumerate(payloads):
@@ -534,9 +549,7 @@ def run_concentration(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResu
             t = bnd.THEOREMS[key[0]]
             grid = (t.grid, t.prefactor, columns.shape, columns.tobytes())
             if grid not in grids:
-                raw = bnd.theorem_grid(key[0], columns.T[:, :, None], eps[None, :])
-                grids[grid] = (_read_only(raw.mean(axis=0)),
-                               _read_only(np.quantile(raw, 0.1, axis=0, method="linear")))
+                grids[grid] = _grid_summary(key[0], columns, eps)
             mean, p10 = grids[grid]
         bound_series.append(
             BoundSeries(
@@ -552,6 +565,33 @@ def run_concentration(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResu
     return ExperimentResult(
         config=cfg, subseeds=seeds, series=tuple(series), bound_series=tuple(bound_series)
     )
+
+
+def _grid_blocks(rows: int, count: int) -> list[slice]:
+    """Consecutive slices of a grid's `count` epsilon columns, each as wide
+    as keeps _GRID_ARRAYS (rows, w) float64 arrays within BLOCK_BYTES and at
+    least 2 wide: a 1-column remainder joins the block before it.  A (rows,
+    1) block would be summed pairwise, where a wider one, like the whole
+    grid, is summed row by row; one column alone stays one block."""
+    width = max(2, BLOCK_BYTES // (_GRID_ARRAYS * 8 * rows))
+    starts = list(range(0, count, width))
+    if len(starts) > 1 and count - starts[-1] == 1:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, [*starts[1:], count])]
+
+
+def _grid_summary(theorem: str, columns: np.ndarray, eps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The read-only per-epsilon mean and 0.1 quantile over the kept trials
+    of `theorem`'s values, from their (T, 2) parameter columns: the (T, E)
+    grid is evaluated one `_grid_blocks` block at a time, with the bits of
+    the whole grid's reductions."""
+    mean, p10 = np.empty(eps.shape), np.empty(eps.shape)
+    params = columns.T[:, :, None]
+    for block in _grid_blocks(columns.shape[0], eps.shape[0]):
+        raw = bnd.theorem_grid(theorem, params, eps[None, block])
+        mean[block] = raw.mean(axis=0)
+        p10[block] = np.quantile(raw, 0.1, axis=0, method="linear")
+    return _read_only(mean), _read_only(p10)
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -721,9 +761,10 @@ def _solve_perturbed(spec: KernelSpec, samples: SampleSet, replace_at: int, repl
     return _Perturbed(samples, replace_at, replacement, lam, lam_pert, pair.spectral_norm_e)
 
 
-def _finish_perturbed(cfg: ExperimentConfig, index: int, solved: list) -> dict:
+def _finish_perturbed(cfg: ExperimentConfig, spec: KernelSpec, index: int, solved: list) -> dict:
     """Stage 3 of a block of replace-one trials, once for the block:
-    eigenvalue stability and perturbation-norm checks.
+    eigenvalue stability and perturbation-norm checks; `spec` is the
+    block's kernel, `cfg.kernel_spec()`.
 
     Maps each oracle row to its trials' (lhs, rhs) pairs, None where the row
     skips a trial.  The sides are (B,) columns of the stacked spectra, one
@@ -731,7 +772,6 @@ def _finish_perturbed(cfg: ExperimentConfig, index: int, solved: list) -> dict:
     BLAS computes (`whitened_norm`, the linear-kernel perturbation norm)
     stay one per trial, so every pair has the bits of its trial alone.
     """
-    spec = cfg.kernel_spec()
     lam = np.array([t.lam for t in solved])
     lam_pert = np.array([t.lam_pert for t in solved])
     norm_e = np.array([t.norm_e for t in solved])
@@ -783,7 +823,7 @@ def _perturbation_block(args) -> list:
     spec = cfg.kernel_spec()
     draws = [_draw_replacement(cfg, s, zero_perturbation) for s in seeds]
     solved = [_solve_perturbed(spec, *d) for d in draws]
-    finished = _finish_perturbed(cfg, index, solved)
+    finished = _finish_perturbed(cfg, spec, index, solved)
     return [_perturbation_trial((finished, t)) for t in range(len(solved))]
 
 

@@ -478,17 +478,74 @@ def test_json_writes_the_text_of_json_dumps_with_non_finite_floats_as_null():
         "": 7,
         "c": (4, "x"),
     }
-    assert cli._json(finite) == json.dumps(finite, indent=2, sort_keys=True) + "\n"
-    assert cli._json([]) == "[]\n" and cli._json(1.5) == "1.5\n"
+    assert "".join(cli._json(finite)) == json.dumps(finite, indent=2, sort_keys=True) + "\n"
+    assert "".join(cli._json([])) == "[]\n" and "".join(cli._json(1.5)) == "1.5\n"
     paths: list[str] = []
-    text = cli._json({"c": -math.inf, "a": [1.0, math.nan, {"b": math.inf}], "d": "nan"}, paths)
+    text = "".join(cli._json({"c": -math.inf, "a": [1.0, math.nan, {"b": math.inf}], "d": "nan"}, paths))
     assert text == json.dumps({"a": [1.0, None, {"b": None}], "c": None, "d": "nan"},
                               indent=2, sort_keys=True) + "\n"
     assert sorted(paths) == ["a[1]", "a[2].b", "c"]
-    assert cli._json([[math.nan]], paths) == "[\n  [\n    null\n  ]\n]\n" and paths[-1] == "[0][0]"
+    assert "".join(cli._json([[math.nan]], paths)) == "[\n  [\n    null\n  ]\n]\n" and paths[-1] == "[0][0]"
     for unsupported in ({"a": np.int64(1)}, [np.bool_(True)], {1: "int key"}, {"a": {1, 2}}):
         with pytest.raises(TypeError):
             cli._json(unsupported)
+
+
+def test_json_rejects_what_json_dumps_rejects_before_anything_is_written(tmp_path):
+    # the chunks are written as the encoder yields them, so every leaf is
+    # checked when _json is called: no file is left half written
+    for leaf in (np.int64(1), np.bool_(True), np.float32(0.5), {1, 2}, b"x", 1j, object()):
+        with pytest.raises(TypeError):
+            json.dumps(leaf)
+        with pytest.raises(TypeError, match=r"not JSON serializable \(at a\[1\]\.b\)"):
+            cli._json({"a": [1.0, {"b": leaf}]})
+    with pytest.raises(TypeError):
+        cli._write_files(tmp_path / "o", {"results.csv": "x\n", "summary.json": cli._json({"a": [np.int64(1)]})})
+    assert not (tmp_path / "o").exists()
+
+
+def test_simulate_streams_every_json_file(tmp_path, monkeypatch):
+    # _write gets a JSON file's chunks, never the joined text, and writes the
+    # bytes json.dumps would
+    texts = {}
+    write = cli._write
+
+    def spy(path, text):
+        if path.suffix == ".json":
+            assert not isinstance(text, str), path.name
+            text = "".join(text)
+        texts[path.name] = text
+        write(path, text)
+
+    monkeypatch.setattr(cli, "_write", spy)
+    out = tmp_path / "o"
+    assert run_cli("simulate", "--n", "12", "--p", "2", "--trials", "4", "--seed", "3", "--no-svg",
+                   "--out", str(out)) == 0
+    assert sorted(texts) == ["config.json", "manifest.json", "results.csv", "summary.json"]
+    for name, text in texts.items():
+        assert (out / name).read_text() == text
+        if name.endswith(".json"):
+            assert text == json.dumps(json.loads(text), indent=2, sort_keys=True) + "\n"
+
+
+def test_benchmark_tracer_installs_and_restores_every_target(tmp_path, monkeypatch):
+    # the benchmark's tracer patches module attributes by name: a renamed
+    # target fails install() here, in tier-1, and not only under --trace 1
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    from tracer import Tracer
+
+    tracer = Tracer()
+    tracer.install()
+    try:
+        targets = [(owner, name, original) for owner, name, original in tracer._saved]
+        assert targets and all(getattr(owner, name) is not original for owner, name, original in targets)
+        assert tracer.call_cli(["simulate", "--n", "12", "--p", "2", "--trials", "3", "--seed", "3",
+                                "--no-svg", "--out", str(tmp_path / "o")]) == 0
+    finally:
+        tracer.uninstall()
+    assert all(getattr(owner, name) is original for owner, name, original in targets)
+    written = sum(f.stat().st_size for f in (tmp_path / "o").iterdir())
+    assert tracer.metrics()["cli.bytes_written"] == written
 
 
 def test_simulate_emitted_config_reruns_identically(tmp_path):

@@ -1,13 +1,15 @@
 import pickle
 import time
+import tracemalloc
 import warnings
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
 from specbounds import bounds, experiments
 from specbounds.bounds import theorem_values
-from specbounds.errors import ConfigError, SpecBoundsError
+from specbounds.errors import ConfigError, DegeneracyError, SpecBoundsError
 from specbounds.dataset import SampleSet
 from specbounds.kernels import GramMatrix, gram, linear
 from specbounds.spectral import eig_sym, eigvals_sym, interlacing_check, principal_submatrix
@@ -336,6 +338,63 @@ def test_theorems_that_read_no_order_report_one_bound_at_every_order():
     covgap = [b for b in result.bound_series if b.theorem == "covgap_distance"]
     assert [b.index for b in covgap] == [1, 2, 3]
     assert all(np.array_equal(b.mean, covgap[0].mean, equal_nan=True) for b in covgap)
+
+
+# the benchmark's mc-bounds theorems, at a size whose grids are cut into epsilon blocks
+BLOCKED = dict(n=10, p=2, trials=1000, seed=17, indices=(1, 2), statistics=("eigenvalue", "topk_sum", "tail_sum"),
+               bounds=("adjacent_gap", "topk_gap", "tail_gap", "covgap_distance", "covgap_second_order",
+                       "covgap_second_order_alt"))
+
+
+@lru_cache(maxsize=1)
+def _blocked_inputs():
+    """Each trial's BoundInputs in the BLOCKED run, computed by the trial alone."""
+    cfg = _cfg(**BLOCKED)
+    keys = _keys(cfg)
+    return tuple(_trial_inputs(cfg, subseed(cfg.seed, t), keys)[1] for t in range(cfg.trials))
+
+
+@pytest.mark.parametrize("count,widths", [(1, [1]), (2, [2]), (17, [8, 9]), (41, [8, 8, 8, 8, 9])])
+def test_blocked_grid_has_the_bits_of_the_whole_grid(count, widths):
+    # a (T, 1) block would be summed pairwise, not row by row as the whole grid is
+    assert [b.stop - b.start for b in experiments._grid_blocks(1000, count)] == widths
+    eps = np.logspace(-3.0, 0.0, count)
+    result = run_concentration(_cfg(**BLOCKED, epsilons=tuple(eps.tolist())))
+    assert len(result.bound_series) == 12
+    for b in result.bound_series:
+        kept = []
+        for x in _blocked_inputs():
+            try:
+                kept.append(bounds.theorem_params(b.theorem, x, b.index))
+            except DegeneracyError:
+                pass
+        assert len(kept) == 1000 - b.excluded > 100
+        raw = bounds.theorem_grid(b.theorem, np.array(kept).T[:, :, None], eps[None, :])
+        assert b.mean.tobytes() == raw.mean(axis=0).tobytes(), (b.theorem, b.index)
+        assert b.p10.tobytes() == np.quantile(raw, 0.1, axis=0, method="linear").tobytes(), (b.theorem, b.index)
+
+
+def test_grid_blocks_are_at_least_two_columns_wide():
+    for rows, count in ((1, 3), (10**6, 2), (10**6, 5), (10**6, 40), (3000, 120)):
+        blocks = experiments._grid_blocks(rows, count)
+        assert [b.start for b in blocks[1:]] == [b.stop for b in blocks[:-1]]
+        assert (blocks[0].start, blocks[-1].stop) == (0, count)
+        assert all(b.stop - b.start >= 2 for b in blocks)
+
+
+def test_concentration_peak_stays_below_one_bound_grid():
+    # before, each bound's whole (T, E) grid and its temporaries: 3.6 grids
+    trials, count = 3000, 120
+    cfg = _cfg(n=8, trials=trials, seed=3, epsilons=tuple(np.logspace(-3.0, 0.0, count).tolist()),
+               indices=(1, 2, 3))
+    run_concentration(_cfg(n=8, trials=2))  # caches filled outside the count
+    tracemalloc.start()
+    try:
+        run_concentration(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * trials * count
 
 
 def test_map_trials_cuts_blocks_by_the_byte_budget(monkeypatch):

@@ -709,7 +709,7 @@ def test_perturbation_finish_equals_each_trial_alone(kernel, index):
     assert sensitive.size
     for r, v in enumerate(sensitive.tolist()):
         solved[1 + 3 * r] = solved[1 + 3 * r]._replace(norm_e=v)
-    finished = experiments._finish_perturbed(cfg, index, solved)
+    finished = experiments._finish_perturbed(cfg, cfg.kernel_spec(), index, solved)
     skipped = set()
     for t, trial in enumerate(solved):
         share = experiments._perturbation_trial((finished, t))
@@ -736,7 +736,7 @@ def test_perturbation_finish_raises_the_first_singular_covariance():
     with pytest.raises(SingularCovarianceError) as alone:
         covariance_stats(solved[0].samples)
     with pytest.raises(SingularCovarianceError, match=f"^{re.escape(str(alone.value))}$"):
-        experiments._finish_perturbed(cfg, 1, solved)
+        experiments._finish_perturbed(cfg, cfg.kernel_spec(), 1, solved)
 
 
 @settings(max_examples=12, deadline=None)
@@ -949,5 +949,5 @@ def test_json_is_json_dumps_with_non_finite_floats_as_null(tree):
     # json.dumps writes NaN and Infinity, which json.loads reads back as null here
     nulled = json.loads(json.dumps(tree), parse_constant=lambda _: None)
     paths: list[str] = []
-    assert _json(tree, paths) == json.dumps(nulled, indent=2, sort_keys=True) + "\n"
+    assert "".join(_json(tree, paths)) == json.dumps(nulled, indent=2, sort_keys=True) + "\n"
     assert sorted(paths) == sorted(_non_finite_paths(tree))

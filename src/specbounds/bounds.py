@@ -201,7 +201,7 @@ def bound_trace_uniform(n: int, diag_sup_sq: float, eps):
 
 def _theta_params(theta: float, lambda_1: float, reject=_raise) -> tuple[float, float]:
     reject(_outside_unit(theta), ConfigError, "theta must lie in (0, 1], got {}", theta)
-    reject(lambda_1 <= 0, ConfigError, "lambda_1 must be positive, got {}", lambda_1)
+    reject(lambda_1 <= 0, DegeneracyError, "lambda_1 must be positive, got {}", lambda_1)
     return -2.0, theta * theta * lambda_1 * lambda_1
 
 

@@ -15,26 +15,28 @@ each block one stage at a time, for the concentration, boxplot and
 perturbation-oracle loops:
   1. draw: every trial's RNG and samples (and the oracle's replacement row
      and index, the kta labels);
-  2. solve: every trial's n x n work, the Gram matrix, its `eigvalsh`, the
-     alignment and the per-sample bound inputs (`_per_sample_inputs`:
-     theta, ||K||_F, the Lipschitz constant, ...), keeping only the
-     samples, the spectrum and scalars, so no block carries G;
+  2. solve, one call per trial (`_concentration_trial`,
+     `_perturbation_trial`): every trial's n x n work, the Gram matrix (the
+     oracle's replace-one pair), its `eigvalsh`, the alignment and the
+     per-sample bound inputs (`_per_sample_inputs`: theta, ||K||_F, the
+     Lipschitz constant, ...), keeping only the samples, the spectrum and
+     scalars, so no block carries G;
   3. finish, once per block for the concentration and perturbation loops:
      - concentration (`_finish`): the block's spectra as one (B, n) array
        give the statistic columns, the trials' per-sample inputs are
        stacked into (B,) columns next to one stacked `covariance_stats`
        and one stacked gap profile per eigen-order, and
        `bounds.theorem_params` gives each bound key's parameters as (B,)
-       columns with each trial's exclusion reason;
+       columns, the trials it keeps and its exclusion reasons;
      - perturbation oracle (`_finish_perturbed`): both spectra of each
        replace-one pair as (B, n) arrays, one stacked `covariance_stats`
        and one stacked gap profile at the oracle's order give every oracle
        row's (lhs, rhs) as (B,) columns, with the BLAS norms
        (`whitened_norm`, the linear-kernel perturbation norm) one per
        trial;
-     `_concentration_trial` and `_perturbation_trial` then hand on each
-     trial's share.  The boxplot loop finishes once per trial
-     (`_boxplot_trial`), keeping only the orders it reports.
+     each block hands its finish on whole, one record per block, and the
+     run concatenates the records.  The boxplot loop finishes once per
+     trial (`_boxplot_trial`), keeping only the orders it reports.
 Every stacked step gives each trial the bits it has alone (see `bounds`
 on powers), so no output bit depends on the block length, and the
 small-array work of stage 3 runs with warm caches, as numpy calls over the
@@ -42,8 +44,8 @@ block instead of Python calls per trial.  A block holds as many trials as
 keep what it carries between stages within BLOCK_BYTES, by one rule for
 every run (`_trial_bytes`).
 
-`run_concentration` stacks the trials' rows, statistic values and then each
-bound key's parameter pair, and evaluates each bound once over its kept
+`run_concentration` concatenates the blocks' tables of statistic values and
+bound parameter pairs, and evaluates each bound once over its kept
 trials x epsilons grid; an excluded trial's reason is the first failed
 precondition, in the order one sample checks them.  The grid is evaluated
 in blocks of consecutive epsilon columns, each as wide as keeps its few
@@ -345,9 +347,10 @@ class _Solved(NamedTuple):
     per_sample: tuple[dict, dict]  # its `_per_sample_inputs` pair
 
 
-def _solve(spec: KernelSpec, keys: _Keys, samples: SampleSet, labels) -> _Solved:
+def _concentration_trial(args: tuple[KernelSpec, _Keys, SampleSet, np.ndarray | None]) -> _Solved:
     """Stage 2 of a concentration trial, the last to read its Gram matrix:
     the spectrum, the alignment and the per-sample bound inputs."""
+    spec, keys, samples, labels = args
     g_raw = gram(samples, spec)
     lam = np.linalg.eigvalsh(g_raw.entries)[::-1].copy()  # descending and contiguous
     a_kn = kta(g_raw, labels) if labels is not None else None
@@ -366,7 +369,7 @@ def _trial_inputs(cfg: ExperimentConfig, trial_seed: int, keys: _Keys):
     """One seeded trial's statistic values in `_keys` order and the
     BoundInputs its bound keys read, computed by the trial alone."""
     spec = cfg.kernel_spec()
-    solved = _solve(spec, keys, *_draw_labelled(cfg, trial_seed))
+    solved = _concentration_trial((spec, keys, *_draw_labelled(cfg, trial_seed)))
     stats = [float(v) for v in _statistics(cfg, keys, solved.lam, solved.a_kn)]
     return stats, sample_inputs(solved.samples, spec, gram(solved.samples, spec), solved.lam, keys.needs,
                                 a_kn=solved.a_kn)
@@ -375,11 +378,13 @@ def _trial_inputs(cfg: ExperimentConfig, trial_seed: int, keys: _Keys):
 class _Finished(NamedTuple):
     """Stage 3 of a block of B concentration trials: one row per trial
     holding its statistic values, then each bound key's parameter pair in
-    `_keys` order (NaN where the trial is excluded), and each trial's
-    exclusions, {bound key position: reason}."""
+    `_keys` order (NaN where the trial is excluded), the (K, B) mask of the
+    trials each bound key keeps, and each bound key's exclusion reasons in
+    trial order."""
 
     table: np.ndarray
-    excluded: list
+    kept: np.ndarray
+    reasons: list
 
 
 def _finish(cfg: ExperimentConfig, spec: KernelSpec, keys: _Keys, solved: list) -> _Finished:
@@ -406,35 +411,28 @@ def _finish(cfg: ExperimentConfig, spec: KernelSpec, keys: _Keys, solved: list) 
             missing[name] = reasons
     x = bnd.BoundInputs(n=cfg.n, spectrum=lam, a_kn=a_kn, kernel=spec.kind, missing=missing,
                         theta_estimated="theta" in inputs, **inputs)
-    excluded: list[dict] = [{} for _ in solved]
+    kept = np.empty((len(keys.bounds), size), dtype=bool)
+    excluded = []
     for k, (theorem, _, i) in enumerate(keys.bounds):
         reasons = [None] * size
         params = bnd.theorem_params(theorem, x, i, reasons)
-        if reasons.count(None) < size:
-            for r, why in enumerate(reasons):
-                if why is not None:
-                    excluded[r][k] = why
+        kept[k] = [why is None for why in reasons]
+        excluded.append([why for why in reasons if why is not None])
         values += (math.nan, math.nan) if params is None else params
     columns = np.empty((len(values), size))  # each column written contiguously; the table is their transpose
     for j, column in enumerate(values):
         columns[j] = column
-    return _Finished(columns.T, excluded)
-
-
-def _concentration_trial(args: tuple[_Finished, int]) -> tuple[np.ndarray, dict]:
-    """One trial's share of its block's finish: its row of the table and
-    its exclusions."""
-    finished, t = args
-    return finished.table[t], finished.excluded[t]
+    return _Finished(columns.T, kept, excluded)
 
 
 def _concentration_block(args) -> list:
+    """A block of concentration trials, one stage at a time: its one
+    record is the block's `_finish`."""
     (cfg, keys), seeds = args
     spec = cfg.kernel_spec()
     draws = [_draw_labelled(cfg, s) for s in seeds]
-    solved = [_solve(spec, keys, samples, labels) for samples, labels in draws]
-    finished = _finish(cfg, spec, keys, solved)
-    return [_concentration_trial((finished, t)) for t in range(len(solved))]
+    solved = [_concentration_trial((spec, keys, samples, labels)) for samples, labels in draws]
+    return [_finish(cfg, spec, keys, solved)]
 
 
 def _trial_bytes(cfg: ExperimentConfig) -> int:
@@ -456,8 +454,9 @@ def check_workers(workers: int) -> None:
 
 
 def _map_trials(run_block, common, items, workers: int, item_bytes: int | None = None) -> list:
-    """Every item's result, in order: `run_block((common, block))` maps the
-    consecutive blocks of `items` to their items' results.
+    """The results of `run_block((common, block))` over the consecutive
+    blocks of `items`, joined in order: a block runner returns a list,
+    either one result per item or one finish per block.
 
     A block holds as many items as fit into BLOCK_BYTES at `item_bytes`
     each, and at least one; `item_bytes=None` makes every block one item.
@@ -501,11 +500,14 @@ def run_concentration(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResu
     """
     seeds = tuple(subseed(cfg.seed, t) for t in range(cfg.trials))
     keys = _keys(cfg)
-    payloads = _map_trials(_concentration_block, (cfg, keys), seeds, workers, _trial_bytes(cfg))
+    blocks = _map_trials(_concentration_block, (cfg, keys), seeds, workers, _trial_bytes(cfg))
+    table = np.concatenate([b.table for b in blocks])
+    kept = np.concatenate([b.kept for b in blocks], axis=1)
+    reasons = [[why for b in blocks for why in b.reasons[k]] for k in range(len(keys.bounds))]
+    del blocks  # the block tables are copied into `table`
 
     eps = np.asarray(cfg.epsilons)
     t_count = cfg.trials
-    table = np.array([row for row, _ in payloads])
     series = []
     for j, key in enumerate(keys.stats):
         values = table[:, j].copy()
@@ -532,12 +534,6 @@ def run_concentration(cfg: ExperimentConfig, workers: int = 1) -> ExperimentResu
     # each key's kept parameter pairs as (T, 1) columns against (1, w)
     # epsilon blocks; `grids` maps (exponent, prefactor, the columns' shape
     # and bytes) to the (mean, p10) pair
-    kept = np.ones((len(keys.bounds), t_count), dtype=bool)
-    reasons: list[list[str]] = [[] for _ in keys.bounds]
-    for t, (_, excluded) in enumerate(payloads):
-        for k, why in excluded.items():
-            kept[k, t] = False
-            reasons[k].append(why)
     grids: dict = {}
     nan = _read_only(np.full(eps.shape, np.nan))
     bound_series = []
@@ -753,8 +749,9 @@ class _Perturbed(NamedTuple):
     norm_e: float               # ||E||
 
 
-def _solve_perturbed(spec: KernelSpec, samples: SampleSet, replace_at: int, replacement) -> _Perturbed:
+def _perturbation_trial(args: tuple[KernelSpec, SampleSet, int, np.ndarray]) -> _Perturbed:
     """Stage 2 of a perturbation trial: both spectra of the replace-one pair."""
+    spec, samples, replace_at, replacement = args
     pair = perturb_replace(samples, spec, replace_at, replacement)
     lam = np.linalg.eigvalsh(pair.original.entries)[::-1]
     lam_pert = np.linalg.eigvalsh(pair.perturbed.entries)[::-1]
@@ -811,20 +808,14 @@ def _finish_perturbed(cfg: ExperimentConfig, spec: KernelSpec, index: int, solve
     return pairs
 
 
-def _perturbation_trial(args: tuple[dict, int]) -> dict:
-    """One trial's share of its block's finish: each oracle row's (lhs,
-    rhs), or None where the row skips the trial."""
-    finished, t = args
-    return {name: pairs[t] for name, pairs in finished.items()}
-
-
 def _perturbation_block(args) -> list:
+    """A block of replace-one trials, one stage at a time: its one record
+    is the block's `_finish_perturbed`."""
     (cfg, index, zero_perturbation), seeds = args
     spec = cfg.kernel_spec()
     draws = [_draw_replacement(cfg, s, zero_perturbation) for s in seeds]
-    solved = [_solve_perturbed(spec, *d) for d in draws]
-    finished = _finish_perturbed(cfg, spec, index, solved)
-    return [_perturbation_trial((finished, t)) for t in range(len(solved))]
+    solved = [_perturbation_trial((spec, *d)) for d in draws]
+    return [_finish_perturbed(cfg, spec, index, solved)]
 
 
 def _expansion_trial(args: tuple[ExperimentConfig, int, int, bool]) -> tuple[float, float] | None:
@@ -894,8 +885,8 @@ def run_oracles(
     )
 
     seeds = [subseed(cfg.seed, 2_000_000 + t) for t in range(perturbation_trials)]
-    payloads = _map_trials(_perturbation_block, (cfg, index, zero_perturbation), seeds, workers,
-                           _trial_bytes(cfg))
+    blocks = _map_trials(_perturbation_block, (cfg, index, zero_perturbation), seeds, workers,
+                         _trial_bytes(cfg))
 
     args = [
         (cfg, subseed(cfg.seed, 3_000_000 + t), index, zero_perturbation)
@@ -915,7 +906,7 @@ def run_oracles(
         )
 
     def perturbation(name: str) -> OracleRow:
-        return tally(name, [p[name] for p in payloads])
+        return tally(name, [pair for block in blocks for pair in block[name]])
 
     rows = [
         interlacing,

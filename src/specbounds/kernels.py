@@ -93,7 +93,10 @@ def gaussian(sigma: float) -> KernelSpec:
     """Gaussian kernel exp(-||x - y||^2 / (2 sigma^2)) as a distance profile."""
     if not sigma > 0:
         raise ConfigError(f"gaussian bandwidth must be positive, got {sigma}")
-    c = 1.0 / (2.0 * sigma * sigma)
+    square = 2.0 * sigma * sigma
+    c = 1.0 / square if square else math.inf  # 2 sigma^2 underflows to 0 for the tiniest bandwidths
+    if not 0.0 < c < math.inf:
+        raise ConfigError(f"gaussian bandwidth {sigma} gives 1/(2 sigma^2) = {c}, which must be positive and finite")
     return KernelSpec(
         name="gaussian",
         kind=DISTANCE,

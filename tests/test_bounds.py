@@ -85,6 +85,9 @@ def test_theta_fixture():
         bound_theta(1.5, 1.0, 1.0)
     with pytest.raises(ConfigError):
         bound_theta(0.0, 1.0, 1.0)
+    # lambda_1 is read from the data: a zero spectrum is degenerate, not a config error
+    with pytest.raises(DegeneracyError, match="lambda_1 must be positive, got 0.0"):
+        bound_theta(0.5, 0.0, 1.0)
 
 
 def test_gap_fixture():

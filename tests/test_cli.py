@@ -172,6 +172,21 @@ def test_bounds_skips_topk_at_order_n(tmp_path, capsys):
     assert run_cli("bounds", "--data", str(data), "--stat", "topk:11", "--out", str(tmp_path / "o3")) == 3
 
 
+@pytest.mark.parametrize("kernel", ["linear", "polynomial:3:0"])
+def test_bounds_theta_on_a_zero_spectrum_skips_theta_top(tmp_path, capsys, kernel):
+    # lambda_1 = 0 is a property of the data, not of the flags: theta_top is
+    # skipped like every other degenerate theorem
+    data = tmp_path / "zero.csv"
+    data.write_text("0,0\n" * 4)
+    reason = "lambda_1 must be positive, got 0.0"
+    flags = ("--kernel", kernel, "--stat", "eig:1", "--theta", "0.5")
+    assert run_cli("bounds", "--data", str(data), *flags, "--out", str(tmp_path / "o")) == 4
+    assert f"eigenvalue:1:theta_top: {reason}" in capsys.readouterr().err
+    out = tmp_path / "o2"
+    assert run_cli("bounds", "--data", str(data), *flags, "--allow-degenerate", "--out", str(out)) == 0
+    assert json.loads((out / "metadata.json").read_text())["skipped_theorems"]["eigenvalue:1:theta_top"] == reason
+
+
 def test_bounds_estimates_theta_only_when_a_theorem_reads_it(tmp_path, monkeypatch):
     rng = np.random.default_rng(83)
     data = tmp_path / "g.csv"
@@ -373,6 +388,9 @@ def test_bounds_config_errors_exit_2(tmp_path):
     ("bounds", "--eps", "0.2,0.1"),
     ("align", "--labels", "{missing}", "--kernel", "rbf:1"),
     ("align", "--labels", "{missing}", "--eps", "nan"),
+    # 1/(2 sigma^2) overflows or vanishes
+    *(("bounds", "--kernel", f"gaussian:{sigma}") for sigma in ("1e-300", "1e-200", "1e-160", "1e300")),
+    *(("align", "--labels", "{missing}", "--kernel", f"gaussian:{sigma}") for sigma in ("1e-300", "1e-200")),
 ])
 def test_bad_flags_exit_2_before_any_file_is_read(tmp_path, argv):
     # every flag is checked before the data is read: a bad flag is a config
@@ -650,6 +668,9 @@ def test_failed_runs_create_no_output_directory(tmp_path):
      "a boxplot run reads only the eigenvalue statistic, got ['kta']"),
     ({"runs": [{"mode": "boxplot", "config": {"n": 10, "p": 2, "trials": 3, "seed": 1, "bounds": ["adjacent_gap"]}}]},
      "a boxplot run evaluates no bound, got ['adjacent_gap']"),
+    # 1/(2 sigma^2) overflows or vanishes
+    *(({"n": 10, "p": 2, "trials": 3, "seed": 1, "kernel": {"family": "gaussian", "sigma": sigma}},
+       f"gaussian bandwidth {sigma!r}") for sigma in (1e-300, 1e-160, 1e300)),
 ])
 def test_simulate_invalid_config_exit_2(tmp_path, capsys, payload, message):
     config = tmp_path / "c.json"
@@ -994,6 +1015,40 @@ def test_benchmark_tracer_sees_every_trial(tmp_path, monkeypatch):
     assert metrics["experiments.trials"] == 5
     assert metrics["spectral.eigvalsh.calls"] == 5
     assert metrics["kernels.gram.calls"] == 5
+
+
+def test_benchmark_tracer_times_each_oracle_trial(monkeypatch):
+    # each perturbation hook call runs its trial's replace-one solve, so the
+    # tracer's oracle_perturbation span times the section's per-trial work
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "bench"))
+    from tracer import Tracer
+
+    depth, inside = [0], [0]
+    trial, perturb = experiments._perturbation_trial, experiments.perturb_replace
+
+    def spy_trial(args):
+        depth[0] += 1
+        try:
+            return trial(args)
+        finally:
+            depth[0] -= 1
+
+    def spy_perturb(*args):
+        inside[0] += depth[0] > 0
+        return perturb(*args)
+
+    monkeypatch.setattr(experiments, "_perturbation_trial", spy_trial)
+    monkeypatch.setattr(experiments, "perturb_replace", spy_perturb)
+    cfg = ExperimentConfig(n=10, p=2, trials=2, seed=4, indices=(1,), bounds=())
+    tracer = Tracer()
+    tracer.install()
+    try:
+        experiments.run_oracles(cfg, interlacing_matrices=100, perturbation_trials=100, expansion_trials=1)
+    finally:
+        tracer.uninstall()
+    assert inside[0] == 100
+    calls = [tracer.calls[f"experiments.oracle_{name}"] for name in ("interlacing", "perturbation", "expansion")]
+    assert calls == [100, 100, 1]
 
 
 def test_align_rank1_fixture(tmp_path):

@@ -454,18 +454,18 @@ def _carried_per_block(monkeypatch, cfg) -> list[list]:
     """Run `cfg` and return, block by block, the records its concentration
     trials carry from their eigensolve to their finish stage."""
     events = []
-    solve, finish = experiments._solve, experiments._concentration_trial
+    solve, finish = experiments._concentration_trial, experiments._finish
 
-    def spy_solve(*args):
-        events.append(solve(*args))
+    def spy_solve(args):
+        events.append(solve(args))
         return events[-1]
 
-    def spy_finish(args):
+    def spy_finish(*args):
         events.append(None)
-        return finish(args)
+        return finish(*args)
 
-    monkeypatch.setattr(experiments, "_solve", spy_solve)
-    monkeypatch.setattr(experiments, "_concentration_trial", spy_finish)
+    monkeypatch.setattr(experiments, "_concentration_trial", spy_solve)
+    monkeypatch.setattr(experiments, "_finish", spy_finish)
     run_concentration(cfg)
     blocks: list[list] = [[]]
     for event in events:

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -237,6 +238,10 @@ def test_kernel_from_cli():
 def test_kernel_validation():
     with pytest.raises(ConfigError):
         gaussian(0.0)
+    # 1/(2 sigma^2) is infinite or 0 in floating point
+    for sigma in (1e-300, 1e-200, 1e-160, 1e300):
+        with pytest.raises(ConfigError, match=re.escape(f"gaussian bandwidth {sigma!r}")):
+            gaussian(sigma)
     with pytest.raises(ConfigError):
         polynomial(0)
     with pytest.raises(ConfigError):

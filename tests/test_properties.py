@@ -700,8 +700,8 @@ def _perturbation_alone(cfg, index, t) -> dict:
 ], ids=["gaussian", "polynomial", "linear-degenerate"])
 def test_perturbation_finish_equals_each_trial_alone(kernel, index):
     cfg = ExperimentConfig(n=12, p=2, trials=2, seed=5, kernel=kernel, indices=(1,), bounds=())
-    solved = [experiments._solve_perturbed(cfg.kernel_spec(),
-                                           *experiments._draw_replacement(cfg, subseed(cfg.seed, t), t % 5 == 0))
+    solved = [experiments._perturbation_trial((cfg.kernel_spec(),
+                                               *experiments._draw_replacement(cfg, subseed(cfg.seed, t), t % 5 == 0)))
               for t in range(24)]
     # norms whose squares numpy rounds differently from Python's pow, small
     # enough for the second-order row to keep them where the gap is not degenerate
@@ -712,7 +712,7 @@ def test_perturbation_finish_equals_each_trial_alone(kernel, index):
     finished = experiments._finish_perturbed(cfg, cfg.kernel_spec(), index, solved)
     skipped = set()
     for t, trial in enumerate(solved):
-        share = experiments._perturbation_trial((finished, t))
+        share = {name: pairs[t] for name, pairs in finished.items()}
         alone = _perturbation_alone(cfg, index, trial)
         assert list(share) == list(alone)
         for name, pair in alone.items():
@@ -730,8 +730,8 @@ def test_perturbation_finish_equals_each_trial_alone(kernel, index):
 def test_perturbation_finish_raises_the_first_singular_covariance():
     # p > n: every sample covariance is singular, as one trial alone would raise
     cfg = ExperimentConfig(n=4, p=6, trials=2, seed=8, indices=(1,), bounds=())
-    solved = [experiments._solve_perturbed(cfg.kernel_spec(),
-                                           *experiments._draw_replacement(cfg, subseed(cfg.seed, t), False))
+    solved = [experiments._perturbation_trial((cfg.kernel_spec(),
+                                               *experiments._draw_replacement(cfg, subseed(cfg.seed, t), False)))
               for t in range(3)]
     with pytest.raises(SingularCovarianceError) as alone:
         covariance_stats(solved[0].samples)
@@ -882,23 +882,23 @@ def test_oracle_bytes_do_not_depend_on_blocks_or_workers(perturbation_trials, se
     map_trials = experiments._map_trials
 
     def run(w):
-        # each perturbation trial's share as the runner hands it back, so
-        # every row's (lhs, rhs) columns are compared byte for byte
-        shares = []
+        # each perturbation block's record as the runner hands it back, so
+        # every row's concatenated (lhs, rhs) columns are compared byte for byte
+        records = []
 
         def spy(run_block, *args):
             results = map_trials(run_block, *args)
             if run_block is experiments._perturbation_block:
-                shares.extend(results)
+                records.extend(results)
             return results
 
         with mock.patch.object(experiments, "_map_trials", spy):
             table = run_oracles(cfg, interlacing_matrices=100, perturbation_trials=perturbation_trials,
                                 expansion_trials=1, workers=w)
-        assert len(shares) == perturbation_trials
         columns = []
-        for name in shares[0]:
-            pairs = [share[name] for share in shares]
+        for name in records[0]:
+            pairs = [pair for record in records for pair in record[name]]
+            assert len(pairs) == perturbation_trials
             columns.append((name, [pair is None for pair in pairs],
                             _bits([(math.nan, math.nan) if pair is None else pair for pair in pairs])))
         return repr(table.rows), columns
